@@ -105,10 +105,13 @@ def _load(cfg: RunConfig) -> CascadeSystem:
 
 
 def _parse_state(text: str, label: str) -> tuple[float, ...]:
+    """Each entry is a constant expression, so ``2*pi,0`` is an exact period shift."""
     try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError(f"{label} must be comma-separated numbers, got {text!r}") from None
+        return tuple(ex.evaluate(ex.parse(p, ()), {}) for p in text.split(","))
+    except (ex.ParseError, ex.DomainError):
+        raise UsageError(
+            f"{label} must be comma-separated numbers or constant expressions, got {text!r}"
+        ) from None
 
 
 def _jsonable(obj):

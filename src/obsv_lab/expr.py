@@ -565,28 +565,25 @@ def clear_caches() -> None:
 # evaluate() except that error messages lose the subexpression pinpointing.
 
 
-def python_source(e: Expr) -> str:
+def python_source(e: Expr, names: dict[str, str] | None = None) -> str:
+    """Python source computing ``e``; ``names`` renames variables in the output."""
     if isinstance(e, Const):
         return repr(e.value)
     if isinstance(e, Var):
-        return e.name
+        return names.get(e.name, e.name) if names else e.name
     if isinstance(e, Neg):
-        return f"(-{python_source(e.arg)})"
-    if isinstance(e, Add):
-        return f"({python_source(e.left)} + {python_source(e.right)})"
-    if isinstance(e, Sub):
-        return f"({python_source(e.left)} - {python_source(e.right)})"
-    if isinstance(e, Mul):
-        return f"({python_source(e.left)} * {python_source(e.right)})"
-    if isinstance(e, Div):
-        return f"({python_source(e.left)} / {python_source(e.right)})"
+        return f"(-{python_source(e.arg, names)})"
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        op = _PY_OP[type(e)]
+        return f"({python_source(e.left, names)} {op} {python_source(e.right, names)})"
     if isinstance(e, Pow):
-        return f"({python_source(e.base)} ** {e.exponent})"
+        return f"({python_source(e.base, names)} ** {e.exponent})"
     if isinstance(e, Func):
-        return f"_m.{_PY_FUNC[e.name]}({python_source(e.arg)})"
+        return f"_m.{_PY_FUNC[e.name]}({python_source(e.arg, names)})"
     raise TypeError(f"not an Expr: {e!r}")
 
 
+_PY_OP = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
 _PY_FUNC = {"sin": "sin", "cos": "cos", "tan": "tan", "exp": "exp",
             "ln": "log", "tanh": "tanh", "sqrt": "sqrt"}
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CascadeSystem, ControlAffineSystem, as_control_affine
-from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, integrate
+from .model import CascadeSystem, ControlAffineSystem
+from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, compile_rk4, integrate
 
 EPS_DEFAULT = 1e-4          # central-difference perturbation of the initial state
 WEAK_SIGNAL_FLOOR = 1e-13   # below this, sensitivities are round-off noise
@@ -57,17 +57,46 @@ class GramianReport:
         return "marginal"
 
 
-def _output_record(sys, state, u, t_end, dt) -> np.ndarray:
-    return integrate(sys, state, u, t_end, dt).outputs
+def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
+    """Output-sensitivity Gramian from one integration per perturbed state,
+    all on one generated RK4 loop.
 
+    Row i is the central difference [y(x0 + eps*e_i) - y(x0 - eps*e_i)] / (2 eps);
+    ``secant = (i, d)`` replaces row i by the unscaled y(x0 + d*e_i) - y(x0).
+    """
+    loop = compile_rk4(sys)
+    x0 = tuple(float(v) for v in x0)
+    if len(x0) != loop.system.dim:
+        raise ValueError(f"state has {len(x0)} entries, expected {loop.system.dim}")
 
-def _assemble(deltas: list[np.ndarray], dt: float) -> tuple[np.ndarray, np.ndarray]:
+    def record(i, step):
+        moved = list(x0)
+        moved[i] += step
+        return integrate(loop, moved, u, t_end, dt).outputs
+
+    deltas = []
+    for i in range(loop.system.dim):
+        if secant is not None and secant[0] == i:
+            deltas.append(record(i, secant[1]) - integrate(loop, x0, u, t_end, dt).outputs)
+        else:
+            deltas.append((record(i, eps) - record(i, -eps)) / (2.0 * eps))
+
+    weak = all(np.max(np.abs(d)) < WEAK_SIGNAL_FLOOR for d in deltas)
     # rows of D: flattened output sensitivity per state direction
     D = np.stack([d.ravel() for d in deltas])
     W = (D @ D.T) * dt
     W = 0.5 * (W + W.T)  # kill last-bit asymmetry from the matmul
     sigma = np.linalg.svd(W, compute_uv=False)
-    return W, sigma
+    return GramianReport(
+        base_state=x0,
+        input=u.describe(),
+        eps=eps,
+        t_end=t_end,
+        dt=dt,
+        matrix=W,
+        singular_values=sigma,
+        weak_signal=weak,
+    )
 
 
 def empirical_gramian(
@@ -86,33 +115,7 @@ def empirical_gramian(
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    ca = as_control_affine(sys) if isinstance(sys, CascadeSystem) else sys
-    x0 = tuple(float(v) for v in x0)
-    if len(x0) != ca.dim:
-        raise ValueError(f"state has {len(x0)} entries, expected {ca.dim}")
-
-    deltas = []
-    for i in range(ca.dim):
-        plus = list(x0)
-        minus = list(x0)
-        plus[i] += eps
-        minus[i] -= eps
-        yp = _output_record(ca, plus, u, t_end, dt)
-        ym = _output_record(ca, minus, u, t_end, dt)
-        deltas.append((yp - ym) / (2.0 * eps))
-
-    weak = all(np.max(np.abs(d)) < WEAK_SIGNAL_FLOOR for d in deltas)
-    W, sigma = _assemble(deltas, dt)
-    return GramianReport(
-        base_state=x0,
-        input=u.describe(),
-        eps=eps,
-        t_end=t_end,
-        dt=dt,
-        matrix=W,
-        singular_values=sigma,
-        weak_signal=weak,
-    )
+    return _gramian(sys, x0, u, eps, t_end, dt)
 
 
 def input_sweep(
@@ -160,37 +163,4 @@ def shift_comparison_gramian(
     hot = [i for i, v in enumerate(shift) if v != 0.0]
     if len(hot) != 1:
         raise ValueError(f"shift must have exactly one nonzero coordinate: {shift}")
-    ca = as_control_affine(sys)
-    x0 = tuple(float(v) for v in x0)
-    if len(x0) != ca.dim:
-        raise ValueError(f"state has {len(x0)} entries, expected {ca.dim}")
-
-    base_record = _output_record(ca, x0, u, t_end, dt)
-    deltas = []
-    for i in range(ca.dim):
-        if i == hot[0]:
-            moved = list(x0)
-            moved[i] += shift[hot[0]]
-            deltas.append(_output_record(ca, moved, u, t_end, dt) - base_record)
-            continue
-        plus = list(x0)
-        minus = list(x0)
-        plus[i] += eps
-        minus[i] -= eps
-        deltas.append(
-            (_output_record(ca, plus, u, t_end, dt) - _output_record(ca, minus, u, t_end, dt))
-            / (2.0 * eps)
-        )
-
-    weak = all(np.max(np.abs(d)) < WEAK_SIGNAL_FLOOR for d in deltas)
-    W, sigma = _assemble(deltas, dt)
-    return GramianReport(
-        base_state=x0,
-        input=u.describe(),
-        eps=eps,
-        t_end=t_end,
-        dt=dt,
-        matrix=W,
-        singular_values=sigma,
-        weak_signal=weak,
-    )
+    return _gramian(sys, x0, u, eps, t_end, dt, secant=(hot[0], shift[hot[0]]))

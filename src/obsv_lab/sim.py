@@ -8,8 +8,10 @@ would put the two runs on different time grids.
 from __future__ import annotations
 
 import bisect
+from array import array
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -157,10 +159,10 @@ class Trajectory:
 
     def to_csv(self) -> str:
         header = ",".join(("t",) + self.state_names + self.output_names)
-        lines = [header]
-        for t, s, y in zip(self.times, self.states, self.outputs):
-            row = np.concatenate(([t], s, y))
-            lines.append(",".join(f"{v:.17g}" for v in row))
+        table = np.column_stack((self.times, self.states, self.outputs))
+        # row by row: one tolist() of the whole table would hold every value
+        # as a Python float at once, next to the text
+        lines = [header] + [",".join(f"{v:.17g}" for v in row.tolist()) for row in table]
         return "\n".join(lines) + "\n"
 
 
@@ -170,31 +172,89 @@ def _as_affine(sys) -> ControlAffineSystem:
     return sys
 
 
-def integrate(
-    sys,
-    x0,
-    u: InputSignal,
-    t_end: float = T_END_DEFAULT,
-    dt: float = DT_DEFAULT,
-) -> Trajectory:
-    """Classical fixed-step RK4 for a single-input control-affine system.
+@dataclass(frozen=True)
+class RK4Loop:
+    """A single-input control-affine system with its generated RK4 loop.
 
-    Samples land on t = k*dt; a non-finite state or an overflowing stage
-    evaluation aborts with ``BlowUpError``, and genuine domain violations
-    (log of a negative x, division by zero) surface as ``DomainError`` with
-    the offending subexpression.
+    ``run(x0, u, dt, steps, states, outputs)`` extends two flat float arrays
+    by one state row and one output row per sample and raises
+    ``BlowUpError`` on a non-finite state; any other failure propagates
+    from the step where it happened, with the rows before that step stored.
+    """
+
+    system: ControlAffineSystem
+    run: Callable
+
+
+def compile_rk4(sys) -> RK4Loop:
+    """Generate one Python function that runs the whole RK4 integration.
+
+    Four stages, input sampling, the update, the finiteness check and the
+    output row are inlined over plain floats.  The arithmetic order is the
+    reference one: stage states x + (0.5*dt)*k, fields f + u*g, update
+    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), with u sampled once per
+    distinct stage time (k2 and k3 share t + 0.5*dt).
     """
     ca = _as_affine(sys)
     if ca.m != 1:
         raise ValueError(f"integrate handles single-input systems, got m={ca.m}")
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < dt:
-        raise ValueError(f"t_end={t_end} is shorter than one step dt={dt}")
-    x = np.array([float(v) for v in x0])
-    if len(x) != ca.dim:
-        raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
+    idx = range(ca.dim)
+    base = {v: f"_x{i}" for i, v in zip(idx, ca.state_vars)}
+    stage = {v: f"_p{i}" for i, v in zip(idx, ca.state_vars)}
+    x = "".join(f"_x{i}, " for i in idx)
 
+    def fields(k, at, u):
+        return [
+            f"_{k}{i} = {ex.python_source(f, at)} + {u} * {ex.python_source(g, at)}"
+            for i, f, g in zip(idx, ca.drift, ca.input_fields[0])
+        ]
+
+    def stage_state(step, k):
+        return [f"_p{i} = _x{i} + {step} * _{k}{i}" for i in idx]
+
+    outputs = "".join(f"{ex.python_source(h, base)}, " for h in ca.outputs)
+    body = [
+        "_t = _k * _dt",
+        "_ua = _u(_t)",
+        "_ub = _u(_t + _h)",
+        "_uc = _u(_t + _dt)",
+        *fields("a", base, "_ua"),
+        *stage_state("_h", "a"),
+        *fields("b", stage, "_ub"),
+        *stage_state("_h", "b"),
+        *fields("c", stage, "_ub"),
+        *stage_state("_dt", "c"),
+        *fields("d", stage, "_uc"),
+        *(f"_x{i} = _x{i} + _w * (((_a{i} + 2.0 * _b{i}) + 2.0 * _c{i}) + _d{i})" for i in idx),
+        # 0*v is 0 for every finite v and nan for inf or nan
+        f"if {' + '.join(f'0.0 * _x{i}' for i in idx)} != 0.0:",
+        f"    raise _BlowUpError(_t + _dt, ({x}))",
+        f"_out(({outputs}))",
+        f"_state(({x}))",
+    ]
+    src = "\n".join([
+        "def _rk4(_x0s, _u, _dt, _steps, _states, _outputs):",
+        f"    {x}= _x0s",
+        "    _h = 0.5 * _dt",
+        "    _w = _dt / 6.0",
+        "    _state = _states.extend",
+        "    _out = _outputs.extend",
+        f"    _out(({outputs}))",
+        f"    _state(({x}))",
+        "    for _k in range(_steps):",
+        *(f"        {line}" for line in body),
+        "",
+    ])
+    namespace = {"_m": math, "_BlowUpError": BlowUpError}
+    exec(src, namespace)
+    return RK4Loop(system=ca, run=namespace["_rk4"])
+
+
+def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
+    """Re-run step ``k`` from state ``x`` stage by stage, raising the
+    failure of the generated loop with its location: ``BlowUpError`` at the
+    stage time and state for an overflow, ``DomainError`` at the culprit
+    subexpression for a domain fault.  ``k = -1`` is the output at t = 0."""
     names = ca.state_vars
     drift_fn = ex.compile_vector(ca.drift, names)
     input_fn = ex.compile_vector(ca.input_fields[0], names)
@@ -206,7 +266,7 @@ def integrate(
         except OverflowError:
             raise BlowUpError(t, state) from None
         except (ValueError, ZeroDivisionError):
-            env = dict(zip(names, (float(v) for v in state)))
+            env = dict(zip(names, state))
             for e in exprs:
                 ex.evaluate(e, env)  # raises DomainError at the culprit
             raise
@@ -215,33 +275,67 @@ def integrate(
         f = guarded(drift_fn, ca.drift, state, t)
         g = guarded(input_fn, ca.input_fields[0], state, t)
         ut = u(t)
-        return np.array([fi + ut * gi for fi, gi in zip(f, g)])
+        return [fi + ut * gi for fi, gi in zip(f, g)]
+
+    def shifted(step, kv):
+        return [xi + step * ki for xi, ki in zip(x, kv)]
+
+    if k < 0:
+        guarded(out_fn, ca.outputs, x, 0.0)
+        return
+    t = k * dt
+    k1 = field(x, t)
+    k2 = field(shifted(0.5 * dt, k1), t + 0.5 * dt)
+    k3 = field(shifted(0.5 * dt, k2), t + 0.5 * dt)
+    k4 = field(shifted(dt, k3), t + dt)
+    x = [xi + (dt / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
+         for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    guarded(out_fn, ca.outputs, x, t + dt)
+
+
+def integrate(
+    sys,
+    x0,
+    u: InputSignal,
+    t_end: float = T_END_DEFAULT,
+    dt: float = DT_DEFAULT,
+) -> Trajectory:
+    """Classical fixed-step RK4 for a single-input control-affine system.
+
+    ``sys`` is a cascade, a control-affine system, or an ``RK4Loop`` from
+    ``compile_rk4`` when many states are integrated on one system.  Samples
+    land on t = k*dt; a non-finite state or an overflowing stage evaluation
+    aborts with ``BlowUpError``, and genuine domain violations (log of a
+    negative x, division by zero) surface as ``DomainError`` with the
+    offending subexpression.
+    """
+    loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys)
+    ca = loop.system
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_end < dt:
+        raise ValueError(f"t_end={t_end} is shorter than one step dt={dt}")
+    x = tuple(float(v) for v in x0)
+    if len(x) != ca.dim:
+        raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
 
     steps = int(round(t_end / dt))
-    states = np.empty((steps + 1, ca.dim))
-    outputs = np.empty((steps + 1, ca.p))
-    states[0] = x
-    outputs[0] = guarded(out_fn, ca.outputs, x, 0.0)
-    # numpy scalars report overflow as a warning plus inf; the isfinite
-    # check below turns that into BlowUpError, so silence the warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(steps):
-            t = k * dt
-            k1 = field(x, t)
-            k2 = field(x + 0.5 * dt * k1, t + 0.5 * dt)
-            k3 = field(x + 0.5 * dt * k2, t + 0.5 * dt)
-            k4 = field(x + dt * k3, t + dt)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x)):
-                raise BlowUpError(t + dt, x)
-            states[k + 1] = x
-            outputs[k + 1] = guarded(out_fn, ca.outputs, x, t + dt)
+    states = array("d")
+    outputs = array("d")
+    try:
+        loop.run(x, u, dt, steps, states, outputs)
+    except (ArithmeticError, ValueError):
+        # the generated loop reports no location; the guarded replay of the
+        # failing step does, and re-raising covers a replay that passes
+        done = len(states) // ca.dim  # samples stored before the failing step
+        _replay_step(ca, u, dt, tuple(states[-ca.dim:]) if done else x, done - 1)
+        raise
     return Trajectory(
         t0=0.0,
         dt=dt,
-        states=states,
-        outputs=outputs,
-        state_names=tuple(names),
+        states=np.frombuffer(states).reshape(steps + 1, ca.dim),
+        outputs=np.frombuffer(outputs).reshape(steps + 1, ca.p),
+        state_names=tuple(ca.state_vars),
         output_names=tuple(f"y{i}" for i in range(1, ca.p + 1)),
     )
 

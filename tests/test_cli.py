@@ -118,6 +118,18 @@ def test_separate_period_shift(capsys):
     assert doc["report"]["verdict"] == "indistinguishable-by-construction"
 
 
+def test_separate_readme_period_shift_expression(capsys):
+    # the README example: state entries are constant expressions, so 2*pi
+    # is exactly one period of sin and no input separates the two states
+    code, doc = run_json(
+        capsys, "separate", "--system", "preset:periodic-sin",
+        "--state", "0,0", "--state2", "2*pi,0",
+    )
+    assert code == 1
+    assert doc["report"]["verdict"] == "indistinguishable-by-construction"
+    assert doc["config"]["state2"] == [2 * math.pi, 0.0]
+
+
 def test_separate_equal_states_usage_error(capsys):
     code, out, err = run(
         capsys, "separate", "--system", "preset:fish-1d-gauss",
@@ -271,3 +283,7 @@ def test_bad_state_string(capsys):
         capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0;1",
     )
     assert code == 2
+    for bad in ("2*q,0", "1/0,0", "0,"):
+        code, out, err = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", bad)
+        assert code == 2, bad
+        assert "--state must be comma-separated" in err

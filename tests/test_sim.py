@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -130,6 +131,99 @@ def test_quadratic_growth_blows_up():
     with pytest.raises(BlowUpError) as err:
         integrate(sys, (0.0, 2.0), InputSignal.zero(), 2.0, 1e-3)
     assert err.value.t < 1.0  # the pole of 2/(1-2t) sits at t=0.5
+
+
+def test_exp_overflow_in_F_is_blowup_before_the_pole():
+    # z2 = 1/(1 - t) has its pole at t = 1; exp(10*z2) in F1 overflows once
+    # z2 > 70.98, at t ~ 0.9859, while the state is still finite
+    zs = {"z1", "z2"}
+    sys = CascadeSystem(
+        n=2,
+        gamma=(ex.parse("1", ()), ex.parse("1", ())),
+        F=(ex.parse("exp(10*z2)", zs), ex.parse("z2^2", zs)),
+        b=(1.0, 1.0),
+    )
+    with pytest.raises(BlowUpError) as err:
+        integrate(sys, (0.0, 0.0, 0.0, 1.0), InputSignal.zero(), 2.0, 1e-3)
+    assert 0.98 < err.value.t < 1.0
+    assert all(type(v) is float and math.isfinite(v) for v in err.value.state)
+    assert "np.float64" not in str(err.value)
+
+
+@pytest.mark.parametrize("z0", [1.0, 0.0])
+def test_division_by_zero_at_gain_pole_is_domain_error(z0):
+    # y1 = z1/(x1 + 2) divides by zero at x1 = -2, whatever the velocity
+    with pytest.raises(ex.DomainError, match="division by zero") as err:
+        integrate(preset("fish-1d-hyperbolic"), (-2.0, z0), InputSignal.zero(), 0.003)
+    assert isinstance(err.value.subexpr, ex.Div)
+
+
+def test_ln_gain_domain_fault_mid_run_names_the_subexpression():
+    # x1 runs from 1 toward -1 and ln(x1) in the output leaves its domain
+    sys = CascadeSystem(n=1, gamma=(ex.parse("ln(x)", {"x"}),), F=(ex.parse("-z1", {"z1"}),), b=(1.0,))
+    with pytest.raises(ex.DomainError, match="ln of a non-positive value"):
+        integrate(sys, (1.0, -2.0), InputSignal.zero(), 2.0, 1e-3)
+
+
+def _reference_rk4(ca, x0, u, t_end, dt):
+    """Classical RK4 over the tree-walking evaluator, in integrate's
+    arithmetic order: stage states x + (0.5*dt)*k, fields f + u*g, update
+    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4)."""
+
+    def values(exprs, x):
+        env = dict(zip(ca.state_vars, x))
+        return [ex.evaluate(e, env) for e in exprs]
+
+    def field(x, t):
+        ut = u(t)
+        return [f + ut * g for f, g in zip(values(ca.drift, x), values(ca.input_fields[0], x))]
+
+    def moved(x, step, k):
+        return [xi + step * ki for xi, ki in zip(x, k)]
+
+    x = [float(v) for v in x0]
+    states, outputs = [x], [values(ca.outputs, x)]
+    for step in range(int(round(t_end / dt))):
+        t = step * dt
+        k1 = field(x, t)
+        k2 = field(moved(x, 0.5 * dt, k1), t + 0.5 * dt)
+        k3 = field(moved(x, 0.5 * dt, k2), t + 0.5 * dt)
+        k4 = field(moved(x, dt, k3), t + dt)
+        x = [xi + (dt / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
+             for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+        states.append(x)
+        outputs.append(values(ca.outputs, x))
+    return np.array(states), np.array(outputs)
+
+
+ORACLE_GAINS = ("sin(x)", "cos(x)", "exp(-x^2)", "tanh(x)", "1/(x + 3)", "x^2 + 1")
+ORACLE_TERMS = ("sin(z{j})", "cos(z{j})^2", "exp(-z{j}^2)", "tanh(z{j})", "1/(z{j} + {c})", "-z{j}^3")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integrate_matches_tree_evaluated_rk4_bitwise(n):
+    rng = random.Random(n)
+    zs = {f"z{i}" for i in range(1, n + 1)}
+    F = []
+    for i in range(1, n + 1):
+        terms = [f"-{rng.uniform(0.5, 1.5):.3f}*z{i}"]
+        for term in ORACLE_TERMS:  # every block couples through every term kind
+            coeff = rng.uniform(0.05, 0.3)
+            terms.append(f"{coeff:.3f}*" + term.format(j=rng.randint(1, n), c=rng.randint(3, 5)))
+        F.append(ex.parse(" + ".join(terms), zs))
+    sys = CascadeSystem(
+        n=n,
+        gamma=tuple(ex.parse(rng.choice(ORACLE_GAINS), {"x"}) for _ in range(n)),
+        F=tuple(F),
+        b=tuple(rng.uniform(0.5, 1.5) for _ in range(n)),
+    )
+    x0 = [rng.uniform(-1.0, 1.0) for _ in range(2 * n)]
+    u = InputSignal.sinusoid(rng.uniform(0.5, 1.5), rng.uniform(1.0, 6.0), rng.uniform(0.0, 1.0))
+    traj = integrate(sys, x0, u, 0.5, 1e-3)
+    states, outputs = _reference_rk4(as_control_affine(sys), x0, u, 0.5, 1e-3)
+    assert traj.states.shape == (501, 2 * n)
+    assert np.array_equal(traj.states, states)
+    assert np.array_equal(traj.outputs, outputs)
 
 
 def test_z_component_ignores_positions():
