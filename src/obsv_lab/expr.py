@@ -3,10 +3,13 @@
 The function catalog is deliberately closed: sin, cos, tan, exp, ln, tanh,
 sqrt, the four rational operations, unary minus, and integer powers.  Every
 catalog member is smooth on its domain and the catalog is closed under
-differentiation, so repeated symbolic differentiation never leaves it.
-Non-smooth builtins (abs, floor, ...) are rejected at parse time.
+differentiation, so repeated symbolic differentiation never leaves it, and
+every member has a Taylor-coefficient recurrence (see ``jet``).
+Non-smooth builtins (abs, floor, ...) and non-finite literals are rejected
+at parse time.
 
-Expressions are immutable; all operations here are pure functions.
+Expressions are immutable and the functions here are pure; the jet objects
+(``Jet``, ``FlowJet``) hold series that grow as higher orders are asked for.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import math
 import re
 from dataclasses import dataclass
 
-K_MAX_DEFAULT = 12  # cap on derivative order taken symbolically
+K_MAX_DEFAULT = 12  # default bound on the derivative order a search may reach
 
 _MATH_FUNCS = {
     "sin": math.sin,
@@ -317,8 +320,11 @@ class _Parser:
     def atom(self) -> Expr:
         kind, text, offset = self.peek()
         if kind == "num":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(offset, "a finite number", text)
             self.take()
-            return Const(float(text))
+            return Const(value)
         if kind == "ident":
             self.take()
             if text in _CONSTANTS:
@@ -535,29 +541,447 @@ def diff(e: Expr, var: str) -> Expr:
     raise TypeError(f"not an Expr: {e!r}")
 
 
-# Derivative chains are memoized: observability scans ask for gamma^(k) at
-# many states, and recomputing the symbolic chain each time would dominate.
-_DERIV_CHAINS: dict[tuple[Expr, str], list[Expr]] = {}
+# ---------------------------------------------------------------------------
+# Taylor-mode derivatives.  A tape holds one node per subexpression, children
+# before parents; step(k) appends the order-k Taylor coefficient of every
+# node, so a jet grows one order at a time in O(K^2) flops overall (Griewank
+# & Walther, "Evaluating Derivatives", 2nd ed., ch. 13).  Order-0
+# coefficients are computed with exactly the checks and float operations of
+# evaluate().  With tangent seeds, every node also carries the series of its
+# derivative along the seed directions (forward mode over the series).
 
 
-def derivative_chain(e: Expr, var: str, k: int, k_max: int = K_MAX_DEFAULT) -> Expr:
-    """k-th symbolic derivative of ``e`` with respect to ``var``."""
-    if k < 0:
-        raise DerivativeOrderError(f"negative derivative order {k}")
-    if k > k_max:
-        raise DerivativeOrderError(f"derivative order {k} exceeds cap {k_max}")
-    chain = _DERIV_CHAINS.setdefault((e, var), [e])
-    while len(chain) <= k:
-        chain.append(diff(chain[-1], var))
-    return chain[k]
+class _PowSeries:
+    """Coefficients of a(t)^n, for an integer n and a series a that grows in step.
+
+    a^|n| is a chain of series products by repeated squaring, free of
+    divisions, so it stays accurate where a_0 is tiny or zero; for n < 0 the
+    series is the reciprocal of that product.  ``out`` holds the
+    coefficients so far; next() returns the following one.
+    """
+
+    __slots__ = ("n", "out", "steps", "base")
+
+    def __init__(self, a: list, n: int, out: list):
+        self.n, self.out = n, out
+        self.steps: list[tuple[list, list, list]] = []  # (left, right, product)
+        square, acc, m = a, None, abs(n)
+        while m:
+            if m & 1:
+                acc = square if acc is None else self._product(acc, square)
+            m >>= 1
+            if m:
+                square = self._product(square, square)
+        self.base = acc  # a^|n|, None for n = 0
+
+    def _product(self, left: list, right: list) -> list:
+        prod = [left[0] * right[0]]
+        self.steps.append((left, right, prod))
+        return prod
+
+    def next(self) -> float:
+        k = len(self.out)
+        if self.n == 0:
+            return 0.0
+        for left, right, prod in self.steps:
+            prod.append(_conv(left, right, 0, k))
+        p = self.base
+        if self.n > 0:
+            return p[k]
+        return -_conv(p, self.out, 1, k) / p[0]
+
+
+def _conv(p: list, q: list, lo: int, k: int):
+    """sum_{j=lo..k} p[j] * q[k-j]; the q entries may be tangent vectors."""
+    s = 0.0
+    for j in range(lo, k + 1):
+        s += p[j] * q[k - j]
+    return s
+
+
+def _wconv(a: list, w: list, k: int) -> float:
+    """(1/k) sum_{j=1..k} j a[j] w[k-j]: coefficient k of c where c' = a' w."""
+    s = 0.0
+    for j in range(1, k + 1):
+        s += j * a[j] * w[k - j]
+    return s / k
+
+
+def _square_inner(c: list, k: int) -> float:
+    """sum_{j=1..k-1} c[j] c[k-j]: coefficient k of c^2 without its c_0 terms."""
+    s = 0.0
+    for j in range(1, k):
+        s += c[j] * c[k - j]
+    return s
+
+
+class _Node:
+    __slots__ = ("rule", "e", "c", "a", "b", "w", "q", "t")
+
+    def __init__(self, op: str, e: Expr, c0: float, a=None, b=None):
+        self.rule = _RULES[op]
+        self.e = e
+        self.c = [c0]   # Taylor coefficients
+        self.a = a      # operand nodes
+        self.b = b
+        self.w = None   # companion series (cos for sin, 1 +- c^2 for tan/tanh) or _PowSeries
+        self.q = None   # a^(n-1) for the tangent of a power
+        self.t = None   # tangent coefficients
+
+
+# Value rules: coefficient k >= 1 of a node from the first k+1 coefficients
+# of its operands and the first k of its own series.
+
+def _v_const(nd, k):
+    return 0.0
+
+
+def _v_neg(nd, k):
+    return -nd.a.c[k]
+
+
+def _v_add(nd, k):
+    return nd.a.c[k] + nd.b.c[k]
+
+
+def _v_sub(nd, k):
+    return nd.a.c[k] - nd.b.c[k]
+
+
+def _v_mul(nd, k):
+    return _conv(nd.a.c, nd.b.c, 0, k)
+
+
+def _v_div(nd, k):
+    b = nd.b.c
+    return (nd.a.c[k] - _conv(b, nd.c, 1, k)) / b[0]
+
+
+def _v_pow(nd, k):
+    if nd.w is None:
+        nd.w = _PowSeries(nd.a.c, nd.e.exponent, nd.c)
+    return nd.w.next()
+
+
+def _v_exp(nd, k):
+    return _wconv(nd.a.c, nd.c, k)
+
+
+def _v_ln(nd, k):
+    a, c = nd.a.c, nd.c
+    s = 0.0
+    for j in range(1, k):
+        s += j * c[j] * a[k - j]
+    return (a[k] - s / k) / a[0]
+
+
+def _v_sin(nd, k):
+    a = nd.a.c
+    v = _wconv(a, nd.w, k)
+    nd.w.append(-_wconv(a, nd.c, k))
+    return v
+
+
+def _v_cos(nd, k):
+    a = nd.a.c
+    v = -_wconv(a, nd.w, k)
+    nd.w.append(_wconv(a, nd.c, k))
+    return v
+
+
+def _v_tan(nd, k):
+    c = nd.c
+    v = _wconv(nd.a.c, nd.w, k)
+    nd.w.append(2.0 * c[0] * v + _square_inner(c, k))
+    return v
+
+
+def _v_tanh(nd, k):
+    c = nd.c
+    v = _wconv(nd.a.c, nd.w, k)
+    nd.w.append(-(2.0 * c[0] * v + _square_inner(c, k)))
+    return v
+
+
+def _v_sqrt(nd, k):
+    c = nd.c
+    if c[0] == 0.0:
+        raise DomainError("derivative of sqrt at 0", nd.e)
+    return (nd.a.c[k] - _square_inner(c, k)) / (2.0 * c[0])
+
+
+# Tangent rules: tangent coefficient k >= 0, after every value of order k is
+# known.  A function node's tangent is its derivative series convolved with
+# the operand's tangent; ln, sqrt and / solve the same product for it.
+
+def _t_const(nd, k):
+    return 0.0
+
+
+def _t_neg(nd, k):
+    return -nd.a.t[k]
+
+
+def _t_add(nd, k):
+    return nd.a.t[k] + nd.b.t[k]
+
+
+def _t_sub(nd, k):
+    return nd.a.t[k] - nd.b.t[k]
+
+
+def _t_mul(nd, k):
+    return _conv(nd.b.c, nd.a.t, 0, k) + _conv(nd.a.c, nd.b.t, 0, k)
+
+
+def _t_div(nd, k):
+    b = nd.b.c
+    return (nd.a.t[k] - _conv(nd.c, nd.b.t, 0, k) - _conv(b, nd.t, 1, k)) / b[0]
+
+
+def _t_pow(nd, k):
+    n = nd.e.exponent
+    if n == 0:
+        return 0.0
+    a = nd.a.c
+    if nd.q is None:
+        nd.q = _PowSeries(a, n - 1, [a[0] ** (n - 1)])
+    q = nd.q.out
+    while len(q) <= k:
+        q.append(nd.q.next())
+    return n * _conv(q, nd.a.t, 0, k)
+
+
+def _t_exp(nd, k):
+    return _conv(nd.c, nd.a.t, 0, k)
+
+
+def _t_ln(nd, k):
+    a = nd.a.c
+    return (nd.a.t[k] - _conv(a, nd.t, 1, k)) / a[0]
+
+
+def _t_companion(nd, k):
+    # sin, tan, tanh: the derivative series is the companion w
+    return _conv(nd.w, nd.a.t, 0, k)
+
+
+def _t_cos(nd, k):
+    return -_conv(nd.w, nd.a.t, 0, k)
+
+
+def _t_sqrt(nd, k):
+    c = nd.c
+    if c[0] == 0.0:
+        raise DomainError("derivative of sqrt at 0", nd.e)
+    return (nd.a.t[k] - 2.0 * _conv(c, nd.t, 1, k)) / (2.0 * c[0])
+
+
+_RULES = {
+    "const": (_v_const, _t_const),
+    "var": (None, None),  # inputs: their coefficients are supplied from outside
+    "neg": (_v_neg, _t_neg),
+    "add": (_v_add, _t_add),
+    "sub": (_v_sub, _t_sub),
+    "mul": (_v_mul, _t_mul),
+    "div": (_v_div, _t_div),
+    "pow": (_v_pow, _t_pow),
+    "exp": (_v_exp, _t_exp),
+    "ln": (_v_ln, _t_ln),
+    "sin": (_v_sin, _t_companion),
+    "cos": (_v_cos, _t_cos),
+    "tan": (_v_tan, _t_companion),
+    "tanh": (_v_tanh, _t_companion),
+    "sqrt": (_v_sqrt, _t_sqrt),
+}
+
+
+class _Tape:
+    """Taylor series of several expressions in the variables of ``env``.
+
+    ``env`` gives each variable's order-0 value; its higher coefficients
+    (and, with ``seeds``, its tangents) are appended by the caller before
+    each step.  ``seeds`` maps each variable to its order-0 tangent.
+    """
+
+    def __init__(self, exprs, env: dict, seeds: dict | None = None):
+        self.env = env
+        self.inputs: dict[str, _Node] = {}
+        self.nodes: list[_Node] = []
+        self.roots = [self._build(e) for e in exprs]
+        self.tangents = seeds is not None
+        if self.tangents:
+            for name, node in self.inputs.items():
+                node.t = [seeds[name]]
+            for node in self.nodes:
+                node.t = [node.rule[1](node, 0)]
+
+    def step(self, k: int) -> None:
+        """Append coefficient k of every node; the inputs must already hold theirs."""
+        for node in self.nodes:
+            try:
+                node.c.append(node.rule[0](node, k))
+            except OverflowError:
+                raise DomainError(f"overflow in Taylor coefficient {k}", node.e) from None
+        if self.tangents:
+            for node in self.nodes:
+                node.t.append(node.rule[1](node, k))
+
+    def _build(self, e: Expr) -> _Node:
+        # mirrors evaluate(): same operand order, checks and messages
+        if isinstance(e, Var):
+            node = self.inputs.get(e.name)
+            if node is None:
+                try:
+                    x = float(self.env[e.name])
+                except KeyError:
+                    raise DomainError(f"unbound variable '{e.name}'", e) from None
+                node = self.inputs[e.name] = _Node("var", e, x)
+            return node
+        if isinstance(e, Const):
+            node = _Node("const", e, e.value)
+        elif isinstance(e, Neg):
+            a = self._build(e.arg)
+            node = _Node("neg", e, -a.c[0], a)
+        elif isinstance(e, Add):
+            a, b = self._build(e.left), self._build(e.right)
+            node = _Node("add", e, a.c[0] + b.c[0], a, b)
+        elif isinstance(e, Sub):
+            a, b = self._build(e.left), self._build(e.right)
+            node = _Node("sub", e, a.c[0] - b.c[0], a, b)
+        elif isinstance(e, Mul):
+            a, b = self._build(e.left), self._build(e.right)
+            node = _Node("mul", e, a.c[0] * b.c[0], a, b)
+        elif isinstance(e, Div):
+            b = self._build(e.right)
+            if b.c[0] == 0.0:
+                raise DomainError("division by zero", e)
+            a = self._build(e.left)
+            node = _Node("div", e, a.c[0] / b.c[0], a, b)
+        elif isinstance(e, Pow):
+            a = self._build(e.base)
+            base = a.c[0]
+            if base == 0.0 and e.exponent < 0:
+                raise DomainError("zero raised to a negative power", e)
+            try:
+                v = base ** e.exponent
+            except OverflowError:
+                raise DomainError("overflow", e) from None
+            node = _Node("pow", e, _check_finite(v, e), a)
+        elif isinstance(e, Func):
+            a = self._build(e.arg)
+            x = a.c[0]
+            if e.name == "ln" and x <= 0.0:
+                raise DomainError("ln of a non-positive value", e)
+            if e.name == "sqrt" and x < 0.0:
+                raise DomainError("sqrt of a negative value", e)
+            try:
+                v = _MATH_FUNCS[e.name](x)
+            except (ValueError, OverflowError):
+                raise DomainError("out-of-domain argument", e) from None
+            node = _Node(e.name, e, _check_finite(v, e), a)
+            if e.name == "sin":
+                node.w = [math.cos(x)]
+            elif e.name == "cos":
+                node.w = [math.sin(x)]
+            elif e.name == "tan":
+                node.w = [1.0 + v * v]
+            elif e.name == "tanh":
+                node.w = [1.0 - v * v]
+        else:
+            raise TypeError(f"not an Expr: {e!r}")
+        self.nodes.append(node)
+        return node
+
+
+def _times_factorial(c, k: int):
+    # k! * c as c * 1 * 2 * ... * k in floats: k! itself would overflow a float for k >= 171
+    for j in range(2, k + 1):
+        c = c * j
+    return c
+
+
+class Jet:
+    """Taylor jet of ``e`` in ``var`` around ``x0``, extended on demand.
+
+    Orders above ``k_max`` are refused, as by nth_derivative_at.
+    """
+
+    def __init__(self, e: Expr, var: str, x0: float, k_max: int = K_MAX_DEFAULT):
+        self.expr = e
+        self.k_max = k_max
+        self._tape = _Tape((e,), {var: x0})
+        self._coeffs = self._tape.roots[0].c
+        self._x = self._tape.inputs.get(var)
+
+    def coefficient(self, k: int) -> float:
+        """Taylor coefficient c_k = e^(k)(x0) / k!."""
+        if k < 0:
+            raise DerivativeOrderError(f"negative derivative order {k}")
+        if k > self.k_max:
+            raise DerivativeOrderError(f"derivative order {k} exceeds cap {self.k_max}")
+        c = self._coeffs
+        while len(c) <= k:
+            order = len(c)
+            if self._x is not None:
+                self._x.c.append(1.0 if order == 1 else 0.0)
+            self._tape.step(order)
+            if not math.isfinite(c[order]):
+                raise DomainError(f"non-finite Taylor coefficient {order}", self.expr)
+        return c[k]
+
+    def derivative(self, k: int) -> float:
+        return _times_factorial(self.coefficient(k), k)
+
+
+def jet(e: Expr, var: str, x0: float, K: int) -> list[float]:
+    """Taylor coefficients c_0..c_K of ``e`` in ``var`` around ``x0``."""
+    j = Jet(e, var, x0, K)
+    return [j.coefficient(k) for k in range(K + 1)]
 
 
 def nth_derivative_at(e: Expr, var: str, k: int, x0: float, k_max: int = K_MAX_DEFAULT) -> float:
-    return evaluate(derivative_chain(e, var, k, k_max), {var: x0})
+    return Jet(e, var, x0, k_max).derivative(k)
 
 
-def clear_caches() -> None:
-    _DERIV_CHAINS.clear()
+class FlowJet:
+    """Taylor series of outputs h(x(t)) along the flow dx/dt = field(x), x(0) = x0.
+
+    The state series follows x_{k+1} = (field o x)_k / (k+1), so the k-th
+    Lie derivative of output j at x0 is k! times its k-th coefficient, and
+    its gradient comes from the tangents seeded with ``seeds`` (one vector
+    per state variable, e.g. unit vectors) (Roebenack, J. Comput. Appl.
+    Math. 213, 2008).
+    """
+
+    def __init__(self, field, outputs, var_names, x0, seeds):
+        field, outputs, var_names = tuple(field), tuple(outputs), tuple(var_names)
+        if not len(field) == len(var_names) == len(x0) == len(seeds):
+            raise ValueError("field, variables, x0 and seeds must have one entry per state")
+        self._tape = _Tape(field + outputs, dict(zip(var_names, x0)), dict(zip(var_names, seeds)))
+        roots = self._tape.roots
+        self._field = roots[: len(field)]
+        self._outputs = roots[len(field):]
+        self._states = [self._tape.inputs.get(name) for name in var_names]
+        self._order = 0
+
+    def _extend(self, k: int) -> None:
+        while self._order < k:
+            r = self._order
+            for x, f in zip(self._states, self._field):
+                if x is not None:
+                    x.c.append(f.c[r] / (r + 1))
+                    x.t.append(f.t[r] / (r + 1))
+            self._order = r + 1
+            self._tape.step(r + 1)
+            for h in self._outputs:
+                if not math.isfinite(h.c[r + 1]):
+                    raise DomainError(f"non-finite Taylor coefficient {r + 1}", h.e)
+
+    def gradient(self, j: int, k: int):
+        """Gradient of L_f^k h_j at x0 in the seed directions, output index j 0-based."""
+        self._extend(k)
+        return _times_factorial(self._outputs[j].t[k], k)
 
 
 # ---------------------------------------------------------------------------

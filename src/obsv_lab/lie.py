@@ -11,7 +11,6 @@ inputs, which is why they drive the separation and rank machinery in
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from itertools import product
 
@@ -40,28 +39,6 @@ class ObservableWord:
 
     def __len__(self) -> int:
         return len(self.mu)
-
-
-class ObservableCache:
-    """Prefix-memoized observable expressions for one system.
-
-    Lookups are keyed by (output, word prefix); a lock guards insertion so
-    concurrent readers stay consistent.
-    """
-
-    def __init__(self):
-        self._table: dict[tuple[int, tuple[int, ...]], Expr] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._table)
-
-    def get(self, j: int, mu: tuple[int, ...]):
-        return self._table.get((j, mu))
-
-    def put(self, j: int, mu: tuple[int, ...], value: Expr) -> None:
-        with self._lock:
-            self._table.setdefault((j, mu), value)
 
 
 def lie_derivative(alpha: Expr, field, var_names) -> Expr:
@@ -95,21 +72,12 @@ def iterated_observable(
     sys: ControlAffineSystem,
     word: ObservableWord,
     l_max: int = L_MAX_DEFAULT,
-    cache: ObservableCache | None = None,
 ) -> Expr:
     """Symbolic expression for the iterated Lie derivative named by ``word``."""
     _check_word(sys, word, l_max)
     current = sys.outputs[word.j - 1]
-    prefix: tuple[int, ...] = ()
     for idx in word.mu:
-        prefix = prefix + (idx,)
-        hit = cache.get(word.j, prefix) if cache is not None else None
-        if hit is not None:
-            current = hit
-            continue
         current = lie_derivative(current, _field(sys, idx), sys.state_vars)
-        if cache is not None:
-            cache.put(word.j, prefix, current)
     return current
 
 
@@ -118,9 +86,8 @@ def evaluate_word(
     word: ObservableWord,
     state,
     l_max: int = L_MAX_DEFAULT,
-    cache: ObservableCache | None = None,
 ) -> float:
-    e = iterated_observable(sys, word, l_max=l_max, cache=cache)
+    e = iterated_observable(sys, word, l_max=l_max)
     env = dict(zip(sys.state_vars, (float(v) for v in state)))
     return ex.evaluate(e, env)
 

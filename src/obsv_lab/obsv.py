@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
 from . import expr as ex
 from .expr import Expr, K_MAX_DEFAULT
-from .lie import L_MAX_DEFAULT, ObservableWord, iterated_observable
+from .lie import ObservableWord
 from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine
 
 PER_TOL_DEFAULT = 1e-8     # relative residual for accepting a period
@@ -87,13 +86,21 @@ def _check_block(sys: CascadeSystem, i: int) -> None:
         raise ValueError(f"block index {i} out of range for n = {sys.n}")
 
 
+def _lflg(gk: float, b: float, k: int, z: float) -> float:
+    return gk * b ** k * z
+
+
+def _lglflg(gk: float, b: float, k: int) -> float:
+    return gk * b ** (k + 1)
+
+
 def cascade_lflg(sys: CascadeSystem, i: int, k: int, state, k_max: int = K_MAX_DEFAULT) -> float:
     """Value of the k-fold (drift o input) word on output i: gamma^(k)(x_i) b^k z_i."""
     _check_block(sys, i)
     x = float(state[i - 1])
     z = float(state[sys.n + i - 1])
     gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x, k_max)
-    return gk * sys.b[i - 1] ** k * z
+    return _lflg(gk, sys.b[i - 1], k, z)
 
 
 def cascade_lglflg(sys: CascadeSystem, i: int, k: int, state, k_max: int = K_MAX_DEFAULT) -> float:
@@ -101,7 +108,7 @@ def cascade_lglflg(sys: CascadeSystem, i: int, k: int, state, k_max: int = K_MAX
     _check_block(sys, i)
     x = float(state[i - 1])
     gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x, k_max)
-    return gk * sys.b[i - 1] ** (k + 1)
+    return _lglflg(gk, sys.b[i - 1], k)
 
 
 def word_lflg(i: int, k: int) -> ObservableWord:
@@ -163,25 +170,22 @@ def _golden_polish(f, lo: float, hi: float, width: float = 1e-12) -> float:
     return 0.5 * (lo + hi)
 
 
-def _derivative_jets_match(
-    gamma: Expr, T: float, probes, k_check: int, tol: float, k_max: int
-) -> bool:
-    for r in probes:
-        for k in range(k_check + 1):
-            a = ex.nth_derivative_at(gamma, GAMMA_VAR, k, r, k_max)
-            b = ex.nth_derivative_at(gamma, GAMMA_VAR, k, r + T, k_max)
-            if abs(a - b) > tol * (1.0 + max(abs(a), abs(b))):
-                return False
-    return True
-
-
-def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_max: int, tol: float):
-    for k in range(k_max + 1):
-        a = ex.nth_derivative_at(gamma, GAMMA_VAR, k, r, k_max)
-        b = ex.nth_derivative_at(gamma, GAMMA_VAR, k, s, k_max)
+def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_last: int, tol: float, k_max: int):
+    """First order k <= k_last where the derivative jets at r and s differ, or None."""
+    jr = ex.Jet(gamma, GAMMA_VAR, r, k_max)
+    js = ex.Jet(gamma, GAMMA_VAR, s, k_max)
+    for k in range(k_last + 1):
+        a = jr.derivative(k)
+        b = js.derivative(k)
         if abs(a - b) > tol * (1.0 + max(abs(a), abs(b))):
             return {"k": k, "lhs": float(a), "rhs": float(b)}
     return None
+
+
+def _derivative_jets_match(
+    gamma: Expr, T: float, probes, k_check: int, tol: float, k_max: int
+) -> bool:
+    return all(_first_jet_mismatch(gamma, r, r + T, k_check, tol, k_max) is None for r in probes)
 
 
 def _autocorr_candidates(vals: np.ndarray, dx: float, max_lag: int) -> list[float]:
@@ -302,7 +306,7 @@ def detect_period(
         r, s = sorted(rng.uniform(lo / 2, hi / 2, size=2))
         if r == s:
             continue
-        hit = _first_jet_mismatch(gamma, r, s, k_max, per_tol)
+        hit = _first_jet_mismatch(gamma, r, s, k_max, per_tol, k_max)
         if hit is not None:
             evidence["probe"] = {"r": float(r), "s": float(s), **hit}
             return PeriodicityVerdict(CLASS_APERIODIC, None, evidence)
@@ -396,6 +400,25 @@ def find_separating_observable(
 
     x0, z0 = s0[:n], s0[n:]
     x1, z1 = s1[:n], s1[n:]
+    jets: dict[tuple[int, int], ex.Jet] = {}
+
+    def gain_derivative(i: int, state: int, k: int) -> float:
+        # gamma_i^(k) at the position of s0 (state 0) or s1 (state 1); one
+        # jet per block and state, grown only as deep as the scan goes
+        jet = jets.get((i, state))
+        if jet is None:
+            x = (x0, x1)[state][i - 1]
+            jet = jets[(i, state)] = ex.Jet(sys.gamma[i - 1], GAMMA_VAR, x, k_max)
+        return jet.derivative(k)
+
+    def lflg(i: int, k: int) -> tuple[float, float]:
+        b = sys.b[i - 1]
+        return (_lflg(gain_derivative(i, 0, k), b, k, z0[i - 1]),
+                _lflg(gain_derivative(i, 1, k), b, k, z1[i - 1]))
+
+    def lglflg(i: int, k: int) -> tuple[float, float]:
+        b = sys.b[i - 1]
+        return _lglflg(gain_derivative(i, 0, k), b, k), _lglflg(gain_derivative(i, 1, k), b, k)
 
     if x0 == x1:
         # positions agree: only the velocity-scaled family can split them,
@@ -404,8 +427,7 @@ def find_separating_observable(
             for i in range(1, n + 1):
                 if z0[i - 1] == z1[i - 1]:
                     continue
-                v0 = cascade_lflg(sys, i, k, s0, k_max)
-                v1 = cascade_lflg(sys, i, k, s1, k_max)
+                v0, v1 = lflg(i, k)
                 if _sep_gap_ok(v0, v1, sep_tol):
                     return SeparationCertificate(
                         VERDICT_SEPARATED, word_lflg(i, k), v0, v1, bounds
@@ -417,8 +439,7 @@ def find_separating_observable(
         for i in range(1, n + 1):
             if x0[i - 1] == x1[i - 1]:
                 continue
-            v0 = cascade_lglflg(sys, i, k, s0, k_max)
-            v1 = cascade_lglflg(sys, i, k, s1, k_max)
+            v0, v1 = lglflg(i, k)
             if _sep_gap_ok(v0, v1, sep_tol):
                 return SeparationCertificate(
                     VERDICT_SEPARATED, word_lglflg(i, k), v0, v1, bounds
@@ -427,8 +448,7 @@ def find_separating_observable(
     # mixed fallback: velocity-scaled family across all blocks
     for k in range(k_max + 1):
         for i in range(1, n + 1):
-            v0 = cascade_lflg(sys, i, k, s0, k_max)
-            v1 = cascade_lflg(sys, i, k, s1, k_max)
+            v0, v1 = lflg(i, k)
             if _sep_gap_ok(v0, v1, sep_tol):
                 return SeparationCertificate(
                     VERDICT_SEPARATED, word_lflg(i, k), v0, v1, bounds
@@ -462,20 +482,6 @@ def find_separating_observable(
 # Local rank test (zero-input observation space)
 
 
-@lru_cache(maxsize=None)
-def _drift_jet(sys: ControlAffineSystem, j: int, k: int) -> tuple[Expr, tuple[Expr, ...]]:
-    if k == 0:
-        e = sys.outputs[j - 1]
-    else:
-        prev, _ = _drift_jet(sys, j, k - 1)
-        acc = ex.const(0.0)
-        for comp, name in zip(sys.drift, sys.state_vars):
-            acc = ex.add(acc, ex.mul(ex.diff(prev, name), comp))
-        e = acc
-    grads = tuple(ex.diff(e, v) for v in sys.state_vars)
-    return e, grads
-
-
 def local_rank(
     sys: ControlAffineSystem | CascadeSystem,
     x0,
@@ -491,7 +497,8 @@ def local_rank(
     the state is locally distinguishable from its neighbours without any
     input excitation; a deficient result is a bounded-search statement,
     only jets up to order ``l_max`` (state dimension by default) were tried.
-    Deep jets grow combinatorially, so raise ``l_max`` with care.
+    The rows come from the Taylor series of the outputs along the drift
+    flow with one tangent direction per state, O(l_max^2) per expression.
     """
     if isinstance(sys, CascadeSystem):
         sys = as_control_affine(sys)
@@ -500,10 +507,10 @@ def local_rank(
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
     if l_max is None:
         l_max = sys.dim
-    env = dict(zip(sys.state_vars, x0))
+    flow = ex.FlowJet(sys.drift, sys.outputs, sys.state_vars, x0, np.eye(sys.dim))
 
     words: list[ObservableWord] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     sigma = np.zeros(0)
     rank = 0
     for k in range(l_max + 1):
@@ -512,8 +519,7 @@ def local_rank(
         for j in range(1, sys.p + 1):
             if len(rows) >= max_words:
                 break
-            _, grads = _drift_jet(sys, j, k)
-            rows.append([ex.evaluate(g, env) for g in grads])
+            rows.append(np.broadcast_to(flow.gradient(j - 1, k), (sys.dim,)))
             words.append(ObservableWord(j=j, mu=(0,) * k))
         mat = np.array(rows)
         sigma = np.linalg.svd(mat, compute_uv=False)
@@ -538,7 +544,6 @@ def rank_condition_value(gamma: Expr, x: float, z: float, k_max: int = K_MAX_DEF
     Nonzero exactly when the first two observation-space differentials of
     the single-block damped cascade are independent at (x, z).
     """
-    g0 = ex.nth_derivative_at(gamma, GAMMA_VAR, 0, x, k_max)
-    g1 = ex.nth_derivative_at(gamma, GAMMA_VAR, 1, x, k_max)
-    g2 = ex.nth_derivative_at(gamma, GAMMA_VAR, 2, x, k_max)
+    jet = ex.Jet(gamma, GAMMA_VAR, x, k_max)
+    g0, g1, g2 = (jet.derivative(k) for k in range(3))
     return z * z * (2.0 * g1 * g1 - g0 * g2)

@@ -1,5 +1,8 @@
 import json
 import math
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -15,6 +18,8 @@ b = [1.0]
 
 ZERO_B_FILE = GOOD_FILE.replace("b = [1.0]", "b = [0.0]")
 BAD_EXPR_FILE = GOOD_FILE.replace("exp(-x^2)", "exp(-x^2")
+HUGE_F_FILE = GOOD_FILE.replace("F[1] = -z1", "F[1] = 1e400*z1")
+HUGE_GAMMA_FILE = GOOD_FILE.replace("exp(-x^2)", "1e400*x")
 
 
 def run(capsys, *argv):
@@ -60,6 +65,20 @@ def test_validate_malformed_expression(tmp_path, capsys):
     code, out, err = run(capsys, "validate", "--system", str(path))
     assert code == 2
     assert "line" in err or "offset" in err
+
+
+@pytest.mark.parametrize("text, line, argv", [
+    (HUGE_F_FILE, 4, ("validate",)),
+    (HUGE_F_FILE, 4, ("simulate", "--state", "0,1", "--t-end", "0.1")),
+    (HUGE_GAMMA_FILE, 3, ("separate", "--state", "0,1", "--state2", "0,2")),
+])
+def test_non_finite_literal_is_a_usage_error(tmp_path, capsys, text, line, argv):
+    path = tmp_path / "sys.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, *argv, "--system", str(path))
+    assert code == 2
+    assert f"line {line}" in err
+    assert "a finite number" in err
 
 
 def test_unknown_preset(capsys):
@@ -287,3 +306,51 @@ def test_bad_state_string(capsys):
         code, out, err = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", bad)
         assert code == 2, bad
         assert "--state must be comma-separated" in err
+
+
+# ---------------------------------------------------------------------------
+# README examples
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+# exit code each README example's comment implies, in order of appearance
+README_EXPECTED = [
+    ("observable", 0),   # gauss gain is aperiodic: observable
+    ("separate", 0),     # differing velocities: separated
+    ("separate", 1),     # a full period shift is invisible
+    ("rank", 1),         # at rest the position hides
+    ("rank", 0),         # moving: full rank
+    ("simulate", 0),
+    ("distinguish", 0),
+    ("gramian", 0),
+    ("verify", 0),
+]
+
+
+def readme_commands():
+    text = README.read_text(encoding="utf-8")
+    block = next(b for b in re.findall(r"```sh\n(.*?)```", text, re.S) if "obsv-lab verify" in b)
+    block = block.replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("obsv-lab ")]
+
+
+def test_readme_examples_exit_as_their_comments_say(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands()
+    assert [argv[0] for argv in commands] == [name for name, _ in README_EXPECTED]
+    for argv, (_, expected) in zip(commands, README_EXPECTED):
+        code, out, err = run(capsys, *argv)
+        assert code == expected, (argv, err)
+    assert (tmp_path / "traj.csv").read_text().startswith("t,x1,z1,y1")
+
+
+@pytest.mark.parametrize("preset", ["fish-1d-gauss", "fish-1d-hyperbolic"])
+def test_near_identical_pair_is_undetermined_at_default_order(capsys, preset):
+    code, doc = run_json(
+        capsys, "separate", "--system", f"preset:{preset}",
+        "--state", "0,1", "--state2", "0,1.0000000000001",
+    )
+    assert code == 3
+    assert doc["report"]["verdict"] == "not-separated-within-bounds"
+    assert doc["config"]["k_max"] == 12

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import obsv_lab.expr as ex
 from obsv_lab.expr import (
@@ -22,6 +24,7 @@ from obsv_lab.expr import (
     evaluate,
     format_expr,
     free_vars,
+    jet,
     nth_derivative_at,
     parse,
     substitute,
@@ -91,6 +94,16 @@ def test_parse_stray_character():
     with pytest.raises(ParseError) as exc:
         parse("x $ 2", {"x"})
     assert exc.value.offset == 2
+
+
+def test_parse_rejects_non_finite_literal():
+    with pytest.raises(ParseError) as exc:
+        parse("2 + 1e400*z1", {"z1"})
+    assert exc.value.offset == 4
+    assert exc.value.expected == "a finite number"
+    assert exc.value.found == "1e400"
+    # finite literals near the range limit still parse
+    assert parse("1e300", ()) == Const(1e300)
 
 
 def test_parse_rejects_bad_variable_names():
@@ -293,3 +306,82 @@ def test_compiled_matches_tree_evaluation():
         for _ in range(5):
             x = rng.uniform(lo + 0.05, hi - 0.05)
             assert fn(x) == pytest.approx(evaluate(e, {"x": x}), rel=1e-14)
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets, against oracles that share no code with the engine
+
+
+def _sympy_of(src):
+    return sympy.sympify(src.replace("^", "**").replace("ln", "log"))
+
+
+def test_jet_matches_sympy_across_catalog():
+    x = sympy.Symbol("x")
+    rng = random.Random(11)
+    for src, (lo, hi) in CATALOG_SAMPLES:
+        e = parse(src, {"x"})
+        derivs = [_sympy_of(src)]
+        for _ in range(8):
+            derivs.append(sympy.diff(derivs[-1], x))
+        for _ in range(3):
+            x0 = rng.uniform(lo + 0.05, hi - 0.05)
+            coeffs = jet(e, "x", x0, 8)
+            for k, d in enumerate(derivs):
+                want = float(d.subs(x, sympy.Float(x0, 40)).evalf(40)) / math.factorial(k)
+                tol = pytest.approx(want, rel=1e-10, abs=1e-10 * abs(coeffs[0]))
+                assert coeffs[k] == tol, (src, x0, k)
+
+
+def test_hyperbolic_derivatives_are_exact():
+    # d^k/dx^k 1/(x+2) at 0 is (-1)^k k!/2^(k+1), exactly representable
+    e = parse("1/(x + 2)", {"x"})
+    for k in range(13):
+        assert nth_derivative_at(e, "x", k, 0.0) == (-1) ** k * math.factorial(k) / 2 ** (k + 1)
+
+
+def test_deep_gaussian_derivative_does_not_overflow():
+    # d^(2m)/dx^(2m) exp(-x^2) at 0 is (-1)^m (2m)!/m!; 200! itself exceeds a float
+    e = parse("exp(-x^2)", {"x"})
+    got = nth_derivative_at(e, "x", 200, 0.0, k_max=200)
+    want = math.factorial(200) // math.factorial(100)
+    assert abs(got - want) <= 1e-12 * want
+    assert nth_derivative_at(e, "x", 199, 0.0, k_max=200) == 0.0
+
+
+def test_jet_extends_lazily_to_the_same_coefficients():
+    e = parse("tan(x)*sqrt(x + 4) - ln(x + 3)^3", {"x"})
+    lazy = ex.Jet(e, "x", 0.4, k_max=10)
+    assert [lazy.coefficient(k) for k in range(11)] == jet(e, "x", 0.4, 10)
+    with pytest.raises(DerivativeOrderError):
+        lazy.coefficient(11)
+
+
+def test_jet_of_power_with_vanishing_base():
+    # (x^2 - 1)^3 at x = 1: base series starts at order 1
+    e = parse("(x^2 - 1)^3", {"x"})
+    assert jet(e, "x", 1.0, 6) == [0.0, 0.0, 0.0, 8.0, 12.0, 6.0, 1.0]
+
+
+def test_jet_domain_errors_name_the_subexpression():
+    with pytest.raises(DomainError, match=r"division by zero in 1/\(x \+ 2\)"):
+        nth_derivative_at(parse("1/(x + 2)", {"x"}), "x", 3, -2.0)
+    with pytest.raises(DomainError, match="sqrt"):
+        nth_derivative_at(parse("sqrt(x)", {"x"}), "x", 1, 0.0)
+    assert nth_derivative_at(parse("sqrt(x)", {"x"}), "x", 0, 0.0) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10**6), x0=st.floats(-3.0, 3.0))
+def test_order_zero_jet_is_evaluate_bit_for_bit(seed, x0):
+    tree = random_expr(random.Random(seed), ["x"], 4)
+    try:
+        want = evaluate(tree, {"x": x0})
+    except DomainError as err:
+        with pytest.raises(DomainError) as exc:
+            jet(tree, "x", x0, 0)
+        assert str(exc.value) == str(err)
+        return
+    got = jet(tree, "x", x0, 0)[0]
+    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert math.copysign(1.0, got) == math.copysign(1.0, want)

@@ -6,7 +6,6 @@ import pytest
 import obsv_lab.expr as ex
 from obsv_lab.lie import (
     L_MAX_DEFAULT,
-    ObservableCache,
     ObservableWord,
     WordLengthError,
     enumerate_words,
@@ -122,17 +121,6 @@ def test_word_index_validation():
         iterated_observable(ca, ObservableWord(j=1, mu=(2,)))
     with pytest.raises(ValueError):
         ObservableWord(j=0, mu=())
-
-
-def test_cache_reuse_gives_identical_expressions():
-    ca = sin_cascade()
-    cache = ObservableCache()
-    w = ObservableWord(j=1, mu=(1, 0, 1, 0))
-    fresh = iterated_observable(ca, w)
-    cached_once = iterated_observable(ca, w, cache=cache)
-    assert len(cache) == 4  # one entry per prefix
-    cached_twice = iterated_observable(ca, w, cache=cache)
-    assert fresh == cached_once == cached_twice
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,14 @@ def test_load_system_bad_expression_reports_line():
     assert exc.value.line_no == 2
 
 
+def test_load_system_rejects_non_finite_literal():
+    text = "n = 1\ngamma[1] = sin(x)\nF[1] = 1e400*z1\nb = [1]\n"
+    with pytest.raises(SystemFormatError) as exc:
+        load_system(text)
+    assert exc.value.line_no == 3
+    assert "a finite number" in str(exc.value)
+
+
 def test_load_system_wrong_b_arity():
     text = "n = 2\ngamma[1] = sin(x)\ngamma[2] = sin(x)\nF[1] = -z1\nF[2] = -z2\nb = [1]\n"
     with pytest.raises(SystemFormatError):

@@ -1,8 +1,11 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 import obsv_lab.expr as ex
 from obsv_lab.lie import ObservableWord, evaluate_word
@@ -316,6 +319,60 @@ def test_separation_two_blocks_uses_the_differing_block():
     assert cert.witness.j == 2
 
 
+@pytest.mark.parametrize("name", ["fish-1d-gauss", "fish-1d-hyperbolic"])
+def test_near_identical_pair_scans_full_depth_quickly(name):
+    # every gain derivative up to the default order 12 is compared; the
+    # hyperbolic jet (-1)^k k!/2^(k+1) stays finite all the way
+    t0 = time.perf_counter()
+    cert = find_separating_observable(preset(name), (0.0, 1.0), (0.0, 1.0000000000001))
+    elapsed = time.perf_counter() - t0
+    assert cert.verdict == VERDICT_UNRESOLVED
+    assert cert.bounds["k_max"] == 12
+    assert elapsed < 0.05
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    gains=st.lists(st.sampled_from(GAMMA_CHOICES), min_size=1, max_size=2),
+    data=st.data(),
+)
+def test_separating_witness_replays_through_generic_words(gains, data):
+    n = len(gains)
+    sys = CascadeSystem(
+        n=n,
+        gamma=tuple(ex.parse(g, {"x"}) for g in gains),
+        F=tuple(ex.parse(f"-z{i}", {f"z{i}"}) for i in range(1, n + 1)),
+        b=tuple(data.draw(st.sampled_from([-2.0, -0.5, 1.0, 1.5])) for _ in range(n)),
+    )
+    coord = st.floats(-2.5, 2.5, allow_nan=False)
+    s0 = tuple(data.draw(coord) for _ in range(2 * n))
+    s1 = tuple(data.draw(coord) for _ in range(2 * n))
+    if s0 == s1:
+        return
+    cert = find_separating_observable(sys, s0, s1, k_max=3, k_check=3)
+    if cert.verdict != VERDICT_SEPARATED:
+        return
+    ca = as_control_affine(sys)
+    w = cert.witness
+    for state, value in ((s0, cert.value0), (s1, cert.value1)):
+        replayed = evaluate_word(ca, w, state, l_max=len(w.mu))
+        assert replayed == pytest.approx(value, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    kind=st.sampled_from(["sin", "cos"]),
+    a=st.floats(0.5, 3.0),
+    periods=st.sampled_from([-2, -1, 1, 2]),
+    x=st.floats(-3.0, 3.0),
+    z=st.floats(-2.0, 2.0),
+)
+def test_whole_period_shift_is_indistinguishable_by_construction(kind, a, periods, x, z):
+    sys = cascade_1d(f"{kind}({a!r}*x)")
+    cert = find_separating_observable(sys, (x, z), (x + periods * TWO_PI / a, z))
+    assert cert.verdict == VERDICT_SHIFT
+
+
 # ---------------------------------------------------------------------------
 # local rank
 
@@ -373,6 +430,56 @@ def test_local_rank_zero_velocity_matches_condition():
 def test_local_rank_row_budget():
     report = local_rank(preset("fish-1d-hyperbolic"), (0.0, 1.0), max_words=3)
     assert len(report.words) <= 3
+
+
+def test_local_rank_degenerate_three_blocks_is_quick():
+    zs = {"z1", "z2", "z3"}
+    sys = CascadeSystem(
+        n=3,
+        gamma=tuple(ex.parse("1/(x + 3)", {"x"}) for _ in range(3)),
+        F=tuple(ex.parse(f"-z{i}", zs) for i in (1, 2, 3)),
+        b=(1.0, 1.0, 1.0),
+    )
+    t0 = time.perf_counter()
+    report = local_rank(sys, (0.1, 0.2, 0.3, 0.5, -0.7, 1.1))
+    elapsed = time.perf_counter() - t0
+    assert (report.rank, report.dim) == (3, 6)
+    assert len(report.words) == 21  # every order up to l_max = 6 was tried
+    assert elapsed < 0.05
+
+
+def test_local_rank_gradients_match_sympy_lie_derivatives():
+    # two coupled blocks; rows checked against gradients of L_f^k h taken
+    # symbolically by sympy, at rest (deficient, so every order is tried)
+    # and moving
+    sys = CascadeSystem(
+        n=2,
+        gamma=(ex.parse("exp(-x^2)", {"x"}), ex.parse("1/(x + 3)", {"x"})),
+        F=(
+            ex.parse("-z1 + 0.4*sin(z2)", {"z1", "z2"}),
+            ex.parse("-0.5*z2 + 0.1*z1^2", {"z1", "z2"}),
+        ),
+        b=(1.0, -1.5),
+    )
+    x1, x2, z1, z2 = sympy.symbols("x1 x2 z1 z2")
+    state = (x1, x2, z1, z2)
+    c = sympy.Float
+    drift = (z1, z2, -z1 + c("0.4") * sympy.sin(z2), -c("0.5") * z2 + c("0.1") * z1**2)
+    outputs = (sympy.exp(-x1**2) * z1, z2 / (x2 + 3))
+
+    def lie(h, k):
+        for _ in range(k):
+            h = sum(sympy.diff(h, v) * f for v, f in zip(state, drift))
+        return h
+
+    for point in ((0.3, -0.4, 0.0, 0.0), (0.3, -0.4, 0.8, -1.1)):
+        report = local_rank(sys, point)
+        subs = {v: sympy.Float(p, 30) for v, p in zip(state, point)}
+        for row, word in zip(report.gradients, report.words):
+            h = lie(outputs[word.j - 1], len(word.mu))
+            want = np.array([float(sympy.diff(h, v).evalf(30, subs=subs)) for v in state])
+            scale = max(1.0, float(np.max(np.abs(want))))
+            assert np.max(np.abs(row - want)) <= 1e-10 * scale, (point, word)
 
 
 def test_rank_condition_sine_value():
