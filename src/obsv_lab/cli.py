@@ -11,6 +11,7 @@ import argparse
 import json
 import random
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -20,7 +21,6 @@ from .lie import evaluate_word, nested_lie_along_affine
 from .model import (
     CascadeSystem,
     InvalidSystemError,
-    SystemFormatError,
     as_control_affine,
     load_system_file,
     preset,
@@ -29,7 +29,6 @@ from .model import (
 )
 from .obsv import (
     CLASS_PERIODIC,
-    CLASS_UNDETERMINED,
     K_MAX_DEFAULT,
     PER_TOL_DEFAULT,
     RANK_TOL_DEFAULT,
@@ -56,7 +55,7 @@ from .sim import (
     output_feedback_equilibria_check,
     parse_input_spec,
 )
-from .gramian import EPS_DEFAULT, empirical_gramian, input_sweep
+from .gramian import EPS_DEFAULT, input_sweep
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -67,27 +66,48 @@ EXIT_NUMERIC = 4
 
 @dataclass
 class RunConfig:
+    """The parsed command line; build_parser holds the defaults."""
+
     command: str
-    system: str | None = None
-    state: tuple[float, ...] | None = None
-    state2: tuple[float, ...] | None = None
-    inputs: tuple[str, ...] = ()
-    t_end: float = T_END_DEFAULT
-    dt: float = DT_DEFAULT
-    k_max: int = K_MAX_DEFAULT
-    l_max: int | None = None
-    per_tol: float = PER_TOL_DEFAULT
-    sep_tol: float = SEP_TOL_DEFAULT
-    rank_tol: float = RANK_TOL_DEFAULT
-    dist_tol: float = DIST_TOL_DEFAULT
-    eps: float = EPS_DEFAULT
-    seed: int = 0
-    format: str = "json"
-    out: str | None = None
+    system: str | None
+    state: tuple[float, ...] | None
+    state2: tuple[float, ...] | None
+    inputs: list[str]
+    t_end: float
+    dt: float
+    k_max: int
+    l_max: int | None
+    per_tol: float
+    sep_tol: float
+    rank_tol: float
+    dist_tol: float
+    eps: float
+    seed: int
+    format: str
+    out: str | None
+
+
+@dataclass
+class Result:
+    """What a subcommand hands back: exit code, JSON report, text lines, and
+    for commands with a CSV form, a function that renders it."""
+
+    code: int
+    report: dict
+    lines: list[str]
+    csv: Callable[[], str] | None = None
 
 
 class UsageError(ValueError):
     pass
+
+
+def _exit_code(verdict: str, positive: str, negative: str) -> int:
+    if verdict == positive:
+        return EXIT_OK
+    if verdict == negative:
+        return EXIT_NEGATIVE
+    return EXIT_UNDETERMINED
 
 
 def _load(cfg: RunConfig) -> CascadeSystem:
@@ -139,26 +159,21 @@ def _config_dict(cfg: RunConfig) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (exit code, report dict, text lines)
+# subcommands: each returns a Result
 
 
-def cmd_validate(cfg: RunConfig):
+def cmd_validate(cfg: RunConfig) -> Result:
     try:
-        sys_ = _load(cfg)
+        violations = validate(_load(cfg))
     except InvalidSystemError as err:
-        report = {"valid": False, "violations": list(err.violations)}
-        return EXIT_NEGATIVE, report, ["invalid:"] + [f"  {v}" for v in err.violations]
-    violations = validate(sys_)
+        violations = list(err.violations)
     if violations:
-        return (
-            EXIT_NEGATIVE,
-            {"valid": False, "violations": violations},
-            ["invalid:"] + [f"  {v}" for v in violations],
-        )
-    return EXIT_OK, {"valid": True, "violations": []}, ["valid"]
+        report = {"valid": False, "violations": violations}
+        return Result(EXIT_NEGATIVE, report, ["invalid:"] + [f"  {v}" for v in violations])
+    return Result(EXIT_OK, {"valid": True, "violations": []}, ["valid"])
 
 
-def cmd_observable(cfg: RunConfig):
+def cmd_observable(cfg: RunConfig) -> Result:
     sys_ = _load(cfg)
     report = is_aperiodic_system(sys_, per_tol=cfg.per_tol, k_max=cfg.k_max, seed=cfg.seed)
     gammas = []
@@ -172,16 +187,10 @@ def cmd_observable(cfg: RunConfig):
             lines.append(f"gain {idx}: {v.classification}")
     out = {"verdict": report.verdict, "gains": gammas}
     lines.insert(0, f"verdict: {report.verdict}")
-    if report.verdict == "observable":
-        code = EXIT_OK
-    elif report.verdict == "not-observable":
-        code = EXIT_NEGATIVE
-    else:
-        code = EXIT_UNDETERMINED
-    return code, out, lines
+    return Result(_exit_code(report.verdict, "observable", "not-observable"), out, lines)
 
 
-def cmd_separate(cfg: RunConfig):
+def cmd_separate(cfg: RunConfig) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("separate needs --state and --state2")
@@ -207,15 +216,10 @@ def cmd_separate(cfg: RunConfig):
             f"witness output {cert.witness.j}, word {list(cert.witness.mu)}: "
             f"{cert.value0:.6g} vs {cert.value1:.6g}"
         )
-        code = EXIT_OK
-    elif cert.verdict == VERDICT_SHIFT:
-        code = EXIT_NEGATIVE
-    else:
-        code = EXIT_UNDETERMINED
-    return code, out, lines
+    return Result(_exit_code(cert.verdict, VERDICT_SEPARATED, VERDICT_SHIFT), out, lines)
 
 
-def cmd_rank(cfg: RunConfig):
+def cmd_rank(cfg: RunConfig) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("rank needs --state")
@@ -228,7 +232,7 @@ def cmd_rank(cfg: RunConfig):
         "words": [_word_dict(w) for w in report.words],
     }
     lines = [f"rank {report.rank}/{report.dim}"]
-    return (EXIT_OK if report.locally_observable else EXIT_NEGATIVE), out, lines
+    return Result(EXIT_OK if report.locally_observable else EXIT_NEGATIVE, out, lines)
 
 
 def _single_input(cfg: RunConfig) -> InputSignal:
@@ -237,7 +241,7 @@ def _single_input(cfg: RunConfig) -> InputSignal:
     return parse_input_spec(cfg.inputs[0]) if cfg.inputs else InputSignal.zero()
 
 
-def cmd_simulate(cfg: RunConfig):
+def cmd_simulate(cfg: RunConfig) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("simulate needs --state")
@@ -254,10 +258,10 @@ def cmd_simulate(cfg: RunConfig):
         f"{len(traj.states)} samples, final state "
         + ", ".join(f"{v:.6g}" for v in final)
     ]
-    return EXIT_OK, out, lines, traj
+    return Result(EXIT_OK, out, lines, traj.to_csv)
 
 
-def cmd_distinguish(cfg: RunConfig):
+def cmd_distinguish(cfg: RunConfig) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("distinguish needs --state and --state2")
@@ -275,16 +279,10 @@ def cmd_distinguish(cfg: RunConfig):
         f"{res.classification}: max output gap {res.gap:.6g}"
         + (f", first divergence at t={res.first_divergence:.6g}" if res.first_divergence is not None else "")
     ]
-    if res.classification == "diverged":
-        code = EXIT_OK
-    elif res.classification == "identical":
-        code = EXIT_NEGATIVE
-    else:
-        code = EXIT_UNDETERMINED
-    return code, out, lines
+    return Result(_exit_code(res.classification, "diverged", "identical"), out, lines)
 
 
-def cmd_gramian(cfg: RunConfig):
+def cmd_gramian(cfg: RunConfig) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("gramian needs --state")
@@ -309,14 +307,14 @@ def cmd_gramian(cfg: RunConfig):
             f"{rep.input}: sigma_min={rep.sigma_min:.6g} ({rep.classification()})"
         )
     out = {"ranking": entries, "eps": cfg.eps}
-    best = ranked[0][1].classification()
-    if best == "observable":
-        code = EXIT_OK
-    elif best == "singular":
-        code = EXIT_NEGATIVE
-    else:
-        code = EXIT_UNDETERMINED
-    return code, out, lines
+
+    def csv() -> str:
+        rows = ["input,sigma"]
+        rows += [f"{e['input']},{s:.17g}" for e in entries for s in e["singular_values"]]
+        return "\n".join(rows) + "\n"
+
+    code = _exit_code(ranked[0][1].classification(), "observable", "singular")
+    return Result(code, out, lines, csv)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +391,7 @@ def _check_resting_continuum(_: random.Random) -> tuple[bool, str]:
     return worst <= 1e-12, f"max field residual {worst:.3e}"
 
 
-def cmd_verify(cfg: RunConfig):
+def cmd_verify(cfg: RunConfig) -> Result:
     rng = random.Random(cfg.seed)
     checks = (
         ("closed-form-identities", _check_closed_forms),
@@ -408,7 +406,7 @@ def cmd_verify(cfg: RunConfig):
         lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     all_passed = all(r["passed"] for r in results)
     out = {"properties": results, "all_passed": all_passed, "seed": cfg.seed}
-    return (EXIT_OK if all_passed else EXIT_NEGATIVE), out, lines
+    return Result(EXIT_OK if all_passed else EXIT_NEGATIVE, out, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -429,14 +427,15 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--state2", help="second state for pairwise commands")
         s.add_argument(
             "--input",
+            dest="inputs",
             action="append",
             default=[],
             help="zero | const:<c> | sin:<a>,<w>[,<phi>] (repeatable for gramian)",
         )
         s.add_argument("--t-end", type=float, default=T_END_DEFAULT)
         s.add_argument("--dt", type=float, default=DT_DEFAULT)
-        s.add_argument("--kmax", type=int, default=K_MAX_DEFAULT)
-        s.add_argument("--lmax", type=int, default=None)
+        s.add_argument("--kmax", dest="k_max", type=int, default=K_MAX_DEFAULT)
+        s.add_argument("--lmax", dest="l_max", type=int, default=None)
         s.add_argument("--per-tol", type=float, default=PER_TOL_DEFAULT)
         s.add_argument("--sep-tol", type=float, default=SEP_TOL_DEFAULT)
         s.add_argument("--rank-tol", type=float, default=RANK_TOL_DEFAULT)
@@ -468,79 +467,35 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render(cfg: RunConfig, report: dict, lines: list[str], traj=None) -> str:
+def _render(cfg: RunConfig, result: Result) -> str:
     if cfg.format == "json":
-        doc = {"command": cfg.command, "config": _config_dict(cfg), "report": report}
+        doc = {"command": cfg.command, "config": _config_dict(cfg), "report": result.report}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if cfg.format == "csv":
-        if traj is not None:
-            return traj.to_csv()
-        if cfg.command == "gramian":
-            rows = ["input,sigma"]
-            for entry in report["ranking"]:
-                for s in entry["singular_values"]:
-                    rows.append(f"{entry['input']},{s:.17g}")
-            return "\n".join(rows) + "\n"
-        raise UsageError(f"csv format is not defined for {cfg.command}")
-    return "\n".join(lines) + "\n"
+        if result.csv is None:
+            raise UsageError(f"csv format is not defined for {cfg.command}")
+        return result.csv()
+    return "\n".join(result.lines) + "\n"
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.dt <= 0:
-        print("error: --dt must be positive", file=sys.stderr)
-        return EXIT_USAGE
-    if args.t_end <= 0:
-        print("error: --t-end must be positive", file=sys.stderr)
-        return EXIT_USAGE
+    args = vars(build_parser().parse_args(argv))
     try:
-        state = _parse_state(args.state, "--state") if args.state else None
-        state2 = _parse_state(args.state2, "--state2") if args.state2 else None
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    cfg = RunConfig(
-        command=args.command,
-        system=args.system,
-        state=state,
-        state2=state2,
-        inputs=tuple(args.input),
-        t_end=args.t_end,
-        dt=args.dt,
-        k_max=args.kmax,
-        l_max=args.lmax,
-        per_tol=args.per_tol,
-        sep_tol=args.sep_tol,
-        rank_tol=args.rank_tol,
-        dist_tol=args.dist_tol,
-        eps=args.eps,
-        seed=args.seed,
-        format=args.format,
-        out=args.out,
-    )
-    try:
+        for flag, key in (("--dt", "dt"), ("--t-end", "t_end")):
+            if args[key] <= 0:
+                raise UsageError(f"{flag} must be positive")
+        for flag, key in (("--state", "state"), ("--state2", "state2")):
+            args[key] = _parse_state(args[key], flag) if args[key] else None
+        cfg = RunConfig(**args)
         result = _HANDLERS[cfg.command](cfg)
-    except UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ex.ParseError, SystemFormatError, InvalidSystemError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        _emit(_render(cfg, result), cfg.out)
     except (BlowUpError, ex.DomainError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-
-    code, report, lines = result[0], result[1], result[2]
-    traj = result[3] if len(result) > 3 else None
-    try:
-        _emit(_render(cfg, report, lines, traj), cfg.out)
-    except UsageError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    return code
+    return result.code
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from . import expr as ex
 from .expr import Expr, K_MAX_DEFAULT
@@ -147,12 +146,11 @@ def _shift_residual(fn_np, xs: np.ndarray, base: np.ndarray, T: float, scale: fl
     return float(d.max()) / scale
 
 
-def _golden_polish(f, lo: float, hi: float, width: float = 1e-12) -> float:
+def _golden_section(f, lo: float, hi: float, width: float = 1e-12) -> float:
     """Shrink [lo, hi] around the minimum of a unimodal f to the given width.
 
-    The bounded scipy minimizer stops at sqrt(eps)*|x| absolute resolution,
-    which is ~1e-7 for shifts near 2*pi; the shift residual is V-shaped at a
-    true period, so a plain golden section can keep going to ~1e-12.
+    The shift residual is V-shaped at a true period, so the section can keep
+    going to ~1e-12 (Kiefer, Proc. AMS 4, 1953).
     """
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
     c = hi - inv_phi * (hi - lo)
@@ -167,13 +165,13 @@ def _golden_polish(f, lo: float, hi: float, width: float = 1e-12) -> float:
             lo, c, fc = c, d, fd
             d = lo + inv_phi * (hi - lo)
             fd = f(d)
-    return 0.5 * (lo + hi)
+    return float(0.5 * (lo + hi))
 
 
-def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_last: int, tol: float, k_max: int):
+def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_last: int, tol: float):
     """First order k <= k_last where the derivative jets at r and s differ, or None."""
-    jr = ex.Jet(gamma, GAMMA_VAR, r, k_max)
-    js = ex.Jet(gamma, GAMMA_VAR, s, k_max)
+    jr = ex.Jet(gamma, GAMMA_VAR, r, k_last)
+    js = ex.Jet(gamma, GAMMA_VAR, s, k_last)
     for k in range(k_last + 1):
         a = jr.derivative(k)
         b = js.derivative(k)
@@ -182,10 +180,8 @@ def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_last: int, tol: float
     return None
 
 
-def _derivative_jets_match(
-    gamma: Expr, T: float, probes, k_check: int, tol: float, k_max: int
-) -> bool:
-    return all(_first_jet_mismatch(gamma, r, r + T, k_check, tol, k_max) is None for r in probes)
+def _derivative_jets_match(gamma: Expr, T: float, probes, k_check: int, tol: float) -> bool:
+    return all(_first_jet_mismatch(gamma, r, r + T, k_check, tol) is None for r in probes)
 
 
 def _autocorr_candidates(vals: np.ndarray, dx: float, max_lag: int) -> list[float]:
@@ -277,15 +273,14 @@ def detect_period(
 
     tried = []
     for T0 in candidates:
-        res = minimize_scalar(
+        coarse = _golden_section(
             lambda T: _shift_residual(fn_np, sub, sub_vals, T, scale),
-            bounds=(0.75 * T0, 1.25 * T0),
-            method="bounded",
-            options={"xatol": 1e-12},
+            0.75 * T0,
+            1.25 * T0,
+            width=1e-6,
         )
-        coarse = float(res.x)
         half = max(1e-5, 4.0 * math.sqrt(np.finfo(float).eps) * abs(coarse))
-        T = _golden_polish(
+        T = _golden_section(
             lambda T: _shift_residual(fn_np, xs, vals, T, scale),
             max(0.75 * T0, coarse - half),
             min(1.25 * T0, coarse + half),
@@ -294,7 +289,7 @@ def detect_period(
         tried.append({"period": T, "residual": residual, "seed_candidate": T0})
         if residual <= per_tol:
             probes = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), size=3)
-            if _derivative_jets_match(gamma, T, probes, k_check, per_tol, k_max):
+            if _derivative_jets_match(gamma, T, probes, k_check, per_tol):
                 evidence["candidates"] = tried
                 evidence["derivative_orders_checked"] = k_check
                 return PeriodicityVerdict(CLASS_PERIODIC, T, evidence)
@@ -306,7 +301,7 @@ def detect_period(
         r, s = sorted(rng.uniform(lo / 2, hi / 2, size=2))
         if r == s:
             continue
-        hit = _first_jet_mismatch(gamma, r, s, k_max, per_tol, k_max)
+        hit = _first_jet_mismatch(gamma, r, s, k_max, per_tol)
         if hit is not None:
             evidence["probe"] = {"r": float(r), "s": float(s), **hit}
             return PeriodicityVerdict(CLASS_APERIODIC, None, evidence)
@@ -351,7 +346,6 @@ def _validated_shift(
     grid: int,
     per_tol: float,
     k_check: int,
-    k_max: int,
     seed: int,
 ) -> tuple[bool, float]:
     xs = np.linspace(window[0], window[1], grid)
@@ -366,7 +360,7 @@ def _validated_shift(
         return False, residual
     rng = np.random.default_rng(seed)
     probes = rng.uniform(window[0] / 2, window[1] / 2, size=3)
-    ok = _derivative_jets_match(gamma, shift, probes, k_check, per_tol, k_max)
+    ok = _derivative_jets_match(gamma, shift, probes, k_check, per_tol)
     return ok, residual
 
 
@@ -464,7 +458,7 @@ def find_separating_observable(
             if delta == 0.0:
                 continue
             ok, residual = _validated_shift(
-                sys.gamma[i - 1], delta, window, grid, per_tol, k_check, k_max, seed
+                sys.gamma[i - 1], delta, window, grid, per_tol, k_check, seed
             )
             shifts[f"block_{i}"] = {"shift": delta, "residual": residual}
             if not ok:

@@ -1,11 +1,15 @@
 import json
 import math
+import os
 import pathlib
 import re
 import shlex
+import subprocess
+import sys
 
 import pytest
 
+import obsv_lab
 from obsv_lab.cli import main
 
 GOOD_FILE = """\
@@ -92,6 +96,25 @@ def test_missing_system_flag(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--out", "{tmp}/missing/r.json"),
+    ("observable", "--system", "{tmp}"),
+], ids=["unwritable-out", "directory-system"])
+def test_os_error_is_a_usage_error(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(pathlib.Path(obsv_lab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    probe = "import sys, obsv_lab.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # observable / separate / rank
 
@@ -116,6 +139,23 @@ def test_observable_text_format(capsys):
     assert code == 1
     assert "verdict: not-observable" in out
     assert "periodic" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("observable",),
+    ("separate", "--state", "0,0", "--state2", "2*pi,0"),
+], ids=lambda argv: argv[0])
+def test_period_validation_below_its_jet_order(capsys, argv):
+    # a period is validated on 6 derivative orders whatever --kmax says
+    code, doc = run_json(capsys, *argv, "--system", "preset:periodic-sin", "--kmax", "3")
+    assert code == 1
+    assert doc["config"]["k_max"] == 3
+
+
+def test_observable_at_kmax_zero(capsys):
+    code, doc = run_json(capsys, "observable", "--system", "preset:fish-1d-gauss", "--kmax", "0")
+    assert code == 0
+    assert doc["report"]["gains"][0]["classification"] == "aperiodic"
 
 
 def test_separate_velocities(capsys):
@@ -246,6 +286,19 @@ def test_gramian_sweep_ranks_zero_last(capsys):
     assert ranking[-1]["input"] == "zero"
 
 
+def test_gramian_csv_lists_each_singular_value(capsys):
+    argv = ("gramian", "--system", "preset:fish-1d-gauss", "--state", "0,0",
+            "--input", "zero", "--input", "sin:1,6.28,0", "--t-end", "2")
+    _, doc = run_json(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[0] == "input,sigma"
+    expected = [(e["input"], s) for e in doc["report"]["ranking"] for s in e["singular_values"]]
+    assert len(expected) == 2 * 2  # two inputs, one sigma per state coordinate
+    assert [(name, float(s)) for name, s in (r.rsplit(",", 1) for r in rows[1:])] == expected
+
+
 # ---------------------------------------------------------------------------
 # verify and report plumbing
 
@@ -290,11 +343,19 @@ def test_json_reports_echo_config(capsys):
     assert doc["command"] == "rank"
 
 
-def test_csv_format_undefined_elsewhere(capsys):
-    code, out, err = run(
-        capsys, "observable", "--system", "preset:fish-1d-gauss", "--format", "csv",
-    )
+@pytest.mark.parametrize("argv", [
+    ("observable", "--system", "preset:fish-1d-gauss"),
+    ("separate", "--system", "preset:fish-1d-gauss", "--state", "0,1", "--state2", "0,2"),
+    ("rank", "--system", "preset:fish-1d-gauss", "--state", "0,1"),
+    ("distinguish", "--system", "preset:fish-1d-gauss", "--state", "0,1", "--state2", "0,2",
+     "--t-end", "0.1"),
+    ("verify",),
+], ids=lambda argv: argv[0])
+def test_csv_format_undefined_elsewhere(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
     assert code == 2
+    assert out == ""
+    assert f"csv format is not defined for {argv[0]}" in err
 
 
 def test_bad_state_string(capsys):

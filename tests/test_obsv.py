@@ -181,6 +181,30 @@ def test_detect_period_domain_error_propagates():
         detect_period(ex.parse("ln(x)", {"x"}), window=(-1.0, 1.0), grid=64)
 
 
+# closed-form periods: each form in sin, cos, exp(sin) and 1/(2 + cos) of
+# a*x has least period 2*pi/a; sin(x)^2 has period pi
+PERIOD_ORACLES = [
+    (form.format(a=a), TWO_PI / a)
+    for form in ("sin({a}*x)", "cos({a}*x)", "exp(sin({a}*x))", "1/(2 + cos({a}*x))")
+    for a in (0.5, 1.0, 1.7, 3.0)
+] + [("sin(x)^2", math.pi)]
+
+
+@pytest.mark.parametrize("src, period", PERIOD_ORACLES)
+def test_detect_period_matches_closed_form(src, period):
+    v = detect_period(ex.parse(src, {"x"}))
+    assert v.classification == CLASS_PERIODIC
+    assert type(v.period) is float
+    assert abs(v.period - period) <= 1e-11
+
+
+@pytest.mark.parametrize("src", ["exp(-x^2)", "tanh(x)", "2 + sin(x) + 0.1*x", "1/(x + 3)", "0.3*x"])
+def test_detect_period_aperiodic_pool(src):
+    v = detect_period(ex.parse(src, {"x"}))
+    assert v.classification == CLASS_APERIODIC
+    assert v.period is None
+
+
 def test_aperiodic_verdicts_back_random_pair_scans():
     # whenever the verdict is aperiodic, random point pairs must expose a
     # differing derivative jet within the order cap
