@@ -3,13 +3,13 @@
 The function catalog is deliberately closed: sin, cos, tan, exp, ln, tanh,
 sqrt, the four rational operations, unary minus, and integer powers.  Every
 catalog member is smooth on its domain and the catalog is closed under
-differentiation, so repeated symbolic differentiation never leaves it, and
-every member has a Taylor-coefficient recurrence (see ``jet``).
-Non-smooth builtins (abs, floor, ...) and non-finite literals are rejected
-at parse time.
+differentiation, so repeated symbolic differentiation never leaves it.
+Every member has a Taylor-coefficient recurrence (see ``Jet``); an integer
+power runs on those of the product and the quotient.  Non-smooth builtins
+(abs, floor, ...) and non-finite literals are rejected at parse time.
 
-Expressions are immutable and the functions here are pure; the jet objects
-(``Jet``, ``FlowJet``) hold series that grow as higher orders are asked for.
+Expressions are immutable and the functions here are pure; ``Jet`` objects
+hold series that grow as higher orders are asked for.
 """
 
 from __future__ import annotations
@@ -547,48 +547,9 @@ def diff(e: Expr, var: str) -> Expr:
 # node, so a jet grows one order at a time in O(K^2) flops overall (Griewank
 # & Walther, "Evaluating Derivatives", 2nd ed., ch. 13).  Order-0
 # coefficients are computed with exactly the checks and float operations of
-# evaluate().  With tangent seeds, every node also carries the series of its
-# derivative along the seed directions (forward mode over the series).
-
-
-class _PowSeries:
-    """Coefficients of a(t)^n, for an integer n and a series a that grows in step.
-
-    a^|n| is a chain of series products by repeated squaring, free of
-    divisions, so it stays accurate where a_0 is tiny or zero; for n < 0 the
-    series is the reciprocal of that product.  ``out`` holds the
-    coefficients so far; next() returns the following one.
-    """
-
-    __slots__ = ("n", "out", "steps", "base")
-
-    def __init__(self, a: list, n: int, out: list):
-        self.n, self.out = n, out
-        self.steps: list[tuple[list, list, list]] = []  # (left, right, product)
-        square, acc, m = a, None, abs(n)
-        while m:
-            if m & 1:
-                acc = square if acc is None else self._product(acc, square)
-            m >>= 1
-            if m:
-                square = self._product(square, square)
-        self.base = acc  # a^|n|, None for n = 0
-
-    def _product(self, left: list, right: list) -> list:
-        prod = [left[0] * right[0]]
-        self.steps.append((left, right, prod))
-        return prod
-
-    def next(self) -> float:
-        k = len(self.out)
-        if self.n == 0:
-            return 0.0
-        for left, right, prod in self.steps:
-            prod.append(_conv(left, right, 0, k))
-        p = self.base
-        if self.n > 0:
-            return p[k]
-        return -_conv(p, self.out, 1, k) / p[0]
+# evaluate(); an integer power is a chain of product nodes (see _power).
+# With tangent seeds, every node also carries the series of its derivative
+# along the seed directions (forward mode over the series).
 
 
 def _conv(p: list, q: list, lo: int, k: int):
@@ -616,7 +577,7 @@ def _square_inner(c: list, k: int) -> float:
 
 
 class _Node:
-    __slots__ = ("rule", "e", "c", "a", "b", "w", "q", "t")
+    __slots__ = ("rule", "e", "c", "a", "b", "w", "t")
 
     def __init__(self, op: str, e: Expr, c0: float, a=None, b=None):
         self.rule = _RULES[op]
@@ -624,8 +585,7 @@ class _Node:
         self.c = [c0]   # Taylor coefficients
         self.a = a      # operand nodes
         self.b = b
-        self.w = None   # companion series (cos for sin, 1 +- c^2 for tan/tanh) or _PowSeries
-        self.q = None   # a^(n-1) for the tangent of a power
+        self.w = None   # companion series (cos for sin, 1 +- c^2 for tan/tanh)
         self.t = None   # tangent coefficients
 
 
@@ -655,12 +615,6 @@ def _v_mul(nd, k):
 def _v_div(nd, k):
     b = nd.b.c
     return (nd.a.c[k] - _conv(b, nd.c, 1, k)) / b[0]
-
-
-def _v_pow(nd, k):
-    if nd.w is None:
-        nd.w = _PowSeries(nd.a.c, nd.e.exponent, nd.c)
-    return nd.w.next()
 
 
 def _v_exp(nd, k):
@@ -739,19 +693,6 @@ def _t_div(nd, k):
     return (nd.a.t[k] - _conv(nd.c, nd.b.t, 0, k) - _conv(b, nd.t, 1, k)) / b[0]
 
 
-def _t_pow(nd, k):
-    n = nd.e.exponent
-    if n == 0:
-        return 0.0
-    a = nd.a.c
-    if nd.q is None:
-        nd.q = _PowSeries(a, n - 1, [a[0] ** (n - 1)])
-    q = nd.q.out
-    while len(q) <= k:
-        q.append(nd.q.next())
-    return n * _conv(q, nd.a.t, 0, k)
-
-
 def _t_exp(nd, k):
     return _conv(nd.c, nd.a.t, 0, k)
 
@@ -785,7 +726,6 @@ _RULES = {
     "sub": (_v_sub, _t_sub),
     "mul": (_v_mul, _t_mul),
     "div": (_v_div, _t_div),
-    "pow": (_v_pow, _t_pow),
     "exp": (_v_exp, _t_exp),
     "ln": (_v_ln, _t_ln),
     "sin": (_v_sin, _t_companion),
@@ -867,7 +807,7 @@ class _Tape:
                 v = base ** e.exponent
             except OverflowError:
                 raise DomainError("overflow", e) from None
-            node = _Node("pow", e, _check_finite(v, e), a)
+            return self._power(a, e, _check_finite(v, e))
         elif isinstance(e, Func):
             a = self._build(e.arg)
             x = a.c[0]
@@ -893,6 +833,37 @@ class _Tape:
         self.nodes.append(node)
         return node
 
+    def _power(self, a: _Node, e: Pow, v: float) -> _Node:
+        """Nodes for a^n, n = e.exponent, the last one with order-0 value v.
+
+        a^|n| is a chain of products by repeated squaring, free of
+        divisions, so it stays accurate where a_0 is tiny or zero; for n < 0
+        the power is 1 over that chain.
+        """
+        n, nodes = e.exponent, self.nodes
+        if n == 0:
+            nodes.append(_Node("const", e, v))
+            return nodes[-1]
+        square, acc, m = a, None, abs(n)
+        while m:
+            if m & 1:
+                if acc is None:
+                    acc = square
+                else:
+                    acc = _Node("mul", e, acc.c[0] * square.c[0], acc, square)
+                    nodes.append(acc)
+            m >>= 1
+            if m:
+                square = _Node("mul", e, square.c[0] * square.c[0], square, square)
+                nodes.append(square)
+        if n < 0:
+            one = _Node("const", _ONE, 1.0)
+            acc = _Node("div", e, v, one, acc)
+            nodes += (one, acc)
+        elif acc is not a:
+            acc.c[0] = v
+        return acc
+
 
 def _times_factorial(c, k: int):
     # k! * c as c * 1 * 2 * ... * k in floats: k! itself would overflow a float for k >= 171
@@ -902,86 +873,74 @@ def _times_factorial(c, k: int):
 
 
 class Jet:
-    """Taylor jet of ``e`` in ``var`` around ``x0``, extended on demand.
+    """Taylor series of outputs h(x(t)) along the flow dx/dt = field(x), x(0) = x0.
 
-    Orders above ``k_max`` are refused, as by nth_derivative_at.
+    The state series follows x_{k+1} = (field o x)_k / (k+1), so the k-th
+    Lie derivative of output j at x0 is k! times its k-th coefficient.
+    ``field=None`` is the unit field dx/dt = 1: the coefficients of a
+    function of one variable are then its Taylor coefficients around x0.
+    With ``seeds`` (one tangent vector per state variable, e.g. unit
+    vectors) every series also carries its gradient in those directions
+    (Roebenack, J. Comput. Appl. Math. 213, 2008).  The series grow on
+    demand; orders above ``k_max`` are refused, as by nth_derivative_at.
     """
 
-    def __init__(self, e: Expr, var: str, x0: float, k_max: int = K_MAX_DEFAULT):
-        self.expr = e
+    def __init__(self, outputs, var_names, x0, field=None, seeds=None, k_max: int = K_MAX_DEFAULT):
+        self.outputs, var_names = tuple(outputs), tuple(var_names)
+        n = len(var_names)
+        field = (_ONE,) * n if field is None else tuple(field)
+        if not len(field) == n == len(x0) == (n if seeds is None else len(seeds)):
+            raise ValueError("field, variables, x0 and seeds must have one entry per state")
         self.k_max = k_max
-        self._tape = _Tape((e,), {var: x0})
-        self._coeffs = self._tape.roots[0].c
-        self._x = self._tape.inputs.get(var)
+        self._tape = _Tape(field + self.outputs, dict(zip(var_names, x0)),
+                           None if seeds is None else dict(zip(var_names, seeds)))
+        roots = self._tape.roots
+        self._roots = roots[n:]
+        # (state node, field node) for the variables the expressions use
+        inputs = self._tape.inputs
+        self._flow = [(inputs[name], f) for name, f in zip(var_names, roots) if name in inputs]
+        self._order = 0
 
-    def coefficient(self, k: int) -> float:
-        """Taylor coefficient c_k = e^(k)(x0) / k!."""
+    def _extend(self, k: int) -> None:
         if k < 0:
             raise DerivativeOrderError(f"negative derivative order {k}")
         if k > self.k_max:
             raise DerivativeOrderError(f"derivative order {k} exceeds cap {self.k_max}")
-        c = self._coeffs
-        while len(c) <= k:
-            order = len(c)
-            if self._x is not None:
-                self._x.c.append(1.0 if order == 1 else 0.0)
-            self._tape.step(order)
-            if not math.isfinite(c[order]):
-                raise DomainError(f"non-finite Taylor coefficient {order}", self.expr)
-        return c[k]
-
-    def derivative(self, k: int) -> float:
-        return _times_factorial(self.coefficient(k), k)
-
-
-def jet(e: Expr, var: str, x0: float, K: int) -> list[float]:
-    """Taylor coefficients c_0..c_K of ``e`` in ``var`` around ``x0``."""
-    j = Jet(e, var, x0, K)
-    return [j.coefficient(k) for k in range(K + 1)]
-
-
-def nth_derivative_at(e: Expr, var: str, k: int, x0: float, k_max: int = K_MAX_DEFAULT) -> float:
-    return Jet(e, var, x0, k_max).derivative(k)
-
-
-class FlowJet:
-    """Taylor series of outputs h(x(t)) along the flow dx/dt = field(x), x(0) = x0.
-
-    The state series follows x_{k+1} = (field o x)_k / (k+1), so the k-th
-    Lie derivative of output j at x0 is k! times its k-th coefficient, and
-    its gradient comes from the tangents seeded with ``seeds`` (one vector
-    per state variable, e.g. unit vectors) (Roebenack, J. Comput. Appl.
-    Math. 213, 2008).
-    """
-
-    def __init__(self, field, outputs, var_names, x0, seeds):
-        field, outputs, var_names = tuple(field), tuple(outputs), tuple(var_names)
-        if not len(field) == len(var_names) == len(x0) == len(seeds):
-            raise ValueError("field, variables, x0 and seeds must have one entry per state")
-        self._tape = _Tape(field + outputs, dict(zip(var_names, x0)), dict(zip(var_names, seeds)))
-        roots = self._tape.roots
-        self._field = roots[: len(field)]
-        self._outputs = roots[len(field):]
-        self._states = [self._tape.inputs.get(name) for name in var_names]
-        self._order = 0
-
-    def _extend(self, k: int) -> None:
+        tangents = self._tape.tangents
         while self._order < k:
             r = self._order
-            for x, f in zip(self._states, self._field):
-                if x is not None:
-                    x.c.append(f.c[r] / (r + 1))
+            for x, f in self._flow:
+                x.c.append(f.c[r] / (r + 1))
+                if tangents:
                     x.t.append(f.t[r] / (r + 1))
             self._order = r + 1
             self._tape.step(r + 1)
-            for h in self._outputs:
+            for e, h in zip(self.outputs, self._roots):
                 if not math.isfinite(h.c[r + 1]):
-                    raise DomainError(f"non-finite Taylor coefficient {r + 1}", h.e)
+                    raise DomainError(f"non-finite Taylor coefficient {r + 1}", e)
+
+    def coefficient(self, j: int, k: int) -> float:
+        """Taylor coefficient k of output j (0-based): its k-th derivative over k!."""
+        self._extend(k)
+        return self._roots[j].c[k]
+
+    def derivative(self, j: int, k: int) -> float:
+        return _times_factorial(self.coefficient(j, k), k)
 
     def gradient(self, j: int, k: int):
         """Gradient of L_f^k h_j at x0 in the seed directions, output index j 0-based."""
         self._extend(k)
-        return _times_factorial(self._outputs[j].t[k], k)
+        return _times_factorial(self._roots[j].t[k], k)
+
+
+def jet(e: Expr, var: str, x0: float, K: int) -> list[float]:
+    """Taylor coefficients c_0..c_K of ``e`` in ``var`` around ``x0``."""
+    j = Jet((e,), (var,), (x0,), k_max=K)
+    return [j.coefficient(0, k) for k in range(K + 1)]
+
+
+def nth_derivative_at(e: Expr, var: str, k: int, x0: float, k_max: int = K_MAX_DEFAULT) -> float:
+    return Jet((e,), (var,), (x0,), k_max=k_max).derivative(0, k)
 
 
 # ---------------------------------------------------------------------------
@@ -1025,8 +984,3 @@ def compile_vector(exprs, var_names, backend=math) -> "callable":
     namespace = {"_m": backend}
     exec(src, namespace)
     return namespace["_compiled"]
-
-
-def compile_scalar(e: Expr, var_names, backend=math) -> "callable":
-    fn = compile_vector((e,), var_names, backend)
-    return lambda *xs: fn(*xs)[0]

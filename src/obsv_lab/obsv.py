@@ -124,22 +124,31 @@ def word_lglflg(i: int, k: int) -> ObservableWord:
 # Periodicity detection
 
 
-def _sample_gain(gamma: Expr, xs: np.ndarray) -> np.ndarray:
-    fn = ex.compile_scalar(gamma, (GAMMA_VAR,))
-    out = np.empty(len(xs))
-    for idx, x in enumerate(xs):
-        try:
-            out[idx] = fn(x)
-        except (ValueError, ZeroDivisionError, OverflowError):
-            # re-evaluate through the tree walker for a precise domain error
-            ex.evaluate(gamma, {GAMMA_VAR: float(x)})
-            raise
-    return out
+def _sample_gain(gamma: Expr, xs: np.ndarray):
+    """The gain on the grid ``xs`` and its numpy-compiled form.
+
+    A non-finite sample (a pole, a log of a non-positive value, an overflow)
+    raises DomainError: the first such point is re-evaluated through the
+    tree walker, which names the culprit subexpression.
+    """
+    fn_np = ex.compile_vector((gamma,), (GAMMA_VAR,), np)
+    try:
+        with np.errstate(all="ignore"):
+            vals = np.broadcast_to(fn_np(xs)[0], xs.shape)  # a constant gain gives one float
+    except ArithmeticError:
+        # a constant subexpression such as 1/0 fails in plain floats, at every point
+        vals = np.full(xs.shape, np.nan)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        x = float(xs[bad[0]])
+        ex.evaluate(gamma, {GAMMA_VAR: x})
+        raise ex.DomainError(f"non-finite value at {GAMMA_VAR} = {x!r}", gamma)
+    return vals, fn_np
 
 
 def _shift_residual(fn_np, xs: np.ndarray, base: np.ndarray, T: float, scale: float) -> float:
     with np.errstate(all="ignore"):
-        shifted = fn_np(xs + T)
+        shifted = fn_np(xs + T)[0]
     d = np.abs(shifted - base)
     if not np.all(np.isfinite(d)):
         return float("inf")
@@ -170,11 +179,11 @@ def _golden_section(f, lo: float, hi: float, width: float = 1e-12) -> float:
 
 def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_last: int, tol: float):
     """First order k <= k_last where the derivative jets at r and s differ, or None."""
-    jr = ex.Jet(gamma, GAMMA_VAR, r, k_last)
-    js = ex.Jet(gamma, GAMMA_VAR, s, k_last)
+    jr = ex.Jet((gamma,), (GAMMA_VAR,), (r,), k_max=k_last)
+    js = ex.Jet((gamma,), (GAMMA_VAR,), (s,), k_max=k_last)
     for k in range(k_last + 1):
-        a = jr.derivative(k)
-        b = js.derivative(k)
+        a = jr.derivative(0, k)
+        b = js.derivative(0, k)
         if abs(a - b) > tol * (1.0 + max(abs(a), abs(b))):
             return {"k": k, "lhs": float(a), "rhs": float(b)}
     return None
@@ -253,7 +262,7 @@ def detect_period(
 
     xs = np.linspace(lo, hi, grid)
     dx = xs[1] - xs[0]
-    vals = _sample_gain(gamma, xs)
+    vals, fn_np = _sample_gain(gamma, xs)
     vmax = float(np.max(np.abs(vals)))
     scale = max(1.0, vmax)
     rng = np.random.default_rng(seed)
@@ -264,7 +273,6 @@ def detect_period(
         evidence["constant"] = True
         return PeriodicityVerdict(CLASS_PERIODIC, None, evidence)
 
-    fn_np = ex.compile_scalar(gamma, (GAMMA_VAR,), backend=np)
     sub = xs[:: max(1, grid // 512)]
     sub_vals = vals[:: max(1, grid // 512)]
 
@@ -350,11 +358,10 @@ def _validated_shift(
 ) -> tuple[bool, float]:
     xs = np.linspace(window[0], window[1], grid)
     try:
-        vals = _sample_gain(gamma, xs)
+        vals, fn_np = _sample_gain(gamma, xs)
     except ex.DomainError:
         return False, float("inf")
     scale = max(1.0, float(np.max(np.abs(vals))))
-    fn_np = ex.compile_scalar(gamma, (GAMMA_VAR,), backend=np)
     residual = _shift_residual(fn_np, xs, vals, shift, scale)
     if residual > per_tol:
         return False, residual
@@ -402,8 +409,8 @@ def find_separating_observable(
         jet = jets.get((i, state))
         if jet is None:
             x = (x0, x1)[state][i - 1]
-            jet = jets[(i, state)] = ex.Jet(sys.gamma[i - 1], GAMMA_VAR, x, k_max)
-        return jet.derivative(k)
+            jet = jets[(i, state)] = ex.Jet((sys.gamma[i - 1],), (GAMMA_VAR,), (x,), k_max=k_max)
+        return jet.derivative(0, k)
 
     def lflg(i: int, k: int) -> tuple[float, float]:
         b = sys.b[i - 1]
@@ -414,39 +421,27 @@ def find_separating_observable(
         b = sys.b[i - 1]
         return _lglflg(gain_derivative(i, 0, k), b, k), _lglflg(gain_derivative(i, 1, k), b, k)
 
+    def first_witness(family, word, blocks) -> SeparationCertificate | None:
+        # shortest witness first: derivative order outside, block inside
+        for k in range(k_max + 1):
+            for i in blocks:
+                v0, v1 = family(i, k)
+                if _sep_gap_ok(v0, v1, sep_tol):
+                    return SeparationCertificate(VERDICT_SEPARATED, word(i, k), v0, v1, bounds)
+        return None
+
+    blocks = range(1, n + 1)
     if x0 == x1:
         # positions agree: only the velocity-scaled family can split them,
         # and only on blocks whose velocities differ
-        for k in range(k_max + 1):
-            for i in range(1, n + 1):
-                if z0[i - 1] == z1[i - 1]:
-                    continue
-                v0, v1 = lflg(i, k)
-                if _sep_gap_ok(v0, v1, sep_tol):
-                    return SeparationCertificate(
-                        VERDICT_SEPARATED, word_lflg(i, k), v0, v1, bounds
-                    )
-        return SeparationCertificate(VERDICT_UNRESOLVED, None, None, None, bounds)
-
-    # positions differ: compare gain jets through the velocity-free family
-    for k in range(k_max + 1):
-        for i in range(1, n + 1):
-            if x0[i - 1] == x1[i - 1]:
-                continue
-            v0, v1 = lglflg(i, k)
-            if _sep_gap_ok(v0, v1, sep_tol):
-                return SeparationCertificate(
-                    VERDICT_SEPARATED, word_lglflg(i, k), v0, v1, bounds
-                )
-
-    # mixed fallback: velocity-scaled family across all blocks
-    for k in range(k_max + 1):
-        for i in range(1, n + 1):
-            v0, v1 = lflg(i, k)
-            if _sep_gap_ok(v0, v1, sep_tol):
-                return SeparationCertificate(
-                    VERDICT_SEPARATED, word_lflg(i, k), v0, v1, bounds
-                )
+        cert = first_witness(lflg, word_lflg, [i for i in blocks if z0[i - 1] != z1[i - 1]])
+    else:
+        # positions differ: compare gain jets through the velocity-free
+        # family, then fall back to the velocity-scaled family on all blocks
+        cert = (first_witness(lglflg, word_lglflg, [i for i in blocks if x0[i - 1] != x1[i - 1]])
+                or first_witness(lflg, word_lflg, blocks))
+    if cert is not None:
+        return cert
 
     # shift construction: equal velocities and every differing position
     # offset by a validated period of its own gain
@@ -501,7 +496,8 @@ def local_rank(
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
     if l_max is None:
         l_max = sys.dim
-    flow = ex.FlowJet(sys.drift, sys.outputs, sys.state_vars, x0, np.eye(sys.dim))
+    flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(sys.dim),
+                  k_max=l_max)
 
     words: list[ObservableWord] = []
     rows: list[np.ndarray] = []
@@ -538,6 +534,6 @@ def rank_condition_value(gamma: Expr, x: float, z: float, k_max: int = K_MAX_DEF
     Nonzero exactly when the first two observation-space differentials of
     the single-block damped cascade are independent at (x, z).
     """
-    jet = ex.Jet(gamma, GAMMA_VAR, x, k_max)
-    g0, g1, g2 = (jet.derivative(k) for k in range(3))
+    jet = ex.Jet((gamma,), (GAMMA_VAR,), (x,), k_max=k_max)
+    g0, g1, g2 = (jet.derivative(0, k) for k in range(3))
     return z * z * (2.0 * g1 * g1 - g0 * g2)

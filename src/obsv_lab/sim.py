@@ -370,10 +370,11 @@ def indistinguishability_experiment(
         raise ValueError(f"shift must have exactly one nonzero coordinate: {T}")
     base = (0.0,) * (2 * sys.n)
     shifted = T + (0.0,) * sys.n
+    loop = compile_rk4(sys)
     results = []
     for sig in inputs:
-        ya = integrate(sys, base, sig, t_end, dt).outputs
-        yb = integrate(sys, shifted, sig, t_end, dt).outputs
+        ya = integrate(loop, base, sig, t_end, dt).outputs
+        yb = integrate(loop, shifted, sig, t_end, dt).outputs
         gap = float(np.max(np.abs(ya - yb)))
         results.append(ShiftGapResult(input=sig.describe(), gap=gap))
     return results
@@ -403,8 +404,9 @@ def distinguishability_experiment(
     "diverged" when it exceeds diverged_tol, "inconclusive" in between (the
     gap is too large to ignore but too small to rule out integrator error).
     """
-    ta = integrate(sys, s0, u, t_end, dt)
-    tb = integrate(sys, s1, u, t_end, dt)
+    loop = compile_rk4(sys)
+    ta = integrate(loop, s0, u, t_end, dt)
+    tb = integrate(loop, s1, u, t_end, dt)
     diff = np.max(np.abs(ta.outputs - tb.outputs), axis=1)
     gap = float(diff.max())
     over = np.nonzero(diff > dist_tol)[0]

@@ -134,6 +134,18 @@ def test_observable_aperiodic(capsys):
     assert doc["report"]["verdict"] == "observable"
 
 
+@pytest.mark.parametrize("gain, code, err", [
+    ("1/(x + 20)", 4, "numeric failure: division by zero in 1/(x + 20)\n"),
+    ("1/(x + 2.5)", 0, ""),
+    ("x + 1/0", 4, "numeric failure: division by zero in 1/0\n"),
+], ids=["pole-on-grid", "pole-off-grid", "constant-pole"])
+def test_observable_gain_pole_on_the_sampling_grid(tmp_path, capsys, gain, code, err):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
+    got, out, stderr = run(capsys, "observable", "--system", str(path))
+    assert (got, stderr) == (code, err)
+
+
 def test_observable_text_format(capsys):
     code, out, _ = run(capsys, "observable", "--system", "preset:periodic-sin", "--format", "text")
     assert code == 1

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,7 @@ from obsv_lab.expr import (
     Pow,
     Sub,
     Var,
-    compile_scalar,
+    compile_vector,
     diff,
     evaluate,
     format_expr,
@@ -204,6 +205,9 @@ CATALOG_SAMPLES = [
     ("x^-2", (0.5, 3.0)),
     ("(2 + sin(x) + 0.1*x)^2", (-3.0, 3.0)),
     ("exp(-x^2)*sin(3*x)", (-2.0, 2.0)),
+    ("x^4", (-3.0, 3.0)),
+    ("(x + 0.5)^-3", (0.0, 3.0)),
+    ("(2 + sin(x))^5", (-3.0, 3.0)),
 ]
 
 
@@ -302,10 +306,12 @@ def test_compiled_matches_tree_evaluation():
     rng = random.Random(3)
     for src, (lo, hi) in CATALOG_SAMPLES:
         e = parse(src, {"x"})
-        fn = compile_scalar(e, ("x",))
-        for _ in range(5):
-            x = rng.uniform(lo + 0.05, hi - 0.05)
-            assert fn(x) == pytest.approx(evaluate(e, {"x": x}), rel=1e-14)
+        fn = compile_vector((e,), ("x",))
+        fn_np = compile_vector((e,), ("x",), np)
+        xs = [rng.uniform(lo + 0.05, hi - 0.05) for _ in range(5)]
+        want = [evaluate(e, {"x": x}) for x in xs]
+        assert [fn(x)[0] for x in xs] == pytest.approx(want, rel=1e-14), src
+        assert fn_np(np.array(xs))[0].tolist() == pytest.approx(want, rel=1e-14), src
 
 
 # ---------------------------------------------------------------------------
@@ -351,16 +357,26 @@ def test_deep_gaussian_derivative_does_not_overflow():
 
 def test_jet_extends_lazily_to_the_same_coefficients():
     e = parse("tan(x)*sqrt(x + 4) - ln(x + 3)^3", {"x"})
-    lazy = ex.Jet(e, "x", 0.4, k_max=10)
-    assert [lazy.coefficient(k) for k in range(11)] == jet(e, "x", 0.4, 10)
+    lazy = ex.Jet((e,), ("x",), (0.4,), k_max=10)
+    assert [lazy.coefficient(0, k) for k in range(11)] == jet(e, "x", 0.4, 10)
     with pytest.raises(DerivativeOrderError):
-        lazy.coefficient(11)
+        lazy.coefficient(0, 11)
 
 
 def test_jet_of_power_with_vanishing_base():
     # (x^2 - 1)^3 at x = 1: base series starts at order 1
     e = parse("(x^2 - 1)^3", {"x"})
     assert jet(e, "x", 1.0, 6) == [0.0, 0.0, 0.0, 8.0, 12.0, 6.0, 1.0]
+
+
+def test_order_zero_jet_of_a_power_is_evaluate_bit_for_bit():
+    # a^n is a chain of products, but its value at order 0 is evaluate's
+    # base**n, which can differ from the chain's own product by an ulp
+    for c in (0.3, 1.7, -2.9, 1e-3):
+        for n in range(-5, 9):
+            e = parse(f"(x + {c})^{n}", {"x"})
+            for x0 in (0.0, 0.37, -1.2, 2.21, 1e-200):
+                assert repr(jet(e, "x", x0, 0)[0]) == repr(evaluate(e, {"x": x0})), (c, n, x0)
 
 
 def test_jet_domain_errors_name_the_subexpression():

@@ -1,6 +1,7 @@
 import math
 import random
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from obsv_lab.obsv import (
     rank_condition_value,
     word_lflg,
     word_lglflg,
+    _validated_shift,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -179,6 +181,18 @@ def test_detect_period_rejects_bad_window():
 def test_detect_period_domain_error_propagates():
     with pytest.raises(ex.DomainError):
         detect_period(ex.parse("ln(x)", {"x"}), window=(-1.0, 1.0), grid=64)
+
+
+def test_pole_on_a_grid_point_is_a_domain_error():
+    # x = -20 is the first grid point of the default window
+    gamma = ex.parse("1/(x + 20)", {"x"})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ex.DomainError, match=r"division by zero in 1/\(x \+ 20\)"):
+            detect_period(gamma)
+        assert _validated_shift(gamma, 1.0, (-20.0, 20.0), 4096, PER_TOL_DEFAULT, 6, 0) == (
+            False, math.inf)
+    assert detect_period(ex.parse("1/(x + 2.5)", {"x"})).classification == CLASS_APERIODIC
 
 
 # closed-form periods: each form in sin, cos, exp(sin) and 1/(2 + cos) of
