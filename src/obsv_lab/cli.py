@@ -28,7 +28,6 @@ from .model import (
     validate,
 )
 from .obsv import (
-    CLASS_PERIODIC,
     K_MAX_DEFAULT,
     PER_TOL_DEFAULT,
     RANK_TOL_DEFAULT,
@@ -179,12 +178,19 @@ def cmd_observable(cfg: RunConfig) -> Result:
     gammas = []
     lines = []
     for idx, v in enumerate(report.gamma_verdicts, start=1):
-        entry = {"gain": idx, "classification": v.classification, "period": v.period}
+        rule = v.evidence["rule"]
+        entry = {"gain": idx, "classification": v.classification, "period": v.period, "rule": rule}
+        line = f"gain {idx}: {v.classification}"
+        if v.period is not None:
+            line += f", T={v.period:.6g}"
+        line += f" (rule: {rule}"
+        if "no_period_up_to" in v.evidence:
+            # a bounded search, not a proof: say where it looked
+            lo, hi = v.evidence["window"]
+            entry["window"] = [lo, hi]
+            line += f", no period up to {v.evidence['no_period_up_to']:g} found on [{lo:g}, {hi:g}]"
         gammas.append(entry)
-        if v.classification == CLASS_PERIODIC and v.period is not None:
-            lines.append(f"gain {idx}: periodic, T={v.period:.6g}")
-        else:
-            lines.append(f"gain {idx}: {v.classification}")
+        lines.append(line + ")")
     out = {"verdict": report.verdict, "gains": gammas}
     lines.insert(0, f"verdict: {report.verdict}")
     return Result(_exit_code(report.verdict, "observable", "not-observable"), out, lines)

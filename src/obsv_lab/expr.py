@@ -190,7 +190,10 @@ def power(base: Expr, exponent: int) -> Expr:
     if exponent == 1:
         return base
     if isinstance(base, Const) and (base.value != 0.0 or exponent > 0):
-        return _fold_const(base.value ** exponent, Pow(base, exponent))
+        try:
+            return _fold_const(base.value ** exponent, Pow(base, exponent))
+        except OverflowError:
+            pass  # leave symbolic, as func() does
     return Pow(base, exponent)
 
 
@@ -300,10 +303,14 @@ class _Parser:
         if self.at_op("-"):
             self.take()
             negate = True
+        start = self.peek()[2]
         node = self.atom()
         if self.at_op("^"):
             self.take()
             node = power(node, self.integer_exponent())
+            if isinstance(node, Pow) and _is_const(node.base) and node.base.value != 0.0:
+                # a constant power that overflows, such as 10^400
+                raise ParseError(start, "a finite number", self.source[start:self.peek()[2]].rstrip())
         return neg(node) if negate else node
 
     def integer_exponent(self) -> int:

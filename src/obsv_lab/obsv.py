@@ -31,6 +31,7 @@ SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
 RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest count as zero
 WINDOW_DEFAULT = (-20.0, 20.0)
 GRID_DEFAULT = 4096
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio: golden-section step, probe stride
 
 CLASS_PERIODIC = "periodic"
 CLASS_APERIODIC = "aperiodic"
@@ -146,13 +147,17 @@ def _sample_gain(gamma: Expr, xs: np.ndarray):
     return vals, fn_np
 
 
-def _shift_residual(fn_np, xs: np.ndarray, base: np.ndarray, T: float, scale: float) -> float:
+def _shift_residuals(fn_np, xs: np.ndarray, base: np.ndarray, shifts, scale: float) -> np.ndarray:
+    """max|gamma(x + T) - gamma(x)| / scale over ``xs`` for each shift T,
+    inf where a shifted sample is not finite; one evaluation for all shifts."""
+    shifted = xs + np.asarray(shifts)[:, None]
     with np.errstate(all="ignore"):
-        shifted = fn_np(xs + T)[0]
-    d = np.abs(shifted - base)
-    if not np.all(np.isfinite(d)):
-        return float("inf")
-    return float(d.max()) / scale
+        d = np.abs(np.broadcast_to(fn_np(shifted)[0], shifted.shape) - base)  # a constant gain gives one float
+    return np.where(np.isfinite(d).all(axis=1), d.max(axis=1), np.inf) / scale
+
+
+def _shift_residual(fn_np, xs: np.ndarray, base: np.ndarray, T: float, scale: float) -> float:
+    return float(_shift_residuals(fn_np, xs, base, [T], scale)[0])
 
 
 def _golden_section(f, lo: float, hi: float, width: float = 1e-12) -> float:
@@ -161,18 +166,17 @@ def _golden_section(f, lo: float, hi: float, width: float = 1e-12) -> float:
     The shift residual is V-shaped at a true period, so the section can keep
     going to ~1e-12 (Kiefer, Proc. AMS 4, 1953).
     """
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = hi - inv_phi * (hi - lo)
-    d = lo + inv_phi * (hi - lo)
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
     while hi - lo > width:
         if fc < fd:
             hi, d, fd = d, c, fc
-            c = hi - inv_phi * (hi - lo)
+            c = hi - _INV_PHI * (hi - lo)
             fc = f(c)
         else:
             lo, c, fc = c, d, fd
-            d = lo + inv_phi * (hi - lo)
+            d = lo + _INV_PHI * (hi - lo)
             fd = f(d)
     return float(0.5 * (lo + hi))
 
@@ -187,6 +191,13 @@ def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_last: int, tol: float
         if abs(a - b) > tol * (1.0 + max(abs(a), abs(b))):
             return {"k": k, "lhs": float(a), "rhs": float(b)}
     return None
+
+
+def _probe_points(seed: int, count: int, lo: float, hi: float) -> list[float]:
+    """``count`` points of the additive golden-ratio sequence (Weyl), started
+    at ``seed``, in [lo, hi]: deterministic and evenly spread, without the
+    15-20 ms first import of numpy.random."""
+    return [lo + (hi - lo) * ((seed + k) * _INV_PHI % 1.0) for k in range(1, count + 1)]
 
 
 def _derivative_jets_match(gamma: Expr, T: float, probes, k_check: int, tol: float) -> bool:
@@ -234,53 +245,14 @@ def _dedupe(cands: list[float]) -> list[float]:
     return kept
 
 
-def detect_period(
-    gamma: Expr,
-    window: tuple[float, float] = WINDOW_DEFAULT,
-    grid: int = GRID_DEFAULT,
-    per_tol: float = PER_TOL_DEFAULT,
-    k_check: int = K_CHECK_DEFAULT,
-    k_max: int = K_MAX_DEFAULT,
-    seed: int = 0,
-) -> PeriodicityVerdict:
-    """Classify a scalar gain as periodic, aperiodic, or undetermined.
-
-    Candidate periods come from autocorrelation peaks and dominant spectrum
-    bins of the sampled gain; each candidate is refined by minimizing the
-    shift residual max|gamma(x+T) - gamma(x)| and then accepted only if the
-    residual stays below ``per_tol`` (relative to the gain's scale) and the
-    derivative jets up to order ``k_check`` agree at random probe points.
-    When every candidate is falsified the verdict is aperiodic, backed by a
-    probe pair of points whose derivative jets differ; if no such pair can
-    be exhibited the verdict degrades to undetermined.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError(f"empty sampling window {window}")
-    if grid < 64:
-        raise ValueError(f"grid must be at least 64, got {grid}")
-
-    xs = np.linspace(lo, hi, grid)
-    dx = xs[1] - xs[0]
-    vals, fn_np = _sample_gain(gamma, xs)
-    vmax = float(np.max(np.abs(vals)))
-    scale = max(1.0, vmax)
-    rng = np.random.default_rng(seed)
-    evidence: dict = {"window": [lo, hi], "samples": grid, "scale": scale}
-
-    span = float(vals.max() - vals.min())
-    if span <= per_tol * scale:
-        evidence["constant"] = True
-        return PeriodicityVerdict(CLASS_PERIODIC, None, evidence)
-
+def _numeric_period(gamma, fn_np, xs, vals, scale, probes, per_tol, k_check):
+    """Bounded search: a validated period below the window length, or None,
+    with the candidates it refined."""
+    grid = len(xs)
     sub = xs[:: max(1, grid // 512)]
     sub_vals = vals[:: max(1, grid // 512)]
-
-    raw = _autocorr_candidates(vals, dx, max_lag=grid // 2)
-    candidates = _dedupe(raw)
-
     tried = []
-    for T0 in candidates:
+    for T0 in _dedupe(_autocorr_candidates(vals, xs[1] - xs[0], max_lag=grid // 2)):
         coarse = _golden_section(
             lambda T: _shift_residual(fn_np, sub, sub_vals, T, scale),
             0.75 * T0,
@@ -295,25 +267,307 @@ def detect_period(
         )
         residual = _shift_residual(fn_np, xs, vals, T, scale)
         tried.append({"period": T, "residual": residual, "seed_candidate": T0})
-        if residual <= per_tol:
-            probes = rng.uniform(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), size=3)
-            if _derivative_jets_match(gamma, T, probes, k_check, per_tol):
-                evidence["candidates"] = tried
-                evidence["derivative_orders_checked"] = k_check
-                return PeriodicityVerdict(CLASS_PERIODIC, T, evidence)
+        if residual <= per_tol and _derivative_jets_match(gamma, T, probes, k_check, per_tol):
+            return T, tried
+    return None, tried
 
-    evidence["candidates"] = tried
 
-    # no validated period: exhibit two points with differing derivative jets
-    for _ in range(3):
-        r, s = sorted(rng.uniform(lo / 2, hi / 2, size=2))
-        if r == s:
-            continue
+# ---------------------------------------------------------------------------
+# Periodicity from the expression tree.  See detect_period for the rules.
+
+_TRIG = {"sin": math.sin, "cos": math.cos, "tan": math.tan}
+_MONOTONE = {"exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "tanh": math.tanh}
+_UNKNOWN = (-math.inf, math.inf)
+Q_MAX = 64  # largest denominator of a frequency ratio, and largest divisor of the lcm period
+_PRIMES = [p for p in range(2, Q_MAX + 1) if all(p % d for d in range(2, p))]
+
+
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (ex.Const, ex.Var)):
+        return ()
+    if isinstance(e, (ex.Neg, ex.Func)):
+        return (e.arg,)
+    if isinstance(e, ex.Pow):
+        return (e.base,)
+    return (e.left, e.right)
+
+
+def _has_x(e: Expr) -> bool:
+    return GAMMA_VAR in ex.free_vars(e)
+
+
+def _has_trig_of_x(e: Expr) -> bool:
+    if isinstance(e, ex.Func) and e.name in _TRIG and _has_x(e.arg):
+        return True
+    return any(_has_trig_of_x(c) for c in _children(e))
+
+
+def _mul_bounds(a, b):
+    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    if any(math.isnan(p) for p in ps):  # 0 * inf: nothing known
+        return _UNKNOWN
+    return min(ps), max(ps)
+
+
+def _recip_bounds(a):
+    if a[0] <= 0.0 <= a[1]:
+        return _UNKNOWN
+    return 1.0 / a[1], 1.0 / a[0]
+
+
+def _pow_bound(v: float, n: int) -> float:
+    try:
+        return v ** n
+    except OverflowError:
+        return math.inf if n % 2 == 0 else math.copysign(math.inf, v)
+
+
+def _monotone_bound(f, v: float) -> float:
+    try:
+        return f(v)
+    except OverflowError:  # exp of a large bound
+        return math.inf
+
+
+def _tail_bounds(e: Expr, end: float) -> tuple[float, float]:
+    """Bounds lo <= liminf and limsup <= hi of ``e`` as x tends to ``end``
+    (+inf or -inf), in the extended reals; lo == hi is the limit."""
+    if isinstance(e, ex.Const):
+        return e.value, e.value
+    if isinstance(e, ex.Var):
+        return end, end
+    if isinstance(e, ex.Neg):
+        lo, hi = _tail_bounds(e.arg, end)
+        return -hi, -lo
+    if isinstance(e, (ex.Add, ex.Sub)):
+        a = _tail_bounds(e.left, end)
+        b = _tail_bounds(e.right, end)
+        if isinstance(e, ex.Sub):
+            b = (-b[1], -b[0])
+        lo, hi = a[0] + b[0], a[1] + b[1]  # inf - inf is nan: nothing known
+        return (-math.inf if math.isnan(lo) else lo), (math.inf if math.isnan(hi) else hi)
+    if isinstance(e, ex.Mul):
+        return _mul_bounds(_tail_bounds(e.left, end), _tail_bounds(e.right, end))
+    if isinstance(e, ex.Div):
+        return _mul_bounds(_tail_bounds(e.left, end), _recip_bounds(_tail_bounds(e.right, end)))
+    if isinstance(e, ex.Pow):
+        lo, hi = _tail_bounds(e.base, end)
+        n = abs(e.exponent)
+        a, b = _pow_bound(lo, n), _pow_bound(hi, n)
+        r = (0.0, max(a, b)) if n % 2 == 0 and lo < 0.0 < hi else (min(a, b), max(a, b))
+        return _recip_bounds(r) if e.exponent < 0 else r
+    lo, hi = _tail_bounds(e.arg, end)
+    if e.name in _TRIG:
+        if lo == hi and math.isfinite(lo):
+            v = _TRIG[e.name](lo)
+            return v, v
+        return (-1.0, 1.0) if e.name != "tan" else _UNKNOWN
+    if (e.name == "ln" and lo <= 0.0) or (e.name == "sqrt" and lo < 0.0):
+        return _UNKNOWN  # possibly outside the domain
+    f = _MONOTONE[e.name]
+    return _monotone_bound(f, lo), _monotone_bound(f, hi)
+
+
+def _slope(e: Expr) -> float | None:
+    """a when ``e`` is a*x + c, else None."""
+    if not _has_x(e):
+        return 0.0
+    if isinstance(e, ex.Var):
+        return 1.0
+    if isinstance(e, ex.Neg):
+        a = _slope(e.arg)
+        return None if a is None else -a
+    if isinstance(e, (ex.Add, ex.Sub)):
+        a, b = _slope(e.left), _slope(e.right)
+        if a is None or b is None:
+            return None
+        return a + b if isinstance(e, ex.Add) else a - b
+    if isinstance(e, ex.Mul):
+        for c, other in ((e.left, e.right), (e.right, e.left)):
+            if not _has_x(c):
+                a = _slope(other)
+                return None if a is None else ex.evaluate(c, {}) * a
+    if isinstance(e, ex.Div) and not _has_x(e.right):
+        a = _slope(e.left)
+        return None if a is None else a / ex.evaluate(e.right, {})
+    return None
+
+
+def _trig_terms(e: Expr, terms: list) -> bool:
+    """Append (name, a) for every sin/cos/tan of an affine argument a*x + c;
+    False when x also occurs anywhere else."""
+    if isinstance(e, ex.Func) and e.name in _TRIG:
+        a = _slope(e.arg)
+        if a is not None:
+            if a != 0.0:
+                terms.append((e.name, a))
+            return True
+    if isinstance(e, ex.Var):
+        return False
+    return all(_trig_terms(c, terms) for c in _children(e))
+
+
+def _small_ratio(r: float) -> tuple[int, int] | None:
+    """(p, q) with p/q == r exactly as floats and q <= Q_MAX, smallest q first."""
+    for q in range(1, Q_MAX + 1):
+        p = round(r * q)
+        if p > 0 and p / q == r:
+            return p, q
+    return None
+
+
+def _lcm_period(gamma: Expr) -> float | None:
+    """The lcm of the term periods (2 pi/|a| for sin and cos, pi/|a| for
+    tan) when x occurs only in trig terms whose slopes are small rational
+    multiples of each other, else None."""
+    terms: list = []
+    if not _trig_terms(gamma, terms) or not terms:
+        return None
+    a0 = abs(terms[0][1])
+    num, den = 1, 0  # lcm of numerators, gcd of denominators of T_i / (2 pi/a0)
+    for name, a in terms:
+        pq = _small_ratio(abs(a) / a0)
+        if pq is None:
+            return None
+        u, v = pq[1], pq[0] * (2 if name == "tan" else 1)
+        g = math.gcd(u, v)
+        u, v = u // g, v // g
+        num, den = num * u // math.gcd(num, u), math.gcd(den, v)
+    return 2.0 * math.pi / a0 * num / den
+
+
+def _least_period(gamma, P, fn_np, xs, vals, scale, probes, per_tol, k_check):
+    """P/m for the largest m <= Q_MAX that validates, or None if P itself
+    fails the jet check, with the candidates tried.
+
+    The valid m are the divisors of the true one, so primes are tried
+    greedily, smallest first.  A candidate must pass the shift residual,
+    first on the 512-point subgrid (all primes in one evaluation) and then
+    on the full grid, and the jet check.  Where the residual fails at P
+    itself (samples near the poles of tan), the jet check alone decides.
+    """
+    residual = _shift_residual(fn_np, xs, vals, P, scale)
+    gated = residual <= per_tol
+    tried = [{"period": P, "residual": residual}]
+    if not _derivative_jets_match(gamma, P, probes, k_check, per_tol):
+        return None, tried
+
+    def valid(T: float) -> bool:
+        r = _shift_residual(fn_np, xs, vals, T, scale) if gated else None
+        tried.append({"period": T, "residual": r})
+        return (r is None or r <= per_tol) and _derivative_jets_match(
+            gamma, T, probes, k_check, per_tol)
+
+    step = max(1, len(xs) // 512)
+    m, p = 1, _PRIMES[0]
+    while p is not None:
+        primes = [q for q in _PRIMES if q >= p and m * q <= Q_MAX]
+        if gated and primes:
+            sub_res = _shift_residuals(fn_np, xs[::step], vals[::step],
+                                       [P / (m * q) for q in primes], scale)
+            primes = [q for q, r in zip(primes, sub_res) if r <= per_tol]
+        p = next((q for q in primes if valid(P / (m * q))), None)
+        if p is not None:
+            m *= p
+    return P / m, tried
+
+
+def _probe(gamma: Expr, seed: int, lo: float, hi: float, k_max: int, per_tol: float) -> dict | None:
+    """Two points whose derivative jets differ, which shows the gain is not
+    constant, or None when three pairs of probe points show no difference."""
+    pts = _probe_points(seed, 6, lo / 2, hi / 2)
+    for r, s in zip(pts[::2], pts[1::2]):
+        r, s = min(r, s), max(r, s)
         hit = _first_jet_mismatch(gamma, r, s, k_max, per_tol)
         if hit is not None:
-            evidence["probe"] = {"r": float(r), "s": float(s), **hit}
-            return PeriodicityVerdict(CLASS_APERIODIC, None, evidence)
+            return {"r": float(r), "s": float(s), **hit}
+    return None
 
+
+def detect_period(
+    gamma: Expr,
+    window: tuple[float, float] = WINDOW_DEFAULT,
+    grid: int = GRID_DEFAULT,
+    per_tol: float = PER_TOL_DEFAULT,
+    k_check: int = K_CHECK_DEFAULT,
+    k_max: int = K_MAX_DEFAULT,
+    seed: int = 0,
+) -> PeriodicityVerdict:
+    """Classify a scalar gain on all of R as periodic, aperiodic, or undetermined.
+
+    The gain is first sampled on ``grid`` points of ``window``: a
+    non-finite sample raises DomainError, and a gain whose samples span
+    at most ``per_tol`` of its scale is constant (periodic, period None).
+    Otherwise the first rule that applies decides, and
+    ``evidence["rule"]`` names it:
+
+    - ``log-exp``: no sin/cos/tan has an x-dependent argument.  The gain is
+      then a Hardy L-function, eventually monotone (Hardy, Orders of
+      Infinity, 1910), so it is aperiodic.
+    - ``limit``: interval evaluation of the tree at +inf or -inf finds a
+      limit L in [-inf, inf] (the easy fragment of Gruntz, PhD thesis, ETH
+      Zurich 1996).  A period T would give f(x) = f(x + nT) -> L, so f == L.
+    - ``periodic``: x occurs only in sin/cos/tan of affine arguments
+      a_i*x + c_i whose ratios a_i/a_0 equal p/q with q <= Q_MAX exactly
+      as floats.  The lcm P of 2 pi/|a_i| (pi/|a_i| for tan) is a period;
+      the reported one is P/m for the largest valid m <= Q_MAX (see
+      ``_least_period``), and it passes the jet check.
+    - ``numeric``: otherwise, candidates from autocorrelation peaks and
+      spectrum bins are refined by golden sections on the shift residual
+      max|gamma(x+T) - gamma(x)| and accepted below ``per_tol`` (relative to
+      the scale) when the derivative jets up to order ``k_check`` agree at
+      probe points.  With no validated period the verdict is undetermined:
+      no period up to the window length was found, which proves nothing
+      about longer ones.
+
+    ``log-exp`` and ``limit`` verdicts carry a probe, two points whose jets
+    differ up to order ``k_max``; without one they degrade to undetermined.
+    """
+    lo, hi = float(window[0]), float(window[1])
+    if not hi > lo:
+        raise ValueError(f"empty sampling window {window}")
+    if grid < 64:
+        raise ValueError(f"grid must be at least 64, got {grid}")
+
+    xs = np.linspace(lo, hi, grid)
+    vals, fn_np = _sample_gain(gamma, xs)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    evidence: dict = {"window": [lo, hi], "samples": grid, "scale": scale}
+
+    span = float(vals.max() - vals.min())
+    if span <= per_tol * scale:
+        evidence.update(rule="constant", constant=True)
+        return PeriodicityVerdict(CLASS_PERIODIC, None, evidence)
+
+    if not _has_trig_of_x(gamma):
+        evidence["rule"] = "log-exp"
+    else:
+        for end in (math.inf, -math.inf):
+            a, b = _tail_bounds(gamma, end)
+            if a == b:
+                evidence.update(rule="limit", limit={"x": end, "value": a})
+                break
+    if "rule" in evidence:
+        evidence["probe"] = _probe(gamma, seed, lo, hi, k_max, per_tol)
+        if evidence["probe"] is None:
+            return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
+        return PeriodicityVerdict(CLASS_APERIODIC, None, evidence)
+
+    probes = _probe_points(seed, 3, lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
+    P = _lcm_period(gamma)
+    if P is not None:
+        T, tried = _least_period(gamma, P, fn_np, xs, vals, scale, probes, per_tol, k_check)
+        if T is not None:
+            evidence.update(rule="periodic", lcm_period=P, candidates=tried,
+                            derivative_orders_checked=k_check)
+            return PeriodicityVerdict(CLASS_PERIODIC, T, evidence)
+
+    T, tried = _numeric_period(gamma, fn_np, xs, vals, scale, probes, per_tol, k_check)
+    evidence.update(rule="numeric", candidates=tried)
+    if T is not None:
+        evidence["derivative_orders_checked"] = k_check
+        return PeriodicityVerdict(CLASS_PERIODIC, T, evidence)
+    evidence["no_period_up_to"] = hi - lo
     return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
 
 
@@ -365,8 +619,7 @@ def _validated_shift(
     residual = _shift_residual(fn_np, xs, vals, shift, scale)
     if residual > per_tol:
         return False, residual
-    rng = np.random.default_rng(seed)
-    probes = rng.uniform(window[0] / 2, window[1] / 2, size=3)
+    probes = _probe_points(seed, 3, window[0] / 2, window[1] / 2)
     ok = _derivative_jets_match(gamma, shift, probes, k_check, per_tol)
     return ok, residual
 

@@ -85,6 +85,17 @@ def test_non_finite_literal_is_a_usage_error(tmp_path, capsys, text, line, argv)
     assert "a finite number" in err
 
 
+def test_overflowing_constant_power_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("exp(-x^2)", "x + 10^400"))
+    code, out, err = run(capsys, "observable", "--system", str(path))
+    assert code == 2
+    assert out == ""
+    assert "line 3" in err
+    assert "a finite number, found '10^400'" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_preset(capsys):
     code, out, err = run(capsys, "validate", "--system", "preset:nope")
     assert code == 2
@@ -144,6 +155,46 @@ def test_observable_gain_pole_on_the_sampling_grid(tmp_path, capsys, gain, code,
     path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
     got, out, stderr = run(capsys, "observable", "--system", str(path))
     assert (got, stderr) == (code, err)
+
+
+def test_observable_reports_the_deciding_rule(capsys):
+    code, doc = run_json(capsys, "observable", "--system", "preset:periodic-sin")
+    gain = doc["report"]["gains"][0]
+    assert gain["rule"] == "periodic"
+    assert gain["period"] == 2 * math.pi
+    code, out, _ = run(capsys, "observable", "--system", "preset:sin-drift", "--format", "text")
+    assert code == 0
+    assert out.splitlines()[1] == "gain 1: aperiodic (rule: limit)"
+
+
+@pytest.mark.parametrize("gain, period, exact", [
+    ("sin(x/10)", "20*pi", 20 * math.pi),
+    ("cos(0.1*x) + 0.5", "20*pi", 20 * math.pi),
+    ("tan(x/4)", "4*pi", 4 * math.pi),
+])
+def test_observable_and_separate_agree_on_long_periods(tmp_path, capsys, gain, period, exact):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
+    code, doc = run_json(capsys, "observable", "--system", str(path))
+    assert (code, doc["report"]["verdict"]) == (1, "not-observable")
+    T = doc["report"]["gains"][0]["period"]
+    assert abs(T - exact) <= 1e-11
+    for shift in (period, repr(T)):
+        code, doc = run_json(capsys, "separate", "--system", str(path),
+                             "--state", "0,0", "--state2", f"{shift},0")
+        assert (code, doc["report"]["verdict"]) == (1, "indistinguishable-by-construction")
+
+
+@pytest.mark.parametrize("gain", ["sin(x^2)", "x*sin(x)", "sin(x) + sin(sqrt(2)*x)"])
+def test_observable_without_a_proof_is_undetermined(tmp_path, capsys, gain):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
+    code, doc = run_json(capsys, "observable", "--system", str(path))
+    assert (code, doc["report"]["verdict"]) == (3, "undetermined")
+    entry = doc["report"]["gains"][0]
+    assert (entry["rule"], entry["window"]) == ("numeric", [-20.0, 20.0])
+    code, out, _ = run(capsys, "observable", "--system", str(path), "--format", "text")
+    assert "gain 1: undetermined (rule: numeric, no period up to 40 found on [-20, 20])" in out
 
 
 def test_observable_text_format(capsys):

@@ -107,6 +107,19 @@ def test_parse_rejects_non_finite_literal():
     assert parse("1e300", ()) == Const(1e300)
 
 
+def test_parse_rejects_an_overflowing_constant_power():
+    with pytest.raises(ParseError) as exc:
+        parse("x + 10^400", {"x"})
+    assert (exc.value.offset, exc.value.expected, exc.value.found) == (4, "a finite number", "10^400")
+    with pytest.raises(ParseError, match="a finite number"):
+        parse("(10^200)^2*x", {"x"})
+    # powers that stay finite still fold, and 0^-1 is left for evaluation to report
+    assert parse("10^300", ()) == Const(1e300)
+    assert parse("10^-400", ()) == Const(0.0)
+    with pytest.raises(DomainError, match="zero raised to a negative power"):
+        evaluate(parse("x + 0^-1", {"x"}), {"x": 1.0})
+
+
 def test_parse_rejects_bad_variable_names():
     with pytest.raises(ValueError):
         parse("sin(x)", {"sin", "x"})

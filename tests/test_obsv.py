@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import obsv_lab.expr as ex
 from obsv_lab.lie import ObservableWord, evaluate_word
-from obsv_lab.model import CascadeSystem, as_control_affine, preset
+from obsv_lab.model import CascadeSystem, as_control_affine, preset, preset_names
 from obsv_lab.obsv import (
     CLASS_APERIODIC,
     CLASS_PERIODIC,
@@ -161,8 +161,8 @@ def test_detect_period_gaussian_is_aperiodic():
 def test_detect_period_drifting_sine_is_aperiodic():
     v = detect_period(ex.parse("sin(x) + 0.1*x", {"x"}))
     assert v.classification == CLASS_APERIODIC
-    # the sinusoidal part seeds candidates near 2*pi that the drift falsifies
-    assert v.evidence["candidates"], "expected falsified candidates in evidence"
+    # the drift tends to +inf, so the limit rule decides without a search
+    assert v.evidence["rule"] == "limit"
     assert v.evidence["probe"]["k"] <= 1
 
 
@@ -217,6 +217,105 @@ def test_detect_period_aperiodic_pool(src):
     v = detect_period(ex.parse(src, {"x"}))
     assert v.classification == CLASS_APERIODIC
     assert v.period is None
+
+
+# periods far longer than the sampling window, and a gain with poles: the
+# tree decides them, where a window search cannot (20*pi > 40) or the pole
+# samples swamp the shift residual
+LONG_PERIODS = [
+    ("sin(x/10)", 20.0 * math.pi),
+    ("cos(0.1*x) + 0.5", 20.0 * math.pi),
+    ("tan(x/4)", 4.0 * math.pi),
+]
+
+
+@pytest.mark.parametrize("src, period", LONG_PERIODS)
+def test_detect_period_beyond_the_window(src, period):
+    v = detect_period(ex.parse(src, {"x"}))
+    assert v.classification == CLASS_PERIODIC
+    assert v.evidence["rule"] == "periodic"
+    assert abs(v.period - period) <= 1e-11
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(["sin", "cos", "tan"]),
+    a=st.floats(0.2, 5.0) | st.floats(-5.0, -0.2),
+    c=st.floats(-3.0, 3.0),
+)
+def test_trig_of_an_affine_argument_has_its_closed_form_period(name, a, c):
+    expected = (math.pi if name == "tan" else 2.0 * math.pi) / abs(a)
+    v = detect_period(ex.parse(f"{name}(({a!r})*x + ({c!r}))", {"x"}))
+    assert v.classification == CLASS_PERIODIC
+    assert abs(v.period - expected) <= 1e-12 * expected
+
+
+@pytest.mark.parametrize("src", ["sin(x^2)", "x*sin(x)", "sin(x) + sin(sqrt(2)*x)"])
+def test_gains_no_rule_decides_are_undetermined(src):
+    # aperiodic, but no rule proves it, and a window search is no proof
+    v = detect_period(ex.parse(src, {"x"}))
+    assert v.classification == CLASS_UNDETERMINED
+    assert v.evidence["rule"] == "numeric"
+    assert v.evidence["window"] == [-20.0, 20.0]
+    assert v.evidence["no_period_up_to"] == 40.0
+
+
+def _bench_kind_gains(rng: random.Random):
+    # the six gain kinds the analysis benchmark draws, with the period each
+    # closed form implies (None: aperiodic)
+    a = round(rng.uniform(0.5, 2.0), 3)
+    c = round(rng.uniform(1.5, 3.0), 3)
+    w = round(rng.uniform(0.3, 1.5), 3)
+    return [
+        (f"sin({a}*x)", TWO_PI / a),
+        (f"cos({a}*x)", TWO_PI / a),
+        (f"exp(-{w}*x^2)", None),
+        (f"{c} + sin(x) + 0.1*x", None),
+        (f"tanh({a}*x)", None),
+        (f"1/(x + {round(2.5 + rng.uniform(0.0, 1.4), 3)})", None),
+    ]
+
+
+PRESET_PERIODS = {"fish-1d-gauss": None, "fish-1d-hyperbolic": None, "periodic-sin": TWO_PI,
+                  "sin-drift": None}
+_rng = random.Random(6)
+RULE_POOL = (
+    [(str(preset(name).gamma[0]), period) for name, period in PRESET_PERIODS.items()]
+    + PERIOD_ORACLES
+    + LONG_PERIODS
+    + [(src, None) for src in ("exp(-x^2)", "tanh(x)", "2 + sin(x) + 0.1*x", "1/(x + 3)", "0.3*x",
+                               "sin(x)*exp(-x^2)")]
+    + [g for _ in range(20) for g in _bench_kind_gains(_rng)]
+)
+
+
+def test_rule_decided_gains_keep_their_classification():
+    assert set(PRESET_PERIODS) == set(preset_names())
+    for src, period in RULE_POOL:
+        v = detect_period(ex.parse(src, {"x"}))
+        if period is None:
+            assert v.classification == CLASS_APERIODIC, src
+            assert v.evidence["rule"] in ("log-exp", "limit"), src
+            assert "probe" in v.evidence, src
+        else:
+            assert v.classification == CLASS_PERIODIC, src
+            assert v.evidence["rule"] == "periodic", src
+            assert abs(v.period - period) <= 1e-11 * max(1.0, period), src
+
+
+def test_rule_decided_gains_never_reach_the_numeric_search(monkeypatch):
+    # a deterministic stand-in for a timing gate: the window search is the
+    # slow path, and no gain a rule decides may pay for it
+    import obsv_lab.obsv as obsv
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("numeric period search reached")
+
+    monkeypatch.setattr(obsv, "_autocorr_candidates", refuse)
+    for src, _ in RULE_POOL:
+        obsv.detect_period(ex.parse(src, {"x"}))
+    with pytest.raises(AssertionError, match="numeric period search reached"):
+        obsv.detect_period(ex.parse("sin(x^2)", {"x"}))
 
 
 def test_aperiodic_verdicts_back_random_pair_scans():
@@ -327,6 +426,12 @@ def test_separation_shifted_position_with_different_velocity_still_splits():
     cert = find_separating_observable(sys, (0.0, 1.0), (TWO_PI, 5.0))
     assert cert.verdict == VERDICT_SEPARATED
     assert cert.witness == word_lflg(1, 1)
+
+
+def test_separation_constant_gain_shift_is_indistinguishable():
+    # every shift is a period of a constant gain; its samples are one float
+    cert = find_separating_observable(cascade_1d("2"), (0.0, 1.0), (1.0, 1.0))
+    assert cert.verdict == VERDICT_SHIFT
 
 
 def test_separation_flat_jet_reports_bounds_exhausted():
