@@ -318,6 +318,81 @@ def test_rule_decided_gains_never_reach_the_numeric_search(monkeypatch):
         obsv.detect_period(ex.parse("sin(x^2)", {"x"}))
 
 
+@pytest.mark.parametrize("src, period", [
+    ("sin(x/3) + cos(x)", 6 * math.pi),
+    ("tan(x/4)", 4 * math.pi),
+    ("tan(x) + sin(2*x)", math.pi),
+    ("exp(sin(0.5*x))*tan(x)", 4 * math.pi),
+    ("sin(x)^2", 2 * math.pi),  # the lcm, not the least period
+    ("sin(x) + sin(x/64)", 128 * math.pi),
+    ("sin(x) + sin(x/65)", None),  # denominator above 64
+    ("sin(x) + sin(sqrt(2)*x)", None),
+    ("x*sin(x)", None),
+    ("sin(x^2)", None),
+])
+def test_lcm_of_the_term_periods(src, period):
+    from obsv_lab.obsv import _lcm_period
+
+    P = _lcm_period(ex.parse(src, {"x"}))
+    assert P == period if period is None else abs(P - period) <= 1e-12 * period
+
+
+def test_pole_samples_leave_the_period_to_the_jet_check():
+    # a pole within roundoff of a grid point swamps the shift residual at
+    # every shift, so the derivative jets alone pick the least period
+    c = repr(math.pi / 2 - float(np.linspace(-20.0, 20.0, 4096)[2048]))
+    for src, period in ((f"tan(x + {c})", math.pi), (f"1/cos(x + {c})", TWO_PI),
+                        (f"1/cos(x + {c})^2", math.pi)):
+        v = detect_period(ex.parse(src, {"x"}))
+        assert v.evidence["candidates"][0]["residual"] > PER_TOL_DEFAULT
+        assert v.classification == CLASS_PERIODIC
+        assert abs(v.period - period) <= 1e-12
+
+
+# the limit rule's interval evaluation against sympy's limits (Gruntz's
+# algorithm, a separate engine): every limit it claims must be sympy's
+TAIL_CASES = [
+    "exp(-x^2)*sin(x)", "2 + sin(x) + 0.1*x", "1/(x + 3)", "tanh(x)", "sin(x)/x",
+    "sin(exp(x))", "exp(x)*sin(x)", "ln(1 + exp(x))", "cos(1/(x^2 + 1))",
+    "exp(-x)*cos(3*x) + 1/x", "(x + 1)^3 + cos(x)", "(x^2 + 1)/(3*x^2 - x)", "x*sin(x)",
+    "sin(x)^2 + 1/x", "x - x/2", "sqrt(x^2 + 1) - x", "tan(1/x) + 2", "1/(1 + 2*sin(x))",
+]
+
+
+def test_tail_limits_match_sympy():
+    from obsv_lab.obsv import _tail_bounds
+
+    x = sympy.Symbol("x", real=True)
+    claimed = 0
+    for src in TAIL_CASES:
+        f = sympy.sympify(src.replace("^", "**").replace("ln(", "log("), locals={"x": x})
+        for end, s_end in ((math.inf, sympy.oo), (-math.inf, -sympy.oo)):
+            lo, hi = _tail_bounds(ex.parse(src, {"x"}), end)
+            assert lo <= hi, (src, end)
+            if lo == hi:
+                limit = sympy.limit(f, x, s_end)
+                assert limit.is_extended_real, (src, end, limit)
+                assert float(limit) == pytest.approx(lo, rel=1e-12, abs=1e-15), (src, end)
+                claimed += 1
+    assert claimed >= 16
+
+
+@pytest.mark.parametrize("src", [
+    "exp(-x^2)/(1 + 2*sin(x))",  # a pole at every zero of 1 + 2*sin(x)
+    "exp(-x)*tan(x)",
+    "ln(1.1 + sin(x)*cos(x) + 0.5*sin(x))",  # periodic, > 0.2, interval bound below 0
+    "x*sin(x)",
+    "sin(x^2)",
+])
+def test_tail_bounds_claim_no_limit_that_does_not_exist(src):
+    # sympy's limit says 0 for the first two, so these are checked by hand
+    from obsv_lab.obsv import _tail_bounds
+
+    for end in (math.inf, -math.inf):
+        lo, hi = _tail_bounds(ex.parse(src, {"x"}), end)
+        assert lo < hi, (src, end)
+
+
 def test_aperiodic_verdicts_back_random_pair_scans():
     # whenever the verdict is aperiodic, random point pairs must expose a
     # differing derivative jet within the order cap
