@@ -1,12 +1,18 @@
 """Expression trees for scalar functions used in system definitions.
 
-The function catalog is deliberately closed: sin, cos, tan, exp, ln, tanh,
-sqrt, the four rational operations, unary minus, and integer powers.  Every
-catalog member is smooth on its domain and the catalog is closed under
-differentiation, so repeated symbolic differentiation never leaves it.
-Every member has a Taylor-coefficient recurrence (see ``Jet``); an integer
-power runs on those of the product and the quotient.  Non-smooth builtins
-(abs, floor, ...) and non-finite literals are rejected at parse time.
+The function catalog is deliberately closed: the functions in ``CATALOG``
+(sin, cos, tan, exp, ln, tanh, sqrt), the four rational operations, unary
+minus, and integer powers.  A ``CATALOG`` entry holds all the package knows
+about its function (value, domain, derivative, Taylor-series rules, source
+name, period, tail), so a new function is one entry.  Every member is smooth
+on its domain and the catalog is closed under differentiation; an integer
+power runs on the series rules of the product and the quotient (see ``Jet``).
+
+Every order-0 value comes from ``_checked``, shared by ``evaluate``, the
+jets and the constant folds: a result that leaves the reals or is not finite
+raises ``DomainError`` at its node.  Non-smooth builtins (abs, floor, ...),
+non-finite literals and constants that fail to fold, such as ``1/0`` or
+``10^400``, are rejected at parse time.
 
 Expressions are immutable and the functions here are pure; ``Jet`` objects
 hold series that grow as higher orders are asked for.
@@ -15,20 +21,13 @@ hold series that grow as higher orders are asked for.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import Callable
 
 K_MAX_DEFAULT = 12  # default bound on the derivative order a search may reach
 
-_MATH_FUNCS = {
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "exp": math.exp,
-    "ln": math.log,
-    "tanh": math.tanh,
-    "sqrt": math.sqrt,
-}
 _REJECTED_FUNCS = {"abs", "floor", "ceil", "sign", "min", "max"}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
 
@@ -147,7 +146,7 @@ def add(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 0.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return _fold_const(a.value + b.value, Add(a, b))
+        return _fold(Add(a, b), a.value, b.value)
     return Add(a, b)
 
 
@@ -157,7 +156,7 @@ def sub(a: Expr, b: Expr) -> Expr:
     if _is_const(a, 0.0):
         return neg(b)
     if isinstance(a, Const) and isinstance(b, Const):
-        return _fold_const(a.value - b.value, Sub(a, b))
+        return _fold(Sub(a, b), a.value, b.value)
     return Sub(a, b)
 
 
@@ -169,7 +168,7 @@ def mul(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     if isinstance(a, Const) and isinstance(b, Const):
-        return _fold_const(a.value * b.value, Mul(a, b))
+        return _fold(Mul(a, b), a.value, b.value)
     return Mul(a, b)
 
 
@@ -178,8 +177,8 @@ def div(a: Expr, b: Expr) -> Expr:
         return a
     if _is_const(a, 0.0) and not _is_const(b, 0.0):
         return _ZERO
-    if isinstance(a, Const) and isinstance(b, Const) and b.value != 0.0:
-        return _fold_const(a.value / b.value, Div(a, b))
+    if isinstance(a, Const) and isinstance(b, Const):
+        return _fold(Div(a, b), a.value, b.value)
     return Div(a, b)
 
 
@@ -189,26 +188,24 @@ def power(base: Expr, exponent: int) -> Expr:
         return _ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const) and (base.value != 0.0 or exponent > 0):
-        try:
-            return _fold_const(base.value ** exponent, Pow(base, exponent))
-        except OverflowError:
-            pass  # leave symbolic, as func() does
+    if isinstance(base, Const):
+        return _fold(Pow(base, exponent), base.value)
     return Pow(base, exponent)
 
 
 def func(name: str, arg: Expr) -> Expr:
     if isinstance(arg, Const):
-        try:
-            return _fold_const(_MATH_FUNCS[name](arg.value), Func(name, arg))
-        except (ValueError, OverflowError):
-            pass  # leave symbolic; evaluate() will report the domain error
+        return _fold(Func(name, arg), arg.value)
     return Func(name, arg)
 
 
-def _fold_const(v: float, fallback: Expr) -> Expr:
-    # Keep overflowing folds symbolic so evaluation can point at the culprit.
-    return Const(v) if math.isfinite(v) else fallback
+def _fold(e: Expr, *args: float) -> Expr:
+    """The constant value of ``e`` from its operand values ``args``; a fold
+    that fails stays symbolic, so the parser or evaluation can name it."""
+    try:
+        return Const(_checked(e, *args))
+    except DomainError:
+        return e
 
 
 # ---------------------------------------------------------------------------
@@ -282,20 +279,35 @@ class _Parser:
             self.error("end of input")
         return e
 
+    def folded(self, node: Expr, start: int) -> Expr:
+        """``node``, which must not be a constant that failed to fold (1/0,
+        ln(0), 10^400): that is a ParseError at ``start``, caused by the
+        DomainError of the fold."""
+        args = children(node)
+        if args and all(isinstance(a, Const) for a in args):
+            try:
+                _checked(node, *(a.value for a in args))
+            except DomainError as err:
+                text = self.source[start:self.peek()[2]].rstrip()
+                raise ParseError(start, "a finite number", text) from err
+        return node
+
     def expr(self) -> Expr:
+        start = self.peek()[2]
         node = self.term()
         while self.at_op("+", "-"):
             op = self.take()[1]
             rhs = self.term()
-            node = add(node, rhs) if op == "+" else sub(node, rhs)
+            node = self.folded(add(node, rhs) if op == "+" else sub(node, rhs), start)
         return node
 
     def term(self) -> Expr:
+        start = self.peek()[2]
         node = self.factor()
         while self.at_op("*", "/"):
             op = self.take()[1]
             rhs = self.factor()
-            node = mul(node, rhs) if op == "*" else div(node, rhs)
+            node = self.folded(mul(node, rhs) if op == "*" else div(node, rhs), start)
         return node
 
     def factor(self) -> Expr:
@@ -307,10 +319,7 @@ class _Parser:
         node = self.atom()
         if self.at_op("^"):
             self.take()
-            node = power(node, self.integer_exponent())
-            if isinstance(node, Pow) and _is_const(node.base) and node.base.value != 0.0:
-                # a constant power that overflows, such as 10^400
-                raise ParseError(start, "a finite number", self.source[start:self.peek()[2]].rstrip())
+            node = self.folded(power(node, self.integer_exponent()), start)
         return neg(node) if negate else node
 
     def integer_exponent(self) -> int:
@@ -336,11 +345,11 @@ class _Parser:
             self.take()
             if text in _CONSTANTS:
                 return Const(_CONSTANTS[text])
-            if text in _MATH_FUNCS:
+            if text in CATALOG:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return func(text, arg)
+                return self.folded(func(text, arg), offset)
             if text in _REJECTED_FUNCS:
                 raise ParseError(offset, "a smooth function from the catalog", text)
             if text in self.allowed_vars:
@@ -360,14 +369,15 @@ def parse(source: str, allowed_vars=()) -> Expr:
     for name in allowed:
         if not _IDENT_RE.match(name):
             raise ValueError(f"invalid variable name {name!r}")
-        if name in _MATH_FUNCS or name in _CONSTANTS or name in _REJECTED_FUNCS:
+        if name in CATALOG or name in _CONSTANTS or name in _REJECTED_FUNCS:
             raise ValueError(f"variable name {name!r} collides with a reserved symbol")
     return _Parser(source, allowed).parse()
 
 
 # ---------------------------------------------------------------------------
 # Printing.  format_expr round-trips: parse(format_expr(e)) == e for any
-# tree produced by parse/diff/the smart constructors.
+# tree produced by parse/diff/the smart constructors, unless it holds a
+# constant that failed to fold, which parse rejects.
 
 # Levels mirror the grammar: 0 expr, 1 term, 2 factor, 3 atom^int, 4 atom.
 _LEVEL_EXPR, _LEVEL_TERM, _LEVEL_FACTOR, _LEVEL_POW, _LEVEL_ATOM = 0, 1, 2, 3, 4
@@ -421,18 +431,24 @@ def format_expr(e: Expr) -> str:
 # Evaluation
 
 
+def children(e: Expr) -> tuple:
+    """The operand subtrees of ``e``, left to right."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Func)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    return ()
+
+
 def free_vars(e: Expr) -> frozenset[str]:
     if isinstance(e, Var):
         return frozenset((e.name,))
-    if isinstance(e, (Const,)):
-        return frozenset()
-    if isinstance(e, Neg):
-        return free_vars(e.arg)
-    if isinstance(e, Func):
-        return free_vars(e.arg)
-    if isinstance(e, Pow):
-        return free_vars(e.base)
-    return free_vars(e.left) | free_vars(e.right)
+    names = frozenset()
+    for a in children(e):
+        names |= free_vars(a)
+    return names
 
 
 def substitute(e: Expr, name: str, replacement: Expr) -> Expr:
@@ -459,43 +475,41 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
             return float(env[e.name])
         except KeyError:
             raise DomainError(f"unbound variable '{e.name}'", e) from None
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
-    if isinstance(e, Add):
-        return evaluate(e.left, env) + evaluate(e.right, env)
-    if isinstance(e, Sub):
-        return evaluate(e.left, env) - evaluate(e.right, env)
-    if isinstance(e, Mul):
-        return evaluate(e.left, env) * evaluate(e.right, env)
-    if isinstance(e, Div):
-        denom = evaluate(e.right, env)
-        if denom == 0.0:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return _checked(e, evaluate(e.left, env), evaluate(e.right, env))
+    return _checked(e, evaluate(e.base if isinstance(e, Pow) else e.arg, env))
+
+
+_ARITH = {Neg: operator.neg, Add: operator.add, Sub: operator.sub, Mul: operator.mul,
+          Div: operator.truediv}
+
+
+def _checked(e: Expr, *args: float) -> float:
+    """The value of the operation at the root of ``e`` on operand values
+    ``args``: the one order-0 semantics of evaluate, the jets and the folds.
+
+    A domain fault, a division by zero, an overflow or any other result that
+    is not finite raises DomainError naming ``e``.
+    """
+    t = type(e)
+    try:
+        if t is Func:
+            f = CATALOG[e.name]
+            if f.domain is not None and not f.domain[0](args[0]):
+                raise DomainError(f.domain[1], e)
+            v = f.value(args[0])
+        elif t is Pow:
+            if args[0] == 0.0 and e.exponent < 0:
+                raise DomainError("zero raised to a negative power", e)
+            v = args[0] ** e.exponent
+        elif t is Div and args[1] == 0.0:
             raise DomainError("division by zero", e)
-        return evaluate(e.left, env) / denom
-    if isinstance(e, Pow):
-        base = evaluate(e.base, env)
-        if base == 0.0 and e.exponent < 0:
-            raise DomainError("zero raised to a negative power", e)
-        try:
-            v = base ** e.exponent
-        except OverflowError:
-            raise DomainError("overflow", e) from None
-        return _check_finite(v, e)
-    if isinstance(e, Func):
-        x = evaluate(e.arg, env)
-        if e.name == "ln" and x <= 0.0:
-            raise DomainError("ln of a non-positive value", e)
-        if e.name == "sqrt" and x < 0.0:
-            raise DomainError("sqrt of a negative value", e)
-        try:
-            v = _MATH_FUNCS[e.name](x)
-        except (ValueError, OverflowError):
-            raise DomainError("out-of-domain argument", e) from None
-        return _check_finite(v, e)
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-def _check_finite(v: float, e: Expr) -> float:
+        else:
+            v = _ARITH[t](*args)
+    except OverflowError:
+        raise DomainError("overflow", e) from None
+    except ValueError:
+        raise DomainError("out-of-domain argument", e) from None
     if not math.isfinite(v):
         raise DomainError("non-finite result", e)
     return v
@@ -526,25 +540,7 @@ def diff(e: Expr, var: str) -> Expr:
         inner = diff(e.base, var)
         return mul(mul(const(e.exponent), power(e.base, e.exponent - 1)), inner)
     if isinstance(e, Func):
-        inner = diff(e.arg, var)
-        u = e.arg
-        if e.name == "sin":
-            outer = func("cos", u)
-        elif e.name == "cos":
-            outer = neg(func("sin", u))
-        elif e.name == "tan":
-            outer = div(_ONE, power(func("cos", u), 2))
-        elif e.name == "exp":
-            outer = func("exp", u)
-        elif e.name == "ln":
-            outer = div(_ONE, u)
-        elif e.name == "tanh":
-            outer = sub(_ONE, power(func("tanh", u), 2))
-        elif e.name == "sqrt":
-            outer = div(_ONE, mul(const(2.0), func("sqrt", u)))
-        else:
-            raise TypeError(f"unknown function {e.name!r}")
-        return mul(outer, inner)
+        return mul(CATALOG[e.name].derivative(e.arg), diff(e.arg, var))
     raise TypeError(f"not an Expr: {e!r}")
 
 
@@ -553,8 +549,8 @@ def diff(e: Expr, var: str) -> Expr:
 # before parents; step(k) appends the order-k Taylor coefficient of every
 # node, so a jet grows one order at a time in O(K^2) flops overall (Griewank
 # & Walther, "Evaluating Derivatives", 2nd ed., ch. 13).  Order-0
-# coefficients are computed with exactly the checks and float operations of
-# evaluate(); an integer power is a chain of product nodes (see _power).
+# coefficients come from _checked, as in evaluate(); an integer power is a
+# chain of product nodes (see _power).
 # With tangent seeds, every node also carries the series of its derivative
 # along the seed directions (forward mode over the series).
 
@@ -586,20 +582,23 @@ def _square_inner(c: list, k: int) -> float:
 class _Node:
     __slots__ = ("rule", "e", "c", "a", "b", "w", "t")
 
-    def __init__(self, op: str, e: Expr, c0: float, a=None, b=None):
-        self.rule = _RULES[op]
+    def __init__(self, rule: tuple, e: Expr, c0: float, a=None, b=None):
+        self.rule = rule  # (value rule, tangent rule)
         self.e = e
         self.c = [c0]   # Taylor coefficients
         self.a = a      # operand nodes
         self.b = b
-        self.w = None   # companion series (cos for sin, 1 +- c^2 for tan/tanh)
+        self.w = None   # companion series: the derivative of f in f(a)
         self.t = None   # tangent coefficients
 
 
 # Value rules: coefficient k >= 1 of a node from the first k+1 coefficients
-# of its operands and the first k of its own series.
+# of its operands and the first k of its own series.  Tangent rules: tangent
+# coefficient k >= 0, after every value of order k is known.  A function
+# node's tangent is its derivative series convolved with the operand's
+# tangent; ln, sqrt and / solve the same product for it.
 
-def _v_const(nd, k):
+def _zero(nd, k):
     return 0.0
 
 
@@ -624,61 +623,6 @@ def _v_div(nd, k):
     return (nd.a.c[k] - _conv(b, nd.c, 1, k)) / b[0]
 
 
-def _v_exp(nd, k):
-    return _wconv(nd.a.c, nd.c, k)
-
-
-def _v_ln(nd, k):
-    a, c = nd.a.c, nd.c
-    s = 0.0
-    for j in range(1, k):
-        s += j * c[j] * a[k - j]
-    return (a[k] - s / k) / a[0]
-
-
-def _v_sin(nd, k):
-    a = nd.a.c
-    v = _wconv(a, nd.w, k)
-    nd.w.append(-_wconv(a, nd.c, k))
-    return v
-
-
-def _v_cos(nd, k):
-    a = nd.a.c
-    v = -_wconv(a, nd.w, k)
-    nd.w.append(_wconv(a, nd.c, k))
-    return v
-
-
-def _v_tan(nd, k):
-    c = nd.c
-    v = _wconv(nd.a.c, nd.w, k)
-    nd.w.append(2.0 * c[0] * v + _square_inner(c, k))
-    return v
-
-
-def _v_tanh(nd, k):
-    c = nd.c
-    v = _wconv(nd.a.c, nd.w, k)
-    nd.w.append(-(2.0 * c[0] * v + _square_inner(c, k)))
-    return v
-
-
-def _v_sqrt(nd, k):
-    c = nd.c
-    if c[0] == 0.0:
-        raise DomainError("derivative of sqrt at 0", nd.e)
-    return (nd.a.c[k] - _square_inner(c, k)) / (2.0 * c[0])
-
-
-# Tangent rules: tangent coefficient k >= 0, after every value of order k is
-# known.  A function node's tangent is its derivative series convolved with
-# the operand's tangent; ln, sqrt and / solve the same product for it.
-
-def _t_const(nd, k):
-    return 0.0
-
-
 def _t_neg(nd, k):
     return -nd.a.t[k]
 
@@ -700,8 +644,35 @@ def _t_div(nd, k):
     return (nd.a.t[k] - _conv(nd.c, nd.b.t, 0, k) - _conv(b, nd.t, 1, k)) / b[0]
 
 
+_RULES = {
+    Const: (_zero, _zero),
+    Var: (None, None),  # inputs: their coefficients are supplied from outside
+    Neg: (_v_neg, _t_neg),
+    Add: (_v_add, _t_add),
+    Sub: (_v_sub, _t_sub),
+    Mul: (_v_mul, _t_mul),
+    Div: (_v_div, _t_div),
+}
+
+
+# ---------------------------------------------------------------------------
+# The function catalog.  The series rules of each function come first, then
+# one CATALOG entry per function.
+
+def _v_exp(nd, k):
+    return _wconv(nd.a.c, nd.c, k)
+
+
 def _t_exp(nd, k):
     return _conv(nd.c, nd.a.t, 0, k)
+
+
+def _v_ln(nd, k):
+    a, c = nd.a.c, nd.c
+    s = 0.0
+    for j in range(1, k):
+        s += j * c[j] * a[k - j]
+    return (a[k] - s / k) / a[0]
 
 
 def _t_ln(nd, k):
@@ -709,13 +680,38 @@ def _t_ln(nd, k):
     return (nd.a.t[k] - _conv(a, nd.t, 1, k)) / a[0]
 
 
+def _v_sincos(nd, k):
+    # c' = a' w and w' = -a' c: sin with w = cos, cos with w = -sin
+    a = nd.a.c
+    v = _wconv(a, nd.w, k)
+    nd.w.append(-_wconv(a, nd.c, k))
+    return v
+
+
+def _v_tan(nd, k):
+    c = nd.c
+    v = _wconv(nd.a.c, nd.w, k)
+    nd.w.append(2.0 * c[0] * v + _square_inner(c, k))
+    return v
+
+
+def _v_tanh(nd, k):
+    c = nd.c
+    v = _wconv(nd.a.c, nd.w, k)
+    nd.w.append(-(2.0 * c[0] * v + _square_inner(c, k)))
+    return v
+
+
 def _t_companion(nd, k):
-    # sin, tan, tanh: the derivative series is the companion w
+    # sin, cos, tan, tanh: the derivative series is the companion w
     return _conv(nd.w, nd.a.t, 0, k)
 
 
-def _t_cos(nd, k):
-    return -_conv(nd.w, nd.a.t, 0, k)
+def _v_sqrt(nd, k):
+    c = nd.c
+    if c[0] == 0.0:
+        raise DomainError("derivative of sqrt at 0", nd.e)
+    return (nd.a.c[k] - _square_inner(c, k)) / (2.0 * c[0])
 
 
 def _t_sqrt(nd, k):
@@ -725,22 +721,59 @@ def _t_sqrt(nd, k):
     return (nd.a.t[k] - 2.0 * _conv(c, nd.t, 1, k)) / (2.0 * c[0])
 
 
-_RULES = {
-    "const": (_v_const, _t_const),
-    "var": (None, None),  # inputs: their coefficients are supplied from outside
-    "neg": (_v_neg, _t_neg),
-    "add": (_v_add, _t_add),
-    "sub": (_v_sub, _t_sub),
-    "mul": (_v_mul, _t_mul),
-    "div": (_v_div, _t_div),
-    "exp": (_v_exp, _t_exp),
-    "ln": (_v_ln, _t_ln),
-    "sin": (_v_sin, _t_companion),
-    "cos": (_v_cos, _t_cos),
-    "tan": (_v_tan, _t_companion),
-    "tanh": (_v_tanh, _t_companion),
-    "sqrt": (_v_sqrt, _t_sqrt),
+@dataclass(frozen=True)
+class CatalogEntry:
+    """Everything the package knows about one catalog function f.
+
+    - ``source``: the name of f in ``math`` and in numpy; ``value`` is the
+      ``math`` one.
+    - ``derivative(u)``: f'(u) as a tree.
+    - ``series``, ``tangent``: the value and tangent rules of a node f(a).
+    - ``companion(x, f(x))``: order 0 of the series w that the rules keep
+      beside f(a), or None when they keep none.
+    - ``domain``: None for all reals, else (test of an argument, the
+      DomainError message for an argument that fails it).
+    - ``period``: 2*pi/n for a periodic f, else None.
+    - ``tail``: for a periodic f, the bounds on f(u) where u has no limit
+      ((-1, 1) for sin, unbounded for tan); None for an increasing f.
+    """
+
+    source: str
+    derivative: Callable[[Expr], Expr]
+    series: Callable
+    tangent: Callable
+    companion: Callable[[float, float], float] | None = None
+    domain: tuple[Callable[[float], bool], str] | None = None
+    period: float | None = None
+    tail: tuple[float, float] | None = None
+    value: Callable[[float], float] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "value", getattr(math, self.source))
+
+
+CATALOG = {
+    "sin": CatalogEntry("sin", lambda u: func("cos", u), _v_sincos, _t_companion,
+                        companion=lambda x, v: math.cos(x), period=2.0 * math.pi,
+                        tail=(-1.0, 1.0)),
+    "cos": CatalogEntry("cos", lambda u: neg(func("sin", u)), _v_sincos, _t_companion,
+                        companion=lambda x, v: -math.sin(x), period=2.0 * math.pi,
+                        tail=(-1.0, 1.0)),
+    "tan": CatalogEntry("tan", lambda u: div(_ONE, power(func("cos", u), 2)), _v_tan,
+                        _t_companion, companion=lambda x, v: 1.0 + v * v, period=math.pi,
+                        tail=(-math.inf, math.inf)),
+    "exp": CatalogEntry("exp", lambda u: func("exp", u), _v_exp, _t_exp),
+    "ln": CatalogEntry("log", lambda u: div(_ONE, u), _v_ln, _t_ln,
+                       domain=(lambda x: x > 0.0, "ln of a non-positive value")),
+    "tanh": CatalogEntry("tanh", lambda u: sub(_ONE, power(func("tanh", u), 2)), _v_tanh,
+                         _t_companion, companion=lambda x, v: 1.0 - v * v),
+    "sqrt": CatalogEntry("sqrt", lambda u: div(_ONE, mul(const(2.0), func("sqrt", u))),
+                         _v_sqrt, _t_sqrt, domain=(lambda x: x >= 0.0, "sqrt of a negative value")),
 }
+
+
+# ---------------------------------------------------------------------------
+# The tape
 
 
 class _Tape:
@@ -775,7 +808,6 @@ class _Tape:
                 node.t.append(node.rule[1](node, k))
 
     def _build(self, e: Expr) -> _Node:
-        # mirrors evaluate(): same operand order, checks and messages
         if isinstance(e, Var):
             node = self.inputs.get(e.name)
             if node is None:
@@ -783,60 +815,25 @@ class _Tape:
                     x = float(self.env[e.name])
                 except KeyError:
                     raise DomainError(f"unbound variable '{e.name}'", e) from None
-                node = self.inputs[e.name] = _Node("var", e, x)
+                node = self.inputs[e.name] = _Node(_RULES[Var], e, x)
             return node
         if isinstance(e, Const):
-            node = _Node("const", e, e.value)
-        elif isinstance(e, Neg):
-            a = self._build(e.arg)
-            node = _Node("neg", e, -a.c[0], a)
-        elif isinstance(e, Add):
+            node = _Node(_RULES[Const], e, e.value)
+        elif isinstance(e, (Add, Sub, Mul, Div)):
             a, b = self._build(e.left), self._build(e.right)
-            node = _Node("add", e, a.c[0] + b.c[0], a, b)
-        elif isinstance(e, Sub):
-            a, b = self._build(e.left), self._build(e.right)
-            node = _Node("sub", e, a.c[0] - b.c[0], a, b)
-        elif isinstance(e, Mul):
-            a, b = self._build(e.left), self._build(e.right)
-            node = _Node("mul", e, a.c[0] * b.c[0], a, b)
-        elif isinstance(e, Div):
-            b = self._build(e.right)
-            if b.c[0] == 0.0:
-                raise DomainError("division by zero", e)
-            a = self._build(e.left)
-            node = _Node("div", e, a.c[0] / b.c[0], a, b)
+            node = _Node(_RULES[type(e)], e, _checked(e, a.c[0], b.c[0]), a, b)
         elif isinstance(e, Pow):
             a = self._build(e.base)
-            base = a.c[0]
-            if base == 0.0 and e.exponent < 0:
-                raise DomainError("zero raised to a negative power", e)
-            try:
-                v = base ** e.exponent
-            except OverflowError:
-                raise DomainError("overflow", e) from None
-            return self._power(a, e, _check_finite(v, e))
-        elif isinstance(e, Func):
+            return self._power(a, e, _checked(e, a.c[0]))
+        elif isinstance(e, Neg):
             a = self._build(e.arg)
-            x = a.c[0]
-            if e.name == "ln" and x <= 0.0:
-                raise DomainError("ln of a non-positive value", e)
-            if e.name == "sqrt" and x < 0.0:
-                raise DomainError("sqrt of a negative value", e)
-            try:
-                v = _MATH_FUNCS[e.name](x)
-            except (ValueError, OverflowError):
-                raise DomainError("out-of-domain argument", e) from None
-            node = _Node(e.name, e, _check_finite(v, e), a)
-            if e.name == "sin":
-                node.w = [math.cos(x)]
-            elif e.name == "cos":
-                node.w = [math.sin(x)]
-            elif e.name == "tan":
-                node.w = [1.0 + v * v]
-            elif e.name == "tanh":
-                node.w = [1.0 - v * v]
+            node = _Node(_RULES[Neg], e, _checked(e, a.c[0]), a)
         else:
-            raise TypeError(f"not an Expr: {e!r}")
+            a = self._build(e.arg)
+            v, f = _checked(e, a.c[0]), CATALOG[e.name]
+            node = _Node((f.series, f.tangent), e, v, a)
+            if f.companion is not None:
+                node.w = [f.companion(a.c[0], v)]
         self.nodes.append(node)
         return node
 
@@ -849,7 +846,7 @@ class _Tape:
         """
         n, nodes = e.exponent, self.nodes
         if n == 0:
-            nodes.append(_Node("const", e, v))
+            nodes.append(_Node(_RULES[Const], e, v))
             return nodes[-1]
         square, acc, m = a, None, abs(n)
         while m:
@@ -857,15 +854,15 @@ class _Tape:
                 if acc is None:
                     acc = square
                 else:
-                    acc = _Node("mul", e, acc.c[0] * square.c[0], acc, square)
+                    acc = _Node(_RULES[Mul], e, acc.c[0] * square.c[0], acc, square)
                     nodes.append(acc)
             m >>= 1
             if m:
-                square = _Node("mul", e, square.c[0] * square.c[0], square, square)
+                square = _Node(_RULES[Mul], e, square.c[0] * square.c[0], square, square)
                 nodes.append(square)
         if n < 0:
-            one = _Node("const", _ONE, 1.0)
-            acc = _Node("div", e, v, one, acc)
+            one = _Node(_RULES[Const], _ONE, 1.0)
+            acc = _Node(_RULES[Div], e, v, one, acc)
             nodes += (one, acc)
         elif acc is not a:
             acc.c[0] = v
@@ -969,13 +966,11 @@ def python_source(e: Expr, names: dict[str, str] | None = None) -> str:
     if isinstance(e, Pow):
         return f"({python_source(e.base, names)} ** {e.exponent})"
     if isinstance(e, Func):
-        return f"_m.{_PY_FUNC[e.name]}({python_source(e.arg, names)})"
+        return f"_m.{CATALOG[e.name].source}({python_source(e.arg, names)})"
     raise TypeError(f"not an Expr: {e!r}")
 
 
 _PY_OP = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
-_PY_FUNC = {"sin": "sin", "cos": "cos", "tan": "tan", "exp": "exp",
-            "ln": "log", "tanh": "tanh", "sqrt": "sqrt"}
 
 
 def compile_vector(exprs, var_names, backend=math) -> "callable":

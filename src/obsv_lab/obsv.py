@@ -275,31 +275,24 @@ def _numeric_period(gamma, fn_np, xs, vals, scale, probes, per_tol, k_check):
 # ---------------------------------------------------------------------------
 # Periodicity from the expression tree.  See detect_period for the rules.
 
-_TRIG = {"sin": math.sin, "cos": math.cos, "tan": math.tan}
-_MONOTONE = {"exp": math.exp, "ln": math.log, "sqrt": math.sqrt, "tanh": math.tanh}
 _UNKNOWN = (-math.inf, math.inf)
 Q_MAX = 64  # largest denominator of a frequency ratio, and largest divisor of the lcm period
 _PRIMES = [p for p in range(2, Q_MAX + 1) if all(p % d for d in range(2, p))]
-
-
-def _children(e: Expr) -> tuple:
-    if isinstance(e, (ex.Const, ex.Var)):
-        return ()
-    if isinstance(e, (ex.Neg, ex.Func)):
-        return (e.arg,)
-    if isinstance(e, ex.Pow):
-        return (e.base,)
-    return (e.left, e.right)
 
 
 def _has_x(e: Expr) -> bool:
     return GAMMA_VAR in ex.free_vars(e)
 
 
+def _period(e: Expr) -> float | None:
+    """The period of the catalog function at the root of ``e``, if any."""
+    return ex.CATALOG[e.name].period if isinstance(e, ex.Func) else None
+
+
 def _has_trig_of_x(e: Expr) -> bool:
-    if isinstance(e, ex.Func) and e.name in _TRIG and _has_x(e.arg):
+    if _period(e) is not None and _has_x(e.arg):
         return True
-    return any(_has_trig_of_x(c) for c in _children(e))
+    return any(_has_trig_of_x(c) for c in ex.children(e))
 
 
 def _mul_bounds(a, b):
@@ -357,15 +350,15 @@ def _tail_bounds(e: Expr, end: float) -> tuple[float, float]:
         r = (0.0, max(a, b)) if n % 2 == 0 and lo < 0.0 < hi else (min(a, b), max(a, b))
         return _recip_bounds(r) if e.exponent < 0 else r
     lo, hi = _tail_bounds(e.arg, end)
-    if e.name in _TRIG:
-        if lo == hi and math.isfinite(lo):
-            v = _TRIG[e.name](lo)
-            return v, v
-        return (-1.0, 1.0) if e.name != "tan" else _UNKNOWN
-    if (e.name == "ln" and lo <= 0.0) or (e.name == "sqrt" and lo < 0.0):
+    f = ex.CATALOG[e.name]
+    if f.domain is not None and not f.domain[0](lo):
         return _UNKNOWN  # possibly outside the domain
-    f = _MONOTONE[e.name]
-    return _monotone_bound(f, lo), _monotone_bound(f, hi)
+    if f.tail is None:  # increasing
+        return _monotone_bound(f.value, lo), _monotone_bound(f.value, hi)
+    if lo == hi and math.isfinite(lo):
+        v = f.value(lo)
+        return v, v
+    return f.tail
 
 
 def _slope(e: Expr) -> float | None:
@@ -394,42 +387,47 @@ def _slope(e: Expr) -> float | None:
 
 
 def _trig_terms(e: Expr, terms: list) -> bool:
-    """Append (name, a) for every sin/cos/tan of an affine argument a*x + c;
-    False when x also occurs anywhere else."""
-    if isinstance(e, ex.Func) and e.name in _TRIG:
+    """Append (period, a) for every periodic catalog function of an affine
+    argument a*x + c; False when x also occurs anywhere else."""
+    period = _period(e)
+    if period is not None:
         a = _slope(e.arg)
         if a is not None:
             if a != 0.0:
-                terms.append((e.name, a))
+                terms.append((period, a))
             return True
     if isinstance(e, ex.Var):
         return False
-    return all(_trig_terms(c, terms) for c in _children(e))
+    return all(_trig_terms(c, terms) for c in ex.children(e))
 
 
 def _small_ratio(r: float) -> tuple[int, int] | None:
-    """(p, q) with p/q == r exactly as floats and q <= Q_MAX, smallest q first."""
+    """(p, q) with p/q within 4 ulps of r and q <= Q_MAX, smallest q first.
+
+    Decimal slopes miss their ratio by an ulp or so (0.3/0.1 is
+    2.9999999999999996); the period found from p/q is validated anyway.
+    """
     for q in range(1, Q_MAX + 1):
         p = round(r * q)
-        if p > 0 and p / q == r:
+        if p > 0 and abs(p / q - r) <= 4.0 * math.ulp(r):
             return p, q
     return None
 
 
 def _lcm_period(gamma: Expr) -> float | None:
-    """The lcm of the term periods (2 pi/|a| for sin and cos, pi/|a| for
-    tan) when x occurs only in trig terms whose slopes are small rational
-    multiples of each other, else None."""
+    """The lcm of the term periods (period/|a| for f(a*x + c): 2 pi/|a| for
+    sin and cos, pi/|a| for tan) when x occurs only in periodic terms whose
+    slopes are small rational multiples of each other, else None."""
     terms: list = []
     if not _trig_terms(gamma, terms) or not terms:
         return None
     a0 = abs(terms[0][1])
     num, den = 1, 0  # lcm of numerators, gcd of denominators of T_i / (2 pi/a0)
-    for name, a in terms:
+    for period, a in terms:
         pq = _small_ratio(abs(a) / a0)
         if pq is None:
             return None
-        u, v = pq[1], pq[0] * (2 if name == "tan" else 1)
+        u, v = pq[1], pq[0] * round(2.0 * math.pi / period)
         g = math.gcd(u, v)
         u, v = u // g, v // g
         num, den = num * u // math.gcd(num, u), math.gcd(den, v)
@@ -508,8 +506,8 @@ def detect_period(
       limit L in [-inf, inf] (the easy fragment of Gruntz, PhD thesis, ETH
       Zurich 1996).  A period T would give f(x) = f(x + nT) -> L, so f == L.
     - ``periodic``: x occurs only in sin/cos/tan of affine arguments
-      a_i*x + c_i whose ratios a_i/a_0 equal p/q with q <= Q_MAX exactly
-      as floats.  The lcm P of 2 pi/|a_i| (pi/|a_i| for tan) is a period;
+      a_i*x + c_i whose ratios a_i/a_0 are within 4 ulps of p/q with
+      q <= Q_MAX.  The lcm P of 2 pi/|a_i| (pi/|a_i| for tan) is a period;
       the reported one is P/m for the largest valid m <= Q_MAX (see
       ``_least_period``), and it passes the jet check.
     - ``numeric``: otherwise, candidates from autocorrelation peaks and

@@ -250,15 +250,23 @@ def compile_rk4(sys) -> RK4Loop:
     return RK4Loop(system=ca, run=namespace["_rk4"])
 
 
+def _check_outputs(ca: ControlAffineSystem, x) -> None:
+    """Evaluate the outputs at the finite state ``x`` through the tree
+    walker, which raises DomainError at the culprit subexpression."""
+    env = dict(zip(ca.state_vars, x))
+    for h in ca.outputs:
+        ex.evaluate(h, env)
+
+
 def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     """Re-run step ``k`` from state ``x`` stage by stage, raising the
     failure of the generated loop with its location: ``BlowUpError`` at the
-    stage time and state for an overflow, ``DomainError`` at the culprit
-    subexpression for a domain fault.  ``k = -1`` is the output at t = 0."""
+    stage time and state for an overflow in a stage, ``DomainError`` at the
+    culprit subexpression for a domain fault or a failing output.  ``k = -1``
+    is the output at t = 0."""
     names = ca.state_vars
     drift_fn = ex.compile_vector(ca.drift, names)
     input_fn = ex.compile_vector(ca.input_fields[0], names)
-    out_fn = ex.compile_vector(ca.outputs, names)
 
     def guarded(fn, exprs, state, t):
         try:
@@ -281,7 +289,7 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
         return [xi + step * ki for xi, ki in zip(x, kv)]
 
     if k < 0:
-        guarded(out_fn, ca.outputs, x, 0.0)
+        _check_outputs(ca, x)
         return
     t = k * dt
     k1 = field(x, t)
@@ -290,7 +298,7 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     k4 = field(shifted(dt, k3), t + dt)
     x = [xi + (dt / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
          for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
-    guarded(out_fn, ca.outputs, x, t + dt)
+    _check_outputs(ca, x)
 
 
 def integrate(
@@ -306,8 +314,8 @@ def integrate(
     ``compile_rk4`` when many states are integrated on one system.  Samples
     land on t = k*dt; a non-finite state or an overflowing stage evaluation
     aborts with ``BlowUpError``, and genuine domain violations (log of a
-    negative x, division by zero) surface as ``DomainError`` with the
-    offending subexpression.
+    negative x, division by zero) and outputs that are not finite surface
+    as ``DomainError`` with the offending subexpression.
     """
     loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys)
     ca = loop.system
@@ -330,11 +338,18 @@ def integrate(
         done = len(states) // ca.dim  # samples stored before the failing step
         _replay_step(ca, u, dt, tuple(states[-ca.dim:]) if done else x, done - 1)
         raise
+    states = np.frombuffer(states).reshape(steps + 1, ca.dim)
+    outputs = np.frombuffer(outputs).reshape(steps + 1, ca.p)
+    finite = np.isfinite(outputs).all(axis=1)
+    if not finite.all():
+        # a float product overflows to inf without raising, so the loop
+        # stored it; the evaluator names the culprit at its first sample
+        _check_outputs(ca, states[finite.argmin()].tolist())
     return Trajectory(
         t0=0.0,
         dt=dt,
-        states=np.frombuffer(states).reshape(steps + 1, ca.dim),
-        outputs=np.frombuffer(outputs).reshape(steps + 1, ca.p),
+        states=states,
+        outputs=outputs,
         state_names=tuple(ca.state_vars),
         output_names=tuple(f"y{i}" for i in range(1, ca.p + 1)),
     )

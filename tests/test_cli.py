@@ -75,6 +75,8 @@ def test_validate_malformed_expression(tmp_path, capsys):
     (HUGE_F_FILE, 4, ("validate",)),
     (HUGE_F_FILE, 4, ("simulate", "--state", "0,1", "--t-end", "0.1")),
     (HUGE_GAMMA_FILE, 3, ("separate", "--state", "0,1", "--state2", "0,2")),
+    *((GOOD_FILE.replace("exp(-x^2)", f"x + {c}"), 3, ("validate",))
+      for c in ("exp(1000)", "ln(0)", "1e300*1e300", "1/0")),
 ])
 def test_non_finite_literal_is_a_usage_error(tmp_path, capsys, text, line, argv):
     path = tmp_path / "sys.txt"
@@ -148,13 +150,29 @@ def test_observable_aperiodic(capsys):
 @pytest.mark.parametrize("gain, code, err", [
     ("1/(x + 20)", 4, "numeric failure: division by zero in 1/(x + 20)\n"),
     ("1/(x + 2.5)", 0, ""),
-    ("x + 1/0", 4, "numeric failure: division by zero in 1/0\n"),
+    ("x + 1/0", 2, "error: line 3: gamma[1]: at offset 4: expected a finite number, found '1/0'\n"),
 ], ids=["pole-on-grid", "pole-off-grid", "constant-pole"])
 def test_observable_gain_pole_on_the_sampling_grid(tmp_path, capsys, gain, code, err):
     path = tmp_path / "sys.txt"
     path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
     got, out, stderr = run(capsys, "observable", "--system", str(path))
     assert (got, stderr) == (code, err)
+
+
+@pytest.mark.parametrize("gain, message", [("x*x", "non-finite result"), ("x^2", "overflow")])
+@pytest.mark.parametrize("argv", [
+    ("rank", "--state", "1e200,1"),
+    ("separate", "--state", "1e200,1", "--state2", "3e200,1"),
+    ("simulate", "--state", "1e200,1", "--t-end", "0.01"),
+    ("distinguish", "--state", "1e200,1", "--state2", "3e200,1", "--t-end", "0.01"),
+], ids=["rank", "separate", "simulate", "distinguish"])
+def test_an_overflowing_gain_is_a_numeric_failure(tmp_path, capsys, gain, message, argv):
+    # x^2 raises OverflowError in floats while x*x quietly gives inf: both
+    # must stop with the subexpression, in the gain's x or the system's x1
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
+    culprit = gain if argv[0] == "separate" else gain.replace("x", "x1")
+    assert run(capsys, *argv, "--system", str(path)) == (4, "", f"numeric failure: {message} in {culprit}\n")
 
 
 def test_observable_reports_the_deciding_rule(capsys):
@@ -171,6 +189,7 @@ def test_observable_reports_the_deciding_rule(capsys):
     ("sin(x/10)", "20*pi", 20 * math.pi),
     ("cos(0.1*x) + 0.5", "20*pi", 20 * math.pi),
     ("tan(x/4)", "4*pi", 4 * math.pi),
+    ("sin(0.1*x) + sin(0.3*x)", "20*pi", 20 * math.pi),
 ])
 def test_observable_and_separate_agree_on_long_periods(tmp_path, capsys, gain, period, exact):
     path = tmp_path / "sys.txt"
@@ -426,7 +445,7 @@ def test_bad_state_string(capsys):
         capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0;1",
     )
     assert code == 2
-    for bad in ("2*q,0", "1/0,0", "0,"):
+    for bad in ("2*q,0", "1/0,0", "0,", "1e300*1e300,0"):
         code, out, err = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", bad)
         assert code == 2, bad
         assert "--state must be comma-separated" in err

@@ -113,11 +113,28 @@ def test_parse_rejects_an_overflowing_constant_power():
     assert (exc.value.offset, exc.value.expected, exc.value.found) == (4, "a finite number", "10^400")
     with pytest.raises(ParseError, match="a finite number"):
         parse("(10^200)^2*x", {"x"})
-    # powers that stay finite still fold, and 0^-1 is left for evaluation to report
+    # powers that stay finite still fold; 0^-1 fails its fold like 10^400
     assert parse("10^300", ()) == Const(1e300)
     assert parse("10^-400", ()) == Const(0.0)
+    with pytest.raises(ParseError) as exc:
+        parse("x + 0^-1", {"x"})
+    assert str(exc.value.__cause__) == "zero raised to a negative power in 0^-1"
     with pytest.raises(DomainError, match="zero raised to a negative power"):
-        evaluate(parse("x + 0^-1", {"x"}), {"x": 1.0})
+        evaluate(parse("x^-1", {"x"}), {"x": 0.0})
+
+
+@pytest.mark.parametrize("src, found, cause", [
+    ("x + 1/0", "1/0", "division by zero in 1/0"),
+    ("x + ln(0)", "ln(0)", "ln of a non-positive value in ln(0)"),
+    ("x + exp(1000)", "exp(1000)", "overflow in exp(1000)"),
+    ("x + 1e300*1e300", "1e300*1e300", "non-finite result in 1e+300*1e+300"),
+    ("2*(1e308 + 1e308) - x", "1e308 + 1e308", "non-finite result in 1e+308 + 1e+308"),
+])
+def test_parse_rejects_a_constant_that_fails_to_fold(src, found, cause):
+    with pytest.raises(ParseError) as exc:
+        parse(src, {"x"})
+    assert (exc.value.offset, exc.value.expected, exc.value.found) == (src.index(found), "a finite number", found)
+    assert str(exc.value.__cause__) == cause
 
 
 def test_parse_rejects_bad_variable_names():
@@ -224,6 +241,35 @@ CATALOG_SAMPLES = [
 ]
 
 
+def _func_names(e):
+    names = {e.name} if isinstance(e, Func) else set()
+    return names.union(*map(_func_names, ex.children(e)))
+
+
+def test_every_catalog_function_is_sampled_and_named_in_math_and_numpy():
+    # the sympy-jet, finite-difference and compiled-vs-tree tests walk the samples
+    sampled = set().union(*(_func_names(parse(src, {"x"})) for src, _ in CATALOG_SAMPLES))
+    assert sampled >= set(ex.CATALOG)
+    for name, f in ex.CATALOG.items():
+        assert callable(getattr(math, f.source)) and callable(getattr(np, f.source)), name
+
+
+@pytest.mark.parametrize("name", [n for n, f in ex.CATALOG.items() if f.domain is not None])
+def test_domain_faults_agree_across_evaluate_jet_and_parse(name):
+    inside, message = ex.CATALOG[name].domain
+    c = next(v for v in (-1.0, 0.0, 1.0) if not inside(v))
+    e = Func(name, Const(c))
+    with pytest.raises(DomainError) as by_evaluate:
+        evaluate(e, {})
+    with pytest.raises(DomainError) as by_jet:
+        jet(e, "x", 0.0, 0)
+    with pytest.raises(ParseError) as by_parse:
+        parse(f"x + {name}({c!r})", {"x"})
+    assert ex.func(name, Const(c)) == e  # the fold stays symbolic
+    assert str(by_evaluate.value) == f"{message} in {format_expr(e)}"
+    assert str(by_jet.value) == str(by_parse.value.__cause__) == str(by_evaluate.value)
+
+
 def test_diff_matches_finite_difference_across_catalog():
     rng = random.Random(7)
     for src, (lo, hi) in CATALOG_SAMPLES:
@@ -269,17 +315,32 @@ def random_expr(rng, vars_, depth):
         return ex.neg(a)
     if pick == 5:
         return ex.power(a, rng.choice([-2, 2, 3, 4]))
-    name = rng.choice(["sin", "cos", "tan", "exp", "ln", "tanh", "sqrt"])
+    name = rng.choice(list(ex.CATALOG))
     return ex.func(name, a)
+
+
+def _failed_fold(e):
+    """True when ``e`` holds a node whose operands are all constants: a fold
+    that failed, such as ln(-1.2)."""
+    args = ex.children(e)
+    return (bool(args) and all(isinstance(a, Const) for a in args)) or any(map(_failed_fold, args))
 
 
 def test_format_parse_round_trip_random_trees():
     rng = random.Random(20240811)
+    rejected = 0
     for _ in range(300):
         tree = random_expr(rng, ["x", "z1", "z2"], 4)
         text = format_expr(tree)
+        if _failed_fold(tree):
+            # a constant that fails, such as ln(-1.2), is an input error
+            with pytest.raises(ParseError, match="a finite number"):
+                parse(text, {"x", "z1", "z2"})
+            rejected += 1
+            continue
         back = parse(text, {"x", "z1", "z2"})
         assert back == tree, text
+    assert 0 < rejected < 30
 
 
 def test_format_parse_round_trip_sources():
@@ -412,5 +473,5 @@ def test_order_zero_jet_is_evaluate_bit_for_bit(seed, x0):
         assert str(exc.value) == str(err)
         return
     got = jet(tree, "x", x0, 0)[0]
-    assert got == want or (math.isnan(got) and math.isnan(want))
+    assert got == want
     assert math.copysign(1.0, got) == math.copysign(1.0, want)

@@ -193,6 +193,9 @@ def test_pole_on_a_grid_point_is_a_domain_error():
         assert _validated_shift(gamma, 1.0, (-20.0, 20.0), 4096, PER_TOL_DEFAULT, 6, 0) == (
             False, math.inf)
     assert detect_period(ex.parse("1/(x + 2.5)", {"x"})).classification == CLASS_APERIODIC
+    # parse rejects a constant that fails; a tree built in code keeps it symbolic
+    with pytest.raises(ex.DomainError, match=r"^division by zero in 1/0$"):
+        detect_period(ex.add(ex.Var("x"), ex.div(ex.const(1.0), ex.const(0.0))))
 
 
 # closed-form periods: each form in sin, cos, exp(sin) and 1/(2 + cos) of
@@ -325,6 +328,8 @@ def test_rule_decided_gains_never_reach_the_numeric_search(monkeypatch):
     ("exp(sin(0.5*x))*tan(x)", 4 * math.pi),
     ("sin(x)^2", 2 * math.pi),  # the lcm, not the least period
     ("sin(x) + sin(x/64)", 128 * math.pi),
+    ("sin(0.1*x) + sin(0.3*x)", 20 * math.pi),  # 0.3/0.1 is 3 less an ulp
+    ("sin(x/10) + sin(3*x/10)", 20 * math.pi),
     ("sin(x) + sin(x/65)", None),  # denominator above 64
     ("sin(x) + sin(sqrt(2)*x)", None),
     ("x*sin(x)", None),
@@ -375,6 +380,14 @@ def test_tail_limits_match_sympy():
                 assert float(limit) == pytest.approx(lo, rel=1e-12, abs=1e-15), (src, end)
                 claimed += 1
     assert claimed >= 16
+
+
+def test_tail_cases_cover_the_catalog():
+    def names(e):
+        own = {e.name} if isinstance(e, ex.Func) else set()
+        return own.union(*map(names, ex.children(e)))
+
+    assert set().union(*(names(ex.parse(src, {"x"})) for src in TAIL_CASES)) >= set(ex.CATALOG)
 
 
 @pytest.mark.parametrize("src", [
