@@ -183,14 +183,8 @@ def cmd_observable(cfg: RunConfig) -> Result:
         line = f"gain {idx}: {v.classification}"
         if v.period is not None:
             line += f", T={v.period:.6g}"
-        line += f" (rule: {rule}"
-        if "no_period_up_to" in v.evidence:
-            # a bounded search, not a proof: say where it looked
-            lo, hi = v.evidence["window"]
-            entry["window"] = [lo, hi]
-            line += f", no period up to {v.evidence['no_period_up_to']:g} found on [{lo:g}, {hi:g}]"
         gammas.append(entry)
-        lines.append(line + ")")
+        lines.append(line + f" (rule: {rule})")
     out = {"verdict": report.verdict, "gains": gammas}
     lines.insert(0, f"verdict: {report.verdict}")
     return Result(_exit_code(report.verdict, "observable", "not-observable"), out, lines)

@@ -11,8 +11,8 @@ power runs on the series rules of the product and the quotient (see ``Jet``).
 Every order-0 value comes from ``_checked``, shared by ``evaluate``, the
 jets and the constant folds: a result that leaves the reals or is not finite
 raises ``DomainError`` at its node.  Non-smooth builtins (abs, floor, ...),
-non-finite literals and constants that fail to fold, such as ``1/0`` or
-``10^400``, are rejected at parse time.
+non-finite literals, constants that fail to fold, such as ``1/0`` or
+``10^400``, and trees deeper than ``MAX_DEPTH`` are rejected at parse time.
 
 Expressions are immutable and the functions here are pure; ``Jet`` objects
 hold series that grow as higher orders are asked for.
@@ -27,6 +27,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 K_MAX_DEFAULT = 12  # default bound on the derivative order a search may reach
+# The tree walkers recurse, one Python frame per level, and Python refuses
+# source nested in more than 200 parentheses, so parse bounds both.
+MAX_DEPTH = 300    # nodes on the longest path from the root to a leaf
+MAX_NESTING = 100  # parentheses and function calls open at once
 
 _REJECTED_FUNCS = {"abs", "floor", "ceil", "sign", "min", "max"}
 _CONSTANTS = {"pi": math.pi, "e": math.e}
@@ -249,6 +253,7 @@ class _Parser:
         self.tokens = _tokenize(source)
         self.pos = 0
         self.allowed_vars = allowed_vars
+        self.nesting = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -346,21 +351,26 @@ class _Parser:
             if text in _CONSTANTS:
                 return Const(_CONSTANTS[text])
             if text in CATALOG:
-                self.expect_op("(")
-                arg = self.expr()
-                self.expect_op(")")
-                return self.folded(func(text, arg), offset)
+                return self.folded(func(text, self.group()), offset)
             if text in _REJECTED_FUNCS:
                 raise ParseError(offset, "a smooth function from the catalog", text)
             if text in self.allowed_vars:
                 return Var(text)
             raise ParseError(offset, "a known variable or function", text)
         if kind == "op" and text == "(":
-            self.take()
-            e = self.expr()
-            self.expect_op(")")
-            return e
+            return self.group()
         self.error("a number, variable, or '('")
+
+    def group(self) -> Expr:
+        """'(' expr ')'."""
+        offset = self.expect_op("(")[2]
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(offset, f"at most {MAX_NESTING} nested parentheses", "(")
+        e = self.expr()
+        self.expect_op(")")
+        self.nesting -= 1
+        return e
 
 
 def parse(source: str, allowed_vars=()) -> Expr:
@@ -371,7 +381,21 @@ def parse(source: str, allowed_vars=()) -> Expr:
             raise ValueError(f"invalid variable name {name!r}")
         if name in CATALOG or name in _CONSTANTS or name in _REJECTED_FUNCS:
             raise ValueError(f"variable name {name!r} collides with a reserved symbol")
-    return _Parser(source, allowed).parse()
+    e = _Parser(source, allowed).parse()
+    depth = _depth(e)
+    if depth > MAX_DEPTH:
+        raise ParseError(0, f"an expression at most {MAX_DEPTH} operations deep", f"depth {depth}")
+    return e
+
+
+def _depth(e: Expr) -> int:
+    """Nodes on the longest path from ``e`` to a leaf, counted level by
+    level rather than by recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [c for node in level for c in children(node)]
+    return depth
 
 
 # ---------------------------------------------------------------------------
@@ -389,38 +413,41 @@ def _fmt_number(v: float) -> str:
     return repr(v)
 
 
-def _render(e: Expr) -> tuple[str, int]:
+def _render(e: Expr, py: dict[str, str] | None = None) -> tuple[str, int]:
+    """The text of ``e`` and its grammar level.  With ``py`` it is Python
+    source (``repr`` numbers, ``**``, ``_m.`` functions, variables renamed
+    by ``py``): Python's precedence and associativity for these operators
+    are the grammar's, so the parentheses are the same."""
     if isinstance(e, Const):
-        level = _LEVEL_ATOM if e.value >= 0 else _LEVEL_FACTOR
-        return _fmt_number(e.value), level
+        text = _fmt_number(e.value) if py is None else repr(e.value)
+        return text, _LEVEL_FACTOR if math.copysign(1.0, e.value) < 0.0 else _LEVEL_ATOM
     if isinstance(e, Var):
-        return e.name, _LEVEL_ATOM
+        return (e.name if py is None else py.get(e.name, e.name)), _LEVEL_ATOM
     if isinstance(e, Func):
-        inner, _ = _render(e.arg)
-        return f"{e.name}({inner})", _LEVEL_ATOM
+        name = e.name if py is None else f"_m.{CATALOG[e.name].source}"
+        return f"{name}({_render(e.arg, py)[0]})", _LEVEL_ATOM
     if isinstance(e, Pow):
-        base = _subrender(e.base, _LEVEL_ATOM)
-        return f"{base}^{e.exponent}", _LEVEL_POW
+        base = _paren(_render(e.base, py), _LEVEL_ATOM)
+        return f"{base}{'^' if py is None else '**'}{e.exponent}", _LEVEL_POW
     if isinstance(e, Neg):
-        return "-" + _subrender(e.arg, _LEVEL_POW), _LEVEL_FACTOR
+        return "-" + _paren(_render(e.arg, py), _LEVEL_POW), _LEVEL_FACTOR
     if isinstance(e, (Mul, Div)):
         op = "*" if isinstance(e, Mul) else "/"
-        left = _subrender(e.left, _LEVEL_TERM)
-        right = _subrender(e.right, _LEVEL_FACTOR)
+        left = _paren(_render(e.left, py), _LEVEL_TERM)
+        right = _paren(_render(e.right, py), _LEVEL_FACTOR)
         return f"{left}{op}{right}", _LEVEL_TERM
     if isinstance(e, (Add, Sub)):
         op = " + " if isinstance(e, Add) else " - "
-        left = _subrender(e.left, _LEVEL_EXPR)
-        right = _subrender(e.right, _LEVEL_TERM)
+        left = _paren(_render(e.left, py), _LEVEL_EXPR)
+        right = _paren(_render(e.right, py), _LEVEL_TERM)
         return f"{left}{op}{right}", _LEVEL_EXPR
     raise TypeError(f"not an Expr: {e!r}")
 
 
-def _subrender(e: Expr, min_level: int) -> str:
-    text, level = _render(e)
-    if level < min_level:
-        return f"({text})"
-    return text
+def _paren(rendered: tuple[str, int], min_level: int) -> str:
+    # called on what _render returned, so a walk takes one frame per level
+    text, level = rendered
+    return f"({text})" if level < min_level else text
 
 
 def format_expr(e: Expr) -> str:
@@ -953,24 +980,9 @@ def nth_derivative_at(e: Expr, var: str, k: int, x0: float, k_max: int = K_MAX_D
 
 
 def python_source(e: Expr, names: dict[str, str] | None = None) -> str:
-    """Python source computing ``e``; ``names`` renames variables in the output."""
-    if isinstance(e, Const):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return names.get(e.name, e.name) if names else e.name
-    if isinstance(e, Neg):
-        return f"(-{python_source(e.arg, names)})"
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        op = _PY_OP[type(e)]
-        return f"({python_source(e.left, names)} {op} {python_source(e.right, names)})"
-    if isinstance(e, Pow):
-        return f"({python_source(e.base, names)} ** {e.exponent})"
-    if isinstance(e, Func):
-        return f"_m.{CATALOG[e.name].source}({python_source(e.arg, names)})"
-    raise TypeError(f"not an Expr: {e!r}")
-
-
-_PY_OP = {Add: "+", Sub: "-", Mul: "*", Div: "/"}
+    """Python source computing ``e``, in one pair of parentheses; ``names``
+    renames variables in the output."""
+    return f"({_render(e, names or {})[0]})"
 
 
 def compile_vector(exprs, var_names, backend=math) -> "callable":

@@ -31,7 +31,7 @@ SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
 RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest count as zero
 WINDOW_DEFAULT = (-20.0, 20.0)
 GRID_DEFAULT = 4096
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio: golden-section step, probe stride
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio: probe stride
 
 CLASS_PERIODIC = "periodic"
 CLASS_APERIODIC = "aperiodic"
@@ -122,7 +122,7 @@ def word_lglflg(i: int, k: int) -> ObservableWord:
 
 
 # ---------------------------------------------------------------------------
-# Periodicity detection
+# Periodicity detection.  See detect_period for the rules.
 
 
 def _sample_gain(gamma: Expr, xs: np.ndarray):
@@ -156,31 +156,6 @@ def _shift_residuals(fn_np, xs: np.ndarray, base: np.ndarray, shifts, scale: flo
     return np.where(np.isfinite(d).all(axis=1), d.max(axis=1), np.inf) / scale
 
 
-def _shift_residual(fn_np, xs: np.ndarray, base: np.ndarray, T: float, scale: float) -> float:
-    return float(_shift_residuals(fn_np, xs, base, [T], scale)[0])
-
-
-def _golden_section(f, lo: float, hi: float, width: float = 1e-12) -> float:
-    """Shrink [lo, hi] around the minimum of a unimodal f to the given width.
-
-    The shift residual is V-shaped at a true period, so the section can keep
-    going to ~1e-12 (Kiefer, Proc. AMS 4, 1953).
-    """
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > width:
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    return float(0.5 * (lo + hi))
-
-
 def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_last: int, tol: float):
     """First order k <= k_last where the derivative jets at r and s differ, or None."""
     jr = ex.Jet((gamma,), (GAMMA_VAR,), (r,), k_max=k_last)
@@ -203,77 +178,6 @@ def _probe_points(seed: int, count: int, lo: float, hi: float) -> list[float]:
 def _derivative_jets_match(gamma: Expr, T: float, probes, k_check: int, tol: float) -> bool:
     return all(_first_jet_mismatch(gamma, r, r + T, k_check, tol) is None for r in probes)
 
-
-def _autocorr_candidates(vals: np.ndarray, dx: float, max_lag: int) -> list[float]:
-    v = vals - vals.mean()
-    n = len(v)
-    if not np.any(v):
-        return []
-    spec = np.fft.rfft(v, 2 * n)
-    corr = np.fft.irfft(spec * np.conj(spec))[:n].real
-    counts = np.arange(n, 0, -1, dtype=float)
-    corr = corr / counts
-    if corr[0] <= 0.0:
-        return []
-    r = corr / corr[0]
-    cands: list[tuple[float, float]] = []
-    for k in range(2, min(max_lag, n - 1)):
-        if r[k] > 0.2 and r[k] >= r[k - 1] and r[k] > r[k + 1]:
-            cands.append((r[k], k * dx))
-    cands.sort(reverse=True)
-    out = [T for _, T in cands[:4]]
-
-    power = np.abs(np.fft.rfft(v)) ** 2
-    bins = [
-        j
-        for j in range(1, len(power) - 1)
-        if power[j] > power[j - 1] and power[j] >= power[j + 1]
-    ]
-    bins.sort(key=lambda j: power[j], reverse=True)
-    for j in bins[:3]:
-        out.append(n * dx / j)
-    return out
-
-
-def _dedupe(cands: list[float]) -> list[float]:
-    kept: list[float] = []
-    for T in sorted(cands):
-        if T <= 0:
-            continue
-        if not kept or T > kept[-1] * 1.02:
-            kept.append(T)
-    return kept
-
-
-def _numeric_period(gamma, fn_np, xs, vals, scale, probes, per_tol, k_check):
-    """Bounded search: a validated period below the window length, or None,
-    with the candidates it refined."""
-    grid = len(xs)
-    sub = xs[:: max(1, grid // 512)]
-    sub_vals = vals[:: max(1, grid // 512)]
-    tried = []
-    for T0 in _dedupe(_autocorr_candidates(vals, xs[1] - xs[0], max_lag=grid // 2)):
-        coarse = _golden_section(
-            lambda T: _shift_residual(fn_np, sub, sub_vals, T, scale),
-            0.75 * T0,
-            1.25 * T0,
-            width=1e-6,
-        )
-        half = max(1e-5, 4.0 * math.sqrt(np.finfo(float).eps) * abs(coarse))
-        T = _golden_section(
-            lambda T: _shift_residual(fn_np, xs, vals, T, scale),
-            max(0.75 * T0, coarse - half),
-            min(1.25 * T0, coarse + half),
-        )
-        residual = _shift_residual(fn_np, xs, vals, T, scale)
-        tried.append({"period": T, "residual": residual, "seed_candidate": T0})
-        if residual <= per_tol and _derivative_jets_match(gamma, T, probes, k_check, per_tol):
-            return T, tried
-    return None, tried
-
-
-# ---------------------------------------------------------------------------
-# Periodicity from the expression tree.  See detect_period for the rules.
 
 _UNKNOWN = (-math.inf, math.inf)
 Q_MAX = 64  # largest denominator of a frequency ratio, and largest divisor of the lcm period
@@ -361,44 +265,47 @@ def _tail_bounds(e: Expr, end: float) -> tuple[float, float]:
     return f.tail
 
 
-def _slope(e: Expr) -> float | None:
-    """a when ``e`` is a*x + c, else None."""
-    if not _has_x(e):
-        return 0.0
-    if isinstance(e, ex.Var):
-        return 1.0
-    if isinstance(e, ex.Neg):
-        a = _slope(e.arg)
-        return None if a is None else -a
-    if isinstance(e, (ex.Add, ex.Sub)):
-        a, b = _slope(e.left), _slope(e.right)
-        if a is None or b is None:
-            return None
-        return a + b if isinstance(e, ex.Add) else a - b
-    if isinstance(e, ex.Mul):
-        for c, other in ((e.left, e.right), (e.right, e.left)):
-            if not _has_x(c):
-                a = _slope(other)
-                return None if a is None else ex.evaluate(c, {}) * a
-    if isinstance(e, ex.Div) and not _has_x(e.right):
-        a = _slope(e.left)
-        return None if a is None else a / ex.evaluate(e.right, {})
-    return None
+def _slope(e: Expr, r: float) -> float | None:
+    """a when ``e`` is a*x + c around ``r``, read from its Taylor series
+    there (the second coefficient vanishes to roundoff), else None."""
+    try:
+        jet = ex.Jet((e,), (GAMMA_VAR,), (r,), k_max=2)
+        a, curvature = jet.coefficient(0, 1), jet.coefficient(0, 2)
+    except ex.DomainError:
+        return None
+    return a if abs(curvature) <= 1e-12 * (1.0 + abs(a)) else None
 
 
-def _trig_terms(e: Expr, terms: list) -> bool:
-    """Append (period, a) for every periodic catalog function of an affine
-    argument a*x + c; False when x also occurs anywhere else."""
+def _trig_terms(e: Expr, r: float, terms: list) -> bool:
+    """Append (period, a) for every periodic catalog function of an
+    argument a*x + c near ``r``; False when x also occurs outside these
+    terms, or an argument is not affine by its tree (x + exp(-x^8) is x
+    to roundoff far from 0, but only a tree shows a*x + c on all of R).
+    """
     period = _period(e)
     if period is not None:
-        a = _slope(e.arg)
+        a = _slope(e.arg, r)
         if a is not None:
             if a != 0.0:
                 terms.append((period, a))
-            return True
+            return _affine(e.arg)
     if isinstance(e, ex.Var):
         return False
-    return all(_trig_terms(c, terms) for c in ex.children(e))
+    return all([_trig_terms(c, r, terms) for c in ex.children(e)])  # every child's terms
+
+
+def _affine(e: Expr) -> bool:
+    """Whether the tree of ``e`` is a*x + c: sums and negations of x and
+    x-free terms, times or over x-free factors."""
+    if isinstance(e, ex.Var) or not _has_x(e):
+        return True
+    if isinstance(e, ex.Neg):
+        return _affine(e.arg)
+    if isinstance(e, (ex.Add, ex.Sub)):
+        return _affine(e.left) and _affine(e.right)
+    if isinstance(e, ex.Mul):
+        return not _has_x(e.left) and _affine(e.right) or not _has_x(e.right) and _affine(e.left)
+    return isinstance(e, ex.Div) and not _has_x(e.right) and _affine(e.left)
 
 
 def _small_ratio(r: float) -> tuple[int, int] | None:
@@ -414,44 +321,54 @@ def _small_ratio(r: float) -> tuple[int, int] | None:
     return None
 
 
-def _lcm_period(gamma: Expr) -> float | None:
-    """The lcm of the term periods (period/|a| for f(a*x + c): 2 pi/|a| for
-    sin and cos, pi/|a| for tan) when x occurs only in periodic terms whose
-    slopes are small rational multiples of each other, else None."""
+def _lcm_period(gamma: Expr, r: float) -> tuple[list[float], bool]:
+    """Candidate periods from the trig terms of ``gamma`` (see _trig_terms),
+    and whether the one candidate is exact.
+
+    Terms whose slopes are small rational multiples of the first slope of
+    a class join that class; each class gives the lcm of its term periods
+    (period/|a| for f(a*x + c): 2 pi/|a| for sin and cos, pi/|a| for tan).
+    ``exact`` holds when there is one class, x occurs nowhere else and
+    every argument is affine by its tree: the lcm is then a period of the
+    gain on all of R.
+    """
     terms: list = []
-    if not _trig_terms(gamma, terms) or not terms:
-        return None
-    a0 = abs(terms[0][1])
-    num, den = 1, 0  # lcm of numerators, gcd of denominators of T_i / (2 pi/a0)
+    only_terms = _trig_terms(gamma, r, terms)
+    classes: list[list] = []  # [a0, lcm of numerators, gcd of denominators of T_i / (2 pi/a0)]
     for period, a in terms:
-        pq = _small_ratio(abs(a) / a0)
-        if pq is None:
-            return None
+        for cls in classes:
+            pq = _small_ratio(abs(a) / cls[0])
+            if pq is not None:
+                break
+        else:
+            cls, pq = [abs(a), 1, 0], (1, 1)
+            classes.append(cls)
         u, v = pq[1], pq[0] * round(2.0 * math.pi / period)
         g = math.gcd(u, v)
         u, v = u // g, v // g
-        num, den = num * u // math.gcd(num, u), math.gcd(den, v)
-    return 2.0 * math.pi / a0 * num / den
+        cls[1], cls[2] = cls[1] * u // math.gcd(cls[1], u), math.gcd(cls[2], v)
+    periods = [2.0 * math.pi / a0 * num / den for a0, num, den in classes]
+    return periods, only_terms and len(periods) == 1
 
 
-def _least_period(gamma, P, fn_np, xs, vals, scale, probes, per_tol, k_check):
+def _least_period(gamma, P, exact, fn_np, xs, vals, scale, probes, per_tol, k_check):
     """P/m for the largest m <= Q_MAX that validates, or None if P itself
-    fails the jet check, with the candidates tried.
+    fails, with the candidates tried.
 
     The valid m are the divisors of the true one, so primes are tried
     greedily, smallest first.  A candidate must pass the shift residual,
     first on the 512-point subgrid (all primes in one evaluation) and then
-    on the full grid, and the jet check.  Where the residual fails at P
-    itself (samples near the poles of tan), the jet check alone decides.
+    on the full grid, and the jet check.  Where the residual fails at an
+    ``exact`` P (samples near the poles of tan), the jet check alone decides.
     """
-    residual = _shift_residual(fn_np, xs, vals, P, scale)
+    residual = float(_shift_residuals(fn_np, xs, vals, [P], scale)[0])
     gated = residual <= per_tol
     tried = [{"period": P, "residual": residual}]
-    if not _derivative_jets_match(gamma, P, probes, k_check, per_tol):
+    if not (gated or exact) or not _derivative_jets_match(gamma, P, probes, k_check, per_tol):
         return None, tried
 
     def valid(T: float) -> bool:
-        r = _shift_residual(fn_np, xs, vals, T, scale) if gated else None
+        r = float(_shift_residuals(fn_np, xs, vals, [T], scale)[0]) if gated else None
         tried.append({"period": T, "residual": r})
         return (r is None or r <= per_tol) and _derivative_jets_match(
             gamma, T, probes, k_check, per_tol)
@@ -505,18 +422,23 @@ def detect_period(
     - ``limit``: interval evaluation of the tree at +inf or -inf finds a
       limit L in [-inf, inf] (the easy fragment of Gruntz, PhD thesis, ETH
       Zurich 1996).  A period T would give f(x) = f(x + nT) -> L, so f == L.
-    - ``periodic``: x occurs only in sin/cos/tan of affine arguments
-      a_i*x + c_i whose ratios a_i/a_0 are within 4 ulps of p/q with
-      q <= Q_MAX.  The lcm P of 2 pi/|a_i| (pi/|a_i| for tan) is a period;
-      the reported one is P/m for the largest valid m <= Q_MAX (see
-      ``_least_period``), and it passes the jet check.
-    - ``numeric``: otherwise, candidates from autocorrelation peaks and
-      spectrum bins are refined by golden sections on the shift residual
-      max|gamma(x+T) - gamma(x)| and accepted below ``per_tol`` (relative to
-      the scale) when the derivative jets up to order ``k_check`` agree at
-      probe points.  With no validated period the verdict is undetermined:
-      no period up to the window length was found, which proves nothing
-      about longer ones.
+    - ``periodic``: each sin/cos/tan whose argument is affine, a*x + c,
+      is a term (the argument's Taylor series at the first probe point has
+      no second coefficient, so ``(x + 1)^2 - x^2`` counts).  Terms whose
+      slopes are within 4 ulps of p/q times each other, q <= Q_MAX, form a
+      class, and each class's lcm P of 2 pi/|a| (pi/|a| for tan) is a
+      candidate.  The reported period is P/m for the largest valid
+      m <= Q_MAX (see ``_least_period``): its shift residual
+      max|gamma(x+T) - gamma(x)| stays below ``per_tol`` (relative to the
+      scale) on the grid, and the derivative jets up to order ``k_check``
+      agree at probe points.  With one class, x nowhere else and every
+      argument affine by its tree (see ``_trig_terms``), P is a period on
+      all of R, and where pole samples break the residual the jets alone
+      decide.  Otherwise the residual must pass too, on [lo, lo + P] for
+      P longer than the window: evidence on a finite stretch only.
+
+    A gain with no validated candidate is undetermined (rule ``none``),
+    with the candidates it tried.
 
     ``log-exp`` and ``limit`` verdicts carry a probe, two points whose jets
     differ up to order ``k_max``; without one they degrade to undetermined.
@@ -552,20 +474,22 @@ def detect_period(
         return PeriodicityVerdict(CLASS_APERIODIC, None, evidence)
 
     probes = _probe_points(seed, 3, lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
-    P = _lcm_period(gamma)
-    if P is not None:
-        T, tried = _least_period(gamma, P, fn_np, xs, vals, scale, probes, per_tol, k_check)
+    periods, exact = _lcm_period(gamma, probes[0])
+    tried: list = []
+    for P in periods:
+        xs_p, vals_p = xs, vals
+        if not exact and P > hi - lo:  # the residual sees one whole period and its shift
+            xs_p = np.linspace(lo, lo + P, grid)
+            with np.errstate(all="ignore"):
+                vals_p = np.broadcast_to(fn_np(xs_p)[0], xs_p.shape)
+        T, candidates = _least_period(gamma, P, exact, fn_np, xs_p, vals_p, scale, probes,
+                                      per_tol, k_check)
+        tried += candidates
         if T is not None:
             evidence.update(rule="periodic", lcm_period=P, candidates=tried,
                             derivative_orders_checked=k_check)
             return PeriodicityVerdict(CLASS_PERIODIC, T, evidence)
-
-    T, tried = _numeric_period(gamma, fn_np, xs, vals, scale, probes, per_tol, k_check)
-    evidence.update(rule="numeric", candidates=tried)
-    if T is not None:
-        evidence["derivative_orders_checked"] = k_check
-        return PeriodicityVerdict(CLASS_PERIODIC, T, evidence)
-    evidence["no_period_up_to"] = hi - lo
+    evidence.update(rule="none", candidates=tried)
     return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
 
 
@@ -599,22 +523,15 @@ def _sep_gap_ok(v0: float, v1: float, sep_tol: float) -> bool:
     return abs(v0 - v1) > sep_tol * (1.0 + max(abs(v0), abs(v1)))
 
 
-def _validated_shift(
-    gamma: Expr,
-    shift: float,
-    window: tuple[float, float],
-    grid: int,
-    per_tol: float,
-    k_check: int,
-    seed: int,
-) -> tuple[bool, float]:
+def _validated_shift(gamma: Expr, shift: float, window: tuple[float, float], grid: int,
+                     per_tol: float, k_check: int, seed: int) -> tuple[bool, float]:
     xs = np.linspace(window[0], window[1], grid)
     try:
         vals, fn_np = _sample_gain(gamma, xs)
     except ex.DomainError:
         return False, float("inf")
     scale = max(1.0, float(np.max(np.abs(vals))))
-    residual = _shift_residual(fn_np, xs, vals, shift, scale)
+    residual = float(_shift_residuals(fn_np, xs, vals, [shift], scale)[0])
     if residual > per_tol:
         return False, residual
     probes = _probe_points(seed, 3, window[0] / 2, window[1] / 2)
@@ -638,8 +555,9 @@ def find_separating_observable(
 
     The scan walks the alternating-word families in order of increasing
     derivative order k, preferring the shortest witness.  States that agree
-    in every velocity and differ only by validated periods of their gains
-    are reported as indistinguishable by the explicit shift construction.
+    in every velocity and gain value and differ only by validated periods of
+    their gains are reported as indistinguishable by the explicit shift
+    construction, before any scan.
     """
     n = sys.n
     s0 = tuple(float(v) for v in s0)
@@ -682,40 +600,32 @@ def find_separating_observable(
         return None
 
     blocks = range(1, n + 1)
-    if x0 == x1:
+    moved = [i for i in blocks if x0[i - 1] != x1[i - 1]]
+    if z0 == z1 and not any(_sep_gap_ok(*lglflg(i, 0), sep_tol) for i in moved):
+        # equal velocities and gain values: try the shift construction
+        # first, since a scan compares jets at x and at the rounded x + T,
+        # whose gap grows with the order and passes sep_tol near zero
+        shifts = {}
+        for i in moved:
+            delta = x1[i - 1] - x0[i - 1]
+            ok, residual = _validated_shift(sys.gamma[i - 1], delta, window, grid, per_tol,
+                                            k_check, seed)
+            shifts[f"block_{i}"] = {"shift": delta, "residual": residual}
+            if not ok:
+                break
+        else:
+            bounds["shifts"] = shifts
+            return SeparationCertificate(VERDICT_SHIFT, None, None, None, bounds)
+
+    if not moved:
         # positions agree: only the velocity-scaled family can split them,
         # and only on blocks whose velocities differ
         cert = first_witness(lflg, word_lflg, [i for i in blocks if z0[i - 1] != z1[i - 1]])
     else:
         # positions differ: compare gain jets through the velocity-free
         # family, then fall back to the velocity-scaled family on all blocks
-        cert = (first_witness(lglflg, word_lglflg, [i for i in blocks if x0[i - 1] != x1[i - 1]])
-                or first_witness(lflg, word_lflg, blocks))
-    if cert is not None:
-        return cert
-
-    # shift construction: equal velocities and every differing position
-    # offset by a validated period of its own gain
-    if z0 == z1:
-        shifts = {}
-        all_valid = True
-        for i in range(1, n + 1):
-            delta = x1[i - 1] - x0[i - 1]
-            if delta == 0.0:
-                continue
-            ok, residual = _validated_shift(
-                sys.gamma[i - 1], delta, window, grid, per_tol, k_check, seed
-            )
-            shifts[f"block_{i}"] = {"shift": delta, "residual": residual}
-            if not ok:
-                all_valid = False
-                break
-        if all_valid and shifts:
-            return SeparationCertificate(
-                VERDICT_SHIFT, None, None, None, {**bounds, "shifts": shifts}
-            )
-
-    return SeparationCertificate(VERDICT_UNRESOLVED, None, None, None, bounds)
+        cert = first_witness(lglflg, word_lglflg, moved) or first_witness(lflg, word_lflg, blocks)
+    return cert or SeparationCertificate(VERDICT_UNRESOLVED, None, None, None, bounds)
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,19 @@ def integrate(
 # output-comparison experiments
 
 
+def _output_gap(loop: RK4Loop, ta: Trajectory, tb: Trajectory) -> np.ndarray:
+    """|ya - yb| per sample and output.  Finite outputs of opposite signs
+    near the float limit overflow here; that raises DomainError naming the
+    output and its first such sample time."""
+    with np.errstate(over="ignore"):
+        gap = np.abs(ta.outputs - tb.outputs)
+    bad = np.flatnonzero(~np.isfinite(gap))
+    if bad.size:
+        k, j = divmod(int(bad[0]), gap.shape[1])
+        raise ex.DomainError(f"output gap overflows at t={k * ta.dt:.6g}", loop.system.outputs[j])
+    return gap
+
+
 @dataclass
 class ShiftGapResult:
     input: str
@@ -388,10 +401,9 @@ def indistinguishability_experiment(
     loop = compile_rk4(sys)
     results = []
     for sig in inputs:
-        ya = integrate(loop, base, sig, t_end, dt).outputs
-        yb = integrate(loop, shifted, sig, t_end, dt).outputs
-        gap = float(np.max(np.abs(ya - yb)))
-        results.append(ShiftGapResult(input=sig.describe(), gap=gap))
+        gap = _output_gap(loop, integrate(loop, base, sig, t_end, dt),
+                          integrate(loop, shifted, sig, t_end, dt))
+        results.append(ShiftGapResult(input=sig.describe(), gap=float(gap.max())))
     return results
 
 
@@ -422,7 +434,7 @@ def distinguishability_experiment(
     loop = compile_rk4(sys)
     ta = integrate(loop, s0, u, t_end, dt)
     tb = integrate(loop, s1, u, t_end, dt)
-    diff = np.max(np.abs(ta.outputs - tb.outputs), axis=1)
+    diff = _output_gap(loop, ta, tb).max(axis=1)
     gap = float(diff.max())
     over = np.nonzero(diff > dist_tol)[0]
     first = float(over[0] * dt) if over.size else None

@@ -388,6 +388,25 @@ def test_compiled_matches_tree_evaluation():
         assert fn_np(np.array(xs))[0].tolist() == pytest.approx(want, rel=1e-14), src
 
 
+def test_compiled_random_trees_match_evaluation_bit_for_bit():
+    # the Python source carries only the parentheses the grammar needs, so
+    # it must run the tree's operations in the tree's order
+    rng = random.Random(11)
+    env = {"x": 0.7, "z1": -1.3, "z2": 2.1}
+    trees = [random_expr(rng, list(env), 4) for _ in range(300)]
+    trees += [Pow(Const(-0.0), 2), Neg(Const(-0.0)), Mul(Var("x"), Pow(Const(-0.0), 2))]
+    checked = 0
+    for tree in trees:
+        try:
+            want = evaluate(tree, env)
+        except DomainError:
+            continue
+        got = compile_vector((tree,), tuple(env))(*env.values())[0]
+        assert (got, math.copysign(1.0, got)) == (want, math.copysign(1.0, want)), format_expr(tree)
+        checked += 1
+    assert checked > 200
+
+
 # ---------------------------------------------------------------------------
 # Taylor jets, against oracles that share no code with the engine
 

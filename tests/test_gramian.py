@@ -131,3 +131,45 @@ def test_sigma_min_usually_implies_full_local_rank():
             disagreements.add(case)
     assert degenerate_cases  # the seed draws the degenerate gain
     assert disagreements == degenerate_cases
+
+
+# A cascade with constant gains and F linear in z is linear, and one RK4
+# step of ds/dt = A s + B u(t) maps s to R s plus an input term, with
+# R = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  The output sensitivity at
+# sample k is then C R^k whatever the input, and the Gramian is
+# dt * sum_k (C R^k)^T (C R^k) (Lall, Marsden & Glavaski, Int. J. Robust
+# Nonlinear Control 12, 2002: for linear systems the empirical Gramian is
+# the classical one).
+# n: (gains, F, b, the matrix of F, a base state)
+LINEAR_CASCADES = {
+    1: (("1.5",), ("-0.8*z1",), (1.0,), [[-0.8]], (0.3, 0.5)),
+    2: (("2", "-0.5"), ("-z1 + 0.5*z2", "-0.3*z1 - 2*z2"), (1.0, -0.5),
+        [[-1.0, 0.5], [-0.3, -2.0]], (0.3, -0.2, 0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("u", [InputSignal.zero(), InputSignal.sinusoid(0.7, 3.0, 0.2)],
+                         ids=["zero", "sinusoid"])
+@pytest.mark.parametrize("n", sorted(LINEAR_CASCADES))
+def test_linear_cascade_gramian_matches_the_closed_form(n, u):
+    gains, fields, b, M, x0 = LINEAR_CASCADES[n]
+    zs = {f"z{i}" for i in range(1, n + 1)}
+    sys = CascadeSystem(n=n, gamma=tuple(ex.parse(g, ()) for g in gains),
+                        F=tuple(ex.parse(f, zs) for f in fields), b=b)
+    dt, t_end = 0.01, 2.0
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = np.eye(n)
+    A[n:, n:] = M
+    C = np.zeros((n, 2 * n))
+    C[:, n:] = np.diag([float(g) for g in gains])
+    hA = dt * A
+    R = sum(np.linalg.matrix_power(hA, j) / math.factorial(j) for j in range(5))
+    W = np.zeros((2 * n, 2 * n))
+    CR = C
+    for _ in range(round(t_end / dt) + 1):
+        W += CR.T @ CR
+        CR = CR @ R
+    W *= dt
+
+    rep = empirical_gramian(sys, x0, u, t_end=t_end, dt=dt)
+    assert np.max(np.abs(rep.matrix - W)) <= 1e-9 * np.max(np.abs(W))
