@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CascadeSystem, ControlAffineSystem
-from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, compile_rk4, integrate
+from .model import CascadeSystem, ControlAffineSystem, as_control_affine
+from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, RK4Loop, compile_rk4, integrate_many
 
 EPS_DEFAULT = 1e-4          # central-difference perturbation of the initial state
 WEAK_SIGNAL_FLOOR = 1e-13   # below this, sensitivities are round-off noise
@@ -57,29 +57,40 @@ class GramianReport:
         return "marginal"
 
 
+def _compile(sys) -> RK4Loop:
+    """The RK4 loop of a Gramian: one ensemble of the 2*dim perturbed states."""
+    if isinstance(sys, RK4Loop):
+        return sys
+    ca = as_control_affine(sys) if isinstance(sys, CascadeSystem) else sys
+    return compile_rk4(ca, 2 * ca.dim)
+
+
 def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
-    """Output-sensitivity Gramian from one integration per perturbed state,
-    all on one generated RK4 loop.
+    """Output-sensitivity Gramian from one ensemble integration of all the
+    perturbed states.
 
     Row i is the central difference [y(x0 + eps*e_i) - y(x0 - eps*e_i)] / (2 eps);
     ``secant = (i, d)`` replaces row i by the unscaled y(x0 + d*e_i) - y(x0).
     """
-    loop = compile_rk4(sys)
+    loop = _compile(sys)
     x0 = tuple(float(v) for v in x0)
-    if len(x0) != loop.system.dim:
-        raise ValueError(f"state has {len(x0)} entries, expected {loop.system.dim}")
+    dim = loop.system.dim
+    if len(x0) != dim:
+        raise ValueError(f"state has {len(x0)} entries, expected {dim}")
 
-    def record(i, step):
-        moved = list(x0)
-        moved[i] += step
-        return integrate(loop, moved, u, t_end, dt).outputs
+    def moved(i, step):
+        x = list(x0)
+        x[i] += step
+        return x
 
-    deltas = []
-    for i in range(loop.system.dim):
-        if secant is not None and secant[0] == i:
-            deltas.append(record(i, secant[1]) - integrate(loop, x0, u, t_end, dt).outputs)
-        else:
-            deltas.append((record(i, eps) - record(i, -eps)) / (2.0 * eps))
+    # two states per row: the plus and minus perturbations, or the secant pair
+    sec = secant[0] if secant is not None else None
+    starts = []
+    for i in range(dim):
+        starts += [moved(i, secant[1]), x0] if i == sec else [moved(i, eps), moved(i, -eps)]
+    trajs = integrate_many(loop, starts, u, t_end, dt)
+    deltas = [trajs[2 * i].outputs - trajs[2 * i + 1].outputs for i in range(dim)]
+    deltas = [d if i == sec else d / (2.0 * eps) for i, d in enumerate(deltas)]
 
     weak = all(np.max(np.abs(d)) < WEAK_SIGNAL_FLOOR for d in deltas)
     # rows of D: flattened output sensitivity per state direction
@@ -112,6 +123,8 @@ def empirical_gramian(
     For each state direction i the output record is re-simulated from
     x0 +/- eps*e_i and the scaled difference enters row i of the
     sensitivity matrix; W = D D^T dt.  W is symmetric PSD by construction.
+    ``sys`` may also be an ``RK4Loop`` compiled for 2*dim states, which
+    ``input_sweep`` reuses for all its inputs.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
@@ -133,7 +146,8 @@ def input_sweep(
     """
     if not inputs:
         raise ValueError("need at least one input signal")
-    reports = [(idx, empirical_gramian(sys, x0, u, eps, t_end, dt)) for idx, u in enumerate(inputs)]
+    loop = _compile(sys)
+    reports = [(idx, empirical_gramian(loop, x0, u, eps, t_end, dt)) for idx, u in enumerate(inputs)]
     reports.sort(key=lambda pair: (-pair[1].sigma_min, pair[0]))
     return reports
 

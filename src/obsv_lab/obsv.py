@@ -532,11 +532,22 @@ def _validated_shift(gamma: Expr, shift: float, window: tuple[float, float], gri
         return False, float("inf")
     scale = max(1.0, float(np.max(np.abs(vals))))
     residual = float(_shift_residuals(fn_np, xs, vals, [shift], scale)[0])
-    if residual > per_tol:
-        return False, residual
     probes = _probe_points(seed, 3, window[0] / 2, window[1] / 2)
+    if residual > per_tol and not _multiple_of_exact_period(gamma, shift, probes[0]):
+        return False, residual
     ok = _derivative_jets_match(gamma, shift, probes, k_check, per_tol)
     return ok, residual
+
+
+def _multiple_of_exact_period(gamma: Expr, shift: float, r: float) -> bool:
+    """Whether ``shift`` is a whole multiple, up to rounding, of an exact
+    candidate period (see ``_lcm_period``).  Then, as in ``detect_period``,
+    the jets alone decide, where pole samples break the shift residual."""
+    periods, exact = _lcm_period(gamma, r)
+    if not exact:
+        return False
+    m = round(shift / periods[0])
+    return m != 0 and math.isclose(shift, m * periods[0], rel_tol=1e-12)
 
 
 def find_separating_observable(

@@ -172,36 +172,52 @@ def _as_affine(sys) -> ControlAffineSystem:
     return sys
 
 
+MEMBERS_MAX = 16  # states one generated loop steps together; its code grows with the count
+
+
 @dataclass(frozen=True)
 class RK4Loop:
-    """A single-input control-affine system with its generated RK4 loop.
+    """A single-input control-affine system with a generated RK4 loop that
+    steps ``size`` initial states in lockstep.
 
-    ``run(x0, u, dt, steps, states, outputs)`` extends two flat float arrays
-    by one state row and one output row per sample and raises
-    ``BlowUpError`` on a non-finite state; any other failure propagates
-    from the step where it happened, with the rows before that step stored.
+    ``run(x0s, u, dt, steps, states, outputs)`` takes the initial states one
+    after another in one flat tuple and extends two flat float arrays by one
+    row per sample: every member's state, then every member's outputs.  It
+    raises ``BlowUpError`` on a non-finite state; any other failure
+    propagates from the step where it happened, with the rows before that
+    step stored.
     """
 
     system: ControlAffineSystem
+    size: int
     run: Callable
 
 
-def compile_rk4(sys) -> RK4Loop:
-    """Generate one Python function that runs the whole RK4 integration.
+def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
+    """Generate one Python function that runs the whole RK4 integration of
+    an ensemble of ``ensemble`` initial states in lockstep.
 
-    Four stages, input sampling, the update, the finiteness check and the
-    output row are inlined over plain floats.  The arithmetic order is the
-    reference one: stage states x + (0.5*dt)*k, fields f + u*g, update
-    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), with u sampled once per
-    distinct stage time (k2 and k3 share t + 0.5*dt).
+    The step body holds one unrolled copy of the one-state step per member:
+    four stages, the update and a finiteness check of that member's state,
+    inlined over plain floats.  The arithmetic order is the reference one:
+    stage states x + (0.5*dt)*k, fields f + u*g, update
+    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
+    bit for bit the one of a lone run.  The time and the input are computed
+    once per step and distinct stage time for all members (k2 and k3 share
+    t + 0.5*dt), and one extend per buffer stores the step's rows.  An
+    ensemble of more than ``MEMBERS_MAX`` states is stepped in the fewest
+    runs of equal size, so the code stays within ``MEMBERS_MAX`` times that
+    of the one-state loop.
     """
     ca = _as_affine(sys)
     if ca.m != 1:
         raise ValueError(f"integrate handles single-input systems, got m={ca.m}")
+    if ensemble < 1:
+        raise ValueError(f"an ensemble needs at least one state, got {ensemble}")
+    runs = -(-ensemble // MEMBERS_MAX)
+    size = -(-ensemble // runs)
     idx = range(ca.dim)
-    base = {v: f"_x{i}" for i, v in zip(idx, ca.state_vars)}
     stage = {v: f"_p{i}" for i, v in zip(idx, ca.state_vars)}
-    x = "".join(f"_x{i}, " for i in idx)
 
     def fields(k, at, u):
         return [
@@ -209,26 +225,44 @@ def compile_rk4(sys) -> RK4Loop:
             for i, f, g in zip(idx, ca.drift, ca.input_fields[0])
         ]
 
-    def stage_state(step, k):
-        return [f"_p{i} = _x{i} + {step} * _{k}{i}" for i in idx]
+    # stages 2-4 read the stage state _p, the same names in every member
+    later = {k: fields(k, stage, u) for k, u in (("b", "_ub"), ("c", "_ub"), ("d", "_uc"))}
 
-    outputs = "".join(f"{ex.python_source(h, base)}, " for h in ca.outputs)
+    def member(j):
+        base = {v: f"_x{j}_{i}" for i, v in zip(idx, ca.state_vars)}
+        x = "".join(f"_x{j}_{i}, " for i in idx)
+
+        def stage_state(step, k):
+            return [f"_p{i} = _x{j}_{i} + {step} * _{k}{i}" for i in idx]
+
+        outputs = "".join(f"{ex.python_source(h, base)}, " for h in ca.outputs)
+        body = [
+            *fields("a", base, "_ua"),
+            *stage_state("_h", "a"),
+            *later["b"],
+            *stage_state("_h", "b"),
+            *later["c"],
+            *stage_state("_dt", "c"),
+            *later["d"],
+            *(f"_x{j}_{i} = _x{j}_{i} + _w * (((_a{i} + 2.0 * _b{i}) + 2.0 * _c{i}) + _d{i})"
+              for i in idx),
+            # 0*v is 0 for every finite v and nan for inf or nan; one chain
+            # per member, since one chain over a large ensemble is too deep
+            # for Python's compiler
+            f"if {' + '.join(f'0.0 * _x{j}_{i}' for i in idx)} != 0.0:",
+            f"    raise _BlowUpError(_t + _dt, ({x}))",
+        ]
+        return x, outputs, body
+
+    members = [member(j) for j in range(size)]
+    x = "".join(m[0] for m in members)
+    outputs = "".join(m[1] for m in members)
     body = [
         "_t = _k * _dt",
         "_ua = _u(_t)",
         "_ub = _u(_t + _h)",
         "_uc = _u(_t + _dt)",
-        *fields("a", base, "_ua"),
-        *stage_state("_h", "a"),
-        *fields("b", stage, "_ub"),
-        *stage_state("_h", "b"),
-        *fields("c", stage, "_ub"),
-        *stage_state("_dt", "c"),
-        *fields("d", stage, "_uc"),
-        *(f"_x{i} = _x{i} + _w * (((_a{i} + 2.0 * _b{i}) + 2.0 * _c{i}) + _d{i})" for i in idx),
-        # 0*v is 0 for every finite v and nan for inf or nan
-        f"if {' + '.join(f'0.0 * _x{i}' for i in idx)} != 0.0:",
-        f"    raise _BlowUpError(_t + _dt, ({x}))",
+        *(line for m in members for line in m[2]),
         f"_out(({outputs}))",
         f"_state(({x}))",
     ]
@@ -247,7 +281,7 @@ def compile_rk4(sys) -> RK4Loop:
     ])
     namespace = {"_m": math, "_BlowUpError": BlowUpError}
     exec(src, namespace)
-    return RK4Loop(system=ca, run=namespace["_rk4"])
+    return RK4Loop(system=ca, size=size, run=namespace["_rk4"])
 
 
 def _check_outputs(ca: ControlAffineSystem, x) -> None:
@@ -301,33 +335,20 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     _check_outputs(ca, x)
 
 
-def integrate(
-    sys,
-    x0,
-    u: InputSignal,
-    t_end: float = T_END_DEFAULT,
-    dt: float = DT_DEFAULT,
-) -> Trajectory:
-    """Classical fixed-step RK4 for a single-input control-affine system.
+def _trajectory(ca: ControlAffineSystem, dt: float, states, outputs) -> Trajectory:
+    return Trajectory(
+        t0=0.0,
+        dt=dt,
+        states=states,
+        outputs=outputs,
+        state_names=tuple(ca.state_vars),
+        output_names=tuple(f"y{i}" for i in range(1, ca.p + 1)),
+    )
 
-    ``sys`` is a cascade, a control-affine system, or an ``RK4Loop`` from
-    ``compile_rk4`` when many states are integrated on one system.  Samples
-    land on t = k*dt; a non-finite state or an overflowing stage evaluation
-    aborts with ``BlowUpError``, and genuine domain violations (log of a
-    negative x, division by zero) and outputs that are not finite surface
-    as ``DomainError`` with the offending subexpression.
-    """
-    loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys)
+
+def _integrate_one(loop: RK4Loop, x, u, dt: float, steps: int) -> Trajectory:
+    """Run a one-state loop and locate any failure (see ``integrate``)."""
     ca = loop.system
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < dt:
-        raise ValueError(f"t_end={t_end} is shorter than one step dt={dt}")
-    x = tuple(float(v) for v in x0)
-    if len(x) != ca.dim:
-        raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
-
-    steps = int(round(t_end / dt))
     states = array("d")
     outputs = array("d")
     try:
@@ -345,14 +366,88 @@ def integrate(
         # a float product overflows to inf without raising, so the loop
         # stored it; the evaluator names the culprit at its first sample
         _check_outputs(ca, states[finite.argmin()].tolist())
-    return Trajectory(
-        t0=0.0,
-        dt=dt,
-        states=states,
-        outputs=outputs,
-        state_names=tuple(ca.state_vars),
-        output_names=tuple(f"y{i}" for i in range(1, ca.p + 1)),
-    )
+    return _trajectory(ca, dt, states, outputs)
+
+
+def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory] | None:
+    """One run of a joint loop, or None on a failure: an exception or an
+    output that is not finite.  Members beyond ``xs`` (the last run of an
+    ensemble) step copies of its last state."""
+    ca = loop.system
+    padded = xs + [xs[-1]] * (loop.size - len(xs))
+    states = array("d")
+    outputs = array("d")
+    try:
+        loop.run(tuple(v for x in padded for v in x), u, dt, steps, states, outputs)
+    except (ArithmeticError, ValueError, BlowUpError):
+        return None
+    outputs = np.frombuffer(outputs).reshape(steps + 1, loop.size, ca.p)
+    if not np.isfinite(outputs).all():
+        return None
+    states = np.frombuffer(states).reshape(steps + 1, loop.size, ca.dim)
+    return [_trajectory(ca, dt, states[:, j], outputs[:, j]) for j in range(len(xs))]
+
+
+def integrate_many(
+    sys,
+    states,
+    u: InputSignal,
+    t_end: float = T_END_DEFAULT,
+    dt: float = DT_DEFAULT,
+) -> list[Trajectory]:
+    """RK4 runs of every initial state in ``states`` under one input, in
+    lockstep on one generated loop (see ``compile_rk4``).
+
+    ``sys`` is a cascade, a control-affine system, or an ``RK4Loop``
+    compiled for ensembles of this size, when many are integrated on one
+    system.  Each trajectory is bit for bit the one ``integrate`` gives for
+    its state alone; its arrays are views into buffers shared by the
+    ensemble.  On a failure of the joint loop, an exception or an output
+    that is not finite, its states are integrated again one at a time, so
+    the error raised is the one of the first failing state, as
+    ``integrate`` reports it.
+    """
+    xs = [tuple(float(v) for v in x) for x in states]
+    loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys, len(xs))
+    ca = loop.system
+    if dt <= 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if t_end < dt:
+        raise ValueError(f"t_end={t_end} is shorter than one step dt={dt}")
+    for x in xs:
+        if len(x) != ca.dim:
+            raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
+
+    steps = int(round(t_end / dt))
+    if loop.size == 1:
+        return [_integrate_one(loop, x, u, dt, steps) for x in xs]
+    trajs = []
+    for c in range(0, len(xs), loop.size):
+        part = xs[c:c + loop.size]
+        joint = _run_joint(loop, part, u, dt, steps)
+        if joint is None:
+            one = compile_rk4(ca)
+            joint = [_integrate_one(one, x, u, dt, steps) for x in part]
+        trajs += joint
+    return trajs
+
+
+def integrate(
+    sys,
+    x0,
+    u: InputSignal,
+    t_end: float = T_END_DEFAULT,
+    dt: float = DT_DEFAULT,
+) -> Trajectory:
+    """Classical fixed-step RK4 for a single-input control-affine system.
+
+    ``sys`` is a cascade or a control-affine system.  Samples land on
+    t = k*dt; a non-finite state or an overflowing stage evaluation aborts
+    with ``BlowUpError``, and genuine domain violations (log of a negative
+    x, division by zero) and outputs that are not finite surface as
+    ``DomainError`` with the offending subexpression.
+    """
+    return integrate_many(sys, (x0,), u, t_end, dt)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +493,10 @@ def indistinguishability_experiment(
         raise ValueError(f"shift must have exactly one nonzero coordinate: {T}")
     base = (0.0,) * (2 * sys.n)
     shifted = T + (0.0,) * sys.n
-    loop = compile_rk4(sys)
+    loop = compile_rk4(sys, 2)
     results = []
     for sig in inputs:
-        gap = _output_gap(loop, integrate(loop, base, sig, t_end, dt),
-                          integrate(loop, shifted, sig, t_end, dt))
+        gap = _output_gap(loop, *integrate_many(loop, (base, shifted), sig, t_end, dt))
         results.append(ShiftGapResult(input=sig.describe(), gap=float(gap.max())))
     return results
 
@@ -431,10 +525,8 @@ def distinguishability_experiment(
     "diverged" when it exceeds diverged_tol, "inconclusive" in between (the
     gap is too large to ignore but too small to rule out integrator error).
     """
-    loop = compile_rk4(sys)
-    ta = integrate(loop, s0, u, t_end, dt)
-    tb = integrate(loop, s1, u, t_end, dt)
-    diff = _output_gap(loop, ta, tb).max(axis=1)
+    loop = compile_rk4(sys, 2)
+    diff = _output_gap(loop, *integrate_many(loop, (s0, s1), u, t_end, dt)).max(axis=1)
     gap = float(diff.max())
     over = np.nonzero(diff > dist_tol)[0]
     first = float(over[0] * dt) if over.size else None

@@ -312,6 +312,19 @@ def test_separate_whole_period_shift_where_the_jets_are_near_zero(tmp_path, caps
     assert (code, doc["report"]["verdict"]) == (1, "indistinguishable-by-construction")
 
 
+def test_observable_and_separate_agree_on_a_tan_pole_at_a_grid_point(tmp_path, capsys):
+    # the pole of this tan sits on the sampling grid point x = 0.0048840048840048,
+    # so no shift residual passes; pi is a whole multiple of the exact
+    # candidate period, so the jets decide in separate as in observable
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("exp(-x^2)", "tan(x + 1.5659123219108917)"))
+    code, doc = run_json(capsys, "observable", "--system", str(path))
+    assert (code, doc["report"]["verdict"]) == (1, "not-observable")
+    code, doc = run_json(capsys, "separate", "--system", str(path),
+                         "--state", "0,1", "--state2", "pi,1")
+    assert (code, doc["report"]["verdict"]) == (1, "indistinguishable-by-construction")
+
+
 def test_separate_equal_states_usage_error(capsys):
     code, out, err = run(
         capsys, "separate", "--system", "preset:fish-1d-gauss",

@@ -6,14 +6,16 @@ import pytest
 
 import obsv_lab.expr as ex
 from obsv_lab.gramian import (
+    SIGMA_OBSERVABLE,
+    SIGMA_SINGULAR,
     GramianReport,
     empirical_gramian,
     input_sweep,
     shift_comparison_gramian,
 )
-from obsv_lab.model import CascadeSystem, preset
+from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset
 from obsv_lab.obsv import local_rank
-from obsv_lab.sim import InputSignal
+from obsv_lab.sim import InputSignal, integrate
 
 TWO_PI = 2.0 * math.pi
 SIN_1HZ = InputSignal.sinusoid(1.0, TWO_PI)
@@ -102,6 +104,22 @@ def test_shift_comparison_validations():
         shift_comparison_gramian(sys, (0.0, 0.0), (1.0, 1.0), SIN_1HZ)
 
 
+def _rank_comparison_cases():
+    """(gain, state, input) of the Gramian-vs-rank comparison, run for 5 s at dt 2e-3."""
+    rng = random.Random(9)
+    gains = ["exp(-x^2)", "2 + sin(x) + 0.1*x", "tanh(x)", "1/(x + 3)"]
+    cases = []
+    for _ in range(20):
+        gain = rng.choice(gains)
+        x0 = (rng.uniform(-1.0, 1.0), rng.choice([-1, 1]) * rng.uniform(0.2, 1.5))
+        cases.append((gain, x0, InputSignal.sinusoid(rng.uniform(0.5, 1.5), rng.uniform(2.0, 8.0))))
+    return cases
+
+
+def _damped_1d(gain: str) -> CascadeSystem:
+    return CascadeSystem(n=1, gamma=(ex.parse(gain, {"x"}),), F=(ex.parse("-z1", {"z1"}),), b=(1.0,))
+
+
 def test_sigma_min_usually_implies_full_local_rank():
     # trajectory-level visibility vs pointwise rank: related but distinct
     # notions.  They disagree exactly on the gain 1/(x + 3): its zero-input
@@ -109,23 +127,13 @@ def test_sigma_min_usually_implies_full_local_rank():
     # identically 0, so local_rank is deficient at every state, while the
     # sinusoidal input still makes the position visible over the horizon.
     # A disagreement on any other gain is a failure.
-    rng = random.Random(9)
     degenerate_gain = "1/(x + 3)"
-    gains = ["exp(-x^2)", "2 + sin(x) + 0.1*x", "tanh(x)", degenerate_gain]
     degenerate_cases = set()
     disagreements = set()
-    for case in range(20):
-        gain = rng.choice(gains)
+    for case, (gain, x0, u) in enumerate(_rank_comparison_cases()):
         if gain == degenerate_gain:
             degenerate_cases.add(case)
-        sys = CascadeSystem(
-            n=1,
-            gamma=(ex.parse(gain, {"x"}),),
-            F=(ex.parse("-z1", {"z1"}),),
-            b=(1.0,),
-        )
-        x0 = (rng.uniform(-1.0, 1.0), rng.choice([-1, 1]) * rng.uniform(0.2, 1.5))
-        u = InputSignal.sinusoid(rng.uniform(0.5, 1.5), rng.uniform(2.0, 8.0))
+        sys = _damped_1d(gain)
         rep = empirical_gramian(sys, x0, u, t_end=5.0, dt=2e-3)
         if rep.sigma_min > 1e-6 and not local_rank(sys, x0).locally_observable:
             disagreements.add(case)
@@ -173,3 +181,88 @@ def test_linear_cascade_gramian_matches_the_closed_form(n, u):
 
     rep = empirical_gramian(sys, x0, u, t_end=t_end, dt=dt)
     assert np.max(np.abs(rep.matrix - W)) <= 1e-9 * np.max(np.abs(W))
+
+
+# ---------------------------------------------------------------------------
+# nonlinear oracle: the variational equations
+
+
+def _variational_gramian(sys, x0, u, t_end, dt) -> np.ndarray:
+    """dt * sum_k S_k^T S_k with S_k = C(s_k) Phi_k = dy_k/ds_0, the Gramian
+    of the exact derivative of the RK4 flow.
+
+    Phi follows the variational equations dPhi/dt = J(s, u) Phi, with
+    J = d(f + u*g)/ds and C = dh/ds from symbolic ``diff``; (s, Phi) is one
+    augmented control-affine system, so ``integrate`` steps Phi on the same
+    RK4 tableau as s.  RK4 commutes with linearization (Krener & Ide, IEEE
+    CDC 2009), so Phi_k is the derivative of the discrete flow and
+    W(eps) - W_var is the central difference's O(eps^2) error alone.
+    """
+    ca = as_control_affine(sys)
+    names, dim = ca.state_vars, ca.dim
+    phi = [[ex.Var(f"phi{i}_{j}") for j in range(dim)] for i in range(dim)]
+
+    def times_phi(e):  # the row d e/ds @ Phi
+        grad = [ex.diff(e, v) for v in names]
+        row = []
+        for j in range(dim):
+            total = ex.const(0.0)
+            for l in range(dim):
+                total = ex.add(total, ex.mul(grad[l], phi[l][j]))
+            row.append(total)
+        return row
+
+    def augmented(exprs):
+        return tuple(exprs) + tuple(entry for e in exprs for entry in times_phi(e))
+
+    aug = ControlAffineSystem(
+        state_vars=tuple(names) + tuple(v.name for row in phi for v in row),
+        drift=augmented(ca.drift),
+        input_fields=(augmented(ca.input_fields[0]),),
+        outputs=tuple(entry for h in ca.outputs for entry in times_phi(h)),
+    )
+    start = list(x0) + [float(i == j) for i in range(dim) for j in range(dim)]
+    sens = integrate(aug, start, u, t_end, dt).outputs.reshape(-1, ca.p, dim)
+    return np.einsum("kji,kjl->il", sens, sens) * dt
+
+
+@pytest.mark.parametrize("name, x0, u", [
+    ("fish-1d-gauss", (0.3, 0.8), InputSignal.sinusoid(1.0, 2.0, 0.3)),
+    ("fish-1d-hyperbolic", (0.5, -0.6), InputSignal.sinusoid(0.7, 3.0)),
+    ("sin-drift", (0.4, 0.7), InputSignal.constant(0.5)),
+])
+def test_gramian_error_against_the_variational_gramian_is_second_order(name, x0, u):
+    # W(eps) - W_var is O(eps^2) (Richardson): halving eps divides it by 4;
+    # at these eps the truncation error is far above the roundoff
+    sys = preset(name)
+    w_var = _variational_gramian(sys, x0, u, 2.0, 1e-2)
+    errs = [np.max(np.abs(empirical_gramian(sys, x0, u, eps, 2.0, 1e-2).matrix - w_var))
+            for eps in (0.04, 0.02, 0.01)]
+    assert errs[-1] > 0.0
+    for coarse, fine in zip(errs, errs[1:]):
+        assert 3.9 < coarse / fine < 4.1
+
+
+# Every Gramian classification that the tests and the README make:
+# (system, state, input, t_end, dt)
+GAUSS = preset("fish-1d-gauss")
+CLASSIFIED = [
+    (GAUSS, (0.0, 0.0), InputSignal.zero(), 10.0, 1e-3),
+    (GAUSS, (0.0, 0.0), SIN_1HZ, 10.0, 1e-3),
+    (GAUSS, (0.0, 0.0), InputSignal.sinusoid(1.0, 6.2832), 10.0, 1e-3),
+    (GAUSS, (0.0, 0.0), InputSignal.zero(), 5.0, 1e-3),
+    (GAUSS, (0.0, 0.0), SIN_1HZ, 5.0, 1e-3),
+    (GAUSS, (0.0, 0.0), InputSignal.zero(), 2.0, 1e-3),
+    (GAUSS, (0.0, 0.0), InputSignal.sinusoid(1.0, 6.28), 2.0, 1e-3),
+] + [(_damped_1d(gain), x0, u, 5.0, 2e-3) for gain, x0, u in _rank_comparison_cases()]
+
+
+def test_no_classification_sits_within_its_truncation_error_of_a_threshold():
+    # |sigma_min(W(eps)) - sigma_min(W_var)| bounds what the central
+    # difference moves sigma_min; each classification must stand clear of
+    # both thresholds by more than that
+    for case, (sys, x0, u, t_end, dt) in enumerate(CLASSIFIED):
+        sigma = empirical_gramian(sys, x0, u, t_end=t_end, dt=dt).sigma_min
+        sigma_var = np.linalg.svd(_variational_gramian(sys, x0, u, t_end, dt), compute_uv=False)[-1]
+        for threshold in (SIGMA_OBSERVABLE, SIGMA_SINGULAR):
+            assert abs(sigma - threshold) > abs(sigma - sigma_var), (case, threshold)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import obsv_lab.expr as ex
-from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset
+from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset, preset_names
 from obsv_lab.sim import (
+    MEMBERS_MAX,
     BlowUpError,
     EquilibriumPremiseError,
     FeedbackLaw,
@@ -14,6 +15,7 @@ from obsv_lab.sim import (
     distinguishability_experiment,
     indistinguishability_experiment,
     integrate,
+    integrate_many,
     output_feedback_equilibria_check,
     parse_input_spec,
 )
@@ -200,9 +202,8 @@ ORACLE_GAINS = ("sin(x)", "cos(x)", "exp(-x^2)", "tanh(x)", "1/(x + 3)", "x^2 + 
 ORACLE_TERMS = ("sin(z{j})", "cos(z{j})^2", "exp(-z{j}^2)", "tanh(z{j})", "1/(z{j} + {c})", "-z{j}^3")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_integrate_matches_tree_evaluated_rk4_bitwise(n):
-    rng = random.Random(n)
+def _random_cascade(rng: random.Random, n: int, gain) -> CascadeSystem:
+    """Couplings, then gains ``gain(i)`` for blocks i = 0..n-1, then b."""
     zs = {f"z{i}" for i in range(1, n + 1)}
     F = []
     for i in range(1, n + 1):
@@ -211,12 +212,18 @@ def test_integrate_matches_tree_evaluated_rk4_bitwise(n):
             coeff = rng.uniform(0.05, 0.3)
             terms.append(f"{coeff:.3f}*" + term.format(j=rng.randint(1, n), c=rng.randint(3, 5)))
         F.append(ex.parse(" + ".join(terms), zs))
-    sys = CascadeSystem(
+    return CascadeSystem(
         n=n,
-        gamma=tuple(ex.parse(rng.choice(ORACLE_GAINS), {"x"}) for _ in range(n)),
+        gamma=tuple(ex.parse(gain(i), {"x"}) for i in range(n)),
         F=tuple(F),
         b=tuple(rng.uniform(0.5, 1.5) for _ in range(n)),
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_integrate_matches_tree_evaluated_rk4_bitwise(n):
+    rng = random.Random(n)
+    sys = _random_cascade(rng, n, lambda i: rng.choice(ORACLE_GAINS))
     x0 = [rng.uniform(-1.0, 1.0) for _ in range(2 * n)]
     u = InputSignal.sinusoid(rng.uniform(0.5, 1.5), rng.uniform(1.0, 6.0), rng.uniform(0.0, 1.0))
     traj = integrate(sys, x0, u, 0.5, 1e-3)
@@ -224,6 +231,93 @@ def test_integrate_matches_tree_evaluated_rk4_bitwise(n):
     assert traj.states.shape == (501, 2 * n)
     assert np.array_equal(traj.states, states)
     assert np.array_equal(traj.outputs, outputs)
+
+
+# ---------------------------------------------------------------------------
+# ensembles: integrate_many against lone runs
+
+
+ENSEMBLE_GAINS = ("sin(x)", "tanh(x)", "1/(x + 4)")
+ENSEMBLE_SYSTEMS = {
+    **{name: preset(name) for name in preset_names()},
+    **{f"cascade-{n}": _random_cascade(random.Random(10 + n), n, ENSEMBLE_GAINS.__getitem__)
+       for n in (1, 2, 3)},
+}
+ENSEMBLE_INPUTS = {
+    "zero": InputSignal.zero(),
+    "const": InputSignal.constant(0.7),
+    "sin": InputSignal.sinusoid(0.8, 2.5, 0.3),
+    "piecewise": InputSignal.piecewise((0.04, 0.07), (1.0, -0.5, 0.2)),
+}
+
+
+@pytest.mark.parametrize("u", ENSEMBLE_INPUTS.values(), ids=ENSEMBLE_INPUTS.keys())
+@pytest.mark.parametrize("name", ENSEMBLE_SYSTEMS)
+def test_ensemble_trajectories_equal_lone_runs_bitwise(name, u):
+    # sizes: one state, a pair, a Gramian's 2*dim, and two runs of a joint
+    # loop, the second filled up with a copy of its last state
+    sys = ENSEMBLE_SYSTEMS[name]
+    dim = 2 * sys.n
+    rng = random.Random(name)
+    for size in (1, 2, 2 * dim, MEMBERS_MAX + 1):
+        states = [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(size)]
+        trajs = integrate_many(sys, states, u, 0.1, 1e-3)
+        assert len(trajs) == size
+        for x0, traj in zip(states, trajs):
+            lone = integrate(sys, x0, u, 0.1, 1e-3)
+            assert np.array_equal(traj.states, lone.states)
+            assert np.array_equal(traj.outputs, lone.outputs)
+
+
+def test_ensemble_beyond_one_finiteness_chain():
+    # 16 states of dimension 252 in one joint loop: 4032 finiteness terms,
+    # which one chain over the ensemble could not compile (Python's compiler
+    # recurses once per term); one chain per state compiles
+    n = 126
+    zs = {f"z{i}" for i in range(1, n + 1)}
+    sys = CascadeSystem(n=n, gamma=(ex.parse("1", ()),) * n,
+                        F=tuple(ex.parse(f"-z{i}", zs) for i in range(1, n + 1)), b=(1.0,) * n)
+    states = [[0.01 * j] * n + [1.0 - 0.05 * j] * n for j in range(MEMBERS_MAX)]
+    assert MEMBERS_MAX * 2 * n > 4000
+    trajs = integrate_many(sys, states, InputSignal.sinusoid(1.0, 2.0), 0.005, 1e-3)
+    for j in (0, MEMBERS_MAX - 1):
+        lone = integrate(sys, states[j], InputSignal.sinusoid(1.0, 2.0), 0.005, 1e-3)
+        assert np.array_equal(trajs[j].states, lone.states)
+        assert np.array_equal(trajs[j].outputs, lone.outputs)
+
+
+def _raised(run) -> Exception:
+    with pytest.raises(Exception) as err:
+        run()
+    return err.value
+
+
+def test_ensemble_failure_is_the_first_failing_state_in_order():
+    # z' = z^2 from z = 1 blows up at t = 1, from z = 2 already at t = 0.5;
+    # the pair reports the first state's failure, as one run after the other
+    sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("z1^2", {"z1"}),), b=(1.0,))
+    u = InputSignal.zero()
+    assert _raised(lambda: integrate(sys, (0.0, 2.0), u)).t < 0.51
+    lone = _raised(lambda: integrate(sys, (0.0, 1.0), u))
+    pair = _raised(lambda: distinguishability_experiment(sys, (0.0, 1.0), (0.0, 2.0), u))
+    assert type(pair) is type(lone) is BlowUpError
+    assert (str(pair), pair.t, pair.state) == (str(lone), lone.t, lone.state)
+    assert 0.99 < pair.t < 1.01
+
+
+def test_ensemble_domain_error_at_a_pole_keeps_the_order():
+    # from x = -1.6053188106462255 at velocity -1 the position lands exactly
+    # on the pole x = -2 of 1/(x + 2) at step 502; the second state overflows
+    # in its first step
+    sys = preset("fish-1d-hyperbolic")
+    u = InputSignal.zero()
+    at_pole, overflowing = (-1.6053188106462255, -1.0), (0.0, 1.7e308)
+    assert _raised(lambda: integrate(sys, overflowing, u)).t == 1e-3
+    integrate(sys, at_pole, u, 0.501)  # still clear of the pole
+    lone = _raised(lambda: integrate(sys, at_pole, u))
+    pair = _raised(lambda: distinguishability_experiment(sys, at_pole, overflowing, u))
+    assert type(pair) is type(lone) is ex.DomainError
+    assert (str(pair), pair.subexpr) == (str(lone), lone.subexpr)
 
 
 def test_z_component_ignores_positions():
