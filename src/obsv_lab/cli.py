@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from collections.abc import Callable
@@ -478,12 +479,26 @@ def _render(cfg: RunConfig, result: Result) -> str:
     return "\n".join(result.lines) + "\n"
 
 
+def _finite_positive(v: float) -> bool:
+    return 0.0 < v < math.inf  # false for nan too
+
+
+# (flag, RunConfig key, check, what the check asks for)
+_NUMERIC_FLAGS = (
+    *((flag, flag[2:].replace("-", "_"), _finite_positive, "finite and positive")
+      for flag in ("--dt", "--t-end", "--eps", "--per-tol", "--sep-tol", "--dist-tol")),
+    ("--rank-tol", "rank_tol", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("--kmax", "k_max", lambda v: v >= 0, "at least 0"),
+    ("--lmax", "l_max", lambda v: v is None or v >= 0, "at least 0"),
+)
+
+
 def main(argv=None) -> int:
     args = vars(build_parser().parse_args(argv))
     try:
-        for flag, key in (("--dt", "dt"), ("--t-end", "t_end")):
-            if args[key] <= 0:
-                raise UsageError(f"{flag} must be positive")
+        for flag, key, ok, what in _NUMERIC_FLAGS:
+            if not ok(args[key]):
+                raise UsageError(f"{flag} must be {what}, got {args[key]!r}")
         for flag, key in (("--state", "state"), ("--state2", "state2")):
             args[key] = _parse_state(args[key], flag) if args[key] else None
         cfg = RunConfig(**args)

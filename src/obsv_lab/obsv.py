@@ -125,13 +125,21 @@ def word_lglflg(i: int, k: int) -> ObservableWord:
 # Periodicity detection.  See detect_period for the rules.
 
 
-def _sample_gain(gamma: Expr, xs: np.ndarray):
-    """The gain on the grid ``xs`` and its numpy-compiled form.
+def _sample_gain(gamma: Expr, window: tuple[float, float], grid: int):
+    """(xs, vals, fn_np, scale): ``grid`` points of ``window``, the gain
+    there, its numpy-compiled form, and max(1, max|gamma|), the scale of
+    every shift residual.
 
     A non-finite sample (a pole, a log of a non-positive value, an overflow)
     raises DomainError: the first such point is re-evaluated through the
     tree walker, which names the culprit subexpression.
     """
+    lo, hi = float(window[0]), float(window[1])
+    if not hi > lo:
+        raise ValueError(f"empty sampling window {window}")
+    if grid < 64:
+        raise ValueError(f"grid must be at least 64, got {grid}")
+    xs = np.linspace(lo, hi, grid)
     fn_np = ex.compile_vector((gamma,), (GAMMA_VAR,), np)
     try:
         with np.errstate(all="ignore"):
@@ -144,7 +152,7 @@ def _sample_gain(gamma: Expr, xs: np.ndarray):
         x = float(xs[bad[0]])
         ex.evaluate(gamma, {GAMMA_VAR: x})
         raise ex.DomainError(f"non-finite value at {GAMMA_VAR} = {x!r}", gamma)
-    return vals, fn_np
+    return xs, vals, fn_np, max(1.0, float(np.max(np.abs(vals))))
 
 
 def _shift_residuals(fn_np, xs: np.ndarray, base: np.ndarray, shifts, scale: float) -> np.ndarray:
@@ -407,6 +415,7 @@ def detect_period(
     k_check: int = K_CHECK_DEFAULT,
     k_max: int = K_MAX_DEFAULT,
     seed: int = 0,
+    samples=None,
 ) -> PeriodicityVerdict:
     """Classify a scalar gain on all of R as periodic, aperiodic, or undetermined.
 
@@ -442,16 +451,11 @@ def detect_period(
 
     ``log-exp`` and ``limit`` verdicts carry a probe, two points whose jets
     differ up to order ``k_max``; without one they degrade to undetermined.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError(f"empty sampling window {window}")
-    if grid < 64:
-        raise ValueError(f"grid must be at least 64, got {grid}")
 
-    xs = np.linspace(lo, hi, grid)
-    vals, fn_np = _sample_gain(gamma, xs)
-    scale = max(1.0, float(np.max(np.abs(vals))))
+    ``samples`` is ``_sample_gain(gamma, window, grid)``, if the caller has it.
+    """
+    xs, vals, fn_np, scale = samples or _sample_gain(gamma, window, grid)
+    lo, hi = float(window[0]), float(window[1])
     evidence: dict = {"window": [lo, hi], "samples": grid, "scale": scale}
 
     span = float(vals.max() - vals.min())
@@ -523,31 +527,15 @@ def _sep_gap_ok(v0: float, v1: float, sep_tol: float) -> bool:
     return abs(v0 - v1) > sep_tol * (1.0 + max(abs(v0), abs(v1)))
 
 
-def _validated_shift(gamma: Expr, shift: float, window: tuple[float, float], grid: int,
-                     per_tol: float, k_check: int, seed: int) -> tuple[bool, float]:
-    xs = np.linspace(window[0], window[1], grid)
-    try:
-        vals, fn_np = _sample_gain(gamma, xs)
-    except ex.DomainError:
-        return False, float("inf")
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    residual = float(_shift_residuals(fn_np, xs, vals, [shift], scale)[0])
-    probes = _probe_points(seed, 3, window[0] / 2, window[1] / 2)
-    if residual > per_tol and not _multiple_of_exact_period(gamma, shift, probes[0]):
-        return False, residual
-    ok = _derivative_jets_match(gamma, shift, probes, k_check, per_tol)
-    return ok, residual
-
-
-def _multiple_of_exact_period(gamma: Expr, shift: float, r: float) -> bool:
-    """Whether ``shift`` is a whole multiple, up to rounding, of an exact
-    candidate period (see ``_lcm_period``).  Then, as in ``detect_period``,
-    the jets alone decide, where pole samples break the shift residual."""
-    periods, exact = _lcm_period(gamma, r)
-    if not exact:
+def _whole_periods(v: PeriodicityVerdict, delta: float) -> bool:
+    """Whether ``delta`` is a nonzero whole multiple, up to rounding, of the
+    period of a gain with verdict ``v``; every shift is one for a constant."""
+    if v.classification != CLASS_PERIODIC:
         return False
-    m = round(shift / periods[0])
-    return m != 0 and math.isclose(shift, m * periods[0], rel_tol=1e-12)
+    if v.period is None:
+        return True
+    m = round(delta / v.period)
+    return m != 0 and math.isclose(delta, m * v.period, rel_tol=1e-12)
 
 
 def find_separating_observable(
@@ -565,10 +553,11 @@ def find_separating_observable(
     """Search for an observable word whose value splits the two states.
 
     The scan walks the alternating-word families in order of increasing
-    derivative order k, preferring the shortest witness.  States that agree
-    in every velocity and gain value and differ only by validated periods of
-    their gains are reported as indistinguishable by the explicit shift
-    construction, before any scan.
+    derivative order k, preferring the shortest witness.  Before it, states
+    that agree in every velocity and gain value are indistinguishable by the
+    explicit shift construction when each moved position moves by a whole
+    multiple of the period ``detect_period`` finds for its gain, or its gain
+    is constant: the only pairs no input tells apart.
     """
     n = sys.n
     s0 = tuple(float(v) for v in s0)
@@ -618,12 +607,19 @@ def find_separating_observable(
         # whose gap grows with the order and passes sep_tol near zero
         shifts = {}
         for i in moved:
+            gamma = sys.gamma[i - 1]
             delta = x1[i - 1] - x0[i - 1]
-            ok, residual = _validated_shift(sys.gamma[i - 1], delta, window, grid, per_tol,
-                                            k_check, seed)
-            shifts[f"block_{i}"] = {"shift": delta, "residual": residual}
-            if not ok:
+            try:
+                samples = _sample_gain(gamma, window, grid)
+                verdict = detect_period(gamma, window, grid, per_tol, k_check, k_max, seed,
+                                        samples=samples)
+            except ex.DomainError:
                 break
+            if not _whole_periods(verdict, delta):
+                break
+            xs, vals, fn_np, scale = samples
+            residual = float(_shift_residuals(fn_np, xs, vals, [delta], scale)[0])
+            shifts[f"block_{i}"] = {"shift": delta, "residual": residual}
         else:
             bounds["shifts"] = shifts
             return SeparationCertificate(VERDICT_SHIFT, None, None, None, bounds)

@@ -193,6 +193,17 @@ class RK4Loop:
     run: Callable
 
 
+CHAIN_MAX = 500  # terms of one + chain; Python's compiler recurses once per term
+
+
+def _sum_source(terms: list[str]) -> str:
+    """Source of the sum of ``terms`` as parenthesized partial sums of at
+    most ``CHAIN_MAX`` terms; brackets add no AST node, so one partial sum
+    compiles as the flat chain."""
+    return " + ".join(f"({' + '.join(terms[c:c + CHAIN_MAX])})"
+                      for c in range(0, len(terms), CHAIN_MAX))
+
+
 def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
     """Generate one Python function that runs the whole RK4 integration of
     an ensemble of ``ensemble`` initial states in lockstep.
@@ -246,10 +257,9 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
             *later["d"],
             *(f"_x{j}_{i} = _x{j}_{i} + _w * (((_a{i} + 2.0 * _b{i}) + 2.0 * _c{i}) + _d{i})"
               for i in idx),
-            # 0*v is 0 for every finite v and nan for inf or nan; one chain
-            # per member, since one chain over a large ensemble is too deep
-            # for Python's compiler
-            f"if {' + '.join(f'0.0 * _x{j}_{i}' for i in idx)} != 0.0:",
+            # 0*v is 0 for every finite v and nan for inf or nan; one sum
+            # per member, since a sum is compiled recursively (CHAIN_MAX)
+            f"if {_sum_source([f'0.0 * _x{j}_{i}' for i in idx])} != 0.0:",
             f"    raise _BlowUpError(_t + _dt, ({x}))",
         ]
         return x, outputs, body
@@ -335,57 +345,54 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     _check_outputs(ca, x)
 
 
-def _trajectory(ca: ControlAffineSystem, dt: float, states, outputs) -> Trajectory:
-    return Trajectory(
-        t0=0.0,
-        dt=dt,
-        states=states,
-        outputs=outputs,
-        state_names=tuple(ca.state_vars),
-        output_names=tuple(f"y{i}" for i in range(1, ca.p + 1)),
-    )
-
-
-def _integrate_one(loop: RK4Loop, x, u, dt: float, steps: int) -> Trajectory:
-    """Run a one-state loop and locate any failure (see ``integrate``)."""
+def _raise_first_failure(loop: RK4Loop, xs, u, dt: float, steps: int) -> None:
+    """Run the states ``xs`` of a failed run of ``loop`` one at a time and
+    raise the first failure with its location (see ``integrate``)."""
     ca = loop.system
-    states = array("d")
-    outputs = array("d")
-    try:
-        loop.run(x, u, dt, steps, states, outputs)
-    except (ArithmeticError, ValueError):
-        # the generated loop reports no location; the guarded replay of the
-        # failing step does, and re-raising covers a replay that passes
-        done = len(states) // ca.dim  # samples stored before the failing step
-        _replay_step(ca, u, dt, tuple(states[-ca.dim:]) if done else x, done - 1)
-        raise
-    states = np.frombuffer(states).reshape(steps + 1, ca.dim)
-    outputs = np.frombuffer(outputs).reshape(steps + 1, ca.p)
-    finite = np.isfinite(outputs).all(axis=1)
-    if not finite.all():
-        # a float product overflows to inf without raising, so the loop
-        # stored it; the evaluator names the culprit at its first sample
-        _check_outputs(ca, states[finite.argmin()].tolist())
-    return _trajectory(ca, dt, states, outputs)
+    if loop.size > 1:
+        loop = compile_rk4(ca)
+    for x in xs:
+        states = array("d")
+        outputs = array("d")
+        try:
+            loop.run(x, u, dt, steps, states, outputs)
+        except (ArithmeticError, ValueError):
+            # the generated loop reports no location; the guarded replay of
+            # the failing step does, and re-raising covers a replay that passes
+            done = len(states) // ca.dim  # samples stored before the failing step
+            _replay_step(ca, u, dt, tuple(states[-ca.dim:]) if done else x, done - 1)
+            raise
+        finite = np.isfinite(np.frombuffer(outputs).reshape(steps + 1, ca.p)).all(axis=1)
+        if not finite.all():
+            # a float product overflows to inf without raising, so the loop
+            # stored it; the evaluator names the culprit at its first sample
+            k = int(finite.argmin())
+            _check_outputs(ca, states[k * ca.dim:(k + 1) * ca.dim].tolist())
 
 
-def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory] | None:
-    """One run of a joint loop, or None on a failure: an exception or an
-    output that is not finite.  Members beyond ``xs`` (the last run of an
-    ensemble) step copies of its last state."""
+def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory]:
+    """One run of a joint loop; members beyond ``xs`` (the last run of an
+    ensemble) step copies of its last state.  On a failure, an exception
+    or an output that is not finite, the lone runs of
+    ``_raise_first_failure`` raise the error of the first failing state:
+    each is bit for bit its member's run, so it fails too."""
     ca = loop.system
     padded = xs + [xs[-1]] * (loop.size - len(xs))
     states = array("d")
     outputs = array("d")
+    error = None
     try:
         loop.run(tuple(v for x in padded for v in x), u, dt, steps, states, outputs)
-    except (ArithmeticError, ValueError, BlowUpError):
-        return None
+    except (ArithmeticError, ValueError, BlowUpError) as err:
+        error = err
+    if error is not None or not np.isfinite(np.frombuffer(outputs)).all():
+        _raise_first_failure(loop, xs, u, dt, steps)
+    if error is not None:
+        raise error
     outputs = np.frombuffer(outputs).reshape(steps + 1, loop.size, ca.p)
-    if not np.isfinite(outputs).all():
-        return None
     states = np.frombuffer(states).reshape(steps + 1, loop.size, ca.dim)
-    return [_trajectory(ca, dt, states[:, j], outputs[:, j]) for j in range(len(xs))]
+    names = tuple(ca.state_vars), tuple(f"y{i}" for i in range(1, ca.p + 1))
+    return [Trajectory(0.0, dt, states[:, j], outputs[:, j], *names) for j in range(len(xs))]
 
 
 def integrate_many(
@@ -419,17 +426,8 @@ def integrate_many(
             raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
 
     steps = int(round(t_end / dt))
-    if loop.size == 1:
-        return [_integrate_one(loop, x, u, dt, steps) for x in xs]
-    trajs = []
-    for c in range(0, len(xs), loop.size):
-        part = xs[c:c + loop.size]
-        joint = _run_joint(loop, part, u, dt, steps)
-        if joint is None:
-            one = compile_rk4(ca)
-            joint = [_integrate_one(one, x, u, dt, steps) for x in part]
-        trajs += joint
-    return trajs
+    return [traj for c in range(0, len(xs), loop.size)
+            for traj in _run_joint(loop, xs[c:c + loop.size], u, dt, steps)]
 
 
 def integrate(

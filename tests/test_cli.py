@@ -314,8 +314,8 @@ def test_separate_whole_period_shift_where_the_jets_are_near_zero(tmp_path, caps
 
 def test_observable_and_separate_agree_on_a_tan_pole_at_a_grid_point(tmp_path, capsys):
     # the pole of this tan sits on the sampling grid point x = 0.0048840048840048,
-    # so no shift residual passes; pi is a whole multiple of the exact
-    # candidate period, so the jets decide in separate as in observable
+    # so no shift residual passes and the jets decide the period; separate
+    # takes the period from the same detect_period verdict
     path = tmp_path / "sys.txt"
     path.write_text(GOOD_FILE.replace("exp(-x^2)", "tan(x + 1.5659123219108917)"))
     code, doc = run_json(capsys, "observable", "--system", str(path))
@@ -323,6 +323,16 @@ def test_observable_and_separate_agree_on_a_tan_pole_at_a_grid_point(tmp_path, c
     code, doc = run_json(capsys, "separate", "--system", str(path),
                          "--state", "0,1", "--state2", "pi,1")
     assert (code, doc["report"]["verdict"]) == (1, "indistinguishable-by-construction")
+
+
+def test_separate_tiny_shift_of_an_aperiodic_gain_is_separated(capsys):
+    # the gain values and jets agree to per_tol, but observable calls the
+    # gain aperiodic, so no shift is a period
+    code, _, _ = run(capsys, "observable", "--system", "preset:fish-1d-gauss")
+    assert code == 0
+    code, doc = run_json(capsys, "separate", "--system", "preset:fish-1d-gauss",
+                         "--state", "0.5,1", "--state2", "0.5000000001,1")
+    assert (code, doc["report"]["verdict"]) == (0, "separated")
 
 
 def test_separate_equal_states_usage_error(capsys):
@@ -367,6 +377,35 @@ def test_simulate_rejects_bad_dt(capsys):
         "--state", "0,0", "--dt", "0",
     )
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate", "--state", "0,0", "--t-end", "inf"),
+    ("simulate", "--state", "0,0", "--dt", "nan"),
+    ("distinguish", "--state", "0,0", "--state2", "1,0", "--dist-tol", "-1"),
+    ("gramian", "--state", "0,0", "--eps", "0"),
+    ("observable", "--per-tol", "nan"),
+    ("separate", "--state", "0,1", "--state2", "0,2", "--sep-tol", "inf"),
+    ("separate", "--state", "0,1", "--state2", "0,2", "--kmax", "-1"),
+    ("rank", "--state", "0,1", "--lmax", "-1"),
+    ("rank", "--state", "0,1", "--rank-tol", "2"),
+    ("rank", "--state", "0,1", "--rank-tol", "0"),
+], ids=lambda argv: " ".join(argv[-2:]))
+def test_numeric_flags_are_checked_on_input(capsys, argv):
+    code, out, err = run(capsys, *argv, "--system", "preset:fish-1d-gauss")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {argv[-2]} must be ")
+    assert "Traceback" not in err
+
+
+def test_zero_orders_are_valid(capsys):
+    code, out, _ = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0,1",
+                       "--lmax", "0", "--format", "text")
+    assert (code, out) == (1, "rank 1/2\n")
+    code, doc = run_json(capsys, "separate", "--system", "preset:fish-1d-gauss",
+                         "--state", "0,1", "--state2", "0,2", "--kmax", "0")
+    assert (code, doc["report"]["verdict"]) == (0, "separated")
 
 
 def test_simulate_blowup_is_numeric_failure(tmp_path, capsys):

@@ -29,7 +29,6 @@ from obsv_lab.obsv import (
     rank_condition_value,
     word_lflg,
     word_lglflg,
-    _validated_shift,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -190,8 +189,11 @@ def test_pole_on_a_grid_point_is_a_domain_error():
         warnings.simplefilter("error")
         with pytest.raises(ex.DomainError, match=r"division by zero in 1/\(x \+ 20\)"):
             detect_period(gamma)
-        assert _validated_shift(gamma, 1.0, (-20.0, 20.0), 4096, PER_TOL_DEFAULT, 6, 0) == (
-            False, math.inf)
+        # equal gain values to roundoff reach the shift step, which builds no
+        # construction from a gain it cannot sample, and the scan runs
+        cert = find_separating_observable(cascade_1d("1/(x + 20)"), (0.0, 1.0), (1e-12, 1.0))
+        assert cert.verdict != VERDICT_SHIFT
+        assert "shifts" not in cert.bounds
     assert detect_period(ex.parse("1/(x + 2.5)", {"x"})).classification == CLASS_APERIODIC
     # parse rejects a constant that fails; a tree built in code keeps it symbolic
     with pytest.raises(ex.DomainError, match=r"^division by zero in 1/0$"):
@@ -640,6 +642,44 @@ def test_whole_period_shift_is_indistinguishable_by_construction(kind, a, period
     sys = cascade_1d(kind.format(a=repr(a)))
     cert = find_separating_observable(sys, (x, z), (x + periods * SHIFT_KINDS[kind] / a, z))
     assert cert.verdict == VERDICT_SHIFT
+
+
+# tiny equal-velocity shifts: the shift residual and the jets stay below
+# per_tol, but no shift is a whole period of the gain (the first three
+# presets are aperiodic)
+TINY_SHIFTS = [
+    ("fish-1d-gauss", (0.0, 0.0), (1e-12, 0.0)),
+    ("fish-1d-gauss", (0.5, 1.0), (0.5000000001, 1.0)),
+    ("sin-drift", (0.0, 0.0), (1e-10, 0.0)),
+    ("fish-1d-hyperbolic", (0.0, 0.0), (1e-11, 0.0)),
+    ("periodic-sin", (0.0, 0.0), (1e-12, 0.0)),
+]
+
+
+@pytest.mark.parametrize("name, s0, s1", TINY_SHIFTS)
+def test_tiny_shift_is_no_construction(name, s0, s1):
+    cert = find_separating_observable(preset(name), s0, s1)
+    assert cert.verdict != VERDICT_SHIFT
+    assert "shifts" not in cert.bounds
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    gain=st.sampled_from(RULE_POOL),
+    tiny=st.floats(1e-12, 1e-9),
+    periods=st.sampled_from([-2, -1, 1, 2]),
+    x=st.just(0.0) | st.floats(-3.0, 3.0),
+    z=st.floats(-2.0, 2.0),
+)
+def test_shift_construction_follows_the_period_verdict(gain, tiny, periods, x, z):
+    src, period = gain
+    sys = cascade_1d(src)
+    if period is None:
+        cert = find_separating_observable(sys, (x, z), (x + math.copysign(tiny, periods), z))
+        assert cert.verdict != VERDICT_SHIFT, src
+    else:
+        cert = find_separating_observable(sys, (x, z), (x + periods * period, z))
+        assert cert.verdict == VERDICT_SHIFT, src
 
 
 # ---------------------------------------------------------------------------

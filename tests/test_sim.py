@@ -7,11 +7,13 @@ import pytest
 import obsv_lab.expr as ex
 from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset, preset_names
 from obsv_lab.sim import (
+    CHAIN_MAX,
     MEMBERS_MAX,
     BlowUpError,
     EquilibriumPremiseError,
     FeedbackLaw,
     InputSignal,
+    compile_rk4,
     distinguishability_experiment,
     indistinguishability_experiment,
     integrate,
@@ -284,6 +286,29 @@ def test_ensemble_beyond_one_finiteness_chain():
         lone = integrate(sys, states[j], InputSignal.sinusoid(1.0, 2.0), 0.005, 1e-3)
         assert np.array_equal(trajs[j].states, lone.states)
         assert np.array_equal(trajs[j].outputs, lone.outputs)
+
+
+def test_state_beyond_one_finiteness_chain():
+    # one state of dimension 3200: one chain of 3200 finiteness terms is too
+    # deep for Python's compiler, partial sums of CHAIN_MAX terms are not
+    n = 1600
+    sys = CascadeSystem(n=n, gamma=(ex.parse("1", ()),) * n,
+                        F=tuple(ex.parse(f"-z{i}", {f"z{i}"}) for i in range(1, n + 1)),
+                        b=(1.0,) * n)
+    assert 2 * n > 6 * CHAIN_MAX
+    loop = compile_rk4(sys)
+    u = InputSignal.sinusoid(1.0, 2.0)
+    x0 = [0.0] * n + [0.001 * i for i in range(n)]
+    traj, = integrate_many(loop, [x0], u, 0.01, 1e-3)
+    block = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("-z1", {"z1"}),), b=(1.0,))
+    for i in (0, n - 1):
+        lone = integrate(block, (0.0, x0[n + i]), u, 0.01, 1e-3)
+        assert np.array_equal(traj.states[:, [i, n + i]], lone.states)
+    # an overflow in the last partial sum still stops the run
+    with pytest.raises(BlowUpError) as err:
+        integrate_many(loop, [[0.0] * (2 * n - 1) + [1e308]], InputSignal.constant(-1e308),
+                       0.01, 1e-3)
+    assert err.value.t == 1e-3
 
 
 def _raised(run) -> Exception:
