@@ -373,14 +373,25 @@ class _Parser:
         return e
 
 
+class VarNames(frozenset):
+    """Variable names, each checked once on construction: an identifier
+    that is no reserved symbol.  ``parse`` takes a ``VarNames`` as it is, so
+    the expressions of one system, parsed over the same names, check them
+    once and not once per expression."""
+
+    def __new__(cls, names=()):
+        checked = super().__new__(cls, names)
+        for name in checked:
+            if not _IDENT_RE.match(name):
+                raise ValueError(f"invalid variable name {name!r}")
+            if name in CATALOG or name in _CONSTANTS or name in _REJECTED_FUNCS:
+                raise ValueError(f"variable name {name!r} collides with a reserved symbol")
+        return checked
+
+
 def parse(source: str, allowed_vars=()) -> Expr:
     """Parse ``source`` into an Expr whose free variables lie in ``allowed_vars``."""
-    allowed = frozenset(allowed_vars)
-    for name in allowed:
-        if not _IDENT_RE.match(name):
-            raise ValueError(f"invalid variable name {name!r}")
-        if name in CATALOG or name in _CONSTANTS or name in _REJECTED_FUNCS:
-            raise ValueError(f"variable name {name!r} collides with a reserved symbol")
+    allowed = allowed_vars if isinstance(allowed_vars, VarNames) else VarNames(allowed_vars)
     e = _Parser(source, allowed).parse()
     depth = _depth(e)
     if depth > MAX_DEPTH:
@@ -415,16 +426,16 @@ def _fmt_number(v: float) -> str:
 
 def _render(e: Expr, py: dict[str, str] | None = None) -> tuple[str, int]:
     """The text of ``e`` and its grammar level.  With ``py`` it is Python
-    source (``repr`` numbers, ``**``, ``_m.`` functions, variables renamed
-    by ``py``): Python's precedence and associativity for these operators
-    are the grammar's, so the parentheses are the same."""
+    source (``repr`` numbers, ``**``, the ``python_functions`` names,
+    variables renamed by ``py``): Python's precedence and associativity for
+    these operators are the grammar's, so the parentheses are the same."""
     if isinstance(e, Const):
         text = _fmt_number(e.value) if py is None else repr(e.value)
         return text, _LEVEL_FACTOR if math.copysign(1.0, e.value) < 0.0 else _LEVEL_ATOM
     if isinstance(e, Var):
         return (e.name if py is None else py.get(e.name, e.name)), _LEVEL_ATOM
     if isinstance(e, Func):
-        name = e.name if py is None else f"_m.{CATALOG[e.name].source}"
+        name = e.name if py is None else f"_{CATALOG[e.name].source}"
         return f"{name}({_render(e.arg, py)[0]})", _LEVEL_ATOM
     if isinstance(e, Pow):
         base = _paren(_render(e.base, py), _LEVEL_ATOM)
@@ -979,6 +990,13 @@ def nth_derivative_at(e: Expr, var: str, k: int, x0: float, k_max: int = K_MAX_D
 # evaluate() except that error messages lose the subexpression pinpointing.
 
 
+def python_functions(backend=math) -> dict[str, Callable]:
+    """The name ``python_source`` calls each catalog function by, with the
+    function of that name in ``backend``; the code that runs the source
+    binds these names."""
+    return {f"_{f.source}": getattr(backend, f.source) for f in CATALOG.values()}
+
+
 def python_source(e: Expr, names: dict[str, str] | None = None) -> str:
     """Python source computing ``e``, in one pair of parentheses; ``names``
     renames variables in the output."""
@@ -995,6 +1013,6 @@ def compile_vector(exprs, var_names, backend=math) -> "callable":
     args = ", ".join(var_names)
     body = ", ".join(python_source(e) for e in exprs)
     src = f"def _compiled({args}):\n    return ({body}{',' if len(tuple(exprs)) == 1 else ''})\n"
-    namespace = {"_m": backend}
+    namespace = python_functions(backend)
     exec(src, namespace)
     return namespace["_compiled"]

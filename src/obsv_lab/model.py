@@ -216,10 +216,6 @@ def preset_names() -> tuple[str, ...]:
     return tuple(sorted(_PRESETS))
 
 
-def preset_description(name: str) -> str:
-    return _PRESETS[name][1]
-
-
 # ---------------------------------------------------------------------------
 # File format: line oriented "key = value" with # comments.
 #   n = 2
@@ -259,15 +255,16 @@ def load_system(text: str) -> CascadeSystem:
     if n < 1:
         raise SystemFormatError(line_no, f"n must be positive, got {n}")
 
+    xs = ex.VarNames({GAMMA_VAR})
     gamma = []
     for i in range(1, n + 1):
         line_no, src = take(f"gamma[{i}]")
         try:
-            gamma.append(ex.parse(src, {GAMMA_VAR}))
+            gamma.append(ex.parse(src, xs))
         except ParseError as err:
             raise SystemFormatError(line_no, f"gamma[{i}]: {err}") from err
 
-    zs = z_names(n)
+    zs = ex.VarNames(z_names(n))
     F = []
     for i in range(1, n + 1):
         line_no, src = take(f"F[{i}]")

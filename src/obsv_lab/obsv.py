@@ -71,6 +71,7 @@ class RankReport:
     singular_values: np.ndarray
     rank: int
     dim: int
+    max_words: int | None = None  # the row cap, when it stopped the search short of full rank
 
     @property
     def locally_observable(self) -> bool:
@@ -642,7 +643,7 @@ def find_separating_observable(
 def local_rank(
     sys: ControlAffineSystem | CascadeSystem,
     x0,
-    max_words: int = 32,
+    max_words: int | None = None,
     l_max: int | None = None,
     rank_tol: float = RANK_TOL_DEFAULT,
 ) -> RankReport:
@@ -653,9 +654,11 @@ def local_rank(
     with an early stop once the stack reaches full rank.  Full rank means
     the state is locally distinguishable from its neighbours without any
     input excitation; a deficient result is a bounded-search statement,
-    only jets up to order ``l_max`` (state dimension by default) were tried.
-    The rows come from the Taylor series of the outputs along the drift
-    flow with one tangent direction per state, O(l_max^2) per expression.
+    only jets up to order ``l_max`` (state dimension by default) were tried,
+    at most p*(l_max + 1) rows.  A cap ``max_words`` on the rows that stops
+    the search before full rank is kept on the report.  The rows come from
+    the Taylor series of the outputs along the drift flow with one tangent
+    direction per state, O(l_max^2) per expression.
     """
     if isinstance(sys, CascadeSystem):
         sys = as_control_affine(sys)
@@ -672,11 +675,10 @@ def local_rank(
     sigma = np.zeros(0)
     rank = 0
     for k in range(l_max + 1):
-        if len(rows) >= max_words:
+        take = sys.p if max_words is None else min(sys.p, max_words - len(rows))
+        if take <= 0:
             break
-        for j in range(1, sys.p + 1):
-            if len(rows) >= max_words:
-                break
+        for j in range(1, take + 1):
             rows.append(np.broadcast_to(flow.gradient(j - 1, k), (sys.dim,)))
             words.append(ObservableWord(j=j, mu=(0,) * k))
         mat = np.array(rows)
@@ -687,12 +689,14 @@ def local_rank(
             rank = 0
         if rank == sys.dim:
             break
+    capped = rank < sys.dim and len(rows) < sys.p * (l_max + 1)
     return RankReport(
         words=words,
         gradients=np.array(rows),
         singular_values=sigma,
         rank=rank,
         dim=sys.dim,
+        max_words=max_words if capped else None,
     )
 
 

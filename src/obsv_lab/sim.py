@@ -10,8 +10,7 @@ from __future__ import annotations
 import bisect
 from array import array
 import math
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,9 +159,10 @@ class Trajectory:
     def to_csv(self) -> str:
         header = ",".join(("t",) + self.state_names + self.output_names)
         table = np.column_stack((self.times, self.states, self.outputs))
+        template = ",".join(["%.17g"] * table.shape[1])
         # row by row: one tolist() of the whole table would hold every value
         # as a Python float at once, next to the text
-        lines = [header] + [",".join(f"{v:.17g}" for v in row.tolist()) for row in table]
+        lines = [header] + [template % tuple(row.tolist()) for row in table]
         return "\n".join(lines) + "\n"
 
 
@@ -174,23 +174,42 @@ def _as_affine(sys) -> ControlAffineSystem:
 
 MEMBERS_MAX = 16  # states one generated loop steps together; its code grows with the count
 
+# the loop variant that computes each input kind; zero and constant are the
+# same one, a bound float
+_VARIANTS = {"zero": "constant", "constant": "constant", "sinusoid": "sinusoid",
+             "piecewise": "piecewise", "table": "table"}
+
 
 @dataclass(frozen=True)
 class RK4Loop:
-    """A single-input control-affine system with a generated RK4 loop that
-    steps ``size`` initial states in lockstep.
+    """A single-input control-affine system with generated RK4 loops that
+    step ``size`` initial states in lockstep.
 
-    ``run(x0s, u, dt, steps, states, outputs)`` takes the initial states one
-    after another in one flat tuple and extends two flat float arrays by one
-    row per sample: every member's state, then every member's outputs.  It
-    raises ``BlowUpError`` on a non-finite state; any other failure
-    propagates from the step where it happened, with the rows before that
-    step stored.
+    ``run(x0s, u, dt, steps, rows)`` takes the initial states one after
+    another in one flat tuple and extends a flat float array by one row per
+    sample: every member's state, then every member's outputs.  It raises
+    ``BlowUpError`` on a non-finite state; any other failure propagates from
+    the step where it happened, with the rows before that step stored.  The
+    loop of an input kind is generated the first time that kind runs, and
+    kept in ``variants``.
     """
 
     system: ControlAffineSystem
     size: int
-    run: Callable
+    variants: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def run(self, x0s, u: InputSignal, dt: float, steps: int, rows) -> None:
+        try:
+            variant = _VARIANTS[u.kind]
+        except KeyError:
+            raise ValueError(f"unknown input kind {u.kind!r}") from None
+        fn = self.variants.get(variant)
+        if fn is None:
+            namespace = {"_fns": tuple(ex.python_functions().values()),
+                         "_bisect": bisect, "_BlowUpError": BlowUpError}
+            exec(rk4_source(self.system, self.size, variant), namespace)
+            fn = self.variants[variant] = namespace["_rk4"]
+        fn(x0s, (0.0,) if u.kind == "zero" else u.params, dt, steps, rows)
 
 
 CHAIN_MAX = 500  # terms of one + chain; Python's compiler recurses once per term
@@ -204,31 +223,39 @@ def _sum_source(terms: list[str]) -> str:
                       for c in range(0, len(terms), CHAIN_MAX))
 
 
-def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
-    """Generate one Python function that runs the whole RK4 integration of
-    an ensemble of ``ensemble`` initial states in lockstep.
+def _input_source(variant: str):
+    """The input of a loop variant as source, in the float operations of
+    ``InputSignal.__call__``: the lines that unpack the signal's parameters
+    ``_params`` before the loop, and ``at(u, t)``, the lines that assign the
+    input at time ``t`` to ``u`` in the step (None for a constant input,
+    which is the bound float ``_u0``)."""
+    if variant == "constant":
+        return ["_u0, = _params"], None
+    if variant == "sinusoid":
+        return ["_ia, _iw, _iphi = _params"], lambda u, t: [f"{u} = _ia * _sin(_iw * {t} + _iphi)"]
+    if variant == "piecewise":
+        return (["_ibp, _ivals = _params", "_find = _bisect.bisect_right"],
+                lambda u, t: [f"{u} = _ivals[_find(_ibp, {t})]"])
+    return (["_ivals, _idt, _it0 = _params", "_ilast = len(_ivals) - 1", "_int = int"],
+            lambda u, t: [f"_i = _int(({t} - _it0) / _idt)",
+                          f"{u} = _ivals[0 if _i < 0 else _ilast if _i > _ilast else _i]"])
 
-    The step body holds one unrolled copy of the one-state step per member:
-    four stages, the update and a finiteness check of that member's state,
-    inlined over plain floats.  The arithmetic order is the reference one:
-    stage states x + (0.5*dt)*k, fields f + u*g, update
-    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
-    bit for bit the one of a lone run.  The time and the input are computed
-    once per step and distinct stage time for all members (k2 and k3 share
-    t + 0.5*dt), and one extend per buffer stores the step's rows.  An
-    ensemble of more than ``MEMBERS_MAX`` states is stepped in the fewest
-    runs of equal size, so the code stays within ``MEMBERS_MAX`` times that
-    of the one-state loop.
-    """
-    ca = _as_affine(sys)
-    if ca.m != 1:
-        raise ValueError(f"integrate handles single-input systems, got m={ca.m}")
-    if ensemble < 1:
-        raise ValueError(f"an ensemble needs at least one state, got {ensemble}")
-    runs = -(-ensemble // MEMBERS_MAX)
-    size = -(-ensemble // runs)
+
+def rk4_source(ca: ControlAffineSystem, size: int, variant: str) -> str:
+    """Source of ``_rk4(_x0s, _params, _dt, _steps, _rows)``, the RK4 loop
+    of ``size`` members under an input of the loop variant ``variant`` (see
+    ``compile_rk4``).  It runs with ``_fns``, the ``expr.python_functions``
+    values, ``_bisect`` and ``_BlowUpError`` in its globals."""
     idx = range(ca.dim)
     stage = {v: f"_p{i}" for i, v in zip(idx, ca.state_vars)}
+    setup, input_at = _input_source(variant)
+    if input_at is None:
+        ua = ub = uc = "_u0"
+        inputs = []
+    else:
+        ua, ub, uc = "_ua", "_ub", "_uc"
+        inputs = ["_t = _k * _dt", *input_at(ua, "_t"), *input_at(ub, "(_t + _h)"),
+                  *input_at(uc, "(_t + _dt)")]
 
     def fields(k, at, u):
         return [
@@ -237,7 +264,7 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
         ]
 
     # stages 2-4 read the stage state _p, the same names in every member
-    later = {k: fields(k, stage, u) for k, u in (("b", "_ub"), ("c", "_ub"), ("d", "_uc"))}
+    later = {k: fields(k, stage, u) for k, u in (("b", ub), ("c", ub), ("d", uc))}
 
     def member(j):
         base = {v: f"_x{j}_{i}" for i, v in zip(idx, ca.state_vars)}
@@ -248,7 +275,7 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
 
         outputs = "".join(f"{ex.python_source(h, base)}, " for h in ca.outputs)
         body = [
-            *fields("a", base, "_ua"),
+            *fields("a", base, ua),
             *stage_state("_h", "a"),
             *later["b"],
             *stage_state("_h", "b"),
@@ -260,38 +287,55 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
             # 0*v is 0 for every finite v and nan for inf or nan; one sum
             # per member, since a sum is compiled recursively (CHAIN_MAX)
             f"if {_sum_source([f'0.0 * _x{j}_{i}' for i in idx])} != 0.0:",
-            f"    raise _BlowUpError(_t + _dt, ({x}))",
+            f"    raise _BlowUpError(_k * _dt + _dt, ({x}))",
         ]
         return x, outputs, body
 
     members = [member(j) for j in range(size)]
     x = "".join(m[0] for m in members)
-    outputs = "".join(m[1] for m in members)
-    body = [
-        "_t = _k * _dt",
-        "_ua = _u(_t)",
-        "_ub = _u(_t + _h)",
-        "_uc = _u(_t + _dt)",
-        *(line for m in members for line in m[2]),
-        f"_out(({outputs}))",
-        f"_state(({x}))",
-    ]
-    src = "\n".join([
-        "def _rk4(_x0s, _u, _dt, _steps, _states, _outputs):",
+    row = x + "".join(m[1] for m in members)
+    body = [*inputs, *(line for m in members for line in m[2]), f"_row(({row}))"]
+    return "\n".join([
+        "def _rk4(_x0s, _params, _dt, _steps, _rows):",
         f"    {x}= _x0s",
+        f"    {', '.join(ex.python_functions())}, = _fns",
+        *(f"    {line}" for line in setup),
         "    _h = 0.5 * _dt",
         "    _w = _dt / 6.0",
-        "    _state = _states.extend",
-        "    _out = _outputs.extend",
-        f"    _out(({outputs}))",
-        f"    _state(({x}))",
+        "    _row = _rows.extend",
+        f"    _row(({row}))",
         "    for _k in range(_steps):",
         *(f"        {line}" for line in body),
         "",
     ])
-    namespace = {"_m": math, "_BlowUpError": BlowUpError}
-    exec(src, namespace)
-    return RK4Loop(system=ca, size=size, run=namespace["_rk4"])
+
+
+def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
+    """The RK4 loop of an ensemble of ``ensemble`` initial states: one
+    generated Python function per input kind that runs the whole RK4
+    integration of the ensemble in lockstep.
+
+    The step body holds one unrolled copy of the one-state step per member:
+    four stages, the update and a finiteness check of that member's state,
+    inlined over plain floats.  The arithmetic order is the reference one:
+    stage states x + (0.5*dt)*k, fields f + u*g, update
+    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
+    bit for bit the one of a lone run.  The input is arithmetic in the step,
+    in the float operations of ``InputSignal.__call__``: a zero or constant
+    input is one float bound before the loop, any other kind is computed
+    once per step and distinct stage time for all members (k2 and k3 share
+    t + 0.5*dt).  The catalog functions are locals of the function, and one
+    extend stores the step's row.  An ensemble of more than ``MEMBERS_MAX``
+    states is stepped in the fewest runs of equal size, so the code stays
+    within ``MEMBERS_MAX`` times that of the one-state loop.
+    """
+    ca = _as_affine(sys)
+    if ca.m != 1:
+        raise ValueError(f"integrate handles single-input systems, got m={ca.m}")
+    if ensemble < 1:
+        raise ValueError(f"an ensemble needs at least one state, got {ensemble}")
+    runs = -(-ensemble // MEMBERS_MAX)
+    return RK4Loop(system=ca, size=-(-ensemble // runs))
 
 
 def _check_outputs(ca: ControlAffineSystem, x) -> None:
@@ -351,23 +395,25 @@ def _raise_first_failure(loop: RK4Loop, xs, u, dt: float, steps: int) -> None:
     ca = loop.system
     if loop.size > 1:
         loop = compile_rk4(ca)
+    width = ca.dim + ca.p
     for x in xs:
-        states = array("d")
-        outputs = array("d")
+        rows = array("d")
         try:
-            loop.run(x, u, dt, steps, states, outputs)
+            loop.run(x, u, dt, steps, rows)
         except (ArithmeticError, ValueError):
             # the generated loop reports no location; the guarded replay of
             # the failing step does, and re-raising covers a replay that passes
-            done = len(states) // ca.dim  # samples stored before the failing step
-            _replay_step(ca, u, dt, tuple(states[-ca.dim:]) if done else x, done - 1)
+            done = len(rows) // width  # samples stored before the failing step
+            last = tuple(rows[(done - 1) * width:(done - 1) * width + ca.dim])
+            _replay_step(ca, u, dt, last if done else x, done - 1)
             raise
-        finite = np.isfinite(np.frombuffer(outputs).reshape(steps + 1, ca.p)).all(axis=1)
+        table = np.frombuffer(rows).reshape(steps + 1, width)
+        finite = np.isfinite(table[:, ca.dim:]).all(axis=1)
         if not finite.all():
             # a float product overflows to inf without raising, so the loop
             # stored it; the evaluator names the culprit at its first sample
             k = int(finite.argmin())
-            _check_outputs(ca, states[k * ca.dim:(k + 1) * ca.dim].tolist())
+            _check_outputs(ca, table[k, :ca.dim].tolist())
 
 
 def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory]:
@@ -378,19 +424,21 @@ def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory]:
     each is bit for bit its member's run, so it fails too."""
     ca = loop.system
     padded = xs + [xs[-1]] * (loop.size - len(xs))
-    states = array("d")
-    outputs = array("d")
+    rows = array("d")
     error = None
     try:
-        loop.run(tuple(v for x in padded for v in x), u, dt, steps, states, outputs)
+        loop.run(tuple(v for x in padded for v in x), u, dt, steps, rows)
     except (ArithmeticError, ValueError, BlowUpError) as err:
         error = err
-    if error is not None or not np.isfinite(np.frombuffer(outputs)).all():
+    split = loop.size * ca.dim  # states, then outputs, in each row
+    if error is None:
+        table = np.frombuffer(rows).reshape(steps + 1, loop.size * (ca.dim + ca.p))
+    if error is not None or not np.isfinite(table[:, split:]).all():
         _raise_first_failure(loop, xs, u, dt, steps)
     if error is not None:
         raise error
-    outputs = np.frombuffer(outputs).reshape(steps + 1, loop.size, ca.p)
-    states = np.frombuffer(states).reshape(steps + 1, loop.size, ca.dim)
+    states = table[:, :split].reshape(steps + 1, loop.size, ca.dim)
+    outputs = table[:, split:].reshape(steps + 1, loop.size, ca.p)
     names = tuple(ca.state_vars), tuple(f"y{i}" for i in range(1, ca.p + 1))
     return [Trajectory(0.0, dt, states[:, j], outputs[:, j], *names) for j in range(len(xs))]
 
@@ -408,7 +456,7 @@ def integrate_many(
     ``sys`` is a cascade, a control-affine system, or an ``RK4Loop``
     compiled for ensembles of this size, when many are integrated on one
     system.  Each trajectory is bit for bit the one ``integrate`` gives for
-    its state alone; its arrays are views into buffers shared by the
+    its state alone; its arrays are views into one buffer shared by the
     ensemble.  On a failure of the joint loop, an exception or an output
     that is not finite, its states are integrated again one at a time, so
     the error raised is the one of the first failing state, as
@@ -565,8 +613,8 @@ class FeedbackLaw:
 
     @staticmethod
     def parse(nq: int, dynamics_srcs, output_src: str, n_outputs: int) -> "FeedbackLaw":
-        allowed = {f"y{i}" for i in range(1, n_outputs + 1)}
-        allowed |= {f"q{l}" for l in range(1, nq + 1)}
+        allowed = ex.VarNames([f"y{i}" for i in range(1, n_outputs + 1)]
+                              + [f"q{l}" for l in range(1, nq + 1)])
         dyn = tuple(ex.parse(src, allowed) for src in dynamics_srcs)
         return FeedbackLaw(nq=nq, dynamics=dyn, output=ex.parse(output_src, allowed))
 

@@ -352,6 +352,23 @@ def test_rank_full_and_deficient(capsys):
     assert doc["report"]["rank"] < 2
 
 
+def test_rank_of_a_50_block_cascade_has_no_row_cap(tmp_path, capsys):
+    # a moving state of a coupled 50-block cascade: every one of its 100
+    # states is seen, so no cap of 32 rows may stop the search
+    n = 50
+    gains = ("sin(x) + 2", "exp(-x^2)", "tanh(x) + 0.5")
+    lines = [f"n = {n}"]
+    lines += [f"gamma[{i}] = {gains[i % 3]}" for i in range(1, n + 1)]
+    lines += [f"F[{i}] = -z{i} + 0.1*sin(z{i % n + 1})" for i in range(1, n + 1)]
+    lines.append("b = [" + ", ".join(["1"] * n) + "]")
+    path = tmp_path / "sys.txt"
+    path.write_text("\n".join(lines) + "\n")
+    state = ",".join(["0.3"] * n + ["0.8"] * n)
+    code, doc = run_json(capsys, "rank", "--system", str(path), "--state", state)
+    assert (code, doc["report"]["rank"], doc["report"]["dim"]) == (0, 100, 100)
+    assert len(doc["report"]["words"]) == 100
+
+
 # ---------------------------------------------------------------------------
 # simulate / distinguish / gramian
 

@@ -57,6 +57,26 @@ def test_parse_reserved_constants():
     assert evaluate(parse("e", ()), {}) == math.e
 
 
+@pytest.mark.parametrize("names, message", [
+    (("x", "1x"), "invalid variable name '1x'"),
+    (("z1", "z-2"), "invalid variable name 'z-2'"),
+    (("x", "sin"), "variable name 'sin' collides with a reserved symbol"),
+    (("pi",), "variable name 'pi' collides with a reserved symbol"),
+    (("abs",), "variable name 'abs' collides with a reserved symbol"),
+])
+def test_invalid_or_reserved_variable_names(names, message):
+    # the same error from parse and from a VarNames, which parse then takes
+    # without checking its names again
+    for make in (lambda: parse("1", names), lambda: ex.VarNames(names)):
+        with pytest.raises(ValueError) as err:
+            make()
+        assert str(err.value) == message
+    checked = ex.VarNames(("x", "z1"))
+    assert parse("x*z1", checked) == Mul(Var("x"), Var("z1"))
+    with pytest.raises(ParseError):
+        parse("y", checked)
+
+
 def test_parse_power_integer_only():
     assert parse("x^3", {"x"}) == Pow(Var("x"), 3)
     assert parse("x^-2", {"x"}) == Pow(Var("x"), -2)

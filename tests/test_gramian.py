@@ -15,7 +15,7 @@ from obsv_lab.gramian import (
 )
 from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset
 from obsv_lab.obsv import local_rank
-from obsv_lab.sim import InputSignal, integrate
+from obsv_lab.sim import InputSignal, compile_rk4, integrate
 
 TWO_PI = 2.0 * math.pi
 SIN_1HZ = InputSignal.sinusoid(1.0, TWO_PI)
@@ -84,6 +84,22 @@ def test_input_sweep_singleton_and_ties():
     assert abs(ranked[0][1].sigma_min - ranked[1][1].sigma_min) <= 1e-12
     with pytest.raises(ValueError):
         input_sweep(preset("fish-1d-gauss"), (0.0, 0.0), [], t_end=2.0)
+
+
+def test_input_sweep_on_one_loop_matches_fresh_gramians_bytewise():
+    # one loop compiles one variant per input kind that runs (zero and
+    # constant share one) and keeps it; every report is the one of a fresh
+    # Gramian of its input
+    sys, x0 = preset("sin-drift"), (0.3, -0.4)
+    inputs = [InputSignal.zero(), SIN_1HZ, InputSignal.constant(0.7), InputSignal.zero(),
+              InputSignal.piecewise((0.5,), (1.0, -2.0))]
+    loop = compile_rk4(sys, 4)
+    ranked = dict(input_sweep(loop, x0, inputs, t_end=1.0))
+    assert sorted(loop.variants) == ["constant", "piecewise", "sinusoid"]
+    for idx, u in enumerate(inputs):
+        fresh = empirical_gramian(sys, x0, u, t_end=1.0)
+        assert ranked[idx].matrix.tobytes() == fresh.matrix.tobytes()
+        assert ranked[idx].singular_values.tobytes() == fresh.singular_values.tobytes()
 
 
 def test_period_shift_direction_is_invisible():

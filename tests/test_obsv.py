@@ -739,6 +739,41 @@ def test_local_rank_zero_velocity_matches_condition():
 def test_local_rank_row_budget():
     report = local_rank(preset("fish-1d-hyperbolic"), (0.0, 1.0), max_words=3)
     assert len(report.words) <= 3
+    # the hyperbolic gain is rank deficient everywhere: up to order 4 the
+    # cap stops the search, and the report says so; a cap that stops no
+    # search (order 2 has 3 rows) or is not reached is not kept
+    assert report.max_words is None
+    capped = local_rank(preset("fish-1d-hyperbolic"), (0.0, 1.0), max_words=3, l_max=4)
+    assert (capped.rank, len(capped.words), capped.max_words) == (1, 3, 3)
+    assert local_rank(preset("fish-1d-gauss"), (0.0, 1.0), max_words=3).max_words is None
+    assert local_rank(preset("fish-1d-hyperbolic"), (0.0, 1.0)).max_words is None
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["rest", "moving"])
+def test_local_rank_of_decoupled_cascade_is_the_sum_of_block_ranks(moving):
+    # with F[i] = -z_i the blocks do not couple, so the observation space is
+    # the direct sum of the blocks' spaces: rank 1 per block at rest (every
+    # row is gamma(x)*c*dz), rank 2 per block moving for these gains, where
+    # 2*gamma'^2 - gamma*gamma'' > 0.  At 50 blocks the state has 100
+    # entries, past any cap of 32 rows
+    n = 50
+    rng = random.Random(50 + moving)
+    gains = [rng.choice(("sin(x) + 2", "exp(-x^2)")) for _ in range(n)]
+    x = [rng.uniform(-1.5, 1.5) for _ in range(n)]
+    z = [rng.uniform(0.5, 1.5) if moving else 0.0 for _ in range(n)]
+    b = [rng.uniform(0.5, 1.5) for _ in range(n)]
+    zs = ex.VarNames(f"z{i}" for i in range(1, n + 1))
+    sys = CascadeSystem(n=n, gamma=tuple(ex.parse(g, {"x"}) for g in gains),
+                        F=tuple(ex.parse(f"-z{i}", zs) for i in range(1, n + 1)), b=tuple(b))
+    l_max = None if moving else 3  # at rest no order reaches full rank; 3 keeps it quick
+    report = local_rank(sys, x + z, l_max=l_max)
+
+    def block_rank(i):
+        block = CascadeSystem(n=1, gamma=(sys.gamma[i],), F=(ex.parse("-z1", {"z1"}),), b=(b[i],))
+        return local_rank(block, (x[i], z[i]), l_max=l_max).rank
+
+    assert report.rank == sum(block_rank(i) for i in range(n)) == (2 * n if moving else n)
+    assert report.max_words is None
 
 
 def test_local_rank_degenerate_three_blocks_is_quick():

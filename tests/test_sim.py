@@ -1,3 +1,4 @@
+import ast
 import math
 import random
 
@@ -13,6 +14,7 @@ from obsv_lab.sim import (
     EquilibriumPremiseError,
     FeedbackLaw,
     InputSignal,
+    Trajectory,
     compile_rk4,
     distinguishability_experiment,
     indistinguishability_experiment,
@@ -20,6 +22,7 @@ from obsv_lab.sim import (
     integrate_many,
     output_feedback_equilibria_check,
     parse_input_spec,
+    rk4_source,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -222,17 +225,74 @@ def _random_cascade(rng: random.Random, n: int, gain) -> CascadeSystem:
     )
 
 
+def _same_bits(a, b) -> bool:
+    """Equal shapes and bytes: unlike ``np.array_equal``, -0.0 is not 0.0."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_integrate_matches_tree_evaluated_rk4_bitwise(n):
     rng = random.Random(n)
     sys = _random_cascade(rng, n, lambda i: rng.choice(ORACLE_GAINS))
     x0 = [rng.uniform(-1.0, 1.0) for _ in range(2 * n)]
-    u = InputSignal.sinusoid(rng.uniform(0.5, 1.5), rng.uniform(1.0, 6.0), rng.uniform(0.0, 1.0))
-    traj = integrate(sys, x0, u, 0.5, 1e-3)
-    states, outputs = _reference_rk4(as_control_affine(sys), x0, u, 0.5, 1e-3)
-    assert traj.states.shape == (501, 2 * n)
-    assert np.array_equal(traj.states, states)
-    assert np.array_equal(traj.outputs, outputs)
+    inputs = {
+        "sinusoid": InputSignal.sinusoid(rng.uniform(0.5, 1.5), rng.uniform(1.0, 6.0),
+                                         rng.uniform(0.0, 1.0)),
+        "zero": InputSignal.zero(),
+        "constant": InputSignal.constant(rng.uniform(-1.5, 1.5)),
+        "piecewise": InputSignal.piecewise((0.1, 0.25, 0.4),
+                                           [rng.uniform(-1.5, 1.5) for _ in range(4)]),
+        # starts after t = 0 and ends before t_end: both clamps of the index run
+        "table": InputSignal.table([rng.uniform(-1.5, 1.5) for _ in range(40)], 0.01, 0.05),
+    }
+    ca = as_control_affine(sys)
+    for kind, u in inputs.items():
+        traj = integrate(sys, x0, u, 0.5, 1e-3)
+        states, outputs = _reference_rk4(ca, x0, u, 0.5, 1e-3)
+        assert traj.states.shape == (501, 2 * n)
+        assert _same_bits(traj.states, states), kind
+        assert _same_bits(traj.outputs, outputs), kind
+
+
+def test_signed_zero_start_under_zero_input_bitwise():
+    # from -0.0 each field f + 0.0*g is +0.0 where f is -0.0, so the state
+    # turns +0.0 after one step; a loop that dropped u*g under zero input
+    # would keep -0.0 where F(-0.0) is -0.0, as for F = 0.5*z1, and the CSV
+    # would print -0
+    u = InputSignal.zero()
+    systems = {name: preset(name) for name in preset_names()}
+    systems["growing"] = CascadeSystem(n=1, gamma=(ex.parse("sin(x)", {"x"}),),
+                                       F=(ex.parse("0.5*z1", {"z1"}),), b=(1.0,))
+    for name, sys in systems.items():
+        traj = integrate(sys, (-0.0, -0.0), u, 0.01, 1e-3)
+        states, outputs = _reference_rk4(as_control_affine(sys), (-0.0, -0.0), u, 0.01, 1e-3)
+        assert _same_bits(traj.states, states), name
+        assert _same_bits(traj.outputs, outputs), name
+        lines = traj.to_csv().splitlines()
+        assert lines[1].startswith("0,-0,-0,"), name
+        assert lines[2] == "0.001,0,0,0", name
+
+
+@pytest.mark.parametrize("variant", ["constant", "sinusoid", "piecewise", "table"])
+def test_step_body_calls_only_bound_math(variant):
+    # inside the for body, the only calls are catalog functions and input
+    # helpers bound as locals before the loop, the one row write and the
+    # blow-up raise: no Python function is called per step
+    ca = as_control_affine(_random_cascade(random.Random(7), 2, ORACLE_GAINS.__getitem__))
+    fn, = ast.parse(rk4_source(ca, 3, variant)).body
+    loop, = [node for node in fn.body if isinstance(node, ast.For)]
+    bound = {target.id for node in fn.body[:fn.body.index(loop)]
+             for target in ast.walk(node) if isinstance(target, ast.Name)
+             and isinstance(target.ctx, ast.Store)}
+    allowed = (bound & (set(ex.python_functions()) | {"_row", "_find", "_int"})) | {"_BlowUpError"}
+    called = [node.func for stmt in loop.body for node in ast.walk(stmt)
+              if isinstance(node, ast.Call)]
+    assert all(isinstance(f, ast.Name) and f.id in allowed for f in called)
+    names = [f.id for f in called]
+    assert names.count("_row") == 1
+    assert names.count("_BlowUpError") == 3
+    assert {"_exp", "_sin", "_cos", "_tanh"} <= set(names)
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +310,7 @@ ENSEMBLE_INPUTS = {
     "const": InputSignal.constant(0.7),
     "sin": InputSignal.sinusoid(0.8, 2.5, 0.3),
     "piecewise": InputSignal.piecewise((0.04, 0.07), (1.0, -0.5, 0.2)),
+    "table": InputSignal.table((0.5, -1.0, 0.25, 2.0), 0.02, 0.01),
 }
 
 
@@ -267,8 +328,8 @@ def test_ensemble_trajectories_equal_lone_runs_bitwise(name, u):
         assert len(trajs) == size
         for x0, traj in zip(states, trajs):
             lone = integrate(sys, x0, u, 0.1, 1e-3)
-            assert np.array_equal(traj.states, lone.states)
-            assert np.array_equal(traj.outputs, lone.outputs)
+            assert _same_bits(traj.states, lone.states)
+            assert _same_bits(traj.outputs, lone.outputs)
 
 
 def test_ensemble_beyond_one_finiteness_chain():
@@ -284,8 +345,8 @@ def test_ensemble_beyond_one_finiteness_chain():
     trajs = integrate_many(sys, states, InputSignal.sinusoid(1.0, 2.0), 0.005, 1e-3)
     for j in (0, MEMBERS_MAX - 1):
         lone = integrate(sys, states[j], InputSignal.sinusoid(1.0, 2.0), 0.005, 1e-3)
-        assert np.array_equal(trajs[j].states, lone.states)
-        assert np.array_equal(trajs[j].outputs, lone.outputs)
+        assert _same_bits(trajs[j].states, lone.states)
+        assert _same_bits(trajs[j].outputs, lone.outputs)
 
 
 def test_state_beyond_one_finiteness_chain():
@@ -303,7 +364,7 @@ def test_state_beyond_one_finiteness_chain():
     block = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("-z1", {"z1"}),), b=(1.0,))
     for i in (0, n - 1):
         lone = integrate(block, (0.0, x0[n + i]), u, 0.01, 1e-3)
-        assert np.array_equal(traj.states[:, [i, n + i]], lone.states)
+        assert _same_bits(traj.states[:, [i, n + i]], lone.states)
     # an overflow in the last partial sum still stops the run
     with pytest.raises(BlowUpError) as err:
         integrate_many(loop, [[0.0] * (2 * n - 1) + [1e308]], InputSignal.constant(-1e308),
@@ -351,7 +412,7 @@ def test_z_component_ignores_positions():
     u = InputSignal.sinusoid(1.0, 1.0)
     ta = integrate(sys, (0.3, 0.5), u, 5.0, 1e-3)
     tb = integrate(sys, (-1.2, 0.5), u, 5.0, 1e-3)
-    assert np.array_equal(ta.states[:, 1], tb.states[:, 1])
+    assert _same_bits(ta.states[:, 1], tb.states[:, 1])
 
 
 def test_position_shift_covariance():
@@ -372,6 +433,17 @@ def test_csv_export():
     assert first[0] == 0.0
     assert first[1] == 0.1
     assert first[3] == pytest.approx(math.exp(-0.01) * 0.2)
+
+
+def test_csv_bytes_match_per_value_formatting():
+    values = (-0.0, 5e-324, 1e300, 3.0, 0.1)
+    states = np.array([values[:2], values[2:4], values[3:]])
+    outputs = np.array([[values[4]], [values[0]], [values[1]]])
+    traj = Trajectory(0.0, 0.1, states, outputs, ("x1", "z1"), ("y1",))
+    rows = np.column_stack((traj.times, states, outputs)).tolist()
+    expected = "t,x1,z1,y1\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+    assert traj.to_csv() == expected
+    assert "-0," in expected and "4.9406564584124654e-324" in expected
 
 
 # ---------------------------------------------------------------------------
