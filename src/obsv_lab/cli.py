@@ -8,12 +8,12 @@ configuration and are byte-stable for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,6 +56,7 @@ from .sim import (
     parse_input_spec,
 )
 from .gramian import EPS_DEFAULT, input_sweep
+from .record import Record
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -64,38 +65,16 @@ EXIT_UNDETERMINED = 3
 EXIT_NUMERIC = 4
 
 
-@dataclass
-class RunConfig:
-    """The parsed command line; build_parser holds the defaults."""
-
-    command: str
-    system: str | None
-    state: tuple[float, ...] | None
-    state2: tuple[float, ...] | None
-    inputs: list[str]
-    t_end: float
-    dt: float
-    k_max: int
-    l_max: int | None
-    per_tol: float
-    sep_tol: float
-    rank_tol: float
-    dist_tol: float
-    eps: float
-    seed: int
-    format: str
-    out: str | None
-
-
-@dataclass
-class Result:
+class Result(Record):
     """What a subcommand hands back: exit code, JSON report, text lines, and
     for commands with a CSV form, a function that renders it."""
 
+    __slots__ = ("code", "report", "lines", "csv")
+    _defaults = {"csv": None}
     code: int
     report: dict
     lines: list[str]
-    csv: Callable[[], str] | None = None
+    csv: Callable[[], str] | None
 
 
 class UsageError(ValueError):
@@ -110,7 +89,7 @@ def _exit_code(verdict: str, positive: str, negative: str) -> int:
     return EXIT_UNDETERMINED
 
 
-def _load(cfg: RunConfig) -> CascadeSystem:
+def _load(cfg: argparse.Namespace) -> CascadeSystem:
     if not cfg.system:
         raise UsageError("--system is required for this command")
     if cfg.system.startswith("preset:"):
@@ -152,8 +131,8 @@ def _word_dict(word) -> dict:
     return {"output": word.j, "word": list(word.mu), "order": len(word.mu)}
 
 
-def _config_dict(cfg: RunConfig) -> dict:
-    doc = _jsonable(asdict(cfg))
+def _config_dict(cfg: argparse.Namespace) -> dict:
+    doc = _jsonable(vars(cfg))
     doc.pop("out")  # where the report lands does not affect its content
     return doc
 
@@ -162,7 +141,7 @@ def _config_dict(cfg: RunConfig) -> dict:
 # subcommands: each returns a Result
 
 
-def cmd_validate(cfg: RunConfig) -> Result:
+def cmd_validate(cfg: argparse.Namespace) -> Result:
     try:
         violations = validate(_load(cfg))
     except InvalidSystemError as err:
@@ -173,7 +152,7 @@ def cmd_validate(cfg: RunConfig) -> Result:
     return Result(EXIT_OK, {"valid": True, "violations": []}, ["valid"])
 
 
-def cmd_observable(cfg: RunConfig) -> Result:
+def cmd_observable(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     report = is_aperiodic_system(sys_, per_tol=cfg.per_tol, k_max=cfg.k_max, seed=cfg.seed)
     gammas = []
@@ -191,7 +170,7 @@ def cmd_observable(cfg: RunConfig) -> Result:
     return Result(_exit_code(report.verdict, "observable", "not-observable"), out, lines)
 
 
-def cmd_separate(cfg: RunConfig) -> Result:
+def cmd_separate(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("separate needs --state and --state2")
@@ -220,7 +199,7 @@ def cmd_separate(cfg: RunConfig) -> Result:
     return Result(_exit_code(cert.verdict, VERDICT_SEPARATED, VERDICT_SHIFT), out, lines)
 
 
-def cmd_rank(cfg: RunConfig) -> Result:
+def cmd_rank(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("rank needs --state")
@@ -236,13 +215,13 @@ def cmd_rank(cfg: RunConfig) -> Result:
     return Result(EXIT_OK if report.locally_observable else EXIT_NEGATIVE, out, lines)
 
 
-def _single_input(cfg: RunConfig) -> InputSignal:
+def _single_input(cfg: argparse.Namespace) -> InputSignal:
     if len(cfg.inputs) > 1:
         raise UsageError("this command takes a single --input")
     return parse_input_spec(cfg.inputs[0]) if cfg.inputs else InputSignal.zero()
 
 
-def cmd_simulate(cfg: RunConfig) -> Result:
+def cmd_simulate(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("simulate needs --state")
@@ -262,7 +241,7 @@ def cmd_simulate(cfg: RunConfig) -> Result:
     return Result(EXIT_OK, out, lines, traj.to_csv)
 
 
-def cmd_distinguish(cfg: RunConfig) -> Result:
+def cmd_distinguish(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("distinguish needs --state and --state2")
@@ -283,7 +262,7 @@ def cmd_distinguish(cfg: RunConfig) -> Result:
     return Result(_exit_code(res.classification, "diverged", "identical"), out, lines)
 
 
-def cmd_gramian(cfg: RunConfig) -> Result:
+def cmd_gramian(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("gramian needs --state")
@@ -392,7 +371,7 @@ def _check_resting_continuum(_: random.Random) -> tuple[bool, str]:
     return worst <= 1e-12, f"max field residual {worst:.3e}"
 
 
-def cmd_verify(cfg: RunConfig) -> Result:
+def cmd_verify(cfg: argparse.Namespace) -> Result:
     rng = random.Random(cfg.seed)
     checks = (
         ("closed-form-identities", _check_closed_forms),
@@ -415,36 +394,35 @@ def cmd_verify(cfg: RunConfig) -> Result:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser: the command, then the options every command shares, in
+    any order."""
     p = argparse.ArgumentParser(
         prog="obsv-lab",
         description="Observability analysis of cascade systems with high-pass outputs.",
     )
-    sub = p.add_subparsers(dest="command", required=True)
-    names = ("validate", "observable", "separate", "rank", "simulate", "distinguish", "gramian", "verify")
-    for name in names:
-        s = sub.add_parser(name)
-        s.add_argument("--system", help="model file path, or preset:<name>")
-        s.add_argument("--state", help="comma-separated state, positions first then velocities")
-        s.add_argument("--state2", help="second state for pairwise commands")
-        s.add_argument(
-            "--input",
-            dest="inputs",
-            action="append",
-            default=[],
-            help="zero | const:<c> | sin:<a>,<w>[,<phi>] (repeatable for gramian)",
-        )
-        s.add_argument("--t-end", type=float, default=T_END_DEFAULT)
-        s.add_argument("--dt", type=float, default=DT_DEFAULT)
-        s.add_argument("--kmax", dest="k_max", type=int, default=K_MAX_DEFAULT)
-        s.add_argument("--lmax", dest="l_max", type=int, default=None)
-        s.add_argument("--per-tol", type=float, default=PER_TOL_DEFAULT)
-        s.add_argument("--sep-tol", type=float, default=SEP_TOL_DEFAULT)
-        s.add_argument("--rank-tol", type=float, default=RANK_TOL_DEFAULT)
-        s.add_argument("--dist-tol", type=float, default=DIST_TOL_DEFAULT)
-        s.add_argument("--eps", type=float, default=EPS_DEFAULT)
-        s.add_argument("--seed", type=int, default=0)
-        s.add_argument("--format", choices=("json", "text", "csv"), default="json")
-        s.add_argument("--out", help="write the report here instead of stdout")
+    p.add_argument("command", choices=_HANDLERS)
+    p.add_argument("--system", help="model file path, or preset:<name>")
+    p.add_argument("--state", help="comma-separated state, positions first then velocities")
+    p.add_argument("--state2", help="second state for pairwise commands")
+    p.add_argument(
+        "--input",
+        dest="inputs",
+        action="append",
+        default=[],
+        help="zero | const:<c> | sin:<a>,<w>[,<phi>] (repeatable for gramian)",
+    )
+    p.add_argument("--t-end", type=float, default=T_END_DEFAULT)
+    p.add_argument("--dt", type=float, default=DT_DEFAULT)
+    p.add_argument("--kmax", dest="k_max", type=int, default=K_MAX_DEFAULT)
+    p.add_argument("--lmax", dest="l_max", type=int, default=None)
+    p.add_argument("--per-tol", type=float, default=PER_TOL_DEFAULT)
+    p.add_argument("--sep-tol", type=float, default=SEP_TOL_DEFAULT)
+    p.add_argument("--rank-tol", type=float, default=RANK_TOL_DEFAULT)
+    p.add_argument("--dist-tol", type=float, default=DIST_TOL_DEFAULT)
+    p.add_argument("--eps", type=float, default=EPS_DEFAULT)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--format", choices=("json", "text", "csv"), default="json")
+    p.add_argument("--out", help="write the report here instead of stdout")
     return p
 
 
@@ -468,7 +446,7 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _render(cfg: RunConfig, result: Result) -> str:
+def _render(cfg: argparse.Namespace, result: Result) -> str:
     if cfg.format == "json":
         doc = {"command": cfg.command, "config": _config_dict(cfg), "report": result.report}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -483,7 +461,7 @@ def _finite_positive(v: float) -> bool:
     return 0.0 < v < math.inf  # false for nan too
 
 
-# (flag, RunConfig key, check, what the check asks for)
+# (flag, argument name, check, what the check asks for)
 _NUMERIC_FLAGS = (
     *((flag, flag[2:].replace("-", "_"), _finite_positive, "finite and positive")
       for flag in ("--dt", "--t-end", "--eps", "--per-tol", "--sep-tol", "--dist-tol")),
@@ -494,14 +472,14 @@ _NUMERIC_FLAGS = (
 
 
 def main(argv=None) -> int:
-    args = vars(build_parser().parse_args(argv))
+    cfg = build_parser().parse_args(argv)
     try:
         for flag, key, ok, what in _NUMERIC_FLAGS:
-            if not ok(args[key]):
-                raise UsageError(f"{flag} must be {what}, got {args[key]!r}")
-        for flag, key in (("--state", "state"), ("--state2", "state2")):
-            args[key] = _parse_state(args[key], flag) if args[key] else None
-        cfg = RunConfig(**args)
+            value = getattr(cfg, key)
+            if not ok(value):
+                raise UsageError(f"{flag} must be {what}, got {value!r}")
+        cfg.state = _parse_state(cfg.state, "--state") if cfg.state else None
+        cfg.state2 = _parse_state(cfg.state2, "--state2") if cfg.state2 else None
         result = _HANDLERS[cfg.command](cfg)
         _emit(_render(cfg, result), cfg.out)
     except (BlowUpError, ex.DomainError) as err:
@@ -513,5 +491,14 @@ def main(argv=None) -> int:
     return result.code
 
 
+def run() -> None:
+    """The ``obsv-lab`` script and ``python -m obsv_lab.cli``: ``main``, then
+    exit without a collector pass over the heap the command left behind
+    (``gc.freeze`` moves it out of the collector's reach)."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -10,7 +10,8 @@ power runs on the series rules of the product and the quotient (see ``Jet``).
 
 Every order-0 value comes from ``_checked``, shared by ``evaluate``, the
 jets and the constant folds: a result that leaves the reals or is not finite
-raises ``DomainError`` at its node.  Non-smooth builtins (abs, floor, ...),
+raises ``DomainError`` at its node, and so does a variable that ``evaluate``
+finds bound to inf or nan.  Non-smooth builtins (abs, floor, ...),
 non-finite literals, constants that fail to fold, such as ``1/0`` or
 ``10^400``, and trees deeper than ``MAX_DEPTH`` are rejected at parse time.
 
@@ -23,8 +24,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
 from typing import Callable
+
+from .record import Frozen
 
 K_MAX_DEFAULT = 12  # default bound on the derivative order a search may reach
 # The tree walkers recurse, one Python frame per level, and Python refuses
@@ -62,59 +64,63 @@ class DerivativeOrderError(ValueError):
 # AST
 
 
-@dataclass(frozen=True)
-class Expr:
+class Expr(Frozen):
+    """An immutable tree node; see ``record`` for its construction,
+    equality, hash and repr."""
+
+    __slots__ = ()
+
     def __str__(self) -> str:
         return format_expr(self)
 
 
-@dataclass(frozen=True)
 class Const(Expr):
+    __slots__ = ("value",)
     value: float
 
 
-@dataclass(frozen=True)
 class Var(Expr):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
+    __slots__ = ("arg",)
     arg: Expr
 
 
-@dataclass(frozen=True)
 class Add(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Div(Expr):
+    __slots__ = ("left", "right")
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
+    __slots__ = ("base", "exponent")
     base: Expr
     exponent: int
 
 
-@dataclass(frozen=True)
 class Func(Expr):
+    __slots__ = ("name", "arg")
     name: str
     arg: Expr
 
@@ -510,9 +516,12 @@ def evaluate(e: Expr, env: dict[str, float]) -> float:
         return e.value
     if isinstance(e, Var):
         try:
-            return float(env[e.name])
+            v = float(env[e.name])
         except KeyError:
             raise DomainError(f"unbound variable '{e.name}'", e) from None
+        if not math.isfinite(v):
+            raise DomainError(f"variable '{e.name}' bound to {v!r}", e)
+        return v
     if isinstance(e, (Add, Sub, Mul, Div)):
         return _checked(e, evaluate(e.left, env), evaluate(e.right, env))
     return _checked(e, evaluate(e.base if isinstance(e, Pow) else e.arg, env))
@@ -759,8 +768,7 @@ def _t_sqrt(nd, k):
     return (nd.a.t[k] - 2.0 * _conv(c, nd.t, 1, k)) / (2.0 * c[0])
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(Frozen):
     """Everything the package knows about one catalog function f.
 
     - ``source``: the name of f in ``math`` and in numpy; ``value`` is the
@@ -776,18 +784,15 @@ class CatalogEntry:
       ((-1, 1) for sin, unbounded for tan); None for an increasing f.
     """
 
-    source: str
-    derivative: Callable[[Expr], Expr]
-    series: Callable
-    tangent: Callable
-    companion: Callable[[float, float], float] | None = None
-    domain: tuple[Callable[[float], bool], str] | None = None
-    period: float | None = None
-    tail: tuple[float, float] | None = None
-    value: Callable[[float], float] = field(init=False)
+    __slots__ = ("source", "derivative", "series", "tangent", "companion", "domain",
+                 "period", "tail", "value")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", getattr(math, self.source))
+    def __init__(self, source: str, derivative: Callable[[Expr], Expr], series: Callable,
+                 tangent: Callable, companion: Callable[[float, float], float] | None = None,
+                 domain: tuple[Callable[[float], bool], str] | None = None,
+                 period: float | None = None, tail: tuple[float, float] | None = None):
+        super().__init__(source, derivative, series, tangent, companion, domain, period, tail,
+                         getattr(math, source))
 
 
 CATALOG = {

@@ -11,11 +11,10 @@ a guarantee; thresholds are reported alongside every verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import CascadeSystem, ControlAffineSystem, as_control_affine
+from .record import Record
 from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, RK4Loop, compile_rk4, integrate_many
 
 EPS_DEFAULT = 1e-4          # central-difference perturbation of the initial state
@@ -24,8 +23,9 @@ SIGMA_OBSERVABLE = 1e-6     # sigma_min above this: practically observable
 SIGMA_SINGULAR = 1e-12      # sigma_min below this: numerically singular
 
 
-@dataclass
-class GramianReport:
+class GramianReport(Record):
+    __slots__ = ("base_state", "input", "eps", "t_end", "dt", "matrix", "singular_values",
+                 "weak_signal")
     base_state: tuple[float, ...]
     input: str
     eps: float

@@ -11,12 +11,12 @@ inputs, which is why they drive the separation and rank machinery in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from . import expr as ex
 from .expr import Expr
 from .model import ControlAffineSystem
+from .record import Frozen
 
 L_MAX_DEFAULT = 8
 
@@ -25,17 +25,18 @@ class WordLengthError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ObservableWord:
+class ObservableWord(Frozen):
+    __slots__ = ("j", "mu")
     j: int                # output index, 1-based
     mu: tuple[int, ...]   # field indices, innermost first; 0 = drift
 
-    def __post_init__(self):
-        object.__setattr__(self, "mu", tuple(int(v) for v in self.mu))
-        if self.j < 1:
-            raise ValueError(f"output index must be >= 1, got {self.j}")
-        if any(v < 0 for v in self.mu):
-            raise ValueError(f"field indices must be >= 0: {self.mu}")
+    def __init__(self, j: int, mu):
+        mu = tuple(int(v) for v in mu)
+        if j < 1:
+            raise ValueError(f"output index must be >= 1, got {j}")
+        if any(v < 0 for v in mu):
+            raise ValueError(f"field indices must be >= 0: {mu}")
+        super().__init__(j, mu)
 
     def __len__(self) -> int:
         return len(self.mu)

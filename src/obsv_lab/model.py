@@ -13,12 +13,11 @@ throughout the package.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr as ex
 from .expr import Expr, ParseError
+from .record import Frozen, Record
 
 GAMMA_VAR = "x"
 
@@ -35,8 +34,8 @@ class SystemFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class CascadeSystem:
+class CascadeSystem(Frozen):
+    __slots__ = ("n", "gamma", "F", "b")
     n: int
     gamma: tuple[Expr, ...]  # each an expression in the single variable x
     F: tuple[Expr, ...]      # each an expression in z1..zn
@@ -51,10 +50,10 @@ class CascadeSystem:
         return tuple(f"y{i}" for i in range(1, self.n + 1))
 
 
-@dataclass(frozen=True)
-class ControlAffineSystem:
+class ControlAffineSystem(Frozen):
     """dx/dt = drift(x) + sum_i u_i * input_fields[i](x), y = outputs(x)."""
 
+    __slots__ = ("state_vars", "drift", "input_fields", "outputs")
     state_vars: tuple[str, ...]
     drift: tuple[Expr, ...]
     input_fields: tuple[tuple[Expr, ...], ...]
@@ -73,8 +72,8 @@ class ControlAffineSystem:
         return len(self.outputs)
 
 
-@dataclass
-class LinearizationResult:
+class LinearizationResult(Record):
+    __slots__ = ("A", "B", "C", "point")
     A: np.ndarray
     B: np.ndarray
     C: np.ndarray

@@ -16,7 +16,6 @@ by T in that coordinate produce identical outputs forever.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from . import expr as ex
 from .expr import Expr, K_MAX_DEFAULT
 from .lie import ObservableWord
 from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine
+from .record import Record
 
 PER_TOL_DEFAULT = 1e-8     # relative residual for accepting a period
 K_CHECK_DEFAULT = 6        # derivative orders compared when validating a period
@@ -42,36 +42,40 @@ VERDICT_SHIFT = "indistinguishable-by-construction"
 VERDICT_UNRESOLVED = "not-separated-within-bounds"
 
 
-@dataclass
-class PeriodicityVerdict:
+class PeriodicityVerdict(Record):
+    __slots__ = ("classification", "period", "evidence")
     classification: str
     period: float | None
     evidence: dict
 
 
-@dataclass
-class SystemPeriodicityReport:
+class SystemPeriodicityReport(Record):
+    __slots__ = ("gamma_verdicts", "verdict")
     gamma_verdicts: tuple[PeriodicityVerdict, ...]
     verdict: str  # observable | not-observable | undetermined
 
 
-@dataclass
-class SeparationCertificate:
+class SeparationCertificate(Record):
+    __slots__ = ("verdict", "witness", "value0", "value1", "bounds")
     verdict: str
     witness: ObservableWord | None
     value0: float | None
     value1: float | None
-    bounds: dict = field(default_factory=dict)
+    bounds: dict  # a new empty dict by default
+
+    def __init__(self, verdict, witness, value0, value1, bounds=None):
+        super().__init__(verdict, witness, value0, value1, {} if bounds is None else bounds)
 
 
-@dataclass
-class RankReport:
+class RankReport(Record):
+    __slots__ = ("words", "gradients", "singular_values", "rank", "dim", "max_words")
+    _defaults = {"max_words": None}
     words: list[ObservableWord]
     gradients: np.ndarray
     singular_values: np.ndarray
     rank: int
     dim: int
-    max_words: int | None = None  # the row cap, when it stopped the search short of full rank
+    max_words: int | None  # the row cap, when it stopped the search short of full rank
 
     @property
     def locally_observable(self) -> bool:

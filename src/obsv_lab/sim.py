@@ -10,13 +10,13 @@ from __future__ import annotations
 import bisect
 from array import array
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import expr as ex
 from .expr import Expr
 from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine
+from .record import Frozen, Record
 
 DT_DEFAULT = 1e-3
 T_END_DEFAULT = 10.0
@@ -42,10 +42,11 @@ class EquilibriumPremiseError(RuntimeError):
 # input signals
 
 
-@dataclass(frozen=True)
-class InputSignal:
+class InputSignal(Frozen):
+    __slots__ = ("kind", "params")
+    _defaults = {"params": ()}
     kind: str
-    params: tuple = ()
+    params: tuple
 
     @staticmethod
     def zero() -> "InputSignal":
@@ -139,8 +140,8 @@ def parse_input_spec(spec: str) -> InputSignal:
 # trajectories
 
 
-@dataclass
-class Trajectory:
+class Trajectory(Record):
+    __slots__ = ("t0", "dt", "states", "outputs", "state_names", "output_names")
     t0: float
     dt: float
     states: np.ndarray   # (samples, 2n)
@@ -180,7 +181,6 @@ _VARIANTS = {"zero": "constant", "constant": "constant", "sinusoid": "sinusoid",
              "piecewise": "piecewise", "table": "table"}
 
 
-@dataclass(frozen=True)
 class RK4Loop:
     """A single-input control-affine system with generated RK4 loops that
     step ``size`` initial states in lockstep.
@@ -194,9 +194,15 @@ class RK4Loop:
     kept in ``variants``.
     """
 
+    __slots__ = ("system", "size", "variants")
     system: ControlAffineSystem
     size: int
-    variants: dict = field(default_factory=dict, compare=False, repr=False)
+    variants: dict
+
+    def __init__(self, system: ControlAffineSystem, size: int):
+        self.system = system
+        self.size = size
+        self.variants = {}
 
     def run(self, x0s, u: InputSignal, dt: float, steps: int, rows) -> None:
         try:
@@ -513,8 +519,8 @@ def _output_gap(loop: RK4Loop, ta: Trajectory, tb: Trajectory) -> np.ndarray:
     return gap
 
 
-@dataclass
-class ShiftGapResult:
+class ShiftGapResult(Record):
+    __slots__ = ("input", "gap")
     input: str
     gap: float
 
@@ -547,8 +553,8 @@ def indistinguishability_experiment(
     return results
 
 
-@dataclass
-class DistinguishabilityResult:
+class DistinguishabilityResult(Record):
+    __slots__ = ("gap", "first_divergence", "classification", "input")
     gap: float
     first_divergence: float | None
     classification: str
@@ -591,25 +597,24 @@ def distinguishability_experiment(
 # output feedback and the resting continuum
 
 
-@dataclass(frozen=True)
-class FeedbackLaw:
+class FeedbackLaw(Frozen):
     """Dynamic output feedback: controller state q, u computed from (y, q).
 
     ``dynamics`` gives dq/dt (one expression per controller state) and
     ``output`` gives u; both may reference y1..yn and q1..q<nq> only.
     """
 
+    __slots__ = ("nq", "dynamics", "output")
     nq: int
     dynamics: tuple[Expr, ...]
     output: Expr
 
-    def __post_init__(self):
-        if self.nq < 0:
-            raise ValueError(f"controller dimension must be >= 0, got {self.nq}")
-        if len(self.dynamics) != self.nq:
-            raise ValueError(
-                f"expected {self.nq} controller equations, got {len(self.dynamics)}"
-            )
+    def __init__(self, nq: int, dynamics: tuple[Expr, ...], output: Expr):
+        if nq < 0:
+            raise ValueError(f"controller dimension must be >= 0, got {nq}")
+        if len(dynamics) != nq:
+            raise ValueError(f"expected {nq} controller equations, got {len(dynamics)}")
+        super().__init__(nq, dynamics, output)
 
     @staticmethod
     def parse(nq: int, dynamics_srcs, output_src: str, n_outputs: int) -> "FeedbackLaw":
@@ -623,8 +628,8 @@ class FeedbackLaw:
         return FeedbackLaw.parse(0, (), output_src, n_outputs)
 
 
-@dataclass
-class EquilibriaReport:
+class EquilibriaReport(Record):
+    __slots__ = ("q_star", "premise_residual", "residuals")
     q_star: tuple[float, ...]
     premise_residual: float
     residuals: list[tuple[float, float]]  # (position value, field sup norm)

@@ -150,12 +150,68 @@ def test_os_error_is_a_usage_error(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
-def test_cli_import_leaves_scipy_out():
+def src_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
     src = str(pathlib.Path(obsv_lab.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    probe = "import sys, obsv_lab.cli; print('scipy' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def loaded_after_cli_import(module: str) -> bool:
+    probe = f"import sys, obsv_lab.cli; print({module!r} in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
+                          text=True, check=True)
+    return proc.stdout.strip() == "True"
+
+
+def test_cli_import_leaves_scipy_out():
+    assert not loaded_after_cli_import("scipy")
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the records define no generated methods, so the import compiles none
+    assert not loaded_after_cli_import("dataclasses")
+
+
+# ---------------------------------------------------------------------------
+# the parser
+
+
+def test_options_may_come_before_the_command(capsys):
+    after = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0,1")
+    before = run(capsys, "--system", "preset:fish-1d-gauss", "--state", "0,1", "rank")
+    between = run(capsys, "--system", "preset:fish-1d-gauss", "rank", "--state", "0,1")
+    assert after[0] == 0
+    assert before == after == between
+
+
+CHOICES = "'validate', 'observable', 'separate', 'rank', 'simulate', 'distinguish', 'gramian', 'verify'"
+
+
+@pytest.mark.parametrize("argv, message", [
+    ((), "the following arguments are required: command"),
+    (("--system", "preset:fish-1d-gauss"), "the following arguments are required: command"),
+    (("frobnicate",), f"argument command: invalid choice: 'frobnicate' (choose from {CHOICES})"),
+    (("--system", "preset:fish-1d-gauss", "Rank"),
+     f"argument command: invalid choice: 'Rank' (choose from {CHOICES})"),
+], ids=["none", "options-only", "unknown", "unknown-after-options"])
+def test_missing_or_unknown_command_is_a_usage_error(capsys, argv, message):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == f"obsv-lab: error: {message}"
+
+
+def test_calls_in_one_process_do_not_share_the_input_list(capsys):
+    argv = ("gramian", "--system", "preset:fish-1d-gauss", "--state", "0,0", "--t-end", "0.1")
+    _, first = run_json(capsys, *argv, "--input", "zero", "--input", "const:1")
+    _, second = run_json(capsys, *argv)
+    _, third = run_json(capsys, *argv, "--input", "sin:1,1")
+    assert first["config"]["inputs"] == ["zero", "const:1"]
+    assert second["config"]["inputs"] == []
+    assert third["config"]["inputs"] == ["sin:1,1"]
+    assert [e["input"] for e in second["report"]["ranking"]] == ["zero"]
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +661,27 @@ def test_readme_examples_exit_as_their_comments_say(tmp_path, monkeypatch, capsy
         code, out, err = run(capsys, *argv)
         assert code == expected, (argv, err)
     assert (tmp_path / "traj.csv").read_text().startswith("t,x1,z1,y1")
+
+
+def test_readme_examples_give_the_same_bytes_as_a_module(tmp_path, monkeypatch, capsys):
+    # ``python -m obsv_lab.cli`` exits through ``run``, which skips the
+    # collector at exit: it must lose no output and leave the same files.
+    # Without PYTHONUNBUFFERED, stdout to a pipe is buffered until exit.
+    env = {k: v for k, v in src_env().items() if k != "PYTHONUNBUFFERED"}
+    for idx, argv in enumerate(readme_commands()):
+        here, there = tmp_path / f"main-{idx}", tmp_path / f"module-{idx}"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        code, out, err = run(capsys, *argv)
+        proc = subprocess.run([sys.executable, "-m", "obsv_lab.cli", *argv], cwd=there,
+                              env=env, capture_output=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out.encode(), err.encode()), argv
+        files = sorted(p.name for p in here.iterdir())
+        assert sorted(p.name for p in there.iterdir()) == files, argv
+        for name in files:
+            assert (there / name).read_bytes() == (here / name).read_bytes(), (argv, name)
+    assert (tmp_path / "module-5" / "traj.csv").stat().st_size > 0
 
 
 @pytest.mark.parametrize("preset", ["fish-1d-gauss", "fish-1d-hyperbolic"])

@@ -209,6 +209,18 @@ def test_evaluate_unbound_variable():
         evaluate(Var("x"), {})
 
 
+@pytest.mark.parametrize("source", ["z", "y + tanh(z)", "exp(-z*z)"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_evaluate_refuses_a_non_finite_variable(source, value):
+    # tanh(inf) = 1 and exp(-inf) = 0 are finite, so the binding itself is
+    # the error, named at the variable
+    e = parse(source, {"y", "z"})
+    with pytest.raises(DomainError, match=r"variable 'z' bound to (-?inf|nan) in z$") as info:
+        evaluate(e, {"y": 1.0, "z": value})
+    assert info.value.subexpr == Var("z")
+    assert math.isfinite(evaluate(e, {"y": 1.0, "z": 1e300 if source == "z" else 20.0}))
+
+
 # ---------------------------------------------------------------------------
 # differentiation
 
