@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import bisect
 from array import array
+from collections import Counter
 import math
 
 import numpy as np
@@ -42,6 +43,14 @@ class EquilibriumPremiseError(RuntimeError):
 # input signals
 
 
+def _finite(what: str, values) -> tuple[float, ...]:
+    vals = tuple(float(v) for v in values)
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValueError(f"{what} must be finite, got {v!r}")
+    return vals
+
+
 class InputSignal(Frozen):
     __slots__ = ("kind", "params")
     _defaults = {"params": ()}
@@ -54,16 +63,16 @@ class InputSignal(Frozen):
 
     @staticmethod
     def constant(c: float) -> "InputSignal":
-        return InputSignal("constant", (float(c),))
+        return InputSignal("constant", _finite("constant", (c,)))
 
     @staticmethod
     def sinusoid(amplitude: float, omega: float, phase: float = 0.0) -> "InputSignal":
-        return InputSignal("sinusoid", (float(amplitude), float(omega), float(phase)))
+        return InputSignal("sinusoid", _finite("sinusoid parameters", (amplitude, omega, phase)))
 
     @staticmethod
     def piecewise(breakpoints, values) -> "InputSignal":
-        bp = tuple(float(b) for b in breakpoints)
-        vals = tuple(float(v) for v in values)
+        bp = _finite("breakpoints", breakpoints)
+        vals = _finite("piecewise values", values)
         if any(b1 <= b0 for b0, b1 in zip(bp, bp[1:])):
             raise ValueError(f"breakpoints must be strictly increasing: {bp}")
         if len(vals) != len(bp) + 1:
@@ -74,12 +83,13 @@ class InputSignal(Frozen):
 
     @staticmethod
     def table(values, dt: float, t0: float = 0.0) -> "InputSignal":
+        dt, t0 = _finite("table dt and t0", (dt, t0))
         if dt <= 0:
             raise ValueError(f"table dt must be positive, got {dt}")
-        vals = tuple(float(v) for v in values)
+        vals = _finite("table values", values)
         if not vals:
             raise ValueError("table needs at least one sample")
-        return InputSignal("table", (vals, float(dt), float(t0)))
+        return InputSignal("table", (vals, dt, t0))
 
     def __call__(self, t: float) -> float:
         if self.kind == "zero":
@@ -114,7 +124,8 @@ class InputSignal(Frozen):
 def parse_input_spec(spec: str) -> InputSignal:
     """Build a signal from a compact textual form.
 
-    Accepted: ``zero``, ``const:<c>``, ``sin:<amplitude>,<omega>[,<phase>]``.
+    Accepted: ``zero``, ``const:<c>``, ``sin:<amplitude>,<omega>[,<phase>]``,
+    each parameter a finite float.
     """
     spec = spec.strip()
     if spec == "zero":
@@ -173,12 +184,21 @@ def _as_affine(sys) -> ControlAffineSystem:
     return sys
 
 
-MEMBERS_MAX = 16  # states one generated loop steps together; its code grows with the count
+# states one generated loop steps together; its stage code grows with their
+# groups, not with the members (see compile_rk4)
+MEMBERS_MAX = 16
 
 # the loop variant that computes each input kind; zero and constant are the
 # same one, a bound float
 _VARIANTS = {"zero": "constant", "constant": "constant", "sinusoid": "sinusoid",
              "piecewise": "piecewise", "table": "table"}
+
+
+def _reads(ca: ControlAffineSystem) -> tuple[bool, ...]:
+    """Per state variable, whether some drift or input field reads it: for
+    a cascade the velocities, never a position."""
+    read = frozenset().union(*(ex.free_vars(e) for e in (*ca.drift, *ca.input_fields[0])))
+    return tuple(v in read for v in ca.state_vars)
 
 
 class RK4Loop:
@@ -188,34 +208,62 @@ class RK4Loop:
     ``run(x0s, u, dt, steps, rows)`` takes the initial states one after
     another in one flat tuple and extends a flat float array by one row per
     sample: every member's state, then every member's outputs.  It raises
-    ``BlowUpError`` on a non-finite state; any other failure propagates from
+    ``BlowUpError`` on a non-finite state, with the state of the first
+    member of the group that holds it; any other failure propagates from
     the step where it happened, with the rows before that step stored.  The
-    loop of an input kind is generated the first time that kind runs, and
-    kept in ``variants``.
+    loop of an input kind and a sharing pattern (see ``sharing``) is
+    generated the first time that pair runs, and kept in ``variants`` under
+    the key (loop variant, pattern).
     """
 
-    __slots__ = ("system", "size", "variants")
+    __slots__ = ("system", "size", "reads", "variants")
     system: ControlAffineSystem
     size: int
+    reads: tuple[bool, ...]
     variants: dict
 
     def __init__(self, system: ControlAffineSystem, size: int):
         self.system = system
         self.size = size
+        self.reads = _reads(system)
         self.variants = {}
+
+    def sharing(self, x0s) -> tuple[tuple[tuple[int, ...], ...], list[float]]:
+        """(pattern, seeds) of the flat initial states ``x0s``: the pattern
+        gives each member one slot per state variable, and ``seeds`` the
+        start of each slot.  Members whose starts have the same bits on
+        every variable a field reads form a group, which holds one slot per
+        read variable and one per distinct start of each other variable;
+        slots are numbered in order of first use."""
+        dim = self.system.dim
+        slots: dict[tuple, int] = {}
+        seeds = []
+        pattern = []
+        for c in range(0, len(x0s), dim):
+            x = x0s[c:c + dim]
+            group = tuple(v.hex() for v, r in zip(x, self.reads) if r)
+            member = []
+            for i, (v, r) in enumerate(zip(x, self.reads)):
+                s = slots.setdefault((group, i) if r else (group, i, v.hex()), len(slots))
+                if s == len(seeds):
+                    seeds.append(v)
+                member.append(s)
+            pattern.append(tuple(member))
+        return tuple(pattern), seeds
 
     def run(self, x0s, u: InputSignal, dt: float, steps: int, rows) -> None:
         try:
             variant = _VARIANTS[u.kind]
         except KeyError:
             raise ValueError(f"unknown input kind {u.kind!r}") from None
-        fn = self.variants.get(variant)
+        pattern, seeds = self.sharing(x0s)
+        fn = self.variants.get((variant, pattern))
         if fn is None:
             namespace = {"_fns": tuple(ex.python_functions().values()),
                          "_bisect": bisect, "_BlowUpError": BlowUpError}
-            exec(rk4_source(self.system, self.size, variant), namespace)
-            fn = self.variants[variant] = namespace["_rk4"]
-        fn(x0s, (0.0,) if u.kind == "zero" else u.params, dt, steps, rows)
+            exec(rk4_source(self.system, pattern, variant), namespace)
+            fn = self.variants[variant, pattern] = namespace["_rk4"]
+        fn(seeds, (0.0,) if u.kind == "zero" else u.params, dt, steps, rows)
 
 
 CHAIN_MAX = 500  # terms of one + chain; Python's compiler recurses once per term
@@ -247,13 +295,15 @@ def _input_source(variant: str):
                           f"{u} = _ivals[0 if _i < 0 else _ilast if _i > _ilast else _i]"])
 
 
-def rk4_source(ca: ControlAffineSystem, size: int, variant: str) -> str:
+def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
     """Source of ``_rk4(_x0s, _params, _dt, _steps, _rows)``, the RK4 loop
-    of ``size`` members under an input of the loop variant ``variant`` (see
-    ``compile_rk4``).  It runs with ``_fns``, the ``expr.python_functions``
-    values, ``_bisect`` and ``_BlowUpError`` in its globals."""
+    of the members of the sharing pattern ``pattern`` (see
+    ``RK4Loop.sharing``; ``_x0s`` holds the seeds) under an input of the
+    loop variant ``variant`` (see ``compile_rk4``).  It runs with ``_fns``,
+    the ``expr.python_functions`` values, ``_bisect`` and ``_BlowUpError``
+    in its globals."""
     idx = range(ca.dim)
-    stage = {v: f"_p{i}" for i, v in zip(idx, ca.state_vars)}
+    reads = _reads(ca)
     setup, input_at = _input_source(variant)
     if input_at is None:
         ua = ub = uc = "_u0"
@@ -269,46 +319,72 @@ def rk4_source(ca: ControlAffineSystem, size: int, variant: str) -> str:
             for i, f, g in zip(idx, ca.drift, ca.input_fields[0])
         ]
 
-    # stages 2-4 read the stage state _p, the same names in every member
+    def names(member):
+        return {v: f"_s{s}" for v, s in zip(ca.state_vars, member)}
+
+    def state(member):
+        return "".join(f"_s{s}, " for s in member)
+
+    # stages 2-4 read the stage state _p, the same names in every group;
+    # a variable no field reads needs no stage state
+    stage = {v: f"_p{i}" for i, v, r in zip(idx, ca.state_vars, reads) if r}
     later = {k: fields(k, stage, u) for k, u in (("b", ub), ("c", ub), ("d", uc))}
 
-    def member(j):
-        base = {v: f"_x{j}_{i}" for i, v in zip(idx, ca.state_vars)}
-        x = "".join(f"_x{j}_{i}, " for i in idx)
+    def group(members):
+        # the members share their slot of every read variable, so the
+        # stages of the first are everyone's; each other variable adds its
+        # one increment to every distinct slot it has in the group
+        first = members[0]
 
         def stage_state(step, k):
-            return [f"_p{i} = _x{j}_{i} + {step} * _{k}{i}" for i in idx]
+            return [f"_p{i} = _s{first[i]} + {step} * _{k}{i}" for i in idx if reads[i]]
 
-        outputs = "".join(f"{ex.python_source(h, base)}, " for h in ca.outputs)
-        body = [
-            *fields("a", base, ua),
+        update = []
+        for i in idx:
+            inc = f"_w * (((_a{i} + 2.0 * _b{i}) + 2.0 * _c{i}) + _d{i})"
+            slots = list(dict.fromkeys(m[i] for m in members))
+            if len(slots) > 1:
+                update.append(f"_v = {inc}")
+                inc = "_v"
+            update += [f"_s{s} = _s{s} + {inc}" for s in slots]
+        checked = sorted({s for m in members for s in m})
+        return [
+            *fields("a", names(first), ua),
             *stage_state("_h", "a"),
             *later["b"],
             *stage_state("_h", "b"),
             *later["c"],
             *stage_state("_dt", "c"),
             *later["d"],
-            *(f"_x{j}_{i} = _x{j}_{i} + _w * (((_a{i} + 2.0 * _b{i}) + 2.0 * _c{i}) + _d{i})"
-              for i in idx),
+            *update,
             # 0*v is 0 for every finite v and nan for inf or nan; one sum
-            # per member, since a sum is compiled recursively (CHAIN_MAX)
-            f"if {_sum_source([f'0.0 * _x{j}_{i}' for i in idx])} != 0.0:",
-            f"    raise _BlowUpError(_k * _dt + _dt, ({x}))",
+            # per group, since a sum is compiled recursively (CHAIN_MAX)
+            f"if {_sum_source([f'0.0 * _s{s}' for s in checked])} != 0.0:",
+            f"    raise _BlowUpError(_k * _dt + _dt, ({state(first)}))",
         ]
-        return x, outputs, body
 
-    members = [member(j) for j in range(size)]
-    x = "".join(m[0] for m in members)
-    row = x + "".join(m[1] for m in members)
-    body = [*inputs, *(line for m in members for line in m[2]), f"_row(({row}))"]
+    groups: dict[tuple, list] = {}
+    for m in pattern:
+        groups.setdefault(tuple(s for s, r in zip(m, reads) if r), []).append(m)
+    # an output source that recurs in the row is computed once per step
+    outputs = [ex.python_source(h, at) for at in map(names, pattern) for h in ca.outputs]
+    counts = Counter(outputs)
+    shared = {src: f"_y{k}" for k, src in
+              enumerate(dict.fromkeys(src for src in outputs if counts[src] > 1))}
+    output_lines = [f"{name} = {src}" for src, name in shared.items()]
+    row = "".join(state(m) for m in pattern) + "".join(f"{shared.get(o, o)}, " for o in outputs)
+    seeds = "".join(f"_s{s}, " for s in range(1 + max(s for m in pattern for s in m)))
+    body = [*inputs, *(line for members in groups.values() for line in group(members)),
+            *output_lines, f"_row(({row}))"]
     return "\n".join([
         "def _rk4(_x0s, _params, _dt, _steps, _rows):",
-        f"    {x}= _x0s",
+        f"    {seeds}= _x0s",
         f"    {', '.join(ex.python_functions())}, = _fns",
         *(f"    {line}" for line in setup),
         "    _h = 0.5 * _dt",
         "    _w = _dt / 6.0",
         "    _row = _rows.extend",
+        *(f"    {line}" for line in output_lines),
         f"    _row(({row}))",
         "    for _k in range(_steps):",
         *(f"        {line}" for line in body),
@@ -318,13 +394,23 @@ def rk4_source(ca: ControlAffineSystem, size: int, variant: str) -> str:
 
 def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
     """The RK4 loop of an ensemble of ``ensemble`` initial states: one
-    generated Python function per input kind that runs the whole RK4
-    integration of the ensemble in lockstep.
+    generated Python function per input kind and sharing pattern that runs
+    the whole RK4 integration of the ensemble in lockstep.
 
-    The step body holds one unrolled copy of the one-state step per member:
-    four stages, the update and a finiteness check of that member's state,
-    inlined over plain floats.  The arithmetic order is the reference one:
-    stage states x + (0.5*dt)*k, fields f + u*g, update
+    A variable that no drift or input field reads does not enter the
+    stages: a cascade's positions, since the system is invariant under
+    their translation.  So members whose starts have the same bits on every
+    variable a field reads (for a cascade, the velocities) have the same
+    stages at every step under the same input.  The step body holds
+    one copy of the one-state stages per such group of members: four
+    stages over stage states of the read variables only, then the update,
+    where each other variable's increment dt/6*(((k1 + 2*k2) + 2*k3) + k4)
+    is formed once and added to every distinct start of that variable in
+    the group, and one finiteness check of the group's states.  Bits, not
+    values, decide a group (``float.hex``), so 0.0 and -0.0 stay apart.  An
+    output whose source recurs in the row is computed once.  The arithmetic
+    is the reference one, on the operands a lone run has: stage states
+    x + (0.5*dt)*k, fields f + u*g, update
     x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
     bit for bit the one of a lone run.  The input is arithmetic in the step,
     in the float operations of ``InputSignal.__call__``: a zero or constant
@@ -332,8 +418,10 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
     once per step and distinct stage time for all members (k2 and k3 share
     t + 0.5*dt).  The catalog functions are locals of the function, and one
     extend stores the step's row.  An ensemble of more than ``MEMBERS_MAX``
-    states is stepped in the fewest runs of equal size, so the code stays
-    within ``MEMBERS_MAX`` times that of the one-state loop.
+    states is stepped in the fewest runs of equal size.  The stage code
+    grows with the groups, not with the members, and the update, check and
+    output code with the distinct slots, so the code stays within
+    ``MEMBERS_MAX`` times that of the one-state loop.
     """
     ca = _as_affine(sys)
     if ca.m != 1:

@@ -472,6 +472,19 @@ def test_numeric_flags_are_checked_on_input(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("spec", ["const:nan", "const:1e400", "sin:1,1,nan", "sin:1,inf"])
+@pytest.mark.parametrize("command", ["simulate", "distinguish", "gramian"])
+def test_non_finite_input_is_a_usage_error(capsys, command, spec):
+    # a non-finite input parameter is refused before any integration, as a
+    # non-finite --state is
+    code, out, err = run(capsys, command, "--system", "preset:fish-1d-gauss", "--state", "0,0",
+                         "--state2", "1,0", "--input", spec, "--t-end", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: bad input spec '{spec}': ")
+    assert "must be finite" in err
+
+
 def test_zero_orders_are_valid(capsys):
     code, out, _ = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0,1",
                        "--lmax", "0", "--format", "text")

@@ -88,14 +88,15 @@ def test_input_sweep_singleton_and_ties():
 
 def test_input_sweep_on_one_loop_matches_fresh_gramians_bytewise():
     # one loop compiles one variant per input kind that runs (zero and
-    # constant share one) and keeps it; every report is the one of a fresh
-    # Gramian of its input
+    # constant share one) and keeps it, under the one sharing pattern of
+    # the Gramian's starts; every report is the one of a fresh Gramian of
+    # its input
     sys, x0 = preset("sin-drift"), (0.3, -0.4)
     inputs = [InputSignal.zero(), SIN_1HZ, InputSignal.constant(0.7), InputSignal.zero(),
               InputSignal.piecewise((0.5,), (1.0, -2.0))]
     loop = compile_rk4(sys, 4)
     ranked = dict(input_sweep(loop, x0, inputs, t_end=1.0))
-    assert sorted(loop.variants) == ["constant", "piecewise", "sinusoid"]
+    assert sorted(kind for kind, _ in loop.variants) == ["constant", "piecewise", "sinusoid"]
     for idx, u in enumerate(inputs):
         fresh = empirical_gramian(sys, x0, u, t_end=1.0)
         assert ranked[idx].matrix.tobytes() == fresh.matrix.tobytes()

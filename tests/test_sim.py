@@ -1,6 +1,7 @@
 import ast
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -40,10 +41,27 @@ def test_parse_input_specs():
     assert parse_input_spec("sin:1,6.2832")(0.0) == 0.0
 
 
-@pytest.mark.parametrize("bad", ["", "ramp", "const:", "sin:1", "sin:a,b", "sin:1,2,3,4"])
+@pytest.mark.parametrize("bad", ["", "ramp", "const:", "sin:1", "sin:a,b", "sin:1,2,3,4",
+                                 "const:nan", "const:1e400", "const:-inf", "sin:1,1,nan",
+                                 "sin:1,inf", "sin:inf,1"])
 def test_parse_input_spec_rejects(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=rf"^bad input spec '{re.escape(bad)}'"):
         parse_input_spec(bad)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: InputSignal.constant(math.nan),
+    lambda: InputSignal.sinusoid(1.0, math.inf),
+    lambda: InputSignal.sinusoid(1.0, 1.0, -math.inf),
+    lambda: InputSignal.piecewise((1.0, math.nan), (0.0, 1.0, 2.0)),
+    lambda: InputSignal.piecewise((1.0,), (0.0, math.inf)),
+    lambda: InputSignal.table((0.0, math.nan), 0.1),
+    lambda: InputSignal.table((0.0, 1.0), math.inf),
+    lambda: InputSignal.table((0.0, 1.0), 0.1, math.nan),
+], ids=["constant", "omega", "phase", "breakpoint", "piece", "sample", "table-dt", "table-t0"])
+def test_input_signals_reject_non_finite_parameters(build):
+    with pytest.raises(ValueError, match="must be finite"):
+        build()
 
 
 def test_piecewise_signal():
@@ -280,7 +298,9 @@ def test_step_body_calls_only_bound_math(variant):
     # helpers bound as locals before the loop, the one row write and the
     # blow-up raise: no Python function is called per step
     ca = as_control_affine(_random_cascade(random.Random(7), 2, ORACLE_GAINS.__getitem__))
-    fn, = ast.parse(rk4_source(ca, 3, variant)).body
+    # three members that share nothing: one slot per member and variable
+    pattern = tuple(tuple(range(j * ca.dim, (j + 1) * ca.dim)) for j in range(3))
+    fn, = ast.parse(rk4_source(ca, pattern, variant)).body
     loop, = [node for node in fn.body if isinstance(node, ast.For)]
     bound = {target.id for node in fn.body[:fn.body.index(loop)]
              for target in ast.walk(node) if isinstance(target, ast.Name)
@@ -312,24 +332,6 @@ ENSEMBLE_INPUTS = {
     "piecewise": InputSignal.piecewise((0.04, 0.07), (1.0, -0.5, 0.2)),
     "table": InputSignal.table((0.5, -1.0, 0.25, 2.0), 0.02, 0.01),
 }
-
-
-@pytest.mark.parametrize("u", ENSEMBLE_INPUTS.values(), ids=ENSEMBLE_INPUTS.keys())
-@pytest.mark.parametrize("name", ENSEMBLE_SYSTEMS)
-def test_ensemble_trajectories_equal_lone_runs_bitwise(name, u):
-    # sizes: one state, a pair, a Gramian's 2*dim, and two runs of a joint
-    # loop, the second filled up with a copy of its last state
-    sys = ENSEMBLE_SYSTEMS[name]
-    dim = 2 * sys.n
-    rng = random.Random(name)
-    for size in (1, 2, 2 * dim, MEMBERS_MAX + 1):
-        states = [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(size)]
-        trajs = integrate_many(sys, states, u, 0.1, 1e-3)
-        assert len(trajs) == size
-        for x0, traj in zip(states, trajs):
-            lone = integrate(sys, x0, u, 0.1, 1e-3)
-            assert _same_bits(traj.states, lone.states)
-            assert _same_bits(traj.outputs, lone.outputs)
 
 
 def test_ensemble_beyond_one_finiteness_chain():
@@ -404,6 +406,156 @@ def test_ensemble_domain_error_at_a_pole_keeps_the_order():
     pair = _raised(lambda: distinguishability_experiment(sys, at_pole, overflowing, u))
     assert type(pair) is type(lone) is ex.DomainError
     assert (str(pair), pair.subexpr) == (str(lone), lone.subexpr)
+
+
+def _plain_rk4_failure(F, x0, dt):
+    """(t, state) a ``BlowUpError`` of x' = z, z' = F(z) under zero input
+    carries, from RK4 over plain floats: the stage time and stage state of
+    the first stage whose field overflows (``OverflowError``), else the step
+    end and state of the first step that ends non-finite."""
+    x = tuple(x0)
+    for k in range(10 ** 6):
+        t = k * dt
+        ks = []
+        for step, ts in ((None, t), (0.5 * dt, t + 0.5 * dt), (0.5 * dt, t + 0.5 * dt), (dt, t + dt)):
+            stage = x if step is None else tuple(xi + step * ki for xi, ki in zip(x, ks[-1]))
+            try:
+                ks.append((stage[1] + 0.0 * 0.0, F(stage[1]) + 0.0 * 1.0))
+            except OverflowError:
+                return ts, stage
+        x = tuple(xi + (dt / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d) for xi, a, b, c, d in zip(x, *ks))
+        if not all(map(math.isfinite, x)):
+            return t + dt, x
+    raise AssertionError("no failure")
+
+
+@pytest.mark.parametrize("source, F", [("z1^2", lambda z: z ** 2), ("z1*z1", lambda z: z * z)],
+                         ids=["stage-overflow", "step-end-inf"])
+def test_blowup_state_is_the_failing_state(source, F):
+    # z1^2 overflows in a stage (float ** raises), z1*z1 turns inf at a step
+    # end (float * does not); either way the error carries the whole state
+    # of that moment, as plain-float RK4 computes it
+    sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse(source, {"z1"}),), b=(1.0,))
+    u = InputSignal.zero()
+    t, state = _plain_rk4_failure(F, (0.3, 2.0), 1e-3)
+    lone = _raised(lambda: integrate(sys, (0.3, 2.0), u, 2.0, 1e-3))
+    assert type(lone) is BlowUpError
+    assert (lone.t, lone.state) == (t, state)
+    assert len(lone.state) == 2
+    # a stage state is finite; a step end is not
+    assert all(map(math.isfinite, lone.state)) == (source == "z1^2")
+    # a Gramian-shaped ensemble: its position rows share the velocity part
+    # that blows up; the error is the lone run's of the first start
+    eps = 1e-4
+    starts = [(0.3 + eps, 2.0), (0.3 - eps, 2.0), (0.3, 2.0 + eps), (0.3, 2.0 - eps)]
+    first = _raised(lambda: integrate(sys, starts[0], u, 2.0, 1e-3))
+    joint = _raised(lambda: integrate_many(sys, starts, u, 2.0, 1e-3))
+    assert type(joint) is type(first) is BlowUpError
+    assert (str(joint), joint.t, joint.state) == (str(first), first.t, first.state)
+    assert (first.t, first.state) == _plain_rk4_failure(F, starts[0], 1e-3)
+
+
+def _moved(x, i, d):
+    y = list(x)
+    y[i] += d
+    return y
+
+
+def _gramian_starts(x0, eps=1e-4, secant=None):
+    """The starts of a Gramian at ``x0`` in ``gramian._gramian``'s order:
+    the +-eps pair per state, or for ``secant = (i, d)`` the pair x0 + d*e_i,
+    x0 at row i."""
+    starts = []
+    for i in range(len(x0)):
+        if secant is not None and i == secant[0]:
+            starts += [_moved(x0, i, secant[1]), list(x0)]
+        else:
+            starts += [_moved(x0, i, eps), _moved(x0, i, -eps)]
+    return starts
+
+
+def _sharing_cases(n, rng):
+    """Start lists of a cascade of n blocks (positions first, then
+    velocities) whose members share velocity parts in every way an
+    experiment produces, and some it does not."""
+    dim = 2 * n
+    rest = [0.0] * dim
+    moving = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+    signed_zero = [rng.uniform(-1.0, 1.0) for _ in range(dim)]
+    signed_zero[0] = signed_zero[n] = 0.0
+    return {
+        "gramian-rest": _gramian_starts(rest),
+        "gramian-moving": _gramian_starts(moving),
+        "secant": _gramian_starts(moving, secant=(0, TWO_PI)),
+        "shift-pair": [rest, _moved(rest, n - 1, TWO_PI)],
+        "duplicate": [moving, _moved(moving, 0, 0.5), moving],
+        # 17 states: two runs of 9, the second padded with its last state
+        "padded": [_moved(moving, j % n, 0.1 * j) for j in range(MEMBERS_MAX + 1)],
+        "velocity-signed-zero": [signed_zero, [*signed_zero[:n], -0.0, *signed_zero[n + 1:]]],
+        "position-signed-zero": [signed_zero, [-0.0, *signed_zero[1:]]],
+    }
+
+
+def _full_reading(ca: ControlAffineSystem) -> ControlAffineSystem:
+    """``ca`` with a drift that reads every state: x_i' = z_i - 0.01*x_i."""
+    n = ca.dim // 2
+    drift = tuple(ex.sub(f, ex.mul(ex.const(0.01), ex.Var(v))) if i < n else f
+                  for i, (f, v) in enumerate(zip(ca.drift, ca.state_vars)))
+    return ControlAffineSystem(state_vars=ca.state_vars, drift=drift,
+                               input_fields=ca.input_fields, outputs=ca.outputs)
+
+
+@pytest.mark.parametrize("u", ENSEMBLE_INPUTS.values(), ids=ENSEMBLE_INPUTS.keys())
+@pytest.mark.parametrize("name", ENSEMBLE_SYSTEMS)
+def test_ensemble_trajectories_equal_lone_runs_bitwise(name, u):
+    # random ensembles of one state, a pair, a Gramian's 2*dim, and two runs
+    # of a joint loop, the second filled up with a copy of its last state;
+    # then starts whose members share velocity parts (_sharing_cases).  The
+    # same on a system whose fields read every state, which shares only
+    # between equal starts
+    sys = ENSEMBLE_SYSTEMS[name]
+    dim = 2 * sys.n
+    rng = random.Random(name)
+    cases = {size: [[rng.uniform(-1.0, 1.0) for _ in range(dim)] for _ in range(size)]
+             for size in (1, 2, 2 * dim, MEMBERS_MAX + 1)}
+    cases.update(_sharing_cases(sys.n, rng))
+    ca = as_control_affine(sys)
+    full = _full_reading(ca)
+    for system in (ca, full):
+        lone_loop = compile_rk4(system)
+        for case, starts in cases.items():
+            trajs = integrate_many(system, starts, u, 0.1, 1e-3)
+            assert len(trajs) == len(starts)
+            for x0, traj in zip(starts, trajs):
+                lone, = integrate_many(lone_loop, [x0], u, 0.1, 1e-3)
+                assert _same_bits(traj.states, lone.states), case
+                assert _same_bits(traj.outputs, lone.outputs), case
+    # the full-reading system has one slot per start and variable
+    starts = cases["gramian-moving"]
+    _, seeds = compile_rk4(full, len(starts)).sharing(tuple(v for x in starts for v in x))
+    assert len(seeds) == len(starts) * dim
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_gramian_loop_holds_one_stage_block_per_velocity_start(n):
+    # a Gramian of 2*dim = 4n starts on an n-block cascade has 2n + 1
+    # distinct velocity parts: the 2n position rows share the base one; the
+    # step body holds one stage block per distinct velocity part and no
+    # stage state of a position
+    sys = _random_cascade(random.Random(n), n, ENSEMBLE_GAINS.__getitem__)
+    loop = compile_rk4(sys, 4 * n)
+    x0 = [0.1 * (i + 1) for i in range(2 * n)]
+    for starts in (_gramian_starts(x0), _gramian_starts(x0, secant=(n - 1, TWO_PI))):
+        groups = {tuple(v.hex() for v in x[n:]) for x in starts}
+        assert len(groups) == 2 * n + 1 < 4 * n
+        pattern, _ = loop.sharing(tuple(float(v) for x in starts for v in x))
+        fn, = ast.parse(rk4_source(loop.system, pattern, "sinusoid")).body
+        body, = [node for node in fn.body if isinstance(node, ast.For)]
+        stored = [node.id for stmt in body.body for node in ast.walk(stmt)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
+        assert stored.count("_a0") == len(groups)
+        assert stored.count("_d0") == len(groups)
+        assert {name for name in stored if name.startswith("_p")} == {f"_p{i}" for i in range(n, 2 * n)}
 
 
 def test_z_component_ignores_positions():
