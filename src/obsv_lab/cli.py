@@ -49,6 +49,7 @@ from .sim import (
     T_END_DEFAULT,
     BlowUpError,
     FeedbackLaw,
+    InputError,
     InputSignal,
     distinguishability_experiment,
     integrate,
@@ -482,7 +483,7 @@ def main(argv=None) -> int:
         cfg.state2 = _parse_state(cfg.state2, "--state2") if cfg.state2 else None
         result = _HANDLERS[cfg.command](cfg)
         _emit(_render(cfg, result), cfg.out)
-    except (BlowUpError, ex.DomainError) as err:
+    except (BlowUpError, InputError, ex.DomainError) as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, OSError) as err:

@@ -11,6 +11,7 @@ import bisect
 from array import array
 from collections import Counter
 import math
+from struct import Struct
 
 import numpy as np
 
@@ -32,6 +33,16 @@ class BlowUpError(RuntimeError):
         self.t = t
         self.state = tuple(state)
         super().__init__(f"state became non-finite at t={t:.6g}: {self.state}")
+
+
+class InputError(ArithmeticError):
+    """The input signal has no value at a stage time: the argument of its
+    float operations is not finite there, though its parameters are."""
+
+    def __init__(self, u: "InputSignal", t: float):
+        self.t = t
+        arg = {"sinusoid": "w*t + phi", "table": "(t - t0)/dt"}[u.kind]  # the kinds that can fail
+        super().__init__(f"input {u.describe()} has no value at t={t:.6g}: {arg} is not finite")
 
 
 class EquilibriumPremiseError(RuntimeError):
@@ -206,11 +217,12 @@ class RK4Loop:
     step ``size`` initial states in lockstep.
 
     ``run(x0s, u, dt, steps, rows)`` takes the initial states one after
-    another in one flat tuple and extends a flat float array by one row per
-    sample: every member's state, then every member's outputs.  It raises
-    ``BlowUpError`` on a non-finite state, with the state of the first
-    member of the group that holds it; any other failure propagates from
-    the step where it happened, with the rows before that step stored.  The
+    another in one flat tuple and appends to ``rows``, an ``array("d")``,
+    one whole row per sample: every member's state, then every member's
+    outputs.  It raises ``BlowUpError`` on a non-finite state, with the
+    state of the first member of the group that holds it; any other failure
+    propagates from the step where it happened.  A run that fails in step k
+    has stored exactly the k + 1 rows of t = 0 .. k*dt.  The
     loop of an input kind and a sharing pattern (see ``sharing``) is
     generated the first time that pair runs, and kept in ``variants`` under
     the key (loop variant, pattern).
@@ -260,7 +272,7 @@ class RK4Loop:
         fn = self.variants.get((variant, pattern))
         if fn is None:
             namespace = {"_fns": tuple(ex.python_functions().values()),
-                         "_bisect": bisect, "_BlowUpError": BlowUpError}
+                         "_bisect": bisect, "_BlowUpError": BlowUpError, "_Struct": Struct}
             exec(rk4_source(self.system, pattern, variant), namespace)
             fn = self.variants[variant, pattern] = namespace["_rk4"]
         fn(seeds, (0.0,) if u.kind == "zero" else u.params, dt, steps, rows)
@@ -299,23 +311,43 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
     """Source of ``_rk4(_x0s, _params, _dt, _steps, _rows)``, the RK4 loop
     of the members of the sharing pattern ``pattern`` (see
     ``RK4Loop.sharing``; ``_x0s`` holds the seeds) under an input of the
-    loop variant ``variant`` (see ``compile_rk4``).  It runs with ``_fns``,
-    the ``expr.python_functions`` values, ``_bisect`` and ``_BlowUpError``
-    in its globals."""
+    loop variant ``variant`` (see ``compile_rk4``).  Each sample's row is
+    one ``struct`` pack appended to ``_rows`` with ``frombytes``.  An input
+    field that is a constant c has its product u * (c) formed once per
+    stage input for all groups: once before the loop under a zero or
+    constant input, else once per step and stage time.  It runs with
+    ``_fns``, the ``expr.python_functions`` values, ``_bisect``,
+    ``_BlowUpError`` and ``_Struct`` in its globals."""
     idx = range(ca.dim)
     reads = _reads(ca)
     setup, input_at = _input_source(variant)
+    # equal constant sources share one product name per stage input
+    consts: dict[str, int] = {}
+    for g in ca.input_fields[0]:
+        if isinstance(g, ex.Const):
+            consts.setdefault(ex.python_source(g), len(consts))
+
+    def products(u, q):
+        return [f"{q}{j} = {u} * {src}" for src, j in consts.items()]
+
     if input_at is None:
-        ua = ub = uc = "_u0"
+        (ua, qa), (ub, qb), (uc, qc) = [("_u0", "_q")] * 3
+        setup = [*setup, *products("_u0", "_q")]
         inputs = []
     else:
-        ua, ub, uc = "_ua", "_ub", "_uc"
+        (ua, qa), (ub, qb), (uc, qc) = ("_ua", "_qa"), ("_ub", "_qb"), ("_uc", "_qc")
         inputs = ["_t = _k * _dt", *input_at(ua, "_t"), *input_at(ub, "(_t + _h)"),
-                  *input_at(uc, "(_t + _dt)")]
+                  *input_at(uc, "(_t + _dt)"), *products(ua, qa), *products(ub, qb),
+                  *products(uc, qc)]
 
-    def fields(k, at, u):
+    def product(g, at, u, q):
+        if isinstance(g, ex.Const):
+            return f"{q}{consts[ex.python_source(g)]}"
+        return f"{u} * {ex.python_source(g, at)}"
+
+    def fields(k, at, u, q):
         return [
-            f"_{k}{i} = {ex.python_source(f, at)} + {u} * {ex.python_source(g, at)}"
+            f"_{k}{i} = {ex.python_source(f, at)} + {product(g, at, u, q)}"
             for i, f, g in zip(idx, ca.drift, ca.input_fields[0])
         ]
 
@@ -328,7 +360,7 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
     # stages 2-4 read the stage state _p, the same names in every group;
     # a variable no field reads needs no stage state
     stage = {v: f"_p{i}" for i, v, r in zip(idx, ca.state_vars, reads) if r}
-    later = {k: fields(k, stage, u) for k, u in (("b", ub), ("c", ub), ("d", uc))}
+    later = {k: fields(k, stage, u, q) for k, u, q in (("b", ub, qb), ("c", ub, qb), ("d", uc, qc))}
 
     def group(members):
         # the members share their slot of every read variable, so the
@@ -349,7 +381,7 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
             update += [f"_s{s} = _s{s} + {inc}" for s in slots]
         checked = sorted({s for m in members for s in m})
         return [
-            *fields("a", names(first), ua),
+            *fields("a", names(first), ua, qa),
             *stage_state("_h", "a"),
             *later["b"],
             *stage_state("_h", "b"),
@@ -373,9 +405,10 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
               enumerate(dict.fromkeys(src for src in outputs if counts[src] > 1))}
     output_lines = [f"{name} = {src}" for src, name in shared.items()]
     row = "".join(state(m) for m in pattern) + "".join(f"{shared.get(o, o)}, " for o in outputs)
+    store = f"_store(_pack({row}))"
     seeds = "".join(f"_s{s}, " for s in range(1 + max(s for m in pattern for s in m)))
     body = [*inputs, *(line for members in groups.values() for line in group(members)),
-            *output_lines, f"_row(({row}))"]
+            *output_lines, store]
     return "\n".join([
         "def _rk4(_x0s, _params, _dt, _steps, _rows):",
         f"    {seeds}= _x0s",
@@ -383,9 +416,10 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
         *(f"    {line}" for line in setup),
         "    _h = 0.5 * _dt",
         "    _w = _dt / 6.0",
-        "    _row = _rows.extend",
+        f"    _pack = _Struct('{len(pattern) * (ca.dim + ca.p)}d').pack",
+        "    _store = _rows.frombytes",
         *(f"    {line}" for line in output_lines),
-        f"    _row(({row}))",
+        f"    {store}",
         "    for _k in range(_steps):",
         *(f"        {line}" for line in body),
         "",
@@ -416,12 +450,16 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
     in the float operations of ``InputSignal.__call__``: a zero or constant
     input is one float bound before the loop, any other kind is computed
     once per step and distinct stage time for all members (k2 and k3 share
-    t + 0.5*dt).  The catalog functions are locals of the function, and one
-    extend stores the step's row.  An ensemble of more than ``MEMBERS_MAX``
-    states is stepped in the fewest runs of equal size.  The stage code
-    grows with the groups, not with the members, and the update, check and
-    output code with the distinct slots, so the code stays within
-    ``MEMBERS_MAX`` times that of the one-state loop.
+    t + 0.5*dt).  So is the product u*g of each input field g that is a
+    constant (a cascade's b_i and 0.0): once per distinct stage input, for
+    all groups, and before the loop under a zero or constant input; a field
+    that reads a state forms its product in the stage.  The catalog
+    functions are locals of the function, and the step's row is stored by
+    one ``struct`` pack appended with ``frombytes``.  An ensemble of more
+    than ``MEMBERS_MAX`` states is stepped in the fewest runs of equal size.
+    The stage code grows with the groups, not with the members, and the
+    update, check and output code with the distinct slots, so the code
+    stays within ``MEMBERS_MAX`` times that of the one-state loop.
     """
     ca = _as_affine(sys)
     if ca.m != 1:
@@ -442,8 +480,9 @@ def _check_outputs(ca: ControlAffineSystem, x) -> None:
 
 def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     """Re-run step ``k`` from state ``x`` stage by stage, raising the
-    failure of the generated loop with its location: ``BlowUpError`` at the
-    stage time and state for an overflow in a stage, ``DomainError`` at the
+    failure of the generated loop with its location: ``InputError`` at the
+    stage time where the input has no value, ``BlowUpError`` at the stage
+    time and state for an overflow in a stage, ``DomainError`` at the
     culprit subexpression for a domain fault or a failing output.  ``k = -1``
     is the output at t = 0."""
     names = ca.state_vars
@@ -462,9 +501,13 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
             raise
 
     def field(state, t):
+        # the loop computes a step's inputs before its stages
+        try:
+            ut = u(t)
+        except (ArithmeticError, ValueError):
+            raise InputError(u, t) from None
         f = guarded(drift_fn, ca.drift, state, t)
         g = guarded(input_fn, ca.input_fields[0], state, t)
-        ut = u(t)
         return [fi + ut * gi for fi, gi in zip(f, g)]
 
     def shifted(step, kv):

@@ -485,6 +485,21 @@ def test_non_finite_input_is_a_usage_error(capsys, command, spec):
     assert "must be finite" in err
 
 
+@pytest.mark.parametrize("command", ["simulate", "gramian"])
+def test_input_without_a_value_is_a_numeric_failure(capsys, command):
+    # the parameters are finite, but w*t overflows once t > 1.797...; the
+    # failure names the input and the first stage time (k*dt, k*dt + dt/2,
+    # k*dt + dt of step k) where w*t + phi is not finite
+    w, dt = 1e308, 1e-3
+    t = next(t for k in range(2000) for t in (k * dt, k * dt + 0.5 * dt, k * dt + dt)
+             if not math.isfinite(w * t + 0.0))
+    code, out, err = run(capsys, command, "--system", "preset:fish-1d-gauss", "--state", "0,0",
+                         "--input", "sin:1,1e308", "--t-end", "2")
+    assert (code, out) == (4, "")
+    assert err == f"numeric failure: input sin:1,1e+308,0 has no value at t={t:.6g}: " \
+                  "w*t + phi is not finite\n"
+
+
 def test_zero_orders_are_valid(capsys):
     code, out, _ = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0,1",
                        "--lmax", "0", "--format", "text")

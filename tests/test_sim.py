@@ -1,4 +1,6 @@
 import ast
+from array import array
+from collections import Counter
 import math
 import random
 import re
@@ -14,6 +16,7 @@ from obsv_lab.sim import (
     BlowUpError,
     EquilibriumPremiseError,
     FeedbackLaw,
+    InputError,
     InputSignal,
     Trajectory,
     compile_rk4,
@@ -190,6 +193,19 @@ def test_ln_gain_domain_fault_mid_run_names_the_subexpression():
         integrate(sys, (1.0, -2.0), InputSignal.zero(), 2.0, 1e-3)
 
 
+@pytest.mark.parametrize("u, t, argument", [
+    # w*t overflows once t > 1.797..., first at t + dt of step 1797
+    (InputSignal.sinusoid(1.0, 1e308), 1797 * 1e-3 + 1e-3, "w*t + phi"),
+    # (t - t0)/dt overflows at the first stage time after t = 0, t = dt/2
+    (InputSignal.table((1.0, 2.0), 5e-324), 0.0005, "(t - t0)/dt"),
+], ids=["sinusoid", "table"])
+def test_input_without_a_value_names_the_input_and_the_stage_time(u, t, argument):
+    with pytest.raises(InputError) as err:
+        integrate(preset("fish-1d-gauss"), (0.0, 0.0), u, 2.0, 1e-3)
+    assert err.value.t == t
+    assert str(err.value) == f"input {u.describe()} has no value at t={t:.6g}: {argument} is not finite"
+
+
 def _reference_rk4(ca, x0, u, t_end, dt):
     """Classical RK4 over the tree-walking evaluator, in integrate's
     arithmetic order: stage states x + (0.5*dt)*k, fields f + u*g, update
@@ -295,24 +311,159 @@ def test_signed_zero_start_under_zero_input_bitwise():
 @pytest.mark.parametrize("variant", ["constant", "sinusoid", "piecewise", "table"])
 def test_step_body_calls_only_bound_math(variant):
     # inside the for body, the only calls are catalog functions and input
-    # helpers bound as locals before the loop, the one row write and the
+    # helpers bound as locals before the loop, the one row store and the
     # blow-up raise: no Python function is called per step
     ca = as_control_affine(_random_cascade(random.Random(7), 2, ORACLE_GAINS.__getitem__))
-    # three members that share nothing: one slot per member and variable
-    pattern = tuple(tuple(range(j * ca.dim, (j + 1) * ca.dim)) for j in range(3))
-    fn, = ast.parse(rk4_source(ca, pattern, variant)).body
-    loop, = [node for node in fn.body if isinstance(node, ast.For)]
-    bound = {target.id for node in fn.body[:fn.body.index(loop)]
-             for target in ast.walk(node) if isinstance(target, ast.Name)
-             and isinstance(target.ctx, ast.Store)}
-    allowed = (bound & (set(ex.python_functions()) | {"_row", "_find", "_int"})) | {"_BlowUpError"}
-    called = [node.func for stmt in loop.body for node in ast.walk(stmt)
-              if isinstance(node, ast.Call)]
-    assert all(isinstance(f, ast.Name) and f.id in allowed for f in called)
-    names = [f.id for f in called]
-    assert names.count("_row") == 1
-    assert names.count("_BlowUpError") == 3
+
+    def step_body(members):
+        # members that share nothing: one slot per member and variable
+        pattern = tuple(tuple(range(j * ca.dim, (j + 1) * ca.dim)) for j in range(members))
+        fn, = ast.parse(rk4_source(ca, pattern, variant)).body
+        loop, = [node for node in fn.body if isinstance(node, ast.For)]
+        bound = {target.id for node in fn.body[:fn.body.index(loop)]
+                 for target in ast.walk(node) if isinstance(target, ast.Name)
+                 and isinstance(target.ctx, ast.Store)}
+        return bound, loop.body
+
+    bound, body = step_body(3)
+    allowed = (bound & (set(ex.python_functions()) | {"_store", "_pack", "_find", "_int"})) \
+        | {"_BlowUpError"}
+    called = [node for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Call)]
+    assert all(isinstance(c.func, ast.Name) and c.func.id in allowed for c in called)
+    names = [c.func.id for c in called]
     assert {"_exp", "_sin", "_cos", "_tanh"} <= set(names)
+    assert names.count("_BlowUpError") == 3
+    # one row store per step: the whole row packed once, appended once
+    store, = [c for c in called if c.func.id == "_store"]
+    pack, = [c for c in called if c.func.id == "_pack"]
+    assert store.args == [pack]
+    assert len(pack.args) == 3 * (ca.dim + ca.p)
+
+    # a cascade's input fields are constants: b_i and 0.0.  Their products
+    # u * (c) are formed once per stage input, whatever the groups, and under
+    # a zero or constant input before the loop
+    consts = {ast.unparse(ast.parse(ex.python_source(g), mode="eval").body)
+              for g in ca.input_fields[0]}
+    assert all(isinstance(g, ex.Const) for g in ca.input_fields[0]) and len(consts) == 3
+
+    def products(stmts):
+        return Counter((node.left.id, ast.unparse(node.right)) for stmt in stmts
+                       for node in ast.walk(stmt) if isinstance(node, ast.BinOp)
+                       and isinstance(node.op, ast.Mult) and isinstance(node.left, ast.Name)
+                       and node.left.id in {"_u0", "_ua", "_ub", "_uc"})
+
+    for members in (1, 3):
+        bound, body = step_body(members)
+        if variant == "constant":
+            assert not products(body)
+            assert {f"_q{j}" for j in range(3)} <= bound
+        else:
+            assert products(body) == {(u, c): 1 for u in ("_ua", "_ub", "_uc") for c in consts}
+
+
+def _mixed_fields_system() -> ControlAffineSystem:
+    """Input fields that read a state (a velocity, a position) beside
+    constant ones: 0.0, -0.0 and a repeated 1.25."""
+    state_vars = ("x", "y", "z1", "z2", "z3", "z4")
+    names = set(state_vars)
+
+    def parsed(*sources):
+        return tuple(ex.parse(src, names) for src in sources)
+
+    return ControlAffineSystem(
+        state_vars=state_vars,
+        drift=parsed("z1", "-z2", "-z1 + 0.3*tanh(z3)", "-0.5*z2 + 0.1*sin(x)", "-z3", "-0.0*z4"),
+        input_fields=((ex.const(0.0), ex.const(-0.0), *parsed("cos(z1)"), ex.const(1.25),
+                       *parsed("0.2*sin(y)"), ex.const(1.25)),),
+        outputs=parsed("sin(x)*z1", "y*z2 + z4"),
+    )
+
+
+def test_mixed_input_fields_match_tree_evaluated_rk4_bitwise():
+    # the constant fields' products are formed once per stage input and the
+    # state-reading ones in the stage; both give the oracle's bits under
+    # every input kind, in a lone run and in an ensemble.  From y = -0.0 at
+    # z2 = 0.0, y's field is -0.0 + u*(-0.0): a product u*(0.0) in its place
+    # would turn y to +0.0
+    ca = _mixed_fields_system()
+    assert [isinstance(g, ex.Const) for g in ca.input_fields[0]] == [True, True, False, True, False, True]
+    inputs = {
+        "zero": InputSignal.zero(),
+        "constant": InputSignal.constant(-0.75),
+        "sinusoid": InputSignal.sinusoid(1.1, 4.0, 0.2),
+        "piecewise": InputSignal.piecewise((0.02, 0.05), (0.5, -1.5, 0.0)),
+        "table": InputSignal.table((0.3, -0.6, 1.2, -0.0), 0.01, 0.01),
+    }
+    starts = [(-0.0, -0.0, -0.0, -0.0, -0.0, -0.0), (0.4, -0.3, 0.2, -0.1, 0.6, -0.5),
+              (1.4, -0.3, 0.2, -0.1, 0.6, -0.5), (0.0, -0.0, 5e-324, 0.0, -5e-324, 1e300)]
+    for kind, u in inputs.items():
+        lone = integrate(ca, starts[1], u, 0.06, 1e-3)
+        joint = integrate_many(ca, starts, u, 0.06, 1e-3)
+        for x0, traj in [(starts[1], lone), *zip(starts, joint)]:
+            states, outputs = _reference_rk4(ca, x0, u, 0.06, 1e-3)
+            assert _same_bits(traj.states, states), kind
+            assert _same_bits(traj.outputs, outputs), kind
+
+
+def test_ensemble_of_extreme_starts_matches_tree_evaluated_rk4_bitwise():
+    # one run of MEMBERS_MAX starts: signed zeros, the least subnormal and
+    # positions near the float limit, some of them sharing velocity bits
+    sys = _random_cascade(random.Random(5), 2, ("sin(x)", "tanh(x)").__getitem__)
+    ca = as_control_affine(sys)
+    positions = (-0.0, 0.0, 5e-324, 1.7e308, -1.7e308, 1e300)
+    velocities = (-0.0, 0.0, 5e-324, -5e-324, 0.7)
+    starts = [(positions[j % 6], positions[(5 * j + 1) % 6], velocities[j % 5],
+               velocities[(3 * j + 2) % 5]) for j in range(MEMBERS_MAX)]
+    loop = compile_rk4(ca, len(starts))
+    pattern, _ = loop.sharing(tuple(v for x in starts for v in x))
+    assert loop.size == len(starts) and len({m[2:] for m in pattern}) < len(starts)
+    for u in (InputSignal.zero(), InputSignal.constant(0.3), InputSignal.sinusoid(0.8, 2.5, 0.3)):
+        trajs = integrate_many(loop, starts, u, 0.02, 1e-3)
+        for x0, traj in zip(starts, trajs):
+            states, outputs = _reference_rk4(ca, x0, u, 0.02, 1e-3)
+            assert _same_bits(traj.states, states), (u, x0)
+            assert _same_bits(traj.outputs, outputs), (u, x0)
+
+
+def test_a_run_that_fails_at_step_k_stores_k_plus_1_rows():
+    # the rows of t = 0 .. k*dt are stored whole, and the failing step's
+    # row is not: _raise_first_failure replays step k from the last row
+    dt = 1e-3
+    zs = {"z1"}
+
+    def rows_of(sys, x0, u, steps):
+        loop = compile_rk4(sys)
+        rows = array("d")
+        with pytest.raises((BlowUpError, ValueError)) as err:
+            loop.run(x0, u, dt, steps, rows)
+        width = loop.system.dim + loop.system.p
+        assert len(rows) % width == 0
+        return err.value, np.frombuffer(rows).reshape(-1, width)
+
+    # a state that blows up: the error names the end of step k
+    blowing = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("z1*z1", zs),), b=(1.0,))
+    err, table = rows_of(blowing, (0.0, 2.0), InputSignal.zero(), 2000)
+    assert isinstance(err, BlowUpError)
+    assert len(table) == round(err.t / dt)
+    # an input without a value: step k computes w*t + phi at k*dt, k*dt +
+    # dt/2 and k*dt + dt
+    w = 1e308
+    k = next(k for k in range(3000)
+             if not all(math.isfinite(w * t) for t in (k * dt, k * dt + 0.5 * dt, k * dt + dt)))
+    sin_sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("-z1", zs),), b=(1.0,))
+    u = InputSignal.sinusoid(1.0, w)
+    err, table = rows_of(sin_sys, (0.0, 0.0), u, 3000)
+    assert len(table) == k + 1
+    states, _ = _reference_rk4(as_control_affine(sin_sys), (0.0, 0.0), u, k * dt, dt)
+    assert _same_bits(table[:, :2], states)
+    # an output that leaves its domain: x reaches 0 where ln(x) fails
+    ln_sys = CascadeSystem(n=1, gamma=(ex.parse("ln(x)", {"x"}),), F=(ex.parse("-z1", zs),), b=(1.0,))
+    states, _ = _reference_rk4(as_control_affine(sin_sys), (1.0, -2.0), InputSignal.zero(), 1.0, dt)
+    first = int(np.argmax(states[:, 0] <= 0.0))
+    assert first > 0
+    err, table = rows_of(ln_sys, (1.0, -2.0), InputSignal.zero(), 1000)
+    assert len(table) == first
+    assert _same_bits(table[:, :2], states[:first])
 
 
 # ---------------------------------------------------------------------------
