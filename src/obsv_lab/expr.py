@@ -4,7 +4,7 @@ The function catalog is deliberately closed: the functions in ``CATALOG``
 (sin, cos, tan, exp, ln, tanh, sqrt), the four rational operations, unary
 minus, and integer powers.  A ``CATALOG`` entry holds all the package knows
 about its function (value, domain, derivative, Taylor-series rules, source
-name, period, tail), so a new function is one entry.  Every member is smooth
+name, period, parity, tail), so a new function is one entry.  Every member is smooth
 on its domain and the catalog is closed under differentiation; an integer
 power runs on the series rules of the product and the quotient (see ``Jet``).
 
@@ -780,36 +780,39 @@ class CatalogEntry(Frozen):
     - ``domain``: None for all reals, else (test of an argument, the
       DomainError message for an argument that fails it).
     - ``period``: 2*pi/n for a periodic f, else None.
+    - ``parity``: "odd" when f(-u) = -f(u), "even" when f(-u) = f(u),
+      else None; the period proof halves a period with it.
     - ``tail``: for a periodic f, the bounds on f(u) where u has no limit
       ((-1, 1) for sin, unbounded for tan); None for an increasing f.
     """
 
     __slots__ = ("source", "derivative", "series", "tangent", "companion", "domain",
-                 "period", "tail", "value")
+                 "period", "parity", "tail", "value")
 
     def __init__(self, source: str, derivative: Callable[[Expr], Expr], series: Callable,
                  tangent: Callable, companion: Callable[[float, float], float] | None = None,
                  domain: tuple[Callable[[float], bool], str] | None = None,
-                 period: float | None = None, tail: tuple[float, float] | None = None):
-        super().__init__(source, derivative, series, tangent, companion, domain, period, tail,
-                         getattr(math, source))
+                 period: float | None = None, parity: str | None = None,
+                 tail: tuple[float, float] | None = None):
+        super().__init__(source, derivative, series, tangent, companion, domain, period, parity,
+                         tail, getattr(math, source))
 
 
 CATALOG = {
     "sin": CatalogEntry("sin", lambda u: func("cos", u), _v_sincos, _t_companion,
                         companion=lambda x, v: math.cos(x), period=2.0 * math.pi,
-                        tail=(-1.0, 1.0)),
+                        parity="odd", tail=(-1.0, 1.0)),
     "cos": CatalogEntry("cos", lambda u: neg(func("sin", u)), _v_sincos, _t_companion,
                         companion=lambda x, v: -math.sin(x), period=2.0 * math.pi,
-                        tail=(-1.0, 1.0)),
+                        parity="even", tail=(-1.0, 1.0)),
     "tan": CatalogEntry("tan", lambda u: div(_ONE, power(func("cos", u), 2)), _v_tan,
                         _t_companion, companion=lambda x, v: 1.0 + v * v, period=math.pi,
-                        tail=(-math.inf, math.inf)),
+                        parity="odd", tail=(-math.inf, math.inf)),
     "exp": CatalogEntry("exp", lambda u: func("exp", u), _v_exp, _t_exp),
     "ln": CatalogEntry("log", lambda u: div(_ONE, u), _v_ln, _t_ln,
                        domain=(lambda x: x > 0.0, "ln of a non-positive value")),
     "tanh": CatalogEntry("tanh", lambda u: sub(_ONE, power(func("tanh", u), 2)), _v_tanh,
-                         _t_companion, companion=lambda x, v: 1.0 - v * v),
+                         _t_companion, companion=lambda x, v: 1.0 - v * v, parity="odd"),
     "sqrt": CatalogEntry("sqrt", lambda u: div(_ONE, mul(const(2.0), func("sqrt", u))),
                          _v_sqrt, _t_sqrt, domain=(lambda x: x >= 0.0, "sqrt of a negative value")),
 }

@@ -25,8 +25,7 @@ from .lie import ObservableWord
 from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine
 from .record import Record
 
-PER_TOL_DEFAULT = 1e-8     # relative residual for accepting a period
-K_CHECK_DEFAULT = 6        # derivative orders compared when validating a period
+PER_TOL_DEFAULT = 1e-8     # relative jet gap a probe must exceed to show a gain is not constant
 SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
 RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest count as zero
 WINDOW_DEFAULT = (-20.0, 20.0)
@@ -188,13 +187,8 @@ def _probe_points(seed: int, count: int, lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * ((seed + k) * _INV_PHI % 1.0) for k in range(1, count + 1)]
 
 
-def _derivative_jets_match(gamma: Expr, T: float, probes, k_check: int, tol: float) -> bool:
-    return all(_first_jet_mismatch(gamma, r, r + T, k_check, tol) is None for r in probes)
-
-
 _UNKNOWN = (-math.inf, math.inf)
-Q_MAX = 64  # largest denominator of a frequency ratio, and largest divisor of the lcm period
-_PRIMES = [p for p in range(2, Q_MAX + 1) if all(p % d for d in range(2, p))]
+Q_MAX = 64  # largest denominator of a frequency ratio
 
 
 def _has_x(e: Expr) -> bool:
@@ -278,54 +272,56 @@ def _tail_bounds(e: Expr, end: float) -> tuple[float, float]:
     return f.tail
 
 
-def _slope(e: Expr, r: float) -> float | None:
-    """a when ``e`` is a*x + c around ``r``, read from its Taylor series
-    there (the second coefficient vanishes to roundoff), else None."""
-    try:
-        jet = ex.Jet((e,), (GAMMA_VAR,), (r,), k_max=2)
-        a, curvature = jet.coefficient(0, 1), jet.coefficient(0, 2)
-    except ex.DomainError:
-        return None
-    return a if abs(curvature) <= 1e-12 * (1.0 + abs(a)) else None
+def _linear(e: Expr) -> float | None:
+    """a when the tree of ``e`` is a*x + c, else None: sums and negations
+    of x and x-free terms, times or over x-free factors.  Only a tree shows
+    an argument affine on all of R: sqrt(x^2) is x near 1, and
+    x + exp(-x^8) is x to roundoff away from 0."""
+    if not _has_x(e):
+        return 0.0
+    if isinstance(e, ex.Var):
+        return 1.0
+    if isinstance(e, ex.Neg):
+        a = _linear(e.arg)
+        return None if a is None else -a
+    if isinstance(e, (ex.Add, ex.Sub)):
+        a, b = _linear(e.left), _linear(e.right)
+        if a is None or b is None:
+            return None
+        return a + b if isinstance(e, ex.Add) else a - b
+    if isinstance(e, (ex.Mul, ex.Div)) and not _has_x(e.right):
+        a, c = _linear(e.left), ex.evaluate(e.right, {})
+        if a is None:
+            return None
+        return a * c if isinstance(e, ex.Mul) else a / c
+    if isinstance(e, ex.Mul) and not _has_x(e.left):
+        a = _linear(e.right)
+        return None if a is None else ex.evaluate(e.left, {}) * a
+    return None
 
 
-def _trig_terms(e: Expr, r: float, terms: list) -> bool:
-    """Append (period, a) for every periodic catalog function of an
-    argument a*x + c near ``r``; False when x also occurs outside these
-    terms, or an argument is not affine by its tree (x + exp(-x^8) is x
-    to roundoff far from 0, but only a tree shows a*x + c on all of R).
-    """
+def _trig_terms(e: Expr, terms: list) -> bool:
+    """Append (node, period, a) for every periodic catalog function of an
+    argument a*x + c with a != 0 (see ``_linear``); False when x also
+    occurs outside these terms."""
     period = _period(e)
     if period is not None:
-        a = _slope(e.arg, r)
+        a = _linear(e.arg)
         if a is not None:
             if a != 0.0:
-                terms.append((period, a))
-            return _affine(e.arg)
+                terms.append((e, period, a))
+            return True
     if isinstance(e, ex.Var):
         return False
-    return all([_trig_terms(c, r, terms) for c in ex.children(e)])  # every child's terms
-
-
-def _affine(e: Expr) -> bool:
-    """Whether the tree of ``e`` is a*x + c: sums and negations of x and
-    x-free terms, times or over x-free factors."""
-    if isinstance(e, ex.Var) or not _has_x(e):
-        return True
-    if isinstance(e, ex.Neg):
-        return _affine(e.arg)
-    if isinstance(e, (ex.Add, ex.Sub)):
-        return _affine(e.left) and _affine(e.right)
-    if isinstance(e, ex.Mul):
-        return not _has_x(e.left) and _affine(e.right) or not _has_x(e.right) and _affine(e.left)
-    return isinstance(e, ex.Div) and not _has_x(e.right) and _affine(e.left)
+    return all([_trig_terms(c, terms) for c in ex.children(e)])  # every child's terms
 
 
 def _small_ratio(r: float) -> tuple[int, int] | None:
     """(p, q) with p/q within 4 ulps of r and q <= Q_MAX, smallest q first.
 
     Decimal slopes miss their ratio by an ulp or so (0.3/0.1 is
-    2.9999999999999996); the period found from p/q is validated anyway.
+    2.9999999999999996); such a pair of terms joins one class, and a
+    gain with two classes is never called periodic.
     """
     for q in range(1, Q_MAX + 1):
         p = round(r * q)
@@ -334,70 +330,71 @@ def _small_ratio(r: float) -> tuple[int, int] | None:
     return None
 
 
-def _lcm_period(gamma: Expr, r: float) -> tuple[list[float], bool]:
-    """Candidate periods from the trig terms of ``gamma`` (see _trig_terms),
-    and whether the one candidate is exact.
+def _lcm_period(gamma: Expr) -> tuple[list[float], dict | None]:
+    """Candidate periods from the trig terms of ``gamma`` (see
+    ``_trig_terms``), and for an exact candidate how often each term's
+    period fits into it, by the term's id; None when there is none.
 
     Terms whose slopes are small rational multiples of the first slope of
     a class join that class; each class gives the lcm of its term periods
     (period/|a| for f(a*x + c): 2 pi/|a| for sin and cos, pi/|a| for tan).
-    ``exact`` holds when there is one class, x occurs nowhere else and
-    every argument is affine by its tree: the lcm is then a period of the
-    gain on all of R.
+    The candidate is exact when there is one class and x occurs nowhere
+    else: the lcm is then a period of the gain on all of R.
     """
     terms: list = []
-    only_terms = _trig_terms(gamma, r, terms)
-    classes: list[list] = []  # [a0, lcm of numerators, gcd of denominators of T_i / (2 pi/a0)]
-    for period, a in terms:
-        for cls in classes:
-            pq = _small_ratio(abs(a) / cls[0])
+    only_terms = _trig_terms(gamma, terms)
+    classes: list[tuple[float, list]] = []  # (a0, [(term, T_i / (2 pi/a0) as (u, v))])
+    for node, period, a in terms:
+        for a0, members in classes:
+            pq = _small_ratio(abs(a) / a0)
             if pq is not None:
                 break
         else:
-            cls, pq = [abs(a), 1, 0], (1, 1)
-            classes.append(cls)
+            a0, members, pq = abs(a), [], (1, 1)
+            classes.append((a0, members))
         u, v = pq[1], pq[0] * round(2.0 * math.pi / period)
         g = math.gcd(u, v)
-        u, v = u // g, v // g
-        cls[1], cls[2] = cls[1] * u // math.gcd(cls[1], u), math.gcd(cls[2], v)
-    periods = [2.0 * math.pi / a0 * num / den for a0, num, den in classes]
-    return periods, only_terms and len(periods) == 1
+        members.append((node, u // g, v // g))
+    periods = []
+    for a0, members in classes:
+        num = math.lcm(*(u for _, u, _ in members))
+        den = math.gcd(*(v for _, _, v in members))
+        periods.append(2.0 * math.pi / a0 * num / den)
+    if not (only_terms and len(periods) == 1 and math.isfinite(periods[0])):
+        return periods, None
+    # one class, whose lcm is num/den: P / T_i = (num/den) / (u/v)
+    return periods, {id(node): num * v // (den * u) for node, u, v in members}
 
 
-def _least_period(gamma, P, exact, fn_np, xs, vals, scale, probes, per_tol, k_check):
-    """P/m for the largest m <= Q_MAX that validates, or None if P itself
-    fails, with the candidates tried.
-
-    The valid m are the divisors of the true one, so primes are tried
-    greedily, smallest first.  A candidate must pass the shift residual,
-    first on the 512-point subgrid (all primes in one evaluation) and then
-    on the full grid, and the jet check.  Where the residual fails at an
-    ``exact`` P (samples near the poles of tan), the jet check alone decides.
+def _half_shift(e: Expr, fits: dict, m: int) -> int | None:
+    """1 when shifting x by P/(2m) leaves ``e`` unchanged, -1 when it
+    negates ``e``, None when the tree shows neither; ``fits`` is the
+    number of term periods in the exact candidate P (see ``_lcm_period``).
     """
-    residual = float(_shift_residuals(fn_np, xs, vals, [P], scale)[0])
-    gated = residual <= per_tol
-    tried = [{"period": P, "residual": residual}]
-    if not (gated or exact) or not _derivative_jets_match(gamma, P, probes, k_check, per_tol):
-        return None, tried
-
-    def valid(T: float) -> bool:
-        r = float(_shift_residuals(fn_np, xs, vals, [T], scale)[0]) if gated else None
-        tried.append({"period": T, "residual": r})
-        return (r is None or r <= per_tol) and _derivative_jets_match(
-            gamma, T, probes, k_check, per_tol)
-
-    step = max(1, len(xs) // 512)
-    m, p = 1, _PRIMES[0]
-    while p is not None:
-        primes = [q for q in _PRIMES if q >= p and m * q <= Q_MAX]
-        if gated and primes:
-            sub_res = _shift_residuals(fn_np, xs[::step], vals[::step],
-                                       [P / (m * q) for q in primes], scale)
-            primes = [q for q, r in zip(primes, sub_res) if r <= per_tol]
-        p = next((q for q in primes if valid(P / (m * q))), None)
-        if p is not None:
-            m *= p
-    return P / m, tried
+    n = fits.get(id(e))
+    if n is not None:  # a term, shifted by n/(2m) of its period
+        if n % (2 * m) == 0:
+            return 1
+        # sin and cos change sign over half a period; tan(u + pi/2) is -1/tan(u)
+        return -1 if n % m == 0 and e.name != "tan" else None
+    if not _has_x(e):
+        return 1
+    if isinstance(e, ex.Var):
+        return None
+    if isinstance(e, (ex.Add, ex.Sub, ex.Mul, ex.Div)):
+        a, b = _half_shift(e.left, fits, m), _half_shift(e.right, fits, m)
+        if isinstance(e, (ex.Add, ex.Sub)):
+            return a if a == b else None
+        return None if a is None or b is None else a * b
+    s = _half_shift(e.base if isinstance(e, ex.Pow) else e.arg, fits, m)
+    if s is None or s == 1:
+        return s
+    if isinstance(e, ex.Neg):
+        return 1
+    if isinstance(e, ex.Pow):
+        return -1 if e.exponent % 2 else 1
+    parity = ex.CATALOG[e.name].parity
+    return {"odd": -1, "even": 1}.get(parity)
 
 
 def _probe(gamma: Expr, seed: int, lo: float, hi: float, k_max: int, per_tol: float) -> dict | None:
@@ -417,7 +414,6 @@ def detect_period(
     window: tuple[float, float] = WINDOW_DEFAULT,
     grid: int = GRID_DEFAULT,
     per_tol: float = PER_TOL_DEFAULT,
-    k_check: int = K_CHECK_DEFAULT,
     k_max: int = K_MAX_DEFAULT,
     seed: int = 0,
     samples=None,
@@ -425,10 +421,10 @@ def detect_period(
     """Classify a scalar gain on all of R as periodic, aperiodic, or undetermined.
 
     The gain is first sampled on ``grid`` points of ``window``: a
-    non-finite sample raises DomainError, and a gain whose samples span
-    at most ``per_tol`` of its scale is constant (periodic, period None).
-    Otherwise the first rule that applies decides, and
-    ``evidence["rule"]`` names it:
+    non-finite sample raises DomainError.  The samples decide nothing
+    else; every verdict comes from the expression tree.  A gain whose tree
+    is free of x is constant (periodic, period None).  Otherwise the first
+    rule that applies decides, and ``evidence["rule"]`` names it:
 
     - ``log-exp``: no sin/cos/tan has an x-dependent argument.  The gain is
       then a Hardy L-function, eventually monotone (Hardy, Orders of
@@ -436,26 +432,23 @@ def detect_period(
     - ``limit``: interval evaluation of the tree at +inf or -inf finds a
       limit L in [-inf, inf] (the easy fragment of Gruntz, PhD thesis, ETH
       Zurich 1996).  A period T would give f(x) = f(x + nT) -> L, so f == L.
-    - ``periodic``: each sin/cos/tan whose argument is affine, a*x + c,
-      is a term (the argument's Taylor series at the first probe point has
-      no second coefficient, so ``(x + 1)^2 - x^2`` counts).  Terms whose
-      slopes are within 4 ulps of p/q times each other, q <= Q_MAX, form a
-      class, and each class's lcm P of 2 pi/|a| (pi/|a| for tan) is a
-      candidate.  The reported period is P/m for the largest valid
-      m <= Q_MAX (see ``_least_period``): its shift residual
-      max|gamma(x+T) - gamma(x)| stays below ``per_tol`` (relative to the
-      scale) on the grid, and the derivative jets up to order ``k_check``
-      agree at probe points.  With one class, x nowhere else and every
-      argument affine by its tree (see ``_trig_terms``), P is a period on
-      all of R, and where pole samples break the residual the jets alone
-      decide.  Otherwise the residual must pass too, on [lo, lo + P] for
-      P longer than the window: evidence on a finite stretch only.
+    - ``periodic``: each sin/cos/tan whose argument is a*x + c by its tree
+      is a term.  Terms whose slopes are within 4 ulps of p/q times each
+      other, q <= Q_MAX, form a class, and each class's lcm P of 2 pi/|a|
+      (pi/|a| for tan) is a candidate.  With one class and x nowhere else,
+      P is a period on all of R.  The reported period is P, halved while a
+      parity walk of the tree proves that half of it is a period too (see
+      ``_half_shift``): a proven period, not always the least
+      (``cos(x)^4 + sin(x)^4`` gives pi).
 
-    A gain with no validated candidate is undetermined (rule ``none``),
-    with the candidates it tried.
+    Any other gain is undetermined (rule ``none``).  ``evidence["candidates"]``
+    lists each candidate P with its shift residual
+    max|gamma(x + P) - gamma(x)| / scale on the grid, which is evidence
+    only: it gates no verdict.
 
     ``log-exp`` and ``limit`` verdicts carry a probe, two points whose jets
-    differ up to order ``k_max``; without one they degrade to undetermined.
+    differ by more than ``per_tol`` up to order ``k_max``; without one they
+    degrade to undetermined.
 
     ``samples`` is ``_sample_gain(gamma, window, grid)``, if the caller has it.
     """
@@ -463,8 +456,7 @@ def detect_period(
     lo, hi = float(window[0]), float(window[1])
     evidence: dict = {"window": [lo, hi], "samples": grid, "scale": scale}
 
-    span = float(vals.max() - vals.min())
-    if span <= per_tol * scale:
+    if not _has_x(gamma):
         evidence.update(rule="constant", constant=True)
         return PeriodicityVerdict(CLASS_PERIODIC, None, evidence)
 
@@ -482,24 +474,17 @@ def detect_period(
             return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
         return PeriodicityVerdict(CLASS_APERIODIC, None, evidence)
 
-    probes = _probe_points(seed, 3, lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo))
-    periods, exact = _lcm_period(gamma, probes[0])
-    tried: list = []
-    for P in periods:
-        xs_p, vals_p = xs, vals
-        if not exact and P > hi - lo:  # the residual sees one whole period and its shift
-            xs_p = np.linspace(lo, lo + P, grid)
-            with np.errstate(all="ignore"):
-                vals_p = np.broadcast_to(fn_np(xs_p)[0], xs_p.shape)
-        T, candidates = _least_period(gamma, P, exact, fn_np, xs_p, vals_p, scale, probes,
-                                      per_tol, k_check)
-        tried += candidates
-        if T is not None:
-            evidence.update(rule="periodic", lcm_period=P, candidates=tried,
-                            derivative_orders_checked=k_check)
-            return PeriodicityVerdict(CLASS_PERIODIC, T, evidence)
-    evidence.update(rule="none", candidates=tried)
-    return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
+    periods, fits = _lcm_period(gamma)
+    residuals = _shift_residuals(fn_np, xs, vals, periods, scale)
+    candidates = [{"period": P, "residual": float(r)} for P, r in zip(periods, residuals)]
+    if fits is None:
+        evidence.update(rule="none", candidates=candidates)
+        return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
+    m = 1  # past the largest fit every term shows neither, so the walk stops
+    while _half_shift(gamma, fits, m) == 1:
+        m *= 2
+    evidence.update(rule="periodic", lcm_period=periods[0], candidates=candidates)
+    return PeriodicityVerdict(CLASS_PERIODIC, periods[0] / m, evidence)
 
 
 def is_aperiodic_system(
@@ -507,13 +492,12 @@ def is_aperiodic_system(
     window: tuple[float, float] = WINDOW_DEFAULT,
     grid: int = GRID_DEFAULT,
     per_tol: float = PER_TOL_DEFAULT,
-    k_check: int = K_CHECK_DEFAULT,
     k_max: int = K_MAX_DEFAULT,
     seed: int = 0,
 ) -> SystemPeriodicityReport:
     """Observability verdict for the whole cascade: every gain must be aperiodic."""
     verdicts = tuple(
-        detect_period(g, window, grid, per_tol, k_check, k_max, seed) for g in sys.gamma
+        detect_period(g, window, grid, per_tol, k_max, seed) for g in sys.gamma
     )
     if any(v.classification == CLASS_PERIODIC for v in verdicts):
         overall = "not-observable"
@@ -552,7 +536,6 @@ def find_separating_observable(
     per_tol: float = PER_TOL_DEFAULT,
     window: tuple[float, float] = WINDOW_DEFAULT,
     grid: int = GRID_DEFAULT,
-    k_check: int = K_CHECK_DEFAULT,
     seed: int = 0,
 ) -> SeparationCertificate:
     """Search for an observable word whose value splits the two states.
@@ -616,8 +599,7 @@ def find_separating_observable(
             delta = x1[i - 1] - x0[i - 1]
             try:
                 samples = _sample_gain(gamma, window, grid)
-                verdict = detect_period(gamma, window, grid, per_tol, k_check, k_max, seed,
-                                        samples=samples)
+                verdict = detect_period(gamma, window, grid, per_tol, k_max, seed, samples=samples)
             except ex.DomainError:
                 break
             if not _whole_periods(verdict, delta):

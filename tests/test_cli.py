@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -302,6 +303,48 @@ def test_observable_without_a_proof_is_undetermined(tmp_path, capsys, gain):
     assert "gain 1: undetermined (rule: none)" in out
 
 
+def _gain_file(tmp_path, gain):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
+    return str(path)
+
+
+def test_a_kink_outside_the_window_is_no_period(tmp_path, capsys):
+    # sin(|x - 100|): a sine on the window, but no period on all of R
+    path = _gain_file(tmp_path, "sin(sqrt((x - 100)^2))")
+    code, doc = run_json(capsys, "observable", "--system", path)
+    assert (code, doc["report"]["gains"][0]["rule"]) == (3, "none")
+    code, doc = run_json(capsys, "separate", "--system", path,
+                         "--state", "100-pi,1", "--state2", "100+pi,1")
+    assert doc["report"]["verdict"] != "indistinguishable-by-construction"
+
+
+def test_a_faint_slow_term_keeps_its_period(tmp_path, capsys):
+    # 2*pi shifts sin(x/64) by a quarter turn: the gain values differ by 1e-10
+    path = _gain_file(tmp_path, "sin(x) + 1e-9*sin(x/64)")
+    code, doc = run_json(capsys, "observable", "--system", path)
+    assert (code, doc["report"]["gains"][0]["period"]) == (1, 128 * math.pi)
+    code, doc = run_json(capsys, "separate", "--system", path, "--state", "0,1",
+                         "--state2", "2*pi,1")
+    assert doc["report"]["verdict"] != "indistinguishable-by-construction"
+
+
+@pytest.mark.parametrize("gain", ["1e-10*x", "1e-10*x + 1", "exp(x - 100)", "exp(-(x - 100)^2)",
+                                  "sin(x + sqrt((x - 100)^2))"])
+def test_a_gain_flat_on_the_window_is_not_constant(tmp_path, capsys, gain):
+    code, doc = run_json(capsys, "observable", "--system", _gain_file(tmp_path, gain))
+    # log-exp decides the first four unless its probe sees no difference;
+    # the last has no exact candidate
+    assert doc["report"]["gains"][0]["classification"] in ("aperiodic", "undetermined")
+    assert code in (0, 3)
+
+
+def test_separate_on_a_faint_slope_is_no_construction(tmp_path, capsys):
+    code, doc = run_json(capsys, "separate", "--system", _gain_file(tmp_path, "1e-10*x"),
+                         "--state", "0,1", "--state2", "1,1")
+    assert doc["report"]["verdict"] != "indistinguishable-by-construction"
+
+
 def test_observable_text_format(capsys):
     code, out, _ = run(capsys, "observable", "--system", "preset:periodic-sin", "--format", "text")
     assert code == 1
@@ -314,7 +357,7 @@ def test_observable_text_format(capsys):
     ("separate", "--state", "0,0", "--state2", "2*pi,0"),
 ], ids=lambda argv: argv[0])
 def test_period_validation_below_its_jet_order(capsys, argv):
-    # a period is validated on 6 derivative orders whatever --kmax says
+    # the period comes from the expression tree, whatever --kmax says
     code, doc = run_json(capsys, *argv, "--system", "preset:periodic-sin", "--kmax", "3")
     assert code == 1
     assert doc["config"]["k_max"] == 3
@@ -370,7 +413,7 @@ def test_separate_whole_period_shift_where_the_jets_are_near_zero(tmp_path, caps
 
 def test_observable_and_separate_agree_on_a_tan_pole_at_a_grid_point(tmp_path, capsys):
     # the pole of this tan sits on the sampling grid point x = 0.0048840048840048,
-    # so no shift residual passes and the jets decide the period; separate
+    # so no shift residual passes, and the tree decides the period; separate
     # takes the period from the same detect_period verdict
     path = tmp_path / "sys.txt"
     path.write_text(GOOD_FILE.replace("exp(-x^2)", "tan(x + 1.5659123219108917)"))
@@ -710,6 +753,27 @@ def test_readme_examples_give_the_same_bytes_as_a_module(tmp_path, monkeypatch, 
         for name in files:
             assert (there / name).read_bytes() == (here / name).read_bytes(), (argv, name)
     assert (tmp_path / "module-5" / "traj.csv").stat().st_size > 0
+
+
+# sha256 of stdout for the README's observable and separate examples, in
+# JSON and text: a change to the period rules must not move these bytes
+README_REPORT_SHA256 = [
+    ("a869eadacb5d132c38c28330cb8e33177df671c55eb8f751f896400cab4ca2fa",
+     "7f89d8469ba84585b0d3101a417912b4f2c7dbd38282f2c79b239cc798fb2640"),
+    ("dc5dd484a51edc171e02fed7a282ae9f2efeb97756340a676e11b85e12cc5c95",
+     "74fc46f99d2ca6ffcc33330423fc2b954e787439e75be59354fa9237a2e30e65"),
+    ("7888d057cc8a5cb1112c66592ae683ff7277ec51c58d889dacadcbded108a24c",
+     "42af0320e275dd4952a175f5a38adc40f7ca3bc4aca34d54d990c902928e1fe7"),
+]
+
+
+def test_readme_observable_and_separate_reports_are_pinned(capsys):
+    commands = [argv for argv in readme_commands() if argv[0] in ("observable", "separate")]
+    assert len(commands) == len(README_REPORT_SHA256)
+    for argv, digests in zip(commands, README_REPORT_SHA256):
+        for fmt, digest in zip(("json", "text"), digests):
+            _, out, _ = run(capsys, *argv, "--format", fmt)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, fmt, out)
 
 
 @pytest.mark.parametrize("preset", ["fish-1d-gauss", "fish-1d-hyperbolic"])
