@@ -387,10 +387,8 @@ def _half_shift(e: Expr, fits: dict, m: int) -> int | None:
             return a if a == b else None
         return None if a is None or b is None else a * b
     s = _half_shift(e.base if isinstance(e, ex.Pow) else e.arg, fits, m)
-    if s is None or s == 1:
+    if s is None or s == 1 or isinstance(e, ex.Neg):  # -(-u) is -(u)
         return s
-    if isinstance(e, ex.Neg):
-        return 1
     if isinstance(e, ex.Pow):
         return -1 if e.exponent % 2 else 1
     parity = ex.CATALOG[e.name].parity
@@ -434,12 +432,13 @@ def detect_period(
       Zurich 1996).  A period T would give f(x) = f(x + nT) -> L, so f == L.
     - ``periodic``: each sin/cos/tan whose argument is a*x + c by its tree
       is a term.  Terms whose slopes are within 4 ulps of p/q times each
-      other, q <= Q_MAX, form a class, and each class's lcm P of 2 pi/|a|
-      (pi/|a| for tan) is a candidate.  With one class and x nowhere else,
-      P is a period on all of R.  The reported period is P, halved while a
-      parity walk of the tree proves that half of it is a period too (see
-      ``_half_shift``): a proven period, not always the least
-      (``cos(x)^4 + sin(x)^4`` gives pi).
+      other, q <= Q_MAX, form a class that counts their ratio as exactly
+      p/q (the proof is for slopes in that ratio, not for their floats),
+      and each class's lcm P of 2 pi/|a| (pi/|a| for tan) is a candidate.
+      With one class and x nowhere else, P is a period on all of R.  The
+      reported period is P, halved while a parity walk of the tree proves
+      that half of it is a period too (see ``_half_shift``): a proven
+      period, not always the least (``cos(x)^4 + sin(x)^4`` gives pi).
 
     Any other gain is undetermined (rule ``none``).  ``evidence["candidates"]``
     lists each candidate P with its shift residual

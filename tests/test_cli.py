@@ -39,6 +39,12 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+def _gain_file(tmp_path, gain):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
+    return str(path)
+
+
 # ---------------------------------------------------------------------------
 # validate
 
@@ -89,9 +95,8 @@ def test_non_finite_literal_is_a_usage_error(tmp_path, capsys, text, line, argv)
 
 
 def test_overflowing_constant_power_is_a_usage_error(tmp_path, capsys):
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", "x + 10^400"))
-    code, out, err = run(capsys, "observable", "--system", str(path))
+    path = _gain_file(tmp_path, "x + 10^400")
+    code, out, err = run(capsys, "observable", "--system", path)
     assert code == 2
     assert out == ""
     assert "line 3" in err
@@ -108,9 +113,8 @@ def _long_gain(terms: int) -> str:
     ("simulate", "--state", "0,1", "--t-end", "0.1"),
 ], ids=lambda argv: argv[0])
 def test_long_gain_runs(tmp_path, capsys, argv):
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", _long_gain(250)))
-    code, out, err = run(capsys, *argv, "--system", str(path))
+    path = _gain_file(tmp_path, _long_gain(250))
+    code, out, err = run(capsys, *argv, "--system", path)
     assert (code, err) == (0, "")
 
 
@@ -120,9 +124,8 @@ def test_long_gain_runs(tmp_path, capsys, argv):
 ], ids=["long", "nested"])
 @pytest.mark.parametrize("command", ["validate", "observable"])
 def test_too_deep_gain_is_a_usage_error(tmp_path, capsys, gain, expected, command):
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
-    code, out, err = run(capsys, command, "--system", str(path))
+    path = _gain_file(tmp_path, gain)
+    code, out, err = run(capsys, command, "--system", path)
     assert (code, out) == (2, "")
     assert "line 3" in err
     assert expected in err
@@ -240,9 +243,8 @@ def test_observable_aperiodic(capsys):
     ("x + 1/0", 2, "error: line 3: gamma[1]: at offset 4: expected a finite number, found '1/0'\n"),
 ], ids=["pole-on-grid", "pole-off-grid", "constant-pole"])
 def test_observable_gain_pole_on_the_sampling_grid(tmp_path, capsys, gain, code, err):
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
-    got, out, stderr = run(capsys, "observable", "--system", str(path))
+    path = _gain_file(tmp_path, gain)
+    got, out, stderr = run(capsys, "observable", "--system", path)
     assert (got, stderr) == (code, err)
 
 
@@ -256,10 +258,9 @@ def test_observable_gain_pole_on_the_sampling_grid(tmp_path, capsys, gain, code,
 def test_an_overflowing_gain_is_a_numeric_failure(tmp_path, capsys, gain, message, argv):
     # x^2 raises OverflowError in floats while x*x quietly gives inf: both
     # must stop with the subexpression, in the gain's x or the system's x1
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
+    path = _gain_file(tmp_path, gain)
     culprit = gain if argv[0] == "separate" else gain.replace("x", "x1")
-    assert run(capsys, *argv, "--system", str(path)) == (4, "", f"numeric failure: {message} in {culprit}\n")
+    assert run(capsys, *argv, "--system", path) == (4, "", f"numeric failure: {message} in {culprit}\n")
 
 
 def test_observable_reports_the_deciding_rule(capsys):
@@ -279,34 +280,26 @@ def test_observable_reports_the_deciding_rule(capsys):
     ("sin(0.1*x) + sin(0.3*x)", "20*pi", 20 * math.pi),
 ])
 def test_observable_and_separate_agree_on_long_periods(tmp_path, capsys, gain, period, exact):
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
-    code, doc = run_json(capsys, "observable", "--system", str(path))
+    path = _gain_file(tmp_path, gain)
+    code, doc = run_json(capsys, "observable", "--system", path)
     assert (code, doc["report"]["verdict"]) == (1, "not-observable")
     T = doc["report"]["gains"][0]["period"]
     assert abs(T - exact) <= 1e-11
     for shift in (period, repr(T)):
-        code, doc = run_json(capsys, "separate", "--system", str(path),
+        code, doc = run_json(capsys, "separate", "--system", path,
                              "--state", "0,0", "--state2", f"{shift},0")
         assert (code, doc["report"]["verdict"]) == (1, "indistinguishable-by-construction")
 
 
 @pytest.mark.parametrize("gain", ["sin(x^2)", "x*sin(x)", "sin(x) + sin(sqrt(2)*x)"])
 def test_observable_without_a_proof_is_undetermined(tmp_path, capsys, gain):
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
-    code, doc = run_json(capsys, "observable", "--system", str(path))
+    path = _gain_file(tmp_path, gain)
+    code, doc = run_json(capsys, "observable", "--system", path)
     assert (code, doc["report"]["verdict"]) == (3, "undetermined")
     assert doc["report"]["gains"][0] == {"gain": 1, "classification": "undetermined",
                                          "period": None, "rule": "none"}
-    code, out, _ = run(capsys, "observable", "--system", str(path), "--format", "text")
+    code, out, _ = run(capsys, "observable", "--system", path, "--format", "text")
     assert "gain 1: undetermined (rule: none)" in out
-
-
-def _gain_file(tmp_path, gain):
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
-    return str(path)
 
 
 def test_a_kink_outside_the_window_is_no_period(tmp_path, capsys):
@@ -319,29 +312,31 @@ def test_a_kink_outside_the_window_is_no_period(tmp_path, capsys):
     assert doc["report"]["verdict"] != "indistinguishable-by-construction"
 
 
-def test_a_faint_slow_term_keeps_its_period(tmp_path, capsys):
+@pytest.mark.parametrize("gain, period, shift", [
     # 2*pi shifts sin(x/64) by a quarter turn: the gain values differ by 1e-10
-    path = _gain_file(tmp_path, "sin(x) + 1e-9*sin(x/64)")
+    ("sin(x) + 1e-9*sin(x/64)", 128 * math.pi, "2*pi"),
+    # pi negates sin(x), and so -sin(x)
+    ("-sin(x)", 2 * math.pi, "pi"),
+])
+def test_a_shift_short_of_the_period_is_no_construction(tmp_path, capsys, gain, period, shift):
+    path = _gain_file(tmp_path, gain)
     code, doc = run_json(capsys, "observable", "--system", path)
-    assert (code, doc["report"]["gains"][0]["period"]) == (1, 128 * math.pi)
+    assert (code, doc["report"]["gains"][0]["period"]) == (1, period)
     code, doc = run_json(capsys, "separate", "--system", path, "--state", "0,1",
-                         "--state2", "2*pi,1")
+                         "--state2", f"{shift},1")
     assert doc["report"]["verdict"] != "indistinguishable-by-construction"
 
 
 @pytest.mark.parametrize("gain", ["1e-10*x", "1e-10*x + 1", "exp(x - 100)", "exp(-(x - 100)^2)",
                                   "sin(x + sqrt((x - 100)^2))"])
 def test_a_gain_flat_on_the_window_is_not_constant(tmp_path, capsys, gain):
-    code, doc = run_json(capsys, "observable", "--system", _gain_file(tmp_path, gain))
+    path = _gain_file(tmp_path, gain)
+    code, doc = run_json(capsys, "observable", "--system", path)
     # log-exp decides the first four unless its probe sees no difference;
     # the last has no exact candidate
     assert doc["report"]["gains"][0]["classification"] in ("aperiodic", "undetermined")
     assert code in (0, 3)
-
-
-def test_separate_on_a_faint_slope_is_no_construction(tmp_path, capsys):
-    code, doc = run_json(capsys, "separate", "--system", _gain_file(tmp_path, "1e-10*x"),
-                         "--state", "0,1", "--state2", "1,1")
+    code, doc = run_json(capsys, "separate", "--system", path, "--state", "0,1", "--state2", "1,1")
     assert doc["report"]["verdict"] != "indistinguishable-by-construction"
 
 
@@ -404,9 +399,8 @@ def test_separate_readme_period_shift_expression(capsys):
 def test_separate_whole_period_shift_where_the_jets_are_near_zero(tmp_path, capsys, gain, shift):
     # the jets at 0 and at the rounded period differ by roundoff that grows
     # with the order; near zero it would pass the witness tolerance
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", gain))
-    code, doc = run_json(capsys, "separate", "--system", str(path),
+    path = _gain_file(tmp_path, gain)
+    code, doc = run_json(capsys, "separate", "--system", path,
                          "--state", "0,1", "--state2", f"{shift},1")
     assert (code, doc["report"]["verdict"]) == (1, "indistinguishable-by-construction")
 
@@ -415,11 +409,10 @@ def test_observable_and_separate_agree_on_a_tan_pole_at_a_grid_point(tmp_path, c
     # the pole of this tan sits on the sampling grid point x = 0.0048840048840048,
     # so no shift residual passes, and the tree decides the period; separate
     # takes the period from the same detect_period verdict
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", "tan(x + 1.5659123219108917)"))
-    code, doc = run_json(capsys, "observable", "--system", str(path))
+    path = _gain_file(tmp_path, "tan(x + 1.5659123219108917)")
+    code, doc = run_json(capsys, "observable", "--system", path)
     assert (code, doc["report"]["verdict"]) == (1, "not-observable")
-    code, doc = run_json(capsys, "separate", "--system", str(path),
+    code, doc = run_json(capsys, "separate", "--system", path,
                          "--state", "0,1", "--state2", "pi,1")
     assert (code, doc["report"]["verdict"]) == (1, "indistinguishable-by-construction")
 
@@ -573,9 +566,8 @@ def test_distinguish_diverges(capsys):
 
 
 def test_distinguish_gap_overflow_is_a_numeric_failure(tmp_path, capsys):
-    path = tmp_path / "sys.txt"
-    path.write_text(GOOD_FILE.replace("exp(-x^2)", "x"))
-    code, out, err = run(capsys, "distinguish", "--system", str(path),
+    path = _gain_file(tmp_path, "x")
+    code, out, err = run(capsys, "distinguish", "--system", path,
                          "--state", "1e308,1", "--state2=-1e308,1")
     assert (code, out) == (4, "")
     assert "output gap overflows at t=0 in x1*z1" in err

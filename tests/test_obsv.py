@@ -425,6 +425,11 @@ PARITY_CASES = [
     ("tan(x)^2", math.pi),  # tan(u + pi/2) is -1/tan(u): no further half
     ("1/(2 + sin(x)*cos(x))", math.pi),
     ("sin(x) + 1e-9*sin(x/64)", 128 * math.pi),  # one term changes sign
+    ("-sin(x)", TWO_PI),  # a negated term stays negated
+    ("exp(-sin(x))", TWO_PI),
+    ("tanh(-cos(x))", TWO_PI),
+    ("2 + -sin(x)", TWO_PI),
+    ("-sin(x)^2", math.pi),
 ]
 
 
