@@ -30,10 +30,7 @@ from .model import (
 from .lie import (
     ObservableWord,
     WordLengthError,
-    lie_derivative,
-    iterated_observable,
     evaluate_word,
-    enumerate_words,
     nested_lie_along_affine,
     L_MAX_DEFAULT,
 )

@@ -14,11 +14,12 @@ import math
 import random
 import sys
 from collections.abc import Callable
+from itertools import product
 
 import numpy as np
 
 from . import expr as ex
-from .lie import evaluate_word, nested_lie_along_affine
+from .lie import ObservableWord, evaluate_word, nested_lie_along_affine
 from .model import (
     CascadeSystem,
     InvalidSystemError,
@@ -335,9 +336,6 @@ def _check_closed_forms(rng: random.Random) -> tuple[bool, str]:
 
 
 def _check_input_expansion(rng: random.Random) -> tuple[bool, str]:
-    from .lie import ObservableWord
-    from itertools import product
-
     worst = 0.0
     for _ in range(8):
         n = rng.randrange(1, 3)

@@ -8,10 +8,10 @@ name, period, parity, tail), so a new function is one entry.  Every member is sm
 on its domain and the catalog is closed under differentiation; an integer
 power runs on the series rules of the product and the quotient (see ``Jet``).
 
-Every order-0 value comes from ``_checked``, shared by ``evaluate``, the
-jets and the constant folds: a result that leaves the reals or is not finite
-raises ``DomainError`` at its node, and so does a variable that ``evaluate``
-finds bound to inf or nan.  Non-smooth builtins (abs, floor, ...),
+Every order-0 value comes from ``_checked``, shared by ``evaluate``, the jets,
+the folds and ``lie``'s word tables: a result that leaves the reals or is not
+finite raises ``DomainError`` at its node, and so does a variable that
+``evaluate`` finds bound to inf or nan.  Non-smooth builtins (abs, floor, ...),
 non-finite literals, constants that fail to fold, such as ``1/0`` or
 ``10^400``, and trees deeper than ``MAX_DEPTH`` are rejected at parse time.
 
@@ -52,6 +52,7 @@ class DomainError(ArithmeticError):
     """Evaluation left the reals (log/sqrt argument, division by zero, overflow)."""
 
     def __init__(self, message: str, subexpr: "Expr"):
+        self.reason = message
         self.subexpr = subexpr
         super().__init__(f"{message} in {format_expr(subexpr)}")
 

@@ -7,18 +7,27 @@ input field.  Words evaluated at a state are exactly the quantities an
 observer can reconstruct from output derivatives under piecewise-constant
 inputs, which is why they drive the separation and rank machinery in
 :mod:`obsv_lab.obsv`.
+
+A word is a number at a state, from Taylor arithmetic, never a
+differentiated tree (README, "Derivatives").  A word whose k letters are
+all one field is k! times order k of an ``expr.Jet`` along that field.  Any
+other word is the eps_1...eps_k coefficient of h(x), where x starts at the
+state and each letter, outermost first, moves it by eps_i * X_i(x), with
+every eps_i^2 = 0.
 """
 
 from __future__ import annotations
 
-from itertools import product
+import functools
+
+import numpy as np
 
 from . import expr as ex
-from .expr import Expr
 from .model import ControlAffineSystem
 from .record import Frozen
 
 L_MAX_DEFAULT = 8
+EPS_LETTERS_MAX = 12  # a word that changes field: 2^k coefficients, 3^k pairs per product
 
 
 class WordLengthError(ValueError):
@@ -42,64 +51,20 @@ class ObservableWord(Frozen):
         return len(self.mu)
 
 
-def lie_derivative(alpha: Expr, field, var_names) -> Expr:
-    """Directional derivative of alpha along the vector field, grad(alpha) . field."""
-    field = tuple(field)
-    var_names = tuple(var_names)
-    if len(field) != len(var_names):
-        raise ValueError(
-            f"field has {len(field)} components for {len(var_names)} variables"
-        )
-    acc = ex.const(0.0)
-    for comp, name in zip(field, var_names):
-        acc = ex.add(acc, ex.mul(ex.diff(alpha, name), comp))
-    return acc
-
-
-def _check_word(sys: ControlAffineSystem, word: ObservableWord, l_max: int) -> None:
+def evaluate_word(sys: ControlAffineSystem, word: ObservableWord, state,
+                  l_max: int = L_MAX_DEFAULT) -> float:
     if len(word.mu) > l_max:
         raise WordLengthError(f"word length {len(word.mu)} exceeds cap {l_max}")
     if word.j > sys.p:
         raise ValueError(f"output index {word.j} out of range for p = {sys.p}")
     if any(v > sys.m for v in word.mu):
         raise ValueError(f"field index out of range for m = {sys.m}: {word.mu}")
+    fields = [sys.drift if v == 0 else sys.input_fields[v - 1] for v in word.mu]
+    return _word_value(sys, sys.outputs[word.j - 1], fields, state)
 
 
-def _field(sys: ControlAffineSystem, idx: int):
-    return sys.drift if idx == 0 else sys.input_fields[idx - 1]
-
-
-def iterated_observable(
-    sys: ControlAffineSystem,
-    word: ObservableWord,
-    l_max: int = L_MAX_DEFAULT,
-) -> Expr:
-    """Symbolic expression for the iterated Lie derivative named by ``word``."""
-    _check_word(sys, word, l_max)
-    current = sys.outputs[word.j - 1]
-    for idx in word.mu:
-        current = lie_derivative(current, _field(sys, idx), sys.state_vars)
-    return current
-
-
-def evaluate_word(
-    sys: ControlAffineSystem,
-    word: ObservableWord,
-    state,
-    l_max: int = L_MAX_DEFAULT,
-) -> float:
-    e = iterated_observable(sys, word, l_max=l_max)
-    env = dict(zip(sys.state_vars, (float(v) for v in state)))
-    return ex.evaluate(e, env)
-
-
-def nested_lie_along_affine(
-    sys: ControlAffineSystem,
-    u_seq,
-    j: int,
-    x0,
-    l_max: int = L_MAX_DEFAULT,
-) -> float:
+def nested_lie_along_affine(sys: ControlAffineSystem, u_seq, j: int, x0,
+                            l_max: int = L_MAX_DEFAULT) -> float:
     """Iterated Lie derivative of output j along k affine fields, at x0.
 
     Entry l of ``u_seq`` fixes the input values of the l-th field
@@ -118,26 +83,94 @@ def nested_lie_along_affine(
     if not 1 <= j <= sys.p:
         raise ValueError(f"output index {j} out of range for p = {sys.p}")
 
-    def affine_field(row):
-        comps = []
-        for i in range(sys.dim):
-            c = sys.drift[i]
-            for l, ui in enumerate(row):
-                c = ex.add(c, ex.mul(ex.const(ui), sys.input_fields[l][i]))
-            comps.append(c)
-        return tuple(comps)
-
-    current = sys.outputs[j - 1]
-    for row in reversed(u_rows):
-        current = lie_derivative(current, affine_field(row), sys.state_vars)
-    env = dict(zip(sys.state_vars, (float(v) for v in x0)))
-    return ex.evaluate(current, env)
+    affine = {}  # one field per distinct row, so that equal rows are one field
+    for row in u_rows:
+        field = sys.drift
+        for ui, g in zip(row, sys.input_fields):
+            field = tuple(ex.add(c, ex.mul(ex.const(ui), gi)) for c, gi in zip(field, g))
+        affine.setdefault(row, field)
+    return _word_value(sys, sys.outputs[j - 1], [affine[row] for row in reversed(u_rows)], x0)
 
 
-def enumerate_words(p: int, m: int, max_len: int):
-    """Yield words breadth first: length ascending, output index ascending,
-    then lexicographically with the drift index 0 before the input indices."""
-    for length in range(max_len + 1):
-        for j in range(1, p + 1):
-            for mu in product(range(m + 1), repeat=length):
-                yield ObservableWord(j=j, mu=mu)
+def _word_value(sys: ControlAffineSystem, h, fields, x0) -> float:
+    """h differentiated along ``fields[0]``, then ``fields[1]``, ..., at x0."""
+    if len(x0) != sys.dim:
+        raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
+    if not fields:
+        return ex.evaluate(h, dict(zip(sys.state_vars, x0)))
+    k = len(fields)
+    if all(f is fields[0] for f in fields):
+        return ex.Jet((h,), sys.state_vars, x0, field=fields[0], k_max=k).derivative(0, k)
+    if k > EPS_LETTERS_MAX:
+        raise WordLengthError(f"word length {k} exceeds {EPS_LETTERS_MAX}, the bound on "
+                              f"a word that changes field")
+    xs = {name: np.array([v]) for name, v in zip(sys.state_vars, x0)}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n, field in enumerate(reversed(fields)):
+            moves = [_eps(c, xs, n) for c in field]
+            xs = {name: np.concatenate((xs[name], d)) for name, d in zip(sys.state_vars, moves)}
+        v = float(_eps(h, xs, k)[-1])
+    if not np.isfinite(v):
+        raise ex.DomainError("non-finite word value", h)
+    return v
+
+
+# ---------------------------------------------------------------------------
+# The eps tables.  A value over n letters holds 2^n coefficients, bit i of
+# an index marking eps_(i+1).  Order 0 of every node passes expr's checks,
+# so a domain fault names the subexpression that ``expr.evaluate`` names.
+
+
+@functools.cache  # one table per letter count: 13 MB with every table up to 12 letters
+def _pairs(n: int):
+    """The pairs (T, S \\ T) of disjoint subsets of n bits, grouped by their
+    union S in increasing order, and the index at which each group starts."""
+    s = t = np.zeros(1, dtype=np.intp)
+    for bit in (1 << i for i in range(n)):
+        s, t = np.concatenate((s, s | bit, s | bit)), np.concatenate((t, t, t | bit))
+    order = np.argsort(s, kind="stable")
+    return t[order], (s ^ t)[order], np.searchsorted(s[order], np.arange(1 << n))
+
+
+def _mul(a, b, n: int):
+    """The product of ``b`` with the table ``a``, or with each row of ``a``."""
+    t, r, starts = _pairs(n)
+    return np.add.reduceat(a[..., t] * b[r], starts, axis=-1)
+
+
+def _series(e, one_var, a, n: int):
+    """f(a) at the node ``e``, for f = ``one_var`` in u, from its Taylor
+    coefficients at a_0.  Row j of ``g`` is f^(j)/j! at a cut to m letters;
+    letter m + 1 adds eps * v, and f^(j)(w + eps*v) = f^(j)(w) + eps*f^(j+1)(w)*v."""
+    try:
+        c = ex.jet(one_var, "u", float(a[0]), n)
+    except ex.DomainError as err:
+        raise ex.DomainError(err.reason, e) from None
+    g = np.array(c)[:, None]
+    for m in range(n):
+        hi = _mul(np.arange(1, n - m + 1)[:, None] * g[1:], a[1 << m:2 << m], m)
+        g = np.concatenate((g[:-1], hi), axis=1)
+    return g[0]
+
+
+def _eps(e, xs: dict, n: int):
+    """The table of ``e`` at the state ``xs``, n letters in."""
+    t = type(e)
+    if t is ex.Const:
+        return np.concatenate(([e.value], np.zeros((1 << n) - 1)))
+    if t is ex.Var:
+        if e.name not in xs:
+            raise ex.DomainError(f"unbound variable '{e.name}'", e)
+        return xs[e.name]
+    args = [_eps(a, xs, n) for a in ex.children(e)]
+    ex._checked(e, *(float(a[0]) for a in args))
+    if t is ex.Mul or t is ex.Div:
+        if type(e.right) is ex.Const:
+            return ex._ARITH[t](args[0], e.right.value)
+        if t is ex.Div:
+            return _mul(args[0], _series(e, ex.Pow(ex.Var("u"), -1), args[1], n), n)
+        return e.left.value * args[1] if type(e.left) is ex.Const else _mul(*args, n)
+    if t in ex._ARITH:
+        return ex._ARITH[t](*args)
+    u = ex.Var("u")
+    return _series(e, ex.Pow(u, e.exponent) if t is ex.Pow else ex.Func(e.name, u), args[0], n)

@@ -138,21 +138,14 @@ def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationR
     x0 = tuple(float(v) for v in x0)
     if len(x0) != sys.dim:
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
-    env = dict(zip(sys.state_vars, x0))
     d = sys.dim
-    A = np.empty((d, d))
-    for i, f in enumerate(sys.drift):
-        for j, v in enumerate(sys.state_vars):
-            A[i, j] = ex.evaluate(ex.diff(f, v), env)
-    B = np.empty((d, sys.m))
-    for l, field in enumerate(sys.input_fields):
-        for i, g in enumerate(field):
-            B[i, l] = ex.evaluate(g, env)
-    C = np.empty((sys.p, d))
-    for i, h in enumerate(sys.outputs):
-        for j, v in enumerate(sys.state_vars):
-            C[i, j] = ex.evaluate(ex.diff(h, v), env)
-    return LinearizationResult(A=A, B=B, C=C, point=x0)
+    # A and C from the order-0 gradients of one jet; a constant component's
+    # gradient is the scalar 0, broadcast over its row
+    jet = ex.Jet(sys.drift + sys.outputs, sys.state_vars, x0, seeds=np.eye(d), k_max=0)
+    J = np.array([np.broadcast_to(jet.gradient(i, 0), (d,)) for i in range(d + sys.p)])
+    env = dict(zip(sys.state_vars, x0))
+    B = np.array([[ex.evaluate(g, env) for g in field] for field in sys.input_fields])
+    return LinearizationResult(A=J[:d], B=B.reshape(sys.m, d).T, C=J[d:], point=x0)
 
 
 def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -167,48 +160,25 @@ def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # Presets
 
-def _cascade_1d(gamma_src: str) -> CascadeSystem:
-    return CascadeSystem(
-        n=1,
-        gamma=(ex.parse(gamma_src, {GAMMA_VAR}),),
-        F=(ex.parse("-z1", {"z1"}),),
-        b=(1.0,),
-    )
-
-
-_PRESETS: dict[str, tuple[str, str]] = {
-    # name -> (gamma source, description)
-    "fish-1d-gauss": (
-        "exp(-x^2)",
-        "1-D damped cascade with a Gaussian velocity gain; aperiodic, so "
-        "globally observable, but the gain goes flat far from the origin",
-    ),
-    "fish-1d-hyperbolic": (
-        "1/(x+2)",
-        "1-D damped cascade with a hyperbolic velocity gain; the local rank "
-        "test degenerates everywhere along this gain family",
-    ),
-    "periodic-sin": (
-        "sin(x)",
-        "1-D damped cascade with a sinusoidal velocity gain; period-shifted "
-        "states produce identical outputs, so the system is not observable",
-    ),
-    "sin-drift": (
-        "2 + sin(x) + 0.1*x",
-        "1-D damped cascade whose gain adds a linear drift to a sinusoid, "
-        "breaking periodicity while staying bounded away from zero locally",
-    ),
+# name -> gamma source of a one-block cascade with F = -z1 and b = 1;
+# README's "Presets:" paragraph says what each shows
+_PRESETS: dict[str, str] = {
+    "fish-1d-gauss": "exp(-x^2)",
+    "fish-1d-hyperbolic": "1/(x+2)",
+    "periodic-sin": "sin(x)",
+    "sin-drift": "2 + sin(x) + 0.1*x",
 }
 
 
 def preset(name: str) -> CascadeSystem:
     try:
-        gamma_src, _ = _PRESETS[name]
+        gamma_src = _PRESETS[name]
     except KeyError:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(sorted(_PRESETS))}"
         ) from None
-    return _cascade_1d(gamma_src)
+    return CascadeSystem(n=1, gamma=(ex.parse(gamma_src, {GAMMA_VAR}),),
+                         F=(ex.parse("-z1", {"z1"}),), b=(1.0,))
 
 
 def preset_names() -> tuple[str, ...]:

@@ -1,20 +1,30 @@
+import itertools
 import math
 import random
+import time
 
 import pytest
+import sympy
 
 import obsv_lab.expr as ex
+from obsv_lab.cli import _random_system
 from obsv_lab.lie import (
+    EPS_LETTERS_MAX,
     L_MAX_DEFAULT,
     ObservableWord,
     WordLengthError,
-    enumerate_words,
     evaluate_word,
-    iterated_observable,
-    lie_derivative,
     nested_lie_along_affine,
 )
-from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine
+from obsv_lab.model import (
+    CascadeSystem,
+    ControlAffineSystem,
+    as_control_affine,
+    load_system,
+    preset,
+    preset_names,
+)
+from obsv_lab.obsv import word_lflg, word_lglflg
 
 
 def sin_cascade(b=2.0):
@@ -28,59 +38,63 @@ def sin_cascade(b=2.0):
     )
 
 
+def system_xz(drift, inputs, output):
+    """A control-affine system in the state (x, z), from source text."""
+    names = {"x", "z"}
+    return ControlAffineSystem(
+        state_vars=("x", "z"),
+        drift=tuple(ex.parse(s, names) for s in drift),
+        input_fields=tuple(tuple(ex.parse(s, names) for s in f) for f in inputs),
+        outputs=(ex.parse(output, names),),
+    )
+
+
 # ---------------------------------------------------------------------------
-# lie_derivative
+# one-letter words: Lie derivatives
 
 
 def test_lie_derivative_hand_expansion():
-    # alpha = sin(x) z along (z, -z): cos(x) z^2 - sin(x) z, equal to 1 at (0, 1)
-    alpha = ex.parse("sin(x)*z", {"x", "z"})
-    field = (ex.Var("z"), ex.parse("-z", {"z"}))
-    got = lie_derivative(alpha, field, ("x", "z"))
-    assert ex.evaluate(got, {"x": 0.0, "z": 1.0}) == pytest.approx(1.0, rel=1e-14)
+    # sin(x) z along (z, -z): cos(x) z^2 - sin(x) z, equal to 1 at (0, 1)
+    ca = system_xz(("z", "-z"), (), "sin(x)*z")
+    w = ObservableWord(j=1, mu=(0,))
+    assert evaluate_word(ca, w, (0.0, 1.0)) == pytest.approx(1.0, rel=1e-14)
     for x, z in [(0.3, 2.0), (-1.2, 0.5)]:
         expect = math.cos(x) * z * z - math.sin(x) * z
-        assert ex.evaluate(got, {"x": x, "z": z}) == pytest.approx(expect, rel=1e-13)
+        assert evaluate_word(ca, w, (x, z)) == pytest.approx(expect, rel=1e-13)
 
 
 def test_lie_derivative_orthogonal_direction_is_zero():
-    alpha = ex.Var("x1")
-    field = (ex.const(0.0), ex.const(1.0))
-    assert lie_derivative(alpha, field, ("x1", "x2")) == ex.Const(0.0)
+    ca = system_xz(("0", "1"), (("1", "0"),), "x")
+    assert evaluate_word(ca, ObservableWord(j=1, mu=(0,)), (0.4, -0.3)) == 0.0
+    assert evaluate_word(ca, ObservableWord(j=1, mu=(1, 0)), (0.4, -0.3)) == 0.0
 
 
 def test_lie_derivative_dimension_mismatch():
+    ca = ControlAffineSystem(state_vars=("x", "z"), drift=(ex.const(1.0),), input_fields=(),
+                             outputs=(ex.Var("x"),))
     with pytest.raises(ValueError):
-        lie_derivative(ex.Var("x"), (ex.const(1.0),), ("x", "z"))
+        evaluate_word(ca, ObservableWord(j=1, mu=(0,)), (0.0, 0.0))
 
 
 def test_lie_derivative_linearity_in_field():
     rng = random.Random(11)
-    alpha = ex.parse("tanh(x)*z^2", {"x", "z"})
-    f1 = (ex.parse("z", {"z"}), ex.parse("-z", {"z"}))
-    f2 = (ex.parse("sin(x)", {"x"}), ex.parse("x*z", {"x", "z"}))
+    f1, f2 = ("z", "-z"), ("sin(x)", "x*z")
     a, b = 0.7, -1.3
-    combo = tuple(
-        ex.add(ex.mul(ex.const(a), c1), ex.mul(ex.const(b), c2))
-        for c1, c2 in zip(f1, f2)
-    )
-    lhs = lie_derivative(alpha, combo, ("x", "z"))
-    r1 = lie_derivative(alpha, f1, ("x", "z"))
-    r2 = lie_derivative(alpha, f2, ("x", "z"))
+    combo = tuple(f"{a}*({c1}) + {b}*({c2})" for c1, c2 in zip(f1, f2))
+    ca = system_xz(combo, (f1, f2), "tanh(x)*z^2")
     for _ in range(10):
-        env = {"x": rng.uniform(-2, 2), "z": rng.uniform(-2, 2)}
-        expect = a * ex.evaluate(r1, env) + b * ex.evaluate(r2, env)
-        assert ex.evaluate(lhs, env) == pytest.approx(expect, rel=1e-12, abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# iterated_observable
+        s = (rng.uniform(-2, 2), rng.uniform(-2, 2))
+        expect = (a * evaluate_word(ca, ObservableWord(1, (1,)), s)
+                  + b * evaluate_word(ca, ObservableWord(1, (2,)), s))
+        got = evaluate_word(ca, ObservableWord(1, (0,)), s)
+        assert got == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_empty_word_is_the_output():
     ca = sin_cascade()
-    w = ObservableWord(j=1, mu=())
-    assert iterated_observable(ca, w) == ca.outputs[0]
+    state = (0.7, -1.9)
+    got = evaluate_word(ca, ObservableWord(j=1, mu=()), state)
+    assert got == ex.evaluate(ca.outputs[0], dict(zip(ca.state_vars, state)))
 
 
 def test_input_then_drift_word_matches_closed_form():
@@ -101,26 +115,209 @@ def test_word_on_zero_drift_system():
         input_fields=((ex.const(1.0),),),
         outputs=(ex.Var("x1"),),
     )
-    w = ObservableWord(j=1, mu=(0,))
-    assert iterated_observable(ca, w) == ex.Const(0.0)
+    for mu in ((0,), (0, 0), (1, 0), (0, 1)):
+        assert evaluate_word(ca, ObservableWord(j=1, mu=mu), (0.8,)) == 0.0
+    assert evaluate_word(ca, ObservableWord(j=1, mu=(1,)), (0.8,)) == 1.0
 
 
 def test_word_length_cap():
     ca = sin_cascade()
     w = ObservableWord(j=1, mu=(1, 0) * 5)
     with pytest.raises(WordLengthError):
-        iterated_observable(ca, w)  # length 10 > default 8
-    iterated_observable(ca, w, l_max=10)
+        evaluate_word(ca, w, (0.1, 0.2))  # length 10 > default 8
+    evaluate_word(ca, w, (0.1, 0.2), l_max=10)
 
 
 def test_word_index_validation():
     ca = sin_cascade()
     with pytest.raises(ValueError):
-        iterated_observable(ca, ObservableWord(j=2, mu=()))
+        evaluate_word(ca, ObservableWord(j=2, mu=()), (0.0, 0.0))
     with pytest.raises(ValueError):
-        iterated_observable(ca, ObservableWord(j=1, mu=(2,)))
+        evaluate_word(ca, ObservableWord(j=1, mu=(2,)), (0.0, 0.0))
     with pytest.raises(ValueError):
         ObservableWord(j=0, mu=())
+    # a state of the wrong length, on each path: value, one field, eps table
+    for mu in ((), (0,), (1, 0)):
+        for state in ((0.0,), (0.0, 0.0, 9.0)):
+            with pytest.raises(ValueError, match="state has"):
+                evaluate_word(ca, ObservableWord(j=1, mu=mu), state)
+
+
+# ---------------------------------------------------------------------------
+# the bound on words that change field
+
+
+def test_a_long_word_that_changes_field_is_refused_at_once():
+    ca = ControlAffineSystem(
+        state_vars=("x1",),
+        drift=(ex.parse("-x1", {"x1"}),),
+        input_fields=((ex.const(1.0),),),
+        outputs=(ex.Var("x1"),),
+    )
+    t0 = time.perf_counter()
+    with pytest.raises(WordLengthError, match=rf"word length 40 exceeds {EPS_LETTERS_MAX}\b"):
+        evaluate_word(ca, ObservableWord(1, (1, 0) * 20), (0.5,), l_max=40)
+    with pytest.raises(WordLengthError, match=r"word length 40 exceeds"):
+        nested_lie_along_affine(ca, [0.0, 1.0] * 20, 1, (0.5,), l_max=40)
+    assert time.perf_counter() - t0 < 0.1
+    # a one-field word of the same length runs on the flow's jet: (-1)^40 x1
+    assert evaluate_word(ca, ObservableWord(1, (0,) * 40), (0.5,), l_max=40) == pytest.approx(0.5, rel=1e-13)
+    assert nested_lie_along_affine(ca, [0.0] * 40, 1, (0.5,), l_max=40) == pytest.approx(0.5, rel=1e-13)
+    # the longest words of the closed-form acceptance test stay within the bound
+    assert len(word_lglflg(1, 5)) <= EPS_LETTERS_MAX
+
+
+# ---------------------------------------------------------------------------
+# oracle: Lie derivatives taken by sympy on the source text
+
+
+def _sym(src, names):
+    # decimals become exact rationals, so that every operation of the
+    # evaluation below runs at the precision of the state's 30-digit floats
+    return sympy.sympify(src.replace("^", "**").replace("ln(", "log("), locals=names,
+                         rational=True)
+
+
+class SymSystem:
+    """The cascade with gains ``gains``, couplings ``fs`` and input gains
+    ``b``, built by sympy from source text in the state order of
+    ``as_control_affine``."""
+
+    def __init__(self, gains, fs, b):
+        n = len(gains)
+        xs = sympy.symbols(f"x1:{n + 1}")
+        zs = sympy.symbols(f"z1:{n + 1}")
+        znames = {f"z{i + 1}": zs[i] for i in range(n)}
+        self.state = xs + zs
+        self.outputs = [_sym(g, {"x": xs[i]}) * zs[i] for i, g in enumerate(gains)]
+        self.fields = [list(zs) + [_sym(f, znames) for f in fs],
+                       [0] * n + [sympy.Rational(v) for v in b]]
+        self.case = as_control_affine(CascadeSystem(
+            n=n, gamma=tuple(ex.parse(g, {"x"}) for g in gains),
+            F=tuple(ex.parse(f, set(znames)) for f in fs), b=tuple(b)))
+        self._words = {}
+
+    def lie(self, h, field):
+        return sum(sympy.diff(h, v) * f for v, f in zip(self.state, field))
+
+    def word(self, j, mu):
+        """The Lie derivative of output j named by mu, innermost first."""
+        key = (j, tuple(mu))
+        if key not in self._words:
+            h = self.outputs[j - 1] if not mu else self.lie(self.word(j, mu[:-1]), self.fields[mu[-1]])
+            self._words[key] = h
+        return self._words[key]
+
+    def value(self, h, point):
+        return float(h.xreplace({v: sympy.Float(p, 30) for v, p in zip(self.state, point)}))
+
+
+def _gap(got, want):
+    return abs(got - want) / max(1.0, abs(want))
+
+
+def preset_sources():
+    texts = {"fish-1d-gauss": "exp(-x^2)", "fish-1d-hyperbolic": "1/(x+2)",
+             "periodic-sin": "sin(x)", "sin-drift": "2 + sin(x) + 0.1*x"}
+    assert set(texts) == set(preset_names())
+    for name, g in texts.items():
+        ss = SymSystem([g], ["-z1"], [1.0])
+        assert ss.case == as_control_affine(preset(name))
+        yield ss
+
+
+# with the presets' gains, every catalog function and a negative power
+GAINS = ["cos(2*x)", "tan(0.3*x)", "ln(x + 3)", "sqrt(x + 4)", "tanh(x)*x^2", "(x - 4)^-2"]
+COUPLINGS = ["0.1*sin(z{j})", "0.2*tanh(z{j})", "0.1*sin(z{j})*tanh(z{k})"]
+
+
+def random_sym_cascade(rng, gains):
+    n = len(gains)
+    fs = [f"-{round(rng.uniform(0.5, 2.0), 3)}*z{i} + "
+          + rng.choice(COUPLINGS).format(j=rng.randrange(1, n + 1), k=rng.randrange(1, n + 1))
+          for i in range(1, n + 1)]
+    b = [rng.choice([-1, 1]) * round(rng.uniform(0.3, 2.0), 3) for _ in range(n)]
+    return SymSystem(gains, fs, b)
+
+
+def test_every_short_word_matches_sympy():
+    rng = random.Random(16)
+    gains = rng.sample(GAINS, len(GAINS))
+    systems = list(preset_sources()) + [random_sym_cascade(rng, gains[a:b])
+                                        for a, b in ((0, 1), (1, 3), (3, 6))]
+    worst = 0.0
+    for ss in systems:
+        point = tuple(rng.uniform(-1.2, 1.2) for _ in ss.state)
+        for j in range(1, len(ss.outputs) + 1):
+            for length in range(5):
+                for mu in itertools.product((0, 1), repeat=length):
+                    got = evaluate_word(ss.case, ObservableWord(j, mu), point)
+                    worst = max(worst, _gap(got, ss.value(ss.word(j, mu), point)))
+    assert worst <= 1e-12
+
+
+def test_verify_words_and_nested_compositions_match_sympy():
+    # systems drawn as `obsv-lab verify` draws them, with its words and compositions
+    rng = random.Random(0)
+    worst = 0.0
+    for _ in range(3):
+        n = rng.randrange(1, 3)
+        sys_ = _random_system(rng, n)
+        ss = SymSystem([ex.format_expr(g) for g in sys_.gamma],
+                       [ex.format_expr(f) for f in sys_.F], sys_.b)
+        point = tuple(rng.uniform(-1.5, 1.5) for _ in ss.state)
+        i = rng.randrange(1, n + 1)
+        for k in range(4):
+            for w in (word_lflg(i, k), word_lglflg(i, k)):
+                got = evaluate_word(ss.case, w, point, l_max=len(w.mu))
+                worst = max(worst, _gap(got, ss.value(ss.word(w.j, w.mu), point)))
+        for depth in range(4):
+            u = [rng.uniform(-1.0, 1.0) for _ in range(depth)]
+            # innermost first: the last entry of u is applied first
+            h = ss.outputs[i - 1]
+            for ul in reversed(u):
+                h = ss.lie(h, [f + ul * g for f, g in zip(*ss.fields)])
+            got = nested_lie_along_affine(ss.case, u, i, point, l_max=depth)
+            worst = max(worst, _gap(got, ss.value(h, point)))
+    assert worst <= 1e-12
+
+
+def test_words_leave_a_domain_where_evaluate_does():
+    sys_ = load_system("n = 1\ngamma[1] = ln(x)\nF[1] = -z1 + 0.5*ln(z1 + 1)\nb = [1]\n")
+    ca = as_control_affine(sys_)
+    # the output leaves the domain at the first state, the drift at the second;
+    # the input field is constant, so (1,) alone never evaluates the drift
+    for state, node, words in (((-0.5, 0.3), ca.outputs[0], ((0,), (0, 0), (1,), (1, 0))),
+                               ((0.5, -2.0), ca.drift[1], ((0,), (0, 0), (1, 0), (0, 1, 0)))):
+        with pytest.raises(ex.DomainError) as want:
+            ex.evaluate(node, dict(zip(ca.state_vars, state)))
+        for mu in words:
+            with pytest.raises(ex.DomainError) as got:
+                evaluate_word(ca, ObservableWord(1, mu), state)
+            assert str(got.value) == str(want.value)
+            assert got.value.subexpr == want.value.subexpr
+
+
+# ---------------------------------------------------------------------------
+# scale: words cost time polynomial in the tree
+
+
+def test_words_up_to_length_8_are_fast():
+    ca = as_control_affine(preset("fish-1d-gauss"))
+    t0 = time.perf_counter()
+    count = 0
+    for length in range(9):
+        for mu in itertools.product((0, 1), repeat=length):
+            assert math.isfinite(evaluate_word(ca, ObservableWord(1, mu), (0.3, -0.7)))
+            count += 1
+    assert count == 511 and time.perf_counter() - t0 < 10.0
+    ca3 = as_control_affine(load_system(
+        "n = 3\ngamma[1] = sin(1.3*x)\ngamma[2] = exp(-0.7*x^2)\ngamma[3] = tanh(0.5*x)\n"
+        "F[1] = -z1 + 0.1*sin(z2)\nF[2] = -z2 + 0.1*sin(z3)\nF[3] = -z3 + 0.1*sin(z1)\n"
+        "b = [1, 1, 1]\n"))
+    t0 = time.perf_counter()
+    evaluate_word(ca3, ObservableWord(2, (0,) * 8), (0.3, -0.2, 0.5, 0.7, -0.4, 0.9))
+    assert time.perf_counter() - t0 < 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +388,3 @@ def test_nested_depth_cap_and_index_checks():
         nested_lie_along_affine(ca, [0.0], j=3, x0=(0,) * 4)
     with pytest.raises(ValueError):
         nested_lie_along_affine(ca, [(0.0, 1.0)], j=1, x0=(0,) * 4)
-
-
-# ---------------------------------------------------------------------------
-# enumeration order
-
-
-def test_enumerate_words_breadth_first_lexicographic():
-    words = list(enumerate_words(p=1, m=1, max_len=2))
-    mus = [w.mu for w in words]
-    assert mus == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
-
-
-def test_enumerate_words_outputs_cycle_before_length_grows():
-    words = list(enumerate_words(p=2, m=1, max_len=1))
-    assert [(w.j, w.mu) for w in words] == [
-        (1, ()),
-        (2, ()),
-        (1, (0,)),
-        (1, (1,)),
-        (2, (0,)),
-        (2, (1,)),
-    ]

@@ -1,7 +1,9 @@
 import math
+import random
 
 import numpy as np
 import pytest
+import sympy
 
 import obsv_lab.expr as ex
 from obsv_lab.model import (
@@ -163,6 +165,33 @@ def test_linearize_matches_finite_differences():
         step[j] = h
         fd = (drift_vec(x0 + step) - drift_vec(x0 - step)) / (2 * h)
         np.testing.assert_allclose(lin.A[:, j], fd, rtol=1e-6, atol=1e-8)
+
+
+def test_linearize_matches_sympy_jacobians_on_a_coupled_cascade():
+    rng = random.Random(7)
+    gains = ("sin(1.3*x)", "exp(-0.7*x^2)", "1/(x + 3)")
+    couplings = ("0.1*sin(z{j})", "0.2*tanh(z{j})*z{k}", "0.1*z{j}^2")
+    fs = [f"-{round(rng.uniform(0.5, 2.0), 3)}*z{i} + "
+          + couplings[i - 1].format(j=rng.randrange(1, 4), k=rng.randrange(1, 4))
+          for i in range(1, 4)]
+    sys = CascadeSystem(n=3, gamma=tuple(ex.parse(g, {"x"}) for g in gains),
+                        F=tuple(ex.parse(f, {"z1", "z2", "z3"}) for f in fs), b=(1.0, -0.5, 2.0))
+    xs, zs = sympy.symbols("x1:4"), sympy.symbols("z1:4")
+
+    def sym(src, names):
+        return sympy.sympify(src.replace("^", "**"), locals=names, rational=True)
+
+    znames = {f"z{i + 1}": zs[i] for i in range(3)}
+    drift = sympy.Matrix(list(zs) + [sym(f, znames) for f in fs])
+    outputs = sympy.Matrix([sym(g, {"x": xs[i]}) * zs[i] for i, g in enumerate(gains)])
+    state = xs + zs
+    for _ in range(5):
+        x0 = [rng.uniform(-1.5, 1.5) for _ in range(6)]
+        lin = linearize_at(sys, x0)
+        subs = {v: sympy.Float(p, 30) for v, p in zip(state, x0)}
+        for got, field in ((lin.A, drift), (lin.C, outputs)):
+            want = np.array(field.jacobian(state).xreplace(subs), dtype=float)
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
 
 
 def test_linearize_wrong_dimension():
