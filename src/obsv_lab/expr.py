@@ -611,6 +611,19 @@ def _conv(p: list, q: list, lo: int, k: int):
     return s
 
 
+def _tconv(p: list, nz: list, q: list, lo: int, k: int):
+    """sum_{j=lo..k} p[j] * q[k-j] over the orders j in ``nz``, those where p
+    is nonzero.  The sum starts at +0.0 and never becomes -0.0, so a term
+    p[j] * q[k-j] with p[j] == 0.0 and q[k-j] finite could not change its
+    bits; skipping it makes an order cost O(1) per node at an equilibrium,
+    where every coefficient above order 0 is zero."""
+    s = 0.0
+    for j in nz:
+        if j >= lo:
+            s += p[j] * q[k - j]
+    return s
+
+
 def _wconv(a: list, w: list, k: int) -> float:
     """(1/k) sum_{j=1..k} j a[j] w[k-j]: coefficient k of c where c' = a' w."""
     s = 0.0
@@ -628,7 +641,7 @@ def _square_inner(c: list, k: int) -> float:
 
 
 class _Node:
-    __slots__ = ("rule", "e", "c", "a", "b", "w", "t")
+    __slots__ = ("rule", "e", "c", "a", "b", "w", "t", "nz", "wz")
 
     def __init__(self, rule: tuple, e: Expr, c0: float, a=None, b=None):
         self.rule = rule  # (value rule, tangent rule)
@@ -638,13 +651,16 @@ class _Node:
         self.b = b
         self.w = None   # companion series: the derivative of f in f(a)
         self.t = None   # tangent coefficients
+        self.nz = None  # with tangents: the orders where c is nonzero
+        self.wz = None  # and where w is nonzero
 
 
 # Value rules: coefficient k >= 1 of a node from the first k+1 coefficients
 # of its operands and the first k of its own series.  Tangent rules: tangent
 # coefficient k >= 0, after every value of order k is known.  A function
 # node's tangent is its derivative series convolved with the operand's
-# tangent; ln, sqrt and / solve the same product for it.
+# tangent; ln, sqrt and / solve the same product for it.  Every tangent
+# convolution runs over the nonzero orders of its value series (_tconv).
 
 def _zero(nd, k):
     return 0.0
@@ -684,12 +700,13 @@ def _t_sub(nd, k):
 
 
 def _t_mul(nd, k):
-    return _conv(nd.b.c, nd.a.t, 0, k) + _conv(nd.a.c, nd.b.t, 0, k)
+    a, b = nd.a, nd.b
+    return _tconv(b.c, b.nz, a.t, 0, k) + _tconv(a.c, a.nz, b.t, 0, k)
 
 
 def _t_div(nd, k):
-    b = nd.b.c
-    return (nd.a.t[k] - _conv(nd.c, nd.b.t, 0, k) - _conv(b, nd.t, 1, k)) / b[0]
+    b = nd.b
+    return (nd.a.t[k] - _tconv(nd.c, nd.nz, b.t, 0, k) - _tconv(b.c, b.nz, nd.t, 1, k)) / b.c[0]
 
 
 _RULES = {
@@ -712,7 +729,7 @@ def _v_exp(nd, k):
 
 
 def _t_exp(nd, k):
-    return _conv(nd.c, nd.a.t, 0, k)
+    return _tconv(nd.c, nd.nz, nd.a.t, 0, k)
 
 
 def _v_ln(nd, k):
@@ -724,8 +741,8 @@ def _v_ln(nd, k):
 
 
 def _t_ln(nd, k):
-    a = nd.a.c
-    return (nd.a.t[k] - _conv(a, nd.t, 1, k)) / a[0]
+    a = nd.a
+    return (a.t[k] - _tconv(a.c, a.nz, nd.t, 1, k)) / a.c[0]
 
 
 def _v_sincos(nd, k):
@@ -752,7 +769,7 @@ def _v_tanh(nd, k):
 
 def _t_companion(nd, k):
     # sin, cos, tan, tanh: the derivative series is the companion w
-    return _conv(nd.w, nd.a.t, 0, k)
+    return _tconv(nd.w, nd.wz, nd.a.t, 0, k)
 
 
 def _v_sqrt(nd, k):
@@ -766,7 +783,7 @@ def _t_sqrt(nd, k):
     c = nd.c
     if c[0] == 0.0:
         raise DomainError("derivative of sqrt at 0", nd.e)
-    return (nd.a.t[k] - 2.0 * _conv(c, nd.t, 1, k)) / (2.0 * c[0])
+    return (nd.a.t[k] - 2.0 * _tconv(c, nd.nz, nd.t, 1, k)) / (2.0 * c[0])
 
 
 class CatalogEntry(Frozen):
@@ -839,9 +856,12 @@ class _Tape:
         self.tangents = seeds is not None
         if self.tangents:
             for name, node in self.inputs.items():
-                node.t = [seeds[name]]
+                node.t, node.nz = [seeds[name]], []
             for node in self.nodes:
-                node.t = [node.rule[1](node, 0)]
+                node.t, node.nz = [], []
+                if node.w is not None:
+                    node.wz = []
+            self._tangents(0)
 
     def step(self, k: int) -> None:
         """Append coefficient k of every node; the inputs must already hold theirs."""
@@ -851,8 +871,19 @@ class _Tape:
             except OverflowError:
                 raise DomainError(f"overflow in Taylor coefficient {k}", node.e) from None
         if self.tangents:
-            for node in self.nodes:
-                node.t.append(node.rule[1](node, k))
+            self._tangents(k)
+
+    def _tangents(self, k: int) -> None:
+        """Note which order-k values are nonzero, then append tangent k of every node."""
+        for node in self.inputs.values():
+            if node.c[k] != 0.0:
+                node.nz.append(k)
+        for node in self.nodes:
+            if node.c[k] != 0.0:
+                node.nz.append(k)
+            if node.w is not None and node.w[k] != 0.0:
+                node.wz.append(k)
+            node.t.append(node.rule[1](node, k))
 
     def _build(self, e: Expr) -> _Node:
         if isinstance(e, Var):
@@ -978,10 +1009,15 @@ class Jet:
     def derivative(self, j: int, k: int) -> float:
         return _times_factorial(self.coefficient(j, k), k)
 
+    def tangent(self, j: int, k: int):
+        """Gradient of Taylor coefficient k of output j in the seed directions:
+        the gradient of L_f^k h_j over k!, a vector or the scalar 0.0."""
+        self._extend(k)
+        return self._roots[j].t[k]
+
     def gradient(self, j: int, k: int):
         """Gradient of L_f^k h_j at x0 in the seed directions, output index j 0-based."""
-        self._extend(k)
-        return _times_factorial(self._roots[j].t[k], k)
+        return _times_factorial(self.tangent(j, k), k)
 
 
 def jet(e: Expr, var: str, x0: float, K: int) -> list[float]:

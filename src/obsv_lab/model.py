@@ -34,7 +34,14 @@ class SystemFormatError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-class CascadeSystem(Frozen):
+class _AffineSlot(Frozen):
+    # a slot beside the fields of CascadeSystem, which only lists its own
+    # __slots__ as fields: as_control_affine keeps the system's form there,
+    # out of sight of equality, hash, repr and pickle
+    __slots__ = ("_affine",)
+
+
+class CascadeSystem(_AffineSlot):
     __slots__ = ("n", "gamma", "F", "b")
     n: int
     gamma: tuple[Expr, ...]  # each an expression in the single variable x
@@ -111,7 +118,13 @@ def validate(sys: CascadeSystem) -> list[str]:
 
 
 def as_control_affine(sys: CascadeSystem) -> ControlAffineSystem:
-    """Rewrite the cascade in control-affine form with state (x_1..x_n, z_1..z_n)."""
+    """Rewrite the cascade in control-affine form with state (x_1..x_n, z_1..z_n).
+
+    The form is built once per system object and kept on it.
+    """
+    ca = getattr(sys, "_affine", None)
+    if ca is not None:
+        return ca
     violations = validate(sys)
     if violations:
         raise InvalidSystemError(violations)
@@ -123,12 +136,14 @@ def as_control_affine(sys: CascadeSystem) -> ControlAffineSystem:
         ex.mul(ex.substitute(g, GAMMA_VAR, ex.Var(f"x{i}")), ex.Var(f"z{i}"))
         for i, g in enumerate(sys.gamma, start=1)
     )
-    return ControlAffineSystem(
+    ca = ControlAffineSystem(
         state_vars=names,
         drift=drift,
         input_fields=(field,),
         outputs=outputs,
     )
+    object.__setattr__(sys, "_affine", ca)
+    return ca
 
 
 def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationResult:

@@ -643,7 +643,13 @@ def local_rank(
     at most p*(l_max + 1) rows.  A cap ``max_words`` on the rows that stops
     the search before full rank is kept on the report.  The rows come from
     the Taylor series of the outputs along the drift flow with one tangent
-    direction per state, O(l_max^2) per expression.
+    direction per state.  Order k costs O(k) scalar operations per node for
+    the values, and one vector operation per nonzero value coefficient for
+    the tangents: O(k) per node while moving, O(1) at an equilibrium, where
+    every coefficient above order 0 is zero.  An SVD runs only at an order
+    where full rank is possible (at least ``dim`` rows, no all-zero column)
+    and at the last order, so a deficient state pays for one.  A non-finite
+    row raises DomainError.
     """
     if isinstance(sys, CascadeSystem):
         sys = as_control_affine(sys)
@@ -652,35 +658,44 @@ def local_rank(
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
     if l_max is None:
         l_max = sys.dim
-    flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(sys.dim),
-                  k_max=l_max)
-
+    elif l_max < 0:
+        raise ValueError(f"l_max must be at least 0, got {l_max}")
+    if max_words is not None and max_words < 1:
+        raise ValueError(f"max_words must be at least 1, got {max_words}")
+    p, dim = sys.p, sys.dim
+    total = p * (l_max + 1) if max_words is None else min(max_words, p * (l_max + 1))
+    stack = np.empty((total, dim))
+    seen = np.zeros(dim, dtype=bool)  # columns nonzero in some row so far
     words: list[ObservableWord] = []
-    rows: list[np.ndarray] = []
-    sigma = np.zeros(0)
-    rank = 0
-    for k in range(l_max + 1):
-        take = sys.p if max_words is None else min(sys.p, max_words - len(rows))
-        if take <= 0:
-            break
-        for j in range(1, take + 1):
-            rows.append(np.broadcast_to(flow.gradient(j - 1, k), (sys.dim,)))
-            words.append(ObservableWord(j=j, mu=(0,) * k))
-        mat = np.array(rows)
-        sigma = np.linalg.svd(mat, compute_uv=False)
-        if sigma.size and sigma[0] > 0.0:
-            rank = int(np.sum(sigma > rank_tol * sigma[0]))
-        else:
-            rank = 0
-        if rank == sys.dim:
-            break
-    capped = rank < sys.dim and len(rows) < sys.p * (l_max + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift,
+                      seeds=np.eye(dim), k_max=l_max)
+        for k in range(l_max + 1):
+            top = len(words)
+            block = stack[top:top + p]
+            for j in range(len(block)):
+                block[j] = flow.tangent(j, k)
+            for f in range(2, k + 1):  # k! as in Jet.gradient, one factor at a time
+                block *= f
+            finite = np.isfinite(block).all(axis=1)
+            if not finite.all():
+                j = int(np.argmin(finite))
+                raise ex.DomainError(f"non-finite gradient at order {k}", sys.outputs[j])
+            words += [ObservableWord(j=j, mu=(0,) * k) for j in range(1, len(block) + 1)]
+            seen |= (block != 0.0).any(axis=0)
+            last = len(words) == total
+            if last or (len(words) >= dim and seen.all()):
+                sigma = np.linalg.svd(stack[:len(words)], compute_uv=False)
+                rank = int(np.sum(sigma > rank_tol * sigma[0])) if sigma[0] > 0.0 else 0
+                if last or rank == dim:
+                    break
+    capped = rank < dim and len(words) < p * (l_max + 1)
     return RankReport(
         words=words,
-        gradients=np.array(rows),
+        gradients=stack[:len(words)],
         singular_values=sigma,
         rank=rank,
-        dim=sys.dim,
+        dim=dim,
         max_words=max_words if capped else None,
     )
 

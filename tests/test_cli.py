@@ -263,6 +263,21 @@ def test_an_overflowing_gain_is_a_numeric_failure(tmp_path, capsys, gain, messag
     assert run(capsys, *argv, "--system", path) == (4, "", f"numeric failure: {message} in {culprit}\n")
 
 
+def test_rank_where_a_tangent_overflows(tmp_path, capsys):
+    # d/dx exp(x^2) = 2x exp(x^2) overflows for x near 26.6 while exp(x^2)
+    # stays finite.  Moving, the overflow reaches row 1 and stops the command
+    # as a numeric failure; pytest turns any numpy warning into an error
+    path = _gain_file(tmp_path, "exp(x^2)")
+    assert run(capsys, "rank", "--system", path, "--state", "26.5,1") == (
+        4, "", "numeric failure: non-finite gradient at order 1 in exp(x1^2)*z1\n")
+    # at rest the overflowed tangent only meets the velocity's zero series,
+    # so the rows are finite: d/dz L_f^k h = (-1)^k exp(x^2), d/dx of each is 0
+    code, doc = run_json(capsys, "rank", "--system", path, "--state", "26.6,0")
+    assert (code, doc["report"]["rank"], doc["report"]["dim"]) == (1, 1, 2)
+    sigma = doc["report"]["singular_values"][0]
+    assert sigma == pytest.approx(math.sqrt(3.0) * math.exp(26.6 ** 2), rel=1e-12)
+
+
 def test_observable_reports_the_deciding_rule(capsys):
     code, doc = run_json(capsys, "observable", "--system", "preset:periodic-sin")
     gain = doc["report"]["gains"][0]

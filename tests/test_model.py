@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import numpy as np
@@ -98,6 +100,19 @@ def test_control_affine_shapes():
     # input field is (0, 0, b1, b2)
     env = {v: 0.0 for v in ca.state_vars}
     assert [ex.evaluate(g, env) for g in ca.input_fields[0]] == [0.0, 0.0, 1.0, -2.0]
+
+
+def test_control_affine_form_is_built_once_per_system():
+    sys = gauss_preset()
+    before = (repr(sys), hash(sys), pickle.dumps(sys))
+    ca = as_control_affine(sys)
+    assert as_control_affine(sys) is ca
+    # the kept form is no field: equality, hash, repr and pickle ignore it
+    assert (repr(sys), hash(sys), pickle.dumps(sys)) == before
+    assert sys == gauss_preset()
+    for clone in (copy.copy(sys), pickle.loads(pickle.dumps(sys))):
+        assert clone == sys
+        assert as_control_affine(clone) == ca
 
 
 def test_outputs_are_gain_times_velocity():

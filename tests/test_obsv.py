@@ -837,15 +837,94 @@ def test_local_rank_of_decoupled_cascade_is_the_sum_of_block_ranks(moving):
     zs = ex.VarNames(f"z{i}" for i in range(1, n + 1))
     sys = CascadeSystem(n=n, gamma=tuple(ex.parse(g, {"x"}) for g in gains),
                         F=tuple(ex.parse(f"-z{i}", zs) for i in range(1, n + 1)), b=tuple(b))
-    l_max = None if moving else 3  # at rest no order reaches full rank; 3 keeps it quick
-    report = local_rank(sys, x + z, l_max=l_max)
+    t0 = time.perf_counter()
+    report = local_rank(sys, x + z)
+    elapsed = time.perf_counter() - t0
 
     def block_rank(i):
         block = CascadeSystem(n=1, gamma=(sys.gamma[i],), F=(ex.parse("-z1", {"z1"}),), b=(b[i],))
-        return local_rank(block, (x[i], z[i]), l_max=l_max).rank
+        return local_rank(block, (x[i], z[i])).rank
 
     assert report.rank == sum(block_rank(i) for i in range(n)) == (2 * n if moving else n)
     assert report.max_words is None
+    # at rest no order reaches full rank, so all 101 orders run
+    assert len(report.words) == (2 * n if moving else n * (2 * n + 1))
+    assert elapsed < 3.0
+
+
+def _coupled_cascade(n, seed):
+    rng = random.Random(seed)
+    gains = ("sin(x)", "exp(-x^2)", "tanh(x)", "2 + sin(x) + 0.1*x")
+    zs = ex.VarNames(f"z{i}" for i in range(1, n + 1))
+    return CascadeSystem(
+        n=n,
+        gamma=tuple(ex.parse(gains[i % 4], {"x"}) for i in range(n)),
+        F=tuple(ex.parse(f"-z{i} + 0.1*sin(z{i % n + 1})", zs) for i in range(1, n + 1)),
+        b=tuple(rng.uniform(0.5, 1.5) for _ in range(n)),
+    )
+
+
+def test_local_rank_of_a_coupled_cascade_at_rest(monkeypatch):
+    # at z = 0 with F(0) = 0 every x-derivative of L_f^k h_i carries a
+    # factor z, so the position columns vanish exactly, and the velocity
+    # columns are the linearization's rows gamma_i(x_i) e_i^T A^k with
+    # A = dF/dz(0) = -I + 0.1*(shift to the next block).  The positions
+    # keep every gain away from 0, so order 0 alone has rank n
+    n = 50
+    sys = _coupled_cascade(n, 7)
+    rng = random.Random(8)
+    x = [rng.uniform(0.2, 1.5) for _ in range(n)]
+    svd, calls = np.linalg.svd, []
+    monkeypatch.setattr(np.linalg, "svd", lambda *a, **kw: calls.append(1) or svd(*a, **kw))
+    t0 = time.perf_counter()
+    report = local_rank(sys, x + [0.0] * n)
+    elapsed = time.perf_counter() - t0
+    assert (report.rank, report.dim, len(report.words)) == (n, 2 * n, n * (2 * n + 1))
+    assert len(calls) == 1  # a zero column rules out full rank before the last order
+    assert np.all(report.gradients[:, :n] == 0.0)
+    A = -np.eye(n) + 0.1 * np.roll(np.eye(n), 1, axis=1)
+    gains = [math.sin, lambda v: math.exp(-v * v), math.tanh, lambda v: 2 + math.sin(v) + 0.1 * v]
+    power = np.eye(n)
+    for k in range(2 * n + 1):
+        rows = report.gradients[k * n:(k + 1) * n, n:]
+        want = np.array([gains[i % 4](x[i]) for i in range(n)])[:, None] * power
+        scale = np.max(np.abs(want), axis=1)
+        assert np.all(np.max(np.abs(rows - want), axis=1) <= 1e-9 * scale), k
+        power = power @ A
+    assert elapsed < 3.0
+
+
+def _full_tconv(p, nz, q, lo, k):
+    # every term of the convolution, zeros included
+    s = 0.0
+    for j in range(lo, k + 1):
+        s += p[j] * q[k - j]
+    return s
+
+
+@pytest.mark.parametrize("n", [1, 3, 10])
+@pytest.mark.parametrize("moving", [False, True], ids=["rest", "moving"])
+def test_local_rank_skipping_zero_terms_keeps_every_bit(monkeypatch, n, moving):
+    # a term p[j]*q[k-j] with p[j] == 0.0 adds a signed zero to a sum that
+    # started at +0.0, so dropping it must leave every row and singular
+    # value bit for bit as the full convolution gives them
+    sys = _coupled_cascade(n, n)
+    rng = random.Random(n + 100 * moving)
+    state = [rng.uniform(-1.5, 1.5) for _ in range(n)]
+    state += [rng.uniform(0.5, 1.5) if moving else 0.0 for _ in range(n)]
+    fast = local_rank(sys, state)
+    monkeypatch.setattr(ex, "_tconv", _full_tconv)
+    full = local_rank(sys, state)
+    assert fast.words == full.words
+    assert fast.rank == full.rank
+    assert fast.gradients.tobytes() == full.gradients.tobytes()
+    assert fast.singular_values.tobytes() == full.singular_values.tobytes()
+
+
+@pytest.mark.parametrize("bounds", [{"l_max": -1}, {"max_words": 0}, {"max_words": -2}])
+def test_local_rank_rejects_meaningless_bounds(bounds):
+    with pytest.raises(ValueError):
+        local_rank(preset("fish-1d-gauss"), (0.0, 1.0), **bounds)
 
 
 def test_local_rank_degenerate_three_blocks_is_quick():
