@@ -40,10 +40,10 @@ class ObservableWord(Frozen):
     mu: tuple[int, ...]   # field indices, innermost first; 0 = drift
 
     def __init__(self, j: int, mu):
-        mu = tuple(int(v) for v in mu)
+        mu = tuple(map(int, mu))
         if j < 1:
             raise ValueError(f"output index must be >= 1, got {j}")
-        if any(v < 0 for v in mu):
+        if min(mu, default=0) < 0:
             raise ValueError(f"field indices must be >= 0: {mu}")
         super().__init__(j, mu)
 

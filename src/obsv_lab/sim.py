@@ -219,13 +219,12 @@ class RK4Loop:
     ``run(x0s, u, dt, steps, rows)`` takes the initial states one after
     another in one flat tuple and appends to ``rows``, an ``array("d")``,
     one whole row per sample: every member's state, then every member's
-    outputs.  It raises ``BlowUpError`` on a non-finite state, with the
-    state of the first member of the group that holds it; any other failure
-    propagates from the step where it happened.  A run that fails in step k
-    has stored exactly the k + 1 rows of t = 0 .. k*dt.  The
-    loop of an input kind and a sharing pattern (see ``sharing``) is
-    generated the first time that pair runs, and kept in ``variants`` under
-    the key (loop variant, pattern).
+    outputs.  A step is arithmetic only: it steps on through inf and nan
+    and raises only what a float operation raises, from the step where it
+    happened; a run that fails in step k has stored exactly the k + 1 rows
+    of t = 0 .. k*dt.  The loop of an input kind and a sharing pattern (see
+    ``sharing``) is generated the first time that pair runs, and kept in
+    ``variants`` under the key (loop variant, pattern).
     """
 
     __slots__ = ("system", "size", "reads", "variants")
@@ -272,21 +271,10 @@ class RK4Loop:
         fn = self.variants.get((variant, pattern))
         if fn is None:
             namespace = {"_fns": tuple(ex.python_functions().values()),
-                         "_bisect": bisect, "_BlowUpError": BlowUpError, "_Struct": Struct}
+                         "_bisect": bisect, "_Struct": Struct}
             exec(rk4_source(self.system, pattern, variant), namespace)
             fn = self.variants[variant, pattern] = namespace["_rk4"]
         fn(seeds, (0.0,) if u.kind == "zero" else u.params, dt, steps, rows)
-
-
-CHAIN_MAX = 500  # terms of one + chain; Python's compiler recurses once per term
-
-
-def _sum_source(terms: list[str]) -> str:
-    """Source of the sum of ``terms`` as parenthesized partial sums of at
-    most ``CHAIN_MAX`` terms; brackets add no AST node, so one partial sum
-    compiles as the flat chain."""
-    return " + ".join(f"({' + '.join(terms[c:c + CHAIN_MAX])})"
-                      for c in range(0, len(terms), CHAIN_MAX))
 
 
 def _input_source(variant: str):
@@ -316,8 +304,8 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
     field that is a constant c has its product u * (c) formed once per
     stage input for all groups: once before the loop under a zero or
     constant input, else once per step and stage time.  It runs with
-    ``_fns``, the ``expr.python_functions`` values, ``_bisect``,
-    ``_BlowUpError`` and ``_Struct`` in its globals."""
+    ``_fns``, the ``expr.python_functions`` values, ``_bisect`` and
+    ``_Struct`` in its globals, and raises nothing of its own."""
     idx = range(ca.dim)
     reads = _reads(ca)
     setup, input_at = _input_source(variant)
@@ -379,7 +367,6 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
                 update.append(f"_v = {inc}")
                 inc = "_v"
             update += [f"_s{s} = _s{s} + {inc}" for s in slots]
-        checked = sorted({s for m in members for s in m})
         return [
             *fields("a", names(first), ua, qa),
             *stage_state("_h", "a"),
@@ -389,10 +376,6 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
             *stage_state("_dt", "c"),
             *later["d"],
             *update,
-            # 0*v is 0 for every finite v and nan for inf or nan; one sum
-            # per group, since a sum is compiled recursively (CHAIN_MAX)
-            f"if {_sum_source([f'0.0 * _s{s}' for s in checked])} != 0.0:",
-            f"    raise _BlowUpError(_k * _dt + _dt, ({state(first)}))",
         ]
 
     groups: dict[tuple, list] = {}
@@ -440,9 +423,9 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
     stages over stage states of the read variables only, then the update,
     where each other variable's increment dt/6*(((k1 + 2*k2) + 2*k3) + k4)
     is formed once and added to every distinct start of that variable in
-    the group, and one finiteness check of the group's states.  Bits, not
-    values, decide a group (``float.hex``), so 0.0 and -0.0 stay apart.  An
-    output whose source recurs in the row is computed once.  The arithmetic
+    the group.  Bits, not values, decide a group (``float.hex``), so 0.0
+    and -0.0 stay apart.  An output whose source recurs in the row is
+    computed once.  The step checks no state for finiteness.  The arithmetic
     is the reference one, on the operands a lone run has: stage states
     x + (0.5*dt)*k, fields f + u*g, update
     x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
@@ -458,8 +441,8 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
     one ``struct`` pack appended with ``frombytes``.  An ensemble of more
     than ``MEMBERS_MAX`` states is stepped in the fewest runs of equal size.
     The stage code grows with the groups, not with the members, and the
-    update, check and output code with the distinct slots, so the code
-    stays within ``MEMBERS_MAX`` times that of the one-state loop.
+    update and output code with the distinct slots, so the code stays
+    within ``MEMBERS_MAX`` times that of the one-state loop.
     """
     ca = _as_affine(sys)
     if ca.m != 1:
@@ -482,9 +465,10 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     """Re-run step ``k`` from state ``x`` stage by stage, raising the
     failure of the generated loop with its location: ``InputError`` at the
     stage time where the input has no value, ``BlowUpError`` at the stage
-    time and state for an overflow in a stage, ``DomainError`` at the
-    culprit subexpression for a domain fault or a failing output.  ``k = -1``
-    is the output at t = 0."""
+    time and state for an overflow in a stage and at the step end for a
+    step that ends non-finite, ``DomainError`` at the culprit subexpression
+    for a domain fault or a failing output.  ``k = -1`` is the output at
+    t = 0."""
     names = ca.state_vars
     drift_fn = ex.compile_vector(ca.drift, names)
     input_fn = ex.compile_vector(ca.input_fields[0], names)
@@ -523,7 +507,30 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     k4 = field(shifted(dt, k3), t + dt)
     x = [xi + (dt / 6.0) * (((a + 2.0 * b) + 2.0 * c) + d)
          for xi, a, b, c, d in zip(x, k1, k2, k3, k4)]
+    if not all(map(math.isfinite, x)):
+        raise BlowUpError(t + dt, x)
     _check_outputs(ca, x)
+
+
+def _raise_lone_failure(ca: ControlAffineSystem, x0, u, dt: float, rows, error) -> None:
+    """Raise the failure of the lone run from ``x0`` that stored ``rows``
+    and raised ``error`` (or None): the first step end whose stored state is
+    not finite (the start is none, and stays non-finite into step 1), else
+    the replay of the step that raised, else the first output that is not
+    finite (a float product overflows to inf without raising)."""
+    table = np.frombuffer(rows).reshape(-1, ca.dim + ca.p)
+    ends = np.isfinite(table[1:, :ca.dim]).all(axis=1)
+    if not ends.all():
+        k = int(ends.argmin())
+        raise BlowUpError(k * dt + dt, table[k + 1, :ca.dim].tolist())
+    if error is not None:
+        # re-raising covers a replay that passes
+        done = len(table)  # samples stored before the failing step
+        _replay_step(ca, u, dt, table[-1, :ca.dim].tolist() if done else x0, done - 1)
+        raise error
+    finite = np.isfinite(table[:, ca.dim:]).all(axis=1)
+    if not finite.all():
+        _check_outputs(ca, table[finite.argmin(), :ca.dim].tolist())
 
 
 def _raise_first_failure(loop: RK4Loop, xs, u, dt: float, steps: int) -> None:
@@ -532,31 +539,20 @@ def _raise_first_failure(loop: RK4Loop, xs, u, dt: float, steps: int) -> None:
     ca = loop.system
     if loop.size > 1:
         loop = compile_rk4(ca)
-    width = ca.dim + ca.p
     for x in xs:
         rows = array("d")
+        error = None
         try:
             loop.run(x, u, dt, steps, rows)
-        except (ArithmeticError, ValueError):
-            # the generated loop reports no location; the guarded replay of
-            # the failing step does, and re-raising covers a replay that passes
-            done = len(rows) // width  # samples stored before the failing step
-            last = tuple(rows[(done - 1) * width:(done - 1) * width + ca.dim])
-            _replay_step(ca, u, dt, last if done else x, done - 1)
-            raise
-        table = np.frombuffer(rows).reshape(steps + 1, width)
-        finite = np.isfinite(table[:, ca.dim:]).all(axis=1)
-        if not finite.all():
-            # a float product overflows to inf without raising, so the loop
-            # stored it; the evaluator names the culprit at its first sample
-            k = int(finite.argmin())
-            _check_outputs(ca, table[k, :ca.dim].tolist())
+        except (ArithmeticError, ValueError) as err:
+            error = err
+        _raise_lone_failure(ca, x, u, dt, rows, error)
 
 
 def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory]:
     """One run of a joint loop; members beyond ``xs`` (the last run of an
     ensemble) step copies of its last state.  On a failure, an exception
-    or an output that is not finite, the lone runs of
+    or a stored value that is not finite, the lone runs of
     ``_raise_first_failure`` raise the error of the first failing state:
     each is bit for bit its member's run, so it fails too."""
     ca = loop.system
@@ -565,15 +561,14 @@ def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory]:
     error = None
     try:
         loop.run(tuple(v for x in padded for v in x), u, dt, steps, rows)
-    except (ArithmeticError, ValueError, BlowUpError) as err:
+    except (ArithmeticError, ValueError) as err:
         error = err
-    split = loop.size * ca.dim  # states, then outputs, in each row
-    if error is None:
-        table = np.frombuffer(rows).reshape(steps + 1, loop.size * (ca.dim + ca.p))
-    if error is not None or not np.isfinite(table[:, split:]).all():
+    table = np.frombuffer(rows).reshape(-1, loop.size * (ca.dim + ca.p))
+    if error is not None or not np.isfinite(table).all():
         _raise_first_failure(loop, xs, u, dt, steps)
     if error is not None:
         raise error
+    split = loop.size * ca.dim  # states, then outputs, in each row
     states = table[:, :split].reshape(steps + 1, loop.size, ca.dim)
     outputs = table[:, split:].reshape(steps + 1, loop.size, ca.p)
     names = tuple(ca.state_vars), tuple(f"y{i}" for i in range(1, ca.p + 1))
@@ -594,10 +589,11 @@ def integrate_many(
     compiled for ensembles of this size, when many are integrated on one
     system.  Each trajectory is bit for bit the one ``integrate`` gives for
     its state alone; its arrays are views into one buffer shared by the
-    ensemble.  On a failure of the joint loop, an exception or an output
-    that is not finite, its states are integrated again one at a time, so
-    the error raised is the one of the first failing state, as
-    ``integrate`` reports it.
+    ensemble.  A run does not stop at a non-finite state: one numpy pass
+    over its stored rows finds a state or output that is not finite.  On a
+    failure of the joint loop, an exception or such a value, its states are
+    integrated again one at a time, so the error raised is the one of the
+    first failing state, as ``integrate`` reports it.
     """
     xs = [tuple(float(v) for v in x) for x in states]
     loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys, len(xs))
@@ -625,7 +621,7 @@ def integrate(
     """Classical fixed-step RK4 for a single-input control-affine system.
 
     ``sys`` is a cascade or a control-affine system.  Samples land on
-    t = k*dt; a non-finite state or an overflowing stage evaluation aborts
+    t = k*dt; a non-finite state or an overflowing stage evaluation fails
     with ``BlowUpError``, and genuine domain violations (log of a negative
     x, division by zero) and outputs that are not finite surface as
     ``DomainError`` with the offending subexpression.

@@ -11,7 +11,6 @@ import pytest
 import obsv_lab.expr as ex
 from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset, preset_names
 from obsv_lab.sim import (
-    CHAIN_MAX,
     MEMBERS_MAX,
     BlowUpError,
     EquilibriumPremiseError,
@@ -311,14 +310,18 @@ def test_signed_zero_start_under_zero_input_bitwise():
 @pytest.mark.parametrize("variant", ["constant", "sinusoid", "piecewise", "table"])
 def test_step_body_calls_only_bound_math(variant):
     # inside the for body, the only calls are catalog functions and input
-    # helpers bound as locals before the loop, the one row store and the
-    # blow-up raise: no Python function is called per step
+    # helpers bound as locals before the loop and the one row store: no
+    # Python function is called per step, and the step raises nothing of
+    # its own
     ca = as_control_affine(_random_cascade(random.Random(7), 2, ORACLE_GAINS.__getitem__))
 
     def step_body(members):
         # members that share nothing: one slot per member and variable
         pattern = tuple(tuple(range(j * ca.dim, (j + 1) * ca.dim)) for j in range(members))
-        fn, = ast.parse(rk4_source(ca, pattern, variant)).body
+        source = rk4_source(ca, pattern, variant)
+        assert "raise" not in source and "_BlowUpError" not in source
+        fn, = ast.parse(source).body
+        assert not any(isinstance(node, ast.Raise) for node in ast.walk(fn))
         loop, = [node for node in fn.body if isinstance(node, ast.For)]
         bound = {target.id for node in fn.body[:fn.body.index(loop)]
                  for target in ast.walk(node) if isinstance(target, ast.Name)
@@ -326,13 +329,11 @@ def test_step_body_calls_only_bound_math(variant):
         return bound, loop.body
 
     bound, body = step_body(3)
-    allowed = (bound & (set(ex.python_functions()) | {"_store", "_pack", "_find", "_int"})) \
-        | {"_BlowUpError"}
+    allowed = bound & (set(ex.python_functions()) | {"_store", "_pack", "_find", "_int"})
     called = [node for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Call)]
     assert all(isinstance(c.func, ast.Name) and c.func.id in allowed for c in called)
     names = [c.func.id for c in called]
     assert {"_exp", "_sin", "_cos", "_tanh"} <= set(names)
-    assert names.count("_BlowUpError") == 3
     # one row store per step: the whole row packed once, appended once
     store, = [c for c in called if c.func.id == "_store"]
     pack, = [c for c in called if c.func.id == "_pack"]
@@ -434,17 +435,26 @@ def test_a_run_that_fails_at_step_k_stores_k_plus_1_rows():
     def rows_of(sys, x0, u, steps):
         loop = compile_rk4(sys)
         rows = array("d")
-        with pytest.raises((BlowUpError, ValueError)) as err:
+        with pytest.raises(ValueError) as err:
             loop.run(x0, u, dt, steps, rows)
         width = loop.system.dim + loop.system.p
         assert len(rows) % width == 0
         return err.value, np.frombuffer(rows).reshape(-1, width)
 
-    # a state that blows up: the error names the end of step k
+    # a state that blows up: the loop steps on through inf and nan, and
+    # the first stored row that is not finite is the end of the step that
+    # integrate names
     blowing = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("z1*z1", zs),), b=(1.0,))
-    err, table = rows_of(blowing, (0.0, 2.0), InputSignal.zero(), 2000)
-    assert isinstance(err, BlowUpError)
-    assert len(table) == round(err.t / dt)
+    loop = compile_rk4(blowing)
+    rows = array("d")
+    loop.run((0.0, 2.0), InputSignal.zero(), dt, 2000, rows)
+    table = np.frombuffer(rows).reshape(-1, 3)
+    assert len(table) == 2001
+    with pytest.raises(BlowUpError) as err:
+        integrate(blowing, (0.0, 2.0), InputSignal.zero(), 2.0, dt)
+    first = int(np.argmin(np.isfinite(table[:, :2]).all(axis=1)))
+    assert 0 < first == round(err.value.t / dt)
+    assert table[first, :2].tolist() == list(err.value.state)
     # an input without a value: step k computes w*t + phi at k*dt, k*dt +
     # dt/2 and k*dt + dt
     w = 1e308
@@ -485,10 +495,9 @@ ENSEMBLE_INPUTS = {
 }
 
 
-def test_ensemble_beyond_one_finiteness_chain():
-    # 16 states of dimension 252 in one joint loop: 4032 finiteness terms,
-    # which one chain over the ensemble could not compile (Python's compiler
-    # recurses once per term); one chain per state compiles
+def test_ensemble_of_wide_states_matches_lone_runs_bitwise():
+    # 16 states of dimension 252 in one joint loop: 4032 stored states per
+    # row, and the step stays within what Python's compiler takes
     n = 126
     zs = {f"z{i}" for i in range(1, n + 1)}
     sys = CascadeSystem(n=n, gamma=(ex.parse("1", ()),) * n,
@@ -502,14 +511,13 @@ def test_ensemble_beyond_one_finiteness_chain():
         assert _same_bits(trajs[j].outputs, lone.outputs)
 
 
-def test_state_beyond_one_finiteness_chain():
-    # one state of dimension 3200: one chain of 3200 finiteness terms is too
-    # deep for Python's compiler, partial sums of CHAIN_MAX terms are not
+def test_wide_state_matches_lone_blocks_bitwise():
+    # one state of dimension 3200 in one loop, bit for bit the runs of its
+    # 1600 decoupled blocks
     n = 1600
     sys = CascadeSystem(n=n, gamma=(ex.parse("1", ()),) * n,
                         F=tuple(ex.parse(f"-z{i}", {f"z{i}"}) for i in range(1, n + 1)),
                         b=(1.0,) * n)
-    assert 2 * n > 6 * CHAIN_MAX
     loop = compile_rk4(sys)
     u = InputSignal.sinusoid(1.0, 2.0)
     x0 = [0.0] * n + [0.001 * i for i in range(n)]
@@ -518,7 +526,7 @@ def test_state_beyond_one_finiteness_chain():
     for i in (0, n - 1):
         lone = integrate(block, (0.0, x0[n + i]), u, 0.01, 1e-3)
         assert _same_bits(traj.states[:, [i, n + i]], lone.states)
-    # an overflow in the last partial sum still stops the run
+    # an overflow in the last state variable is found after the run
     with pytest.raises(BlowUpError) as err:
         integrate_many(loop, [[0.0] * (2 * n - 1) + [1e308]], InputSignal.constant(-1e308),
                        0.01, 1e-3)
@@ -580,13 +588,18 @@ def _plain_rk4_failure(F, x0, dt):
     raise AssertionError("no failure")
 
 
-@pytest.mark.parametrize("source, F", [("z1^2", lambda z: z ** 2), ("z1*z1", lambda z: z * z)],
-                         ids=["stage-overflow", "step-end-inf"])
-def test_blowup_state_is_the_failing_state(source, F):
+@pytest.mark.parametrize("gain, source, F", [("1", "z1^2", lambda z: z ** 2),
+                                             ("1", "z1*z1", lambda z: z * z),
+                                             ("sin(x)", "z1*z1", lambda z: z * z)],
+                         ids=["stage-overflow", "step-end-inf", "step-end-inf-output-raises"])
+def test_blowup_state_is_the_failing_state(gain, source, F):
     # z1^2 overflows in a stage (float ** raises), z1*z1 turns inf at a step
     # end (float * does not); either way the error carries the whole state
-    # of that moment, as plain-float RK4 computes it
-    sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse(source, {"z1"}),), b=(1.0,))
+    # of that moment, as plain-float RK4 computes it.  Under the gain sin(x)
+    # x and z turn inf in the same step, and sin(inf) raises in the outputs
+    # before that step's row is stored
+    sys = CascadeSystem(n=1, gamma=(ex.parse(gain, {"x"}),), F=(ex.parse(source, {"z1"}),),
+                        b=(1.0,))
     u = InputSignal.zero()
     t, state = _plain_rk4_failure(F, (0.3, 2.0), 1e-3)
     lone = _raised(lambda: integrate(sys, (0.3, 2.0), u, 2.0, 1e-3))
@@ -604,6 +617,22 @@ def test_blowup_state_is_the_failing_state(source, F):
     assert type(joint) is type(first) is BlowUpError
     assert (str(joint), joint.t, joint.state) == (str(first), first.t, first.state)
     assert (first.t, first.state) == _plain_rk4_failure(F, starts[0], 1e-3)
+
+
+@pytest.mark.parametrize("x0", [(math.inf, 1.0), (0.0, math.nan)], ids=["inf-position", "nan-velocity"])
+def test_non_finite_start_fails_at_the_end_of_step_1(x0):
+    # the start is not a step end: a state that is not finite from the
+    # start fails at t = dt with the state after step 1, lone and in a pair
+    sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("-z1", {"z1"}),), b=(1.0,))
+    u = InputSignal.zero()
+    t, state = _plain_rk4_failure(lambda z: -z, x0, 1e-3)
+    assert t == 1e-3
+    lone = _raised(lambda: integrate(sys, x0, u, 2.0, 1e-3))
+    pair = _raised(lambda: integrate_many(sys, [(0.5, 0.5), x0], u, 2.0, 1e-3))
+    for err in (lone, pair):
+        assert type(err) is BlowUpError
+        assert err.t == 1e-3
+        assert repr(err.state) == repr(state)
 
 
 def _moved(x, i, d):
