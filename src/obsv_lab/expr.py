@@ -603,20 +603,13 @@ def diff(e: Expr, var: str) -> Expr:
 # along the seed directions (forward mode over the series).
 
 
-def _conv(p: list, q: list, lo: int, k: int):
-    """sum_{j=lo..k} p[j] * q[k-j]; the q entries may be tangent vectors."""
-    s = 0.0
-    for j in range(lo, k + 1):
-        s += p[j] * q[k - j]
-    return s
-
-
-def _tconv(p: list, nz: list, q: list, lo: int, k: int):
+def _conv(p: list, nz: list, q: list, lo: int, k: int):
     """sum_{j=lo..k} p[j] * q[k-j] over the orders j in ``nz``, those where p
-    is nonzero.  The sum starts at +0.0 and never becomes -0.0, so a term
-    p[j] * q[k-j] with p[j] == 0.0 and q[k-j] finite could not change its
-    bits; skipping it makes an order cost O(1) per node at an equilibrium,
-    where every coefficient above order 0 is zero."""
+    is nonzero; the q entries may be tangent vectors.  The sum starts at +0.0
+    and never becomes -0.0, so a term p[j] * q[k-j] with p[j] == 0.0 and
+    q[k-j] finite could not change its bits; skipping it makes an order cost
+    O(1) per node at an equilibrium, where every coefficient above order 0
+    is zero."""
     s = 0.0
     for j in nz:
         if j >= lo:
@@ -624,20 +617,14 @@ def _tconv(p: list, nz: list, q: list, lo: int, k: int):
     return s
 
 
-def _wconv(a: list, w: list, k: int) -> float:
-    """(1/k) sum_{j=1..k} j a[j] w[k-j]: coefficient k of c where c' = a' w."""
+def _wconv(a: list, nz: list, w: list, k: int) -> float:
+    """(1/k) sum_{j=1..k} j a[j] w[k-j] over the orders j in ``nz``, those
+    where a is nonzero: coefficient k of c where c' = a' w."""
     s = 0.0
-    for j in range(1, k + 1):
-        s += j * a[j] * w[k - j]
+    for j in nz:
+        if j:
+            s += j * a[j] * w[k - j]
     return s / k
-
-
-def _square_inner(c: list, k: int) -> float:
-    """sum_{j=1..k-1} c[j] c[k-j]: coefficient k of c^2 without its c_0 terms."""
-    s = 0.0
-    for j in range(1, k):
-        s += c[j] * c[k - j]
-    return s
 
 
 class _Node:
@@ -650,17 +637,19 @@ class _Node:
         self.a = a      # operand nodes
         self.b = b
         self.w = None   # companion series: the derivative of f in f(a)
-        self.t = None   # tangent coefficients
-        self.nz = None  # with tangents: the orders where c is nonzero
-        self.wz = None  # and where w is nonzero
+        self.t = None   # tangent coefficients, with seeds
+        self.nz = None  # the orders where c is nonzero, ascending
+        self.wz = None  # the orders where w is nonzero, ascending
 
 
 # Value rules: coefficient k >= 1 of a node from the first k+1 coefficients
 # of its operands and the first k of its own series.  Tangent rules: tangent
 # coefficient k >= 0, after every value of order k is known.  A function
 # node's tangent is its derivative series convolved with the operand's
-# tangent; ln, sqrt and / solve the same product for it.  Every tangent
-# convolution runs over the nonzero orders of its value series (_tconv).
+# tangent; ln, sqrt and / solve the same product for it.  Every convolution,
+# value or tangent, runs over the nonzero orders of its first series
+# (_conv, _wconv); while a node's value rule runs, its own nz holds only
+# its orders below k.
 
 def _zero(nd, k):
     return 0.0
@@ -679,12 +668,13 @@ def _v_sub(nd, k):
 
 
 def _v_mul(nd, k):
-    return _conv(nd.a.c, nd.b.c, 0, k)
+    a = nd.a
+    return _conv(a.c, a.nz, nd.b.c, 0, k)
 
 
 def _v_div(nd, k):
-    b = nd.b.c
-    return (nd.a.c[k] - _conv(b, nd.c, 1, k)) / b[0]
+    b = nd.b
+    return (nd.a.c[k] - _conv(b.c, b.nz, nd.c, 1, k)) / b.c[0]
 
 
 def _t_neg(nd, k):
@@ -701,12 +691,12 @@ def _t_sub(nd, k):
 
 def _t_mul(nd, k):
     a, b = nd.a, nd.b
-    return _tconv(b.c, b.nz, a.t, 0, k) + _tconv(a.c, a.nz, b.t, 0, k)
+    return _conv(b.c, b.nz, a.t, 0, k) + _conv(a.c, a.nz, b.t, 0, k)
 
 
 def _t_div(nd, k):
     b = nd.b
-    return (nd.a.t[k] - _tconv(nd.c, nd.nz, b.t, 0, k) - _tconv(b.c, b.nz, nd.t, 1, k)) / b.c[0]
+    return (nd.a.t[k] - _conv(nd.c, nd.nz, b.t, 0, k) - _conv(b.c, b.nz, nd.t, 1, k)) / b.c[0]
 
 
 _RULES = {
@@ -725,65 +715,63 @@ _RULES = {
 # one CATALOG entry per function.
 
 def _v_exp(nd, k):
-    return _wconv(nd.a.c, nd.c, k)
+    a = nd.a
+    return _wconv(a.c, a.nz, nd.c, k)
 
 
 def _t_exp(nd, k):
-    return _tconv(nd.c, nd.nz, nd.a.t, 0, k)
+    return _conv(nd.c, nd.nz, nd.a.t, 0, k)
 
 
 def _v_ln(nd, k):
-    a, c = nd.a.c, nd.c
-    s = 0.0
-    for j in range(1, k):
-        s += j * c[j] * a[k - j]
-    return (a[k] - s / k) / a[0]
+    a = nd.a.c
+    return (a[k] - _wconv(nd.c, nd.nz, a, k)) / a[0]
 
 
 def _t_ln(nd, k):
     a = nd.a
-    return (a.t[k] - _tconv(a.c, a.nz, nd.t, 1, k)) / a.c[0]
+    return (a.t[k] - _conv(a.c, a.nz, nd.t, 1, k)) / a.c[0]
 
 
 def _v_sincos(nd, k):
     # c' = a' w and w' = -a' c: sin with w = cos, cos with w = -sin
-    a = nd.a.c
-    v = _wconv(a, nd.w, k)
-    nd.w.append(-_wconv(a, nd.c, k))
+    a = nd.a
+    v = _wconv(a.c, a.nz, nd.w, k)
+    nd.w.append(-_wconv(a.c, a.nz, nd.c, k))
     return v
 
 
 def _v_tan(nd, k):
-    c = nd.c
-    v = _wconv(nd.a.c, nd.w, k)
-    nd.w.append(2.0 * c[0] * v + _square_inner(c, k))
+    a, c = nd.a, nd.c
+    v = _wconv(a.c, a.nz, nd.w, k)
+    nd.w.append(2.0 * c[0] * v + _conv(c, nd.nz, c, 1, k))
     return v
 
 
 def _v_tanh(nd, k):
-    c = nd.c
-    v = _wconv(nd.a.c, nd.w, k)
-    nd.w.append(-(2.0 * c[0] * v + _square_inner(c, k)))
+    a, c = nd.a, nd.c
+    v = _wconv(a.c, a.nz, nd.w, k)
+    nd.w.append(-(2.0 * c[0] * v + _conv(c, nd.nz, c, 1, k)))
     return v
 
 
 def _t_companion(nd, k):
     # sin, cos, tan, tanh: the derivative series is the companion w
-    return _tconv(nd.w, nd.wz, nd.a.t, 0, k)
+    return _conv(nd.w, nd.wz, nd.a.t, 0, k)
 
 
 def _v_sqrt(nd, k):
     c = nd.c
     if c[0] == 0.0:
         raise DomainError("derivative of sqrt at 0", nd.e)
-    return (nd.a.c[k] - _square_inner(c, k)) / (2.0 * c[0])
+    return (nd.a.c[k] - _conv(c, nd.nz, c, 1, k)) / (2.0 * c[0])
 
 
 def _t_sqrt(nd, k):
     c = nd.c
     if c[0] == 0.0:
         raise DomainError("derivative of sqrt at 0", nd.e)
-    return (nd.a.t[k] - 2.0 * _tconv(c, nd.nz, nd.t, 1, k)) / (2.0 * c[0])
+    return (nd.a.t[k] - 2.0 * _conv(c, nd.nz, nd.t, 1, k)) / (2.0 * c[0])
 
 
 class CatalogEntry(Frozen):
@@ -845,7 +833,9 @@ class _Tape:
 
     ``env`` gives each variable's order-0 value; its higher coefficients
     (and, with ``seeds``, its tangents) are appended by the caller before
-    each step.  ``seeds`` maps each variable to its order-0 tangent.
+    each step.  ``seeds`` maps each variable to its order-0 tangent.  Every
+    node also keeps the orders where its series c and w are nonzero (nz and
+    wz), which the convolutions of the rules run over.
     """
 
     def __init__(self, exprs, env: dict, seeds: dict | None = None):
@@ -853,37 +843,35 @@ class _Tape:
         self.inputs: dict[str, _Node] = {}
         self.nodes: list[_Node] = []
         self.roots = [self._build(e) for e in exprs]
+        for node in (*self.inputs.values(), *self.nodes):
+            node.nz = [0] if node.c[0] != 0.0 else []
+            if node.w is not None:
+                node.wz = [0] if node.w[0] != 0.0 else []
         self.tangents = seeds is not None
         if self.tangents:
             for name, node in self.inputs.items():
-                node.t, node.nz = [seeds[name]], []
+                node.t = [seeds[name]]
             for node in self.nodes:
-                node.t, node.nz = [], []
-                if node.w is not None:
-                    node.wz = []
-            self._tangents(0)
+                node.t = [node.rule[1](node, 0)]
 
     def step(self, k: int) -> None:
         """Append coefficient k of every node; the inputs must already hold theirs."""
-        for node in self.nodes:
-            try:
-                node.c.append(node.rule[0](node, k))
-            except OverflowError:
-                raise DomainError(f"overflow in Taylor coefficient {k}", node.e) from None
-        if self.tangents:
-            self._tangents(k)
-
-    def _tangents(self, k: int) -> None:
-        """Note which order-k values are nonzero, then append tangent k of every node."""
         for node in self.inputs.values():
             if node.c[k] != 0.0:
                 node.nz.append(k)
         for node in self.nodes:
-            if node.c[k] != 0.0:
+            try:
+                v = node.rule[0](node, k)
+            except OverflowError:
+                raise DomainError(f"overflow in Taylor coefficient {k}", node.e) from None
+            node.c.append(v)
+            if v != 0.0:
                 node.nz.append(k)
             if node.w is not None and node.w[k] != 0.0:
                 node.wz.append(k)
-            node.t.append(node.rule[1](node, k))
+        if self.tangents:
+            for node in self.nodes:
+                node.t.append(node.rule[1](node, k))
 
     def _build(self, e: Expr) -> _Node:
         if isinstance(e, Var):

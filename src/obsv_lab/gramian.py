@@ -11,6 +11,8 @@ a guarantee; thresholds are reported alongside every verdict.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import CascadeSystem, ControlAffineSystem, as_control_affine
@@ -72,6 +74,8 @@ def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
     Row i is the central difference [y(x0 + eps*e_i) - y(x0 - eps*e_i)] / (2 eps);
     ``secant = (i, d)`` replaces row i by the unscaled y(x0 + d*e_i) - y(x0).
     """
+    if not 0.0 < eps < math.inf:
+        raise ValueError(f"eps must be positive and finite, got {eps}")
     loop = _compile(sys)
     x0 = tuple(float(v) for v in x0)
     dim = loop.system.dim
@@ -126,8 +130,6 @@ def empirical_gramian(
     ``sys`` may also be an ``RK4Loop`` compiled for 2*dim states, which
     ``input_sweep`` reuses for all its inputs.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     return _gramian(sys, x0, u, eps, t_end, dt)
 
 

@@ -643,9 +643,9 @@ def local_rank(
     at most p*(l_max + 1) rows.  A cap ``max_words`` on the rows that stops
     the search before full rank is kept on the report.  The rows come from
     the Taylor series of the outputs along the drift flow with one tangent
-    direction per state.  Order k costs O(k) scalar operations per node for
-    the values, and one vector operation per nonzero value coefficient for
-    the tangents: O(k) per node while moving, O(1) at an equilibrium, where
+    direction per state.  Order k costs one scalar operation for the
+    values and one vector operation for the tangents per nonzero value
+    coefficient: O(k) per node while moving, O(1) at an equilibrium, where
     every coefficient above order 0 is zero.  An SVD runs only at an order
     where full rank is possible (at least ``dim`` rows, no all-zero column)
     and at the last order, so a deficient state pays for one.  A non-finite

@@ -598,6 +598,9 @@ def integrate_many(
     xs = [tuple(float(v) for v in x) for x in states]
     loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys, len(xs))
     ca = loop.system
+    for name, v in (("dt", dt), ("t_end", t_end)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < dt:

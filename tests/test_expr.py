@@ -494,6 +494,17 @@ def test_jet_of_power_with_vanishing_base():
     assert jet(e, "x", 1.0, 6) == [0.0, 0.0, 0.0, 8.0, 12.0, 6.0, 1.0]
 
 
+def test_a_zero_coefficient_times_an_infinite_one_is_skipped():
+    # exp(1e5*x) at 0 has the coefficients 1e5^k/k!, infinite from k = 89
+    # on; coefficient k of the product reads only coefficient k - 2 of them,
+    # so it stays finite: the zero coefficients of x^2 are skipped, not
+    # multiplied by inf into nan
+    c = ex.jet(ex.parse("x^2*exp(100000*x)", {"x"}), "x", 0.0, 90)
+    for k in (89, 90):
+        want = math.exp((k - 2) * math.log(1e5) - math.lgamma(k - 1))
+        assert c[k] == pytest.approx(want, rel=1e-10)
+
+
 def test_order_zero_jet_of_a_power_is_evaluate_bit_for_bit():
     # a^n is a chain of products, but its value at order 0 is evaluate's
     # base**n, which can differ from the chain's own product by an ulp

@@ -68,6 +68,15 @@ def test_gramian_validations():
         empirical_gramian(sys, (0.0, 0.0, 0.0), SIN_1HZ)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.0, -1e-4, math.inf, -math.inf, math.nan])
+def test_both_gramian_entry_points_reject_an_eps_that_is_not_positive_and_finite(eps):
+    for build in (lambda: empirical_gramian(preset("fish-1d-gauss"), (0.0, 0.0), SIN_1HZ, eps=eps),
+                  lambda: shift_comparison_gramian(preset("periodic-sin"), (0.0, 0.0), (TWO_PI,),
+                                                   SIN_1HZ, eps=eps)):
+        with pytest.raises(ValueError, match=r"^eps must be positive and finite"):
+            build()
+
+
 def test_input_sweep_puts_zero_input_last():
     inputs = [InputSignal.zero(), InputSignal.sinusoid(0.1, TWO_PI), SIN_1HZ]
     ranked = input_sweep(preset("fish-1d-gauss"), (0.0, 0.0), inputs, t_end=5.0)

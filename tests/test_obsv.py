@@ -894,12 +894,21 @@ def test_local_rank_of_a_coupled_cascade_at_rest(monkeypatch):
     assert elapsed < 3.0
 
 
-def _full_tconv(p, nz, q, lo, k):
-    # every term of the convolution, zeros included
+def _full_conv(p, nz, q, lo, k):
+    # every term of the convolution, zeros included; a rule that reads its
+    # own series p sees its orders below k only
     s = 0.0
-    for j in range(lo, k + 1):
+    for j in range(lo, min(k, len(p) - 1) + 1):
         s += p[j] * q[k - j]
     return s
+
+
+def _full_wconv(a, nz, w, k):
+    # (1/k) sum j a[j] w[k-j] over every j >= 1, as _full_conv
+    s = 0.0
+    for j in range(1, min(k, len(a) - 1) + 1):
+        s += j * a[j] * w[k - j]
+    return s / k
 
 
 @pytest.mark.parametrize("n", [1, 3, 10])
@@ -913,12 +922,38 @@ def test_local_rank_skipping_zero_terms_keeps_every_bit(monkeypatch, n, moving):
     state = [rng.uniform(-1.5, 1.5) for _ in range(n)]
     state += [rng.uniform(0.5, 1.5) if moving else 0.0 for _ in range(n)]
     fast = local_rank(sys, state)
-    monkeypatch.setattr(ex, "_tconv", _full_tconv)
+    monkeypatch.setattr(ex, "_conv", _full_conv)
+    monkeypatch.setattr(ex, "_wconv", _full_wconv)
     full = local_rank(sys, state)
     assert fast.words == full.words
     assert fast.rank == full.rank
     assert fast.gradients.tobytes() == full.gradients.tobytes()
     assert fast.singular_values.tobytes() == full.singular_values.tobytes()
+
+
+def _jet_or_error(e, x0):
+    try:
+        return repr(ex.jet(e, "x", x0, 40))
+    except ex.DomainError as err:
+        return f"DomainError: {err}"
+
+
+def test_jet_skipping_zero_terms_keeps_every_bit(monkeypatch):
+    # every value rule sums over the nonzero orders only; the jets, and
+    # the errors of those that fail, must be the full sums' bits
+    args = ("x", "x^2 - 0.5*x", "2*x^3 + x + 1")
+    gains = [f"{name}({arg})" for name in ex.CATALOG for arg in args]
+    gains += ["x/(1 + x^2)", "1/(x^2 - x)", "(x + 1)^5", "(x - 0.3)^-3", "x^5", "x^-3",
+              "sin(x)^5/(2 + cos(x))", "sqrt(x^2)*exp(-x^2)"]
+    exprs = [ex.parse(g, {"x"}) for g in gains]
+    rng = random.Random(40)
+    points = [0.0, -0.0, 1e-8] + [rng.uniform(-2.0, 2.0) for _ in range(5)]
+    fast = [_jet_or_error(e, x0) for e in exprs for x0 in points]
+    monkeypatch.setattr(ex, "_conv", _full_conv)
+    monkeypatch.setattr(ex, "_wconv", _full_wconv)
+    full = [_jet_or_error(e, x0) for e in exprs for x0 in points]
+    assert fast == full
+    assert sum(r.startswith("DomainError") for r in full) >= 10
 
 
 @pytest.mark.parametrize("bounds", [{"l_max": -1}, {"max_words": 0}, {"max_words": -2}])

@@ -148,6 +148,16 @@ def test_integrate_validations():
         integrate(two_input, (0.0, 0.0), InputSignal.zero(), 1.0, 1e-3)
 
 
+@pytest.mark.parametrize("name, t_end, dt", [
+    ("t_end", math.inf, 1e-3), ("t_end", math.nan, 1e-3), ("t_end", -math.inf, 1e-3),
+    ("dt", 1.0, math.inf), ("dt", 1.0, math.nan), ("dt", 1.0, -math.inf),
+])
+def test_integrate_many_rejects_a_time_that_is_not_finite(name, t_end, dt):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite"):
+        integrate_many(preset("fish-1d-gauss"), [(0.0, 0.0), (0.0, 1.0)], InputSignal.zero(),
+                       t_end, dt)
+
+
 def test_quadratic_growth_blows_up():
     sys = CascadeSystem(
         n=1,
