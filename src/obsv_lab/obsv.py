@@ -28,8 +28,7 @@ from .record import Record
 PER_TOL_DEFAULT = 1e-8     # relative jet gap a probe must exceed to show a gain is not constant
 SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
 RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest count as zero
-WINDOW_DEFAULT = (-20.0, 20.0)
-GRID_DEFAULT = 4096
+WINDOW_DEFAULT = (-20.0, 20.0)  # the probe draws its points from the middle half
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio: probe stride
 
 CLASS_PERIODIC = "periodic"
@@ -129,57 +128,6 @@ def word_lglflg(i: int, k: int) -> ObservableWord:
 # Periodicity detection.  See detect_period for the rules.
 
 
-def _sample_gain(gamma: Expr, window: tuple[float, float], grid: int):
-    """(xs, vals, fn_np, scale): ``grid`` points of ``window``, the gain
-    there, its numpy-compiled form, and max(1, max|gamma|), the scale of
-    every shift residual.
-
-    A non-finite sample (a pole, a log of a non-positive value, an overflow)
-    raises DomainError: the first such point is re-evaluated through the
-    tree walker, which names the culprit subexpression.
-    """
-    lo, hi = float(window[0]), float(window[1])
-    if not hi > lo:
-        raise ValueError(f"empty sampling window {window}")
-    if grid < 64:
-        raise ValueError(f"grid must be at least 64, got {grid}")
-    xs = np.linspace(lo, hi, grid)
-    fn_np = ex.compile_vector((gamma,), (GAMMA_VAR,), np)
-    try:
-        with np.errstate(all="ignore"):
-            vals = np.broadcast_to(fn_np(xs)[0], xs.shape)  # a constant gain gives one float
-    except ArithmeticError:
-        # a constant subexpression such as 1/0 fails in plain floats, at every point
-        vals = np.full(xs.shape, np.nan)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    if bad.size:
-        x = float(xs[bad[0]])
-        ex.evaluate(gamma, {GAMMA_VAR: x})
-        raise ex.DomainError(f"non-finite value at {GAMMA_VAR} = {x!r}", gamma)
-    return xs, vals, fn_np, max(1.0, float(np.max(np.abs(vals))))
-
-
-def _shift_residuals(fn_np, xs: np.ndarray, base: np.ndarray, shifts, scale: float) -> np.ndarray:
-    """max|gamma(x + T) - gamma(x)| / scale over ``xs`` for each shift T,
-    inf where a shifted sample is not finite; one evaluation for all shifts."""
-    shifted = xs + np.asarray(shifts)[:, None]
-    with np.errstate(all="ignore"):
-        d = np.abs(np.broadcast_to(fn_np(shifted)[0], shifted.shape) - base)  # a constant gain gives one float
-    return np.where(np.isfinite(d).all(axis=1), d.max(axis=1), np.inf) / scale
-
-
-def _first_jet_mismatch(gamma: Expr, r: float, s: float, k_last: int, tol: float):
-    """First order k <= k_last where the derivative jets at r and s differ, or None."""
-    jr = ex.Jet((gamma,), (GAMMA_VAR,), (r,), k_max=k_last)
-    js = ex.Jet((gamma,), (GAMMA_VAR,), (s,), k_max=k_last)
-    for k in range(k_last + 1):
-        a = jr.derivative(0, k)
-        b = js.derivative(0, k)
-        if abs(a - b) > tol * (1.0 + max(abs(a), abs(b))):
-            return {"k": k, "lhs": float(a), "rhs": float(b)}
-    return None
-
-
 def _probe_points(seed: int, count: int, lo: float, hi: float) -> list[float]:
     """``count`` points of the additive golden-ratio sequence (Weyl), started
     at ``seed``, in [lo, hi]: deterministic and evenly spread, without the
@@ -187,7 +135,8 @@ def _probe_points(seed: int, count: int, lo: float, hi: float) -> list[float]:
     return [lo + (hi - lo) * ((seed + k) * _INV_PHI % 1.0) for k in range(1, count + 1)]
 
 
-_UNKNOWN = (-math.inf, math.inf)
+_REALS = (-math.inf, math.inf)
+_UNKNOWN = (*_REALS, False)
 Q_MAX = 64  # largest denominator of a frequency ratio
 
 
@@ -206,17 +155,25 @@ def _has_trig_of_x(e: Expr) -> bool:
     return any(_has_trig_of_x(c) for c in ex.children(e))
 
 
+def _positive(a) -> bool:
+    return a[0] > 0.0 or (a[0] == 0.0 and a[2])
+
+
 def _mul_bounds(a, b):
     ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
     if any(math.isnan(p) for p in ps):  # 0 * inf: nothing known
         return _UNKNOWN
-    return min(ps), max(ps)
+    lo = min(ps)
+    return lo, max(ps), lo == 0.0 and _positive(a) and _positive(b)
 
 
 def _recip_bounds(a):
+    if _positive(a):  # so 1/a > 0; a bound 0 (an underflow, or a tail's 0+) gives inf
+        lo, hi = (1.0 / v if v else math.inf for v in (a[1], a[0]))
+        return lo, hi, a[1] == math.inf  # 1/a > 1/inf
     if a[0] <= 0.0 <= a[1]:
         return _UNKNOWN
-    return 1.0 / a[1], 1.0 / a[0]
+    return 1.0 / a[1], 1.0 / a[0], False
 
 
 def _pow_bound(v: float, n: int) -> float:
@@ -231,45 +188,69 @@ def _monotone_bound(f, v: float) -> float:
         return f(v)
     except OverflowError:  # exp of a large bound
         return math.inf
+    except ValueError:  # ln(0)
+        return -math.inf
 
 
-def _tail_bounds(e: Expr, end: float) -> tuple[float, float]:
-    """Bounds lo <= liminf and limsup <= hi of ``e`` as x tends to ``end``
-    (+inf or -inf), in the extended reals; lo == hi is the limit."""
+def _in_domain(f: ex.CatalogEntry, a) -> bool:
+    return f.domain[0](a[0]) or _positive(a)  # a positive value passes ln's and sqrt's test
+
+
+def _bounds(e: Expr, x: tuple[float, float]) -> tuple[float, float, bool]:
+    """Interval bounds (lo, hi, strict) on ``e`` for x in ``x`` where ``e``
+    is defined, in the extended reals (Moore, Interval Analysis, 1966).
+
+    Over all of R, ``x`` is (-inf, inf): lo <= e <= hi, and e > lo when
+    ``strict``, so exp(u) > 0.  At a tail, ``x`` is (end, end) for x tending
+    to +inf or -inf: lo <= liminf, limsup <= hi, and lo == hi is the limit;
+    ``strict`` then says that e > lo for x near the end."""
     if isinstance(e, ex.Const):
-        return e.value, e.value
+        return e.value, e.value, False
     if isinstance(e, ex.Var):
-        return end, end
+        return x[0], x[1], False
     if isinstance(e, ex.Neg):
-        lo, hi = _tail_bounds(e.arg, end)
-        return -hi, -lo
+        lo, hi, _ = _bounds(e.arg, x)
+        return -hi, -lo, False
     if isinstance(e, (ex.Add, ex.Sub)):
-        a = _tail_bounds(e.left, end)
-        b = _tail_bounds(e.right, end)
+        a = _bounds(e.left, x)
+        b = _bounds(e.right, x)
         if isinstance(e, ex.Sub):
-            b = (-b[1], -b[0])
+            b = (-b[1], -b[0], False)
         lo, hi = a[0] + b[0], a[1] + b[1]  # inf - inf is nan: nothing known
-        return (-math.inf if math.isnan(lo) else lo), (math.inf if math.isnan(hi) else hi)
+        # over R, a > a.lo and b >= b.lo give a + b > lo; at a tail, b may dip below b.lo
+        strict = (a[2] or b[2]) if x[0] < x[1] else (a[2] and b[2])
+        return (-math.inf if math.isnan(lo) else lo), (math.inf if math.isnan(hi) else hi), strict
     if isinstance(e, ex.Mul):
-        return _mul_bounds(_tail_bounds(e.left, end), _tail_bounds(e.right, end))
+        return _mul_bounds(_bounds(e.left, x), _bounds(e.right, x))
     if isinstance(e, ex.Div):
-        return _mul_bounds(_tail_bounds(e.left, end), _recip_bounds(_tail_bounds(e.right, end)))
+        return _mul_bounds(_bounds(e.left, x), _recip_bounds(_bounds(e.right, x)))
     if isinstance(e, ex.Pow):
-        lo, hi = _tail_bounds(e.base, end)
+        lo, hi, _ = base = _bounds(e.base, x)
         n = abs(e.exponent)
         a, b = _pow_bound(lo, n), _pow_bound(hi, n)
         r = (0.0, max(a, b)) if n % 2 == 0 and lo < 0.0 < hi else (min(a, b), max(a, b))
+        r = (*r, r[0] == 0.0 and _positive(base))
         return _recip_bounds(r) if e.exponent < 0 else r
-    lo, hi = _tail_bounds(e.arg, end)
+    u = _bounds(e.arg, x)
     f = ex.CATALOG[e.name]
-    if f.domain is not None and not f.domain[0](lo):
+    if f.domain is not None and not _in_domain(f, u):
         return _UNKNOWN  # possibly outside the domain
-    if f.tail is None:  # increasing
-        return _monotone_bound(f.value, lo), _monotone_bound(f.value, hi)
-    if lo == hi and math.isfinite(lo):
-        v = f.value(lo)
-        return v, v
-    return f.tail
+    if f.tail is None:  # increasing: f(u) > f(lo) where u > lo, and lo = -inf is never reached
+        return _monotone_bound(f.value, u[0]), _monotone_bound(f.value, u[1]), u[2] or u[0] == -math.inf
+    if u[0] == u[1] and math.isfinite(u[0]):
+        v = f.value(u[0])
+        return v, v, False
+    return (*f.tail, False)
+
+
+def _unproven_domain(e: Expr) -> tuple[Expr, tuple] | None:
+    """The first ln or sqrt node of ``e`` whose argument ``_bounds`` over R
+    does not prove inside its domain, with those bounds; else None."""
+    if isinstance(e, ex.Func) and ex.CATALOG[e.name].domain is not None:
+        a = _bounds(e.arg, _REALS)
+        if not _in_domain(ex.CATALOG[e.name], a):
+            return e, a
+    return next(filter(None, map(_unproven_domain, ex.children(e))), None)
 
 
 def _linear(e: Expr) -> float | None:
@@ -396,34 +377,54 @@ def _half_shift(e: Expr, fits: dict, m: int) -> int | None:
 
 
 def _probe(gamma: Expr, seed: int, lo: float, hi: float, k_max: int, per_tol: float) -> dict | None:
-    """Two points whose derivative jets differ, which shows the gain is not
-    constant, or None when three pairs of probe points show no difference."""
+    """Two points whose derivative jets differ at an order k <= k_max, which
+    shows the gain is not constant, or None when three pairs of probe points
+    show no difference."""
     pts = _probe_points(seed, 6, lo / 2, hi / 2)
     for r, s in zip(pts[::2], pts[1::2]):
         r, s = min(r, s), max(r, s)
-        hit = _first_jet_mismatch(gamma, r, s, k_max, per_tol)
-        if hit is not None:
-            return {"r": float(r), "s": float(s), **hit}
+        jr = ex.Jet((gamma,), (GAMMA_VAR,), (r,), k_max=k_max)
+        js = ex.Jet((gamma,), (GAMMA_VAR,), (s,), k_max=k_max)
+        for k in range(k_max + 1):
+            a, b = jr.derivative(0, k), js.derivative(0, k)
+            if abs(a - b) > per_tol * (1.0 + max(abs(a), abs(b))):
+                return {"r": float(r), "s": float(s), "k": k, "lhs": float(a), "rhs": float(b)}
     return None
+
+
+def _check_args(window, k_max: int, **tols: float) -> tuple[float, float]:
+    """The probe window as floats; ValueError unless it is finite with lo <
+    hi, each tolerance is finite and positive, and k_max is at least 0."""
+    lo, hi = (float(v) for v in window)
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"window must be finite with lo < hi, got {tuple(window)}")
+    for name, v in tols.items():
+        if not 0.0 < v < math.inf:  # false for nan too
+            raise ValueError(f"{name} must be finite and positive, got {v!r}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be at least 0, got {k_max}")
+    return lo, hi
 
 
 def detect_period(
     gamma: Expr,
     window: tuple[float, float] = WINDOW_DEFAULT,
-    grid: int = GRID_DEFAULT,
     per_tol: float = PER_TOL_DEFAULT,
     k_max: int = K_MAX_DEFAULT,
     seed: int = 0,
-    samples=None,
 ) -> PeriodicityVerdict:
     """Classify a scalar gain on all of R as periodic, aperiodic, or undetermined.
 
-    The gain is first sampled on ``grid`` points of ``window``: a
-    non-finite sample raises DomainError.  The samples decide nothing
-    else; every verdict comes from the expression tree.  A gain whose tree
-    is free of x is constant (periodic, period None).  Otherwise the first
-    rule that applies decides, and ``evidence["rule"]`` names it:
+    Every verdict comes from the expression tree.  A gain whose tree is
+    free of x is constant (periodic, period None); it is evaluated once, so
+    a constant that fails raises DomainError.  Otherwise the first rule
+    that applies decides, and ``evidence["rule"]`` names it:
 
+    - ``domain``: interval bounds (see ``_bounds``) do not prove a ln
+      argument > 0 or a sqrt argument >= 0 on all of R, so the gain may be
+      undefined somewhere: undetermined.  ``evidence["domain"]`` gives the
+      node and its argument's bounds.  Divisors and tan need no
+      proof: a non-constant analytic divisor vanishes only at isolated points.
     - ``log-exp``: no sin/cos/tan has an x-dependent argument.  The gain is
       then a Hardy L-function, eventually monotone (Hardy, Orders of
       Infinity, 1910), so it is aperiodic.
@@ -441,29 +442,33 @@ def detect_period(
       period, not always the least (``cos(x)^4 + sin(x)^4`` gives pi).
 
     Any other gain is undetermined (rule ``none``).  ``evidence["candidates"]``
-    lists each candidate P with its shift residual
-    max|gamma(x + P) - gamma(x)| / scale on the grid, which is evidence
-    only: it gates no verdict.
+    lists each candidate P.
 
-    ``log-exp`` and ``limit`` verdicts carry a probe, two points whose jets
-    differ by more than ``per_tol`` up to order ``k_max``; without one they
-    degrade to undetermined.
-
-    ``samples`` is ``_sample_gain(gamma, window, grid)``, if the caller has it.
+    ``log-exp`` and ``limit`` verdicts carry a probe, two points of the
+    middle half of ``window`` whose jets differ by more than ``per_tol`` up
+    to order ``k_max``; without one they degrade to undetermined.  A window
+    that is not finite with lo < hi, a ``per_tol`` that is not finite and
+    positive, or a negative ``k_max`` raises ValueError.
     """
-    xs, vals, fn_np, scale = samples or _sample_gain(gamma, window, grid)
-    lo, hi = float(window[0]), float(window[1])
-    evidence: dict = {"window": [lo, hi], "samples": grid, "scale": scale}
+    lo, hi = _check_args(window, k_max, per_tol=per_tol)
+    evidence: dict = {"window": [lo, hi]}
 
     if not _has_x(gamma):
+        ex.evaluate(gamma, {})
         evidence.update(rule="constant", constant=True)
         return PeriodicityVerdict(CLASS_PERIODIC, None, evidence)
+
+    unproven = _unproven_domain(gamma)
+    if unproven is not None:
+        node, (a, b, _) = unproven
+        evidence.update(rule="domain", domain={"node": str(node), "bounds": [a, b]})
+        return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
 
     if not _has_trig_of_x(gamma):
         evidence["rule"] = "log-exp"
     else:
         for end in (math.inf, -math.inf):
-            a, b = _tail_bounds(gamma, end)
+            a, b, _ = _bounds(gamma, (end, end))
             if a == b:
                 evidence.update(rule="limit", limit={"x": end, "value": a})
                 break
@@ -474,30 +479,25 @@ def detect_period(
         return PeriodicityVerdict(CLASS_APERIODIC, None, evidence)
 
     periods, fits = _lcm_period(gamma)
-    residuals = _shift_residuals(fn_np, xs, vals, periods, scale)
-    candidates = [{"period": P, "residual": float(r)} for P, r in zip(periods, residuals)]
     if fits is None:
-        evidence.update(rule="none", candidates=candidates)
+        evidence.update(rule="none", candidates=periods)
         return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
     m = 1  # past the largest fit every term shows neither, so the walk stops
     while _half_shift(gamma, fits, m) == 1:
         m *= 2
-    evidence.update(rule="periodic", lcm_period=periods[0], candidates=candidates)
+    evidence.update(rule="periodic", lcm_period=periods[0], candidates=periods)
     return PeriodicityVerdict(CLASS_PERIODIC, periods[0] / m, evidence)
 
 
 def is_aperiodic_system(
     sys: CascadeSystem,
     window: tuple[float, float] = WINDOW_DEFAULT,
-    grid: int = GRID_DEFAULT,
     per_tol: float = PER_TOL_DEFAULT,
     k_max: int = K_MAX_DEFAULT,
     seed: int = 0,
 ) -> SystemPeriodicityReport:
     """Observability verdict for the whole cascade: every gain must be aperiodic."""
-    verdicts = tuple(
-        detect_period(g, window, grid, per_tol, k_max, seed) for g in sys.gamma
-    )
+    verdicts = tuple(detect_period(g, window, per_tol, k_max, seed) for g in sys.gamma)
     if any(v.classification == CLASS_PERIODIC for v in verdicts):
         overall = "not-observable"
     elif all(v.classification == CLASS_APERIODIC for v in verdicts):
@@ -534,7 +534,6 @@ def find_separating_observable(
     sep_tol: float = SEP_TOL_DEFAULT,
     per_tol: float = PER_TOL_DEFAULT,
     window: tuple[float, float] = WINDOW_DEFAULT,
-    grid: int = GRID_DEFAULT,
     seed: int = 0,
 ) -> SeparationCertificate:
     """Search for an observable word whose value splits the two states.
@@ -544,8 +543,11 @@ def find_separating_observable(
     that agree in every velocity and gain value are indistinguishable by the
     explicit shift construction when each moved position moves by a whole
     multiple of the period ``detect_period`` finds for its gain, or its gain
-    is constant: the only pairs no input tells apart.
+    is constant: the only pairs no input tells apart; ``bounds["shifts"]`` then
+    gives each moved block's shift and period.  Arguments are checked as in
+    ``detect_period``, and ``sep_tol`` as ``per_tol``.
     """
+    _check_args(window, k_max, per_tol=per_tol, sep_tol=sep_tol)
     n = sys.n
     s0 = tuple(float(v) for v in s0)
     s1 = tuple(float(v) for v in s1)
@@ -597,15 +599,12 @@ def find_separating_observable(
             gamma = sys.gamma[i - 1]
             delta = x1[i - 1] - x0[i - 1]
             try:
-                samples = _sample_gain(gamma, window, grid)
-                verdict = detect_period(gamma, window, grid, per_tol, k_max, seed, samples=samples)
-            except ex.DomainError:
+                verdict = detect_period(gamma, window, per_tol, k_max, seed)
+            except ex.DomainError:  # the probe cannot evaluate the gain
                 break
             if not _whole_periods(verdict, delta):
                 break
-            xs, vals, fn_np, scale = samples
-            residual = float(_shift_residuals(fn_np, xs, vals, [delta], scale)[0])
-            shifts[f"block_{i}"] = {"shift": delta, "residual": residual}
+            shifts[f"block_{i}"] = {"shift": delta, "period": verdict.period}
         else:
             bounds["shifts"] = shifts
             return SeparationCertificate(VERDICT_SHIFT, None, None, None, bounds)

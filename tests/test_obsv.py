@@ -1,7 +1,6 @@
 import math
 import random
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from obsv_lab.obsv import (
     CLASS_APERIODIC,
     CLASS_PERIODIC,
     CLASS_UNDETERMINED,
-    PER_TOL_DEFAULT,
     SEP_TOL_DEFAULT,
     VERDICT_SEPARATED,
     VERDICT_SHIFT,
@@ -137,13 +135,9 @@ def test_detect_period_faster_sine():
     assert abs(v.period - math.pi) <= 1e-6
 
 
-def test_detect_period_reports_residual_below_tol():
-    # the shift residual of the candidate is evidence, reported beside the
-    # verdict; it gates nothing (see the pole samples below)
+def test_detect_period_reports_its_candidate():
     v = detect_period(ex.parse("sin(x)", {"x"}))
-    [candidate] = v.evidence["candidates"]
-    assert candidate["period"] == v.evidence["lcm_period"] == v.period
-    assert candidate["residual"] <= PER_TOL_DEFAULT
+    assert v.evidence["candidates"] == [v.evidence["lcm_period"]] == [v.period]
 
 
 def test_detect_period_constant_gain():
@@ -174,33 +168,129 @@ def test_detect_period_linear_gain_is_aperiodic():
 
 
 def test_detect_period_rejects_bad_window():
-    with pytest.raises(ValueError):
-        detect_period(ex.parse("sin(x)", {"x"}), window=(2.0, 2.0))
-    with pytest.raises(ValueError):
-        detect_period(ex.parse("sin(x)", {"x"}), grid=10)
+    # the window sets the probe's range, so it must be a finite stretch
+    for window in ((2.0, 2.0), (3.0, -3.0), (0.0, math.nan), (-20.0, math.inf)):
+        with pytest.raises(ValueError, match="window"):
+            detect_period(ex.parse("sin(x)", {"x"}), window=window)
+
+
+def test_an_infinite_window_is_rejected():
+    # the probe would draw its points from (-inf, inf), where x is nan
+    sys = cascade_1d("exp(-x^2)")
+    window = (-math.inf, math.inf)
+    for call in (lambda: detect_period(sys.gamma[0], window=window),
+                 lambda: is_aperiodic_system(sys, window=window),
+                 lambda: find_separating_observable(sys, (0.0, 1.0), (1e-12, 1.0), window=window)):
+        with pytest.raises(ValueError, match=r"window must be finite with lo < hi"):
+            call()
+
+
+def test_a_per_tol_that_is_not_positive_is_rejected():
+    # with per_tol = 0 the probe takes roundoff for a jet gap, and a gain
+    # equal to 1 would be called aperiodic
+    gamma = ex.parse("(x + 1)^2 - x^2 - 2*x", {"x"})
+    assert detect_period(gamma).classification == CLASS_UNDETERMINED
+    for per_tol in (0.0, -1e-8, math.nan, math.inf):
+        with pytest.raises(ValueError, match="per_tol must be finite and positive"):
+            detect_period(gamma, per_tol=per_tol)
+        with pytest.raises(ValueError, match="per_tol"):
+            is_aperiodic_system(cascade_1d("sin(x)"), per_tol=per_tol)
+    with pytest.raises(ValueError, match="k_max must be at least 0"):
+        detect_period(gamma, k_max=-1)
+
+
+def test_a_sep_tol_that_is_not_positive_is_rejected():
+    # with sep_tol = 0 the roundoff of sin at 2*pi (-2.4e-16) would separate
+    # two states a whole period apart, which no input tells apart
+    sys = preset("periodic-sin")
+    s0, s1 = (0.0, 1.0), (TWO_PI, 1.0)
+    assert find_separating_observable(sys, s0, s1).verdict == VERDICT_SHIFT
+    for sep_tol in (0.0, -1e-9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sep_tol must be finite and positive"):
+            find_separating_observable(sys, s0, s1, sep_tol=sep_tol)
+    with pytest.raises(ValueError, match="k_max must be at least 0"):
+        find_separating_observable(sys, s0, s1, k_max=-1)
 
 
 def test_detect_period_domain_error_propagates():
-    with pytest.raises(ex.DomainError):
-        detect_period(ex.parse("ln(x)", {"x"}), window=(-1.0, 1.0), grid=64)
-
-
-def test_pole_on_a_grid_point_is_a_domain_error():
-    # x = -20 is the first grid point of the default window
-    gamma = ex.parse("1/(x + 20)", {"x"})
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ex.DomainError, match=r"division by zero in 1/\(x \+ 20\)"):
-            detect_period(gamma)
-        # equal gain values to roundoff reach the shift step, which builds no
-        # construction from a gain it cannot sample, and the scan runs
-        cert = find_separating_observable(cascade_1d("1/(x + 20)"), (0.0, 1.0), (1e-12, 1.0))
-        assert cert.verdict != VERDICT_SHIFT
-        assert "shifts" not in cert.bounds
-    assert detect_period(ex.parse("1/(x + 2.5)", {"x"})).classification == CLASS_APERIODIC
-    # parse rejects a constant that fails; a tree built in code keeps it symbolic
+    # parse rejects a constant that fails; a tree built in code keeps it
+    # symbolic.  A tree free of x is evaluated once, and the probe's jets
+    # evaluate the constant beside x
+    with pytest.raises(ex.DomainError, match=r"^division by zero in 1/0$"):
+        detect_period(ex.div(ex.const(1.0), ex.const(0.0)))
     with pytest.raises(ex.DomainError, match=r"^division by zero in 1/0$"):
         detect_period(ex.add(ex.Var("x"), ex.div(ex.const(1.0), ex.const(0.0))))
+    # the argument's bounds underflow to (0, 0), strictly positive, so the
+    # domain is proven; the probe's jets then divide by the underflowed 0
+    with pytest.raises(ex.DomainError, match=r"^division by zero in 1/exp\(-x\^2 - 1000\)$"):
+        detect_period(ex.parse("ln(1/exp(-x^2 - 1000))", {"x"}))
+
+
+def test_a_pole_is_no_domain_fault():
+    # a non-constant analytic divisor vanishes only at isolated points, so
+    # where its pole lies decides nothing; nor does an overflow away from
+    # the probe points
+    for src in ("1/(x + 20)", "1/(x + 2.5)", "1/(x - 0.0013)", "exp(exp(x))"):
+        v = detect_period(ex.parse(src, {"x"}))
+        assert (v.classification, v.evidence["rule"]) == (CLASS_APERIODIC, "log-exp"), src
+    # equal gain values to roundoff reach the shift step; no shift is a
+    # period of an aperiodic gain, so the scan runs
+    cert = find_separating_observable(cascade_1d("1/(x + 20)"), (0.0, 1.0), (1e-12, 1.0))
+    assert cert.verdict != VERDICT_SHIFT
+    assert "shifts" not in cert.bounds
+
+
+def _domain_args(e):
+    # (name, argument) of every ln and sqrt node of the tree
+    own = [(e.name, e.arg)] if isinstance(e, ex.Func) and e.name in ("ln", "sqrt") else []
+    return own + [a for c in ex.children(e) for a in _domain_args(c)]
+
+
+def _sympy_violations(name, arg):
+    # the real x where the argument leaves the domain, by sympy's solveset
+    x = sympy.Symbol("x", real=True)
+    a = sympy.sympify(str(arg).replace("^", "**").replace("ln(", "log("), locals={"x": x})
+    return sympy.solveset(a <= 0 if name == "ln" else a < 0, x, sympy.S.Reals)
+
+
+# gains whose every ln and sqrt argument the interval bounds prove inside
+# the domain on all of R, strict bounds included (exp(u) > 0)
+DOMAIN_PROVEN = [
+    "ln(x^2 + 1)", "ln(2 + cos(x))", "sin(x) + ln(exp(x))", "sqrt(exp(-x^2))", "sqrt(x^2)",
+    "ln(1 + exp(x))", "ln(1 + tanh(x))", "ln(exp(x) + x^2)", "ln(1/(1 + x^2))", "ln(2*exp(x))",
+    "ln(exp(x)^2)", "sqrt(x^4 + x^2)", "ln(1 + sin(x)^2)", "sin(ln(exp(x)))",
+]
+# gains undefined somewhere on R: a true fault, whatever the window
+DOMAIN_FAULTS = ["ln(x)", "sqrt(x)", "ln(x^2 - 1)", "ln(x^2 - 1e-6)", "ln(-1 - x^2)",
+                 "sin(exp(ln(x^2)/2))"]
+
+
+@pytest.mark.parametrize("src", DOMAIN_PROVEN)
+def test_proven_domains_match_sympy(src):
+    gamma = ex.parse(src, {"x"})
+    assert detect_period(gamma).evidence["rule"] != "domain"
+    args = _domain_args(gamma)
+    assert args
+    for name, arg in args:
+        assert _sympy_violations(name, arg) == sympy.S.EmptySet, (src, str(arg))
+
+
+@pytest.mark.parametrize("src", DOMAIN_FAULTS)
+def test_an_unproven_domain_is_undetermined(src):
+    v = detect_period(ex.parse(src, {"x"}))
+    assert (v.classification, v.period, v.evidence["rule"]) == (CLASS_UNDETERMINED, None, "domain")
+    node = ex.parse(v.evidence["domain"]["node"], {"x"})
+    assert _sympy_violations(node.name, node.arg) != sympy.S.EmptySet, src
+
+
+def test_a_domain_the_bounds_cannot_prove_is_undetermined():
+    # 1.1 + sin(x)*cos(x) + 0.5*sin(x) stays above 0.2, but the interval
+    # bounds treat its three trig factors as independent: no claim is made
+    v = detect_period(ex.parse("ln(1.1 + sin(x)*cos(x) + 0.5*sin(x))", {"x"}))
+    assert (v.classification, v.evidence["rule"]) == (CLASS_UNDETERMINED, "domain")
+    lo, hi = v.evidence["domain"]["bounds"]
+    assert lo == pytest.approx(-0.4, abs=1e-12)
+    assert hi == pytest.approx(2.6, abs=1e-12)
 
 
 # closed-form periods: each form in sin, cos, exp(sin) and 1/(2 + cos) of
@@ -227,9 +317,8 @@ def test_detect_period_aperiodic_pool(src):
     assert v.period is None
 
 
-# periods far longer than the sampling window, and a gain with poles: the
-# tree decides them, where a window search cannot (20*pi > 40) or the pole
-# samples swamp the shift residual
+# periods far longer than the probe window, and a gain with poles: the
+# tree decides them, where a window search cannot (20*pi > 40)
 LONG_PERIODS = [
     ("sin(x/10)", 20.0 * math.pi),
     ("cos(0.1*x) + 0.5", 20.0 * math.pi),
@@ -298,19 +387,19 @@ def test_arguments_affine_after_cancellation_have_their_period(src, period):
 @pytest.mark.parametrize("src", [
     "sin(x^2)", "x*sin(x)", "sin(x) + sin(sqrt(2)*x)", "sin(x)*tanh(x)", "exp(x^2)*sin(x)",
     # affine around the probe points, but not on all of R: sqrt(x^2) is |x|
-    "sin(sqrt(x^2))", "sin(x + sqrt(x^2))", "tan(x + sqrt(x^2))", "sin(exp(ln(x^2)/2))",
+    "sin(sqrt(x^2))", "sin(x + sqrt(x^2))", "tan(x + sqrt(x^2))",
     # affine to roundoff away from a flat bump
     "sin(x + exp(-x^8))", "sin(x/10 + exp(-(x - 50)^8))",
-    # x outside the terms: the residual of 20*pi passes on the window,
-    # which does not reach the bump at 30, and decides nothing
+    # x outside the terms: a period of 20*pi holds on the window, which
+    # does not reach the bump at 30, and decides nothing
     "sin(x/10) + exp(-(x - 30)^2)",
 ])
 def test_gains_no_rule_decides_are_undetermined(src):
-    # aperiodic, but no rule proves it; each candidate carries its residual
+    # aperiodic, but no rule proves it; the candidates are listed
     v = detect_period(ex.parse(src, {"x"}))
     assert v.classification == CLASS_UNDETERMINED
     assert v.evidence["rule"] == "none"
-    assert all(set(c) == {"period", "residual"} for c in v.evidence["candidates"])
+    assert all(type(c) is float for c in v.evidence["candidates"])
 
 
 def _bench_kind_gains(rng: random.Random):
@@ -397,15 +486,13 @@ def test_lcm_of_the_term_periods(src, period):
     assert fits is None or all(type(n) is int and n >= 1 for n in fits.values())
 
 
-def test_pole_samples_leave_the_period_to_the_tree():
-    # a pole within roundoff of a grid point swamps the shift residual at
-    # every shift; the residual is evidence only, and the tree gives the
-    # period, halved by the parity walk for the square
-    c = repr(math.pi / 2 - float(np.linspace(-20.0, 20.0, 4096)[2048]))
+def test_poles_leave_the_period_to_the_tree():
+    # poles decide nothing: the tree gives the period, halved by the parity
+    # walk for the square
+    c = "1.5659123219108917"  # a pole at x = 0.0048840048840048
     for src, period in ((f"tan(x + {c})", math.pi), (f"1/cos(x + {c})", TWO_PI),
                         (f"1/cos(x + {c})^2", math.pi)):
         v = detect_period(ex.parse(src, {"x"}))
-        assert v.evidence["candidates"][0]["residual"] > PER_TOL_DEFAULT
         assert v.classification == CLASS_PERIODIC
         assert abs(v.period - period) <= 1e-12
 
@@ -466,18 +553,19 @@ TAIL_CASES = [
     "sin(exp(x))", "exp(x)*sin(x)", "ln(1 + exp(x))", "cos(1/(x^2 + 1))",
     "exp(-x)*cos(3*x) + 1/x", "(x + 1)^3 + cos(x)", "(x^2 + 1)/(3*x^2 - x)", "x*sin(x)",
     "sin(x)^2 + 1/x", "x - x/2", "sqrt(x^2 + 1) - x", "tan(1/x) + 2", "1/(1 + 2*sin(x))",
+    "sin(x) + 1/exp(-x^2)",  # the reciprocal of a bound (0, 0) that is strictly positive
 ]
 
 
 def test_tail_limits_match_sympy():
-    from obsv_lab.obsv import _tail_bounds
+    from obsv_lab.obsv import _bounds
 
     x = sympy.Symbol("x", real=True)
     claimed = 0
     for src in TAIL_CASES:
         f = sympy.sympify(src.replace("^", "**").replace("ln(", "log("), locals={"x": x})
         for end, s_end in ((math.inf, sympy.oo), (-math.inf, -sympy.oo)):
-            lo, hi = _tail_bounds(ex.parse(src, {"x"}), end)
+            lo, hi, _ = _bounds(ex.parse(src, {"x"}), (end, end))
             assert lo <= hi, (src, end)
             if lo == hi:
                 limit = sympy.limit(f, x, s_end)
@@ -501,13 +589,15 @@ def test_tail_cases_cover_the_catalog():
     "ln(1.1 + sin(x)*cos(x) + 0.5*sin(x))",  # periodic, > 0.2, interval bound below 0
     "x*sin(x)",
     "sin(x^2)",
+    # at -inf the divisor e^x*(1 + 2*sin(x)) tends to 0 from both sides
+    "1/(exp(x) + 2*sin(x)*exp(x))",
 ])
 def test_tail_bounds_claim_no_limit_that_does_not_exist(src):
     # sympy's limit says 0 for the first two, so these are checked by hand
-    from obsv_lab.obsv import _tail_bounds
+    from obsv_lab.obsv import _bounds
 
     for end in (math.inf, -math.inf):
-        lo, hi = _tail_bounds(ex.parse(src, {"x"}), end)
+        lo, hi, _ = _bounds(ex.parse(src, {"x"}), (end, end))
         assert lo < hi, (src, end)
 
 
@@ -611,7 +701,8 @@ def test_separation_periodic_shift_is_certified_indistinguishable():
     cert = find_separating_observable(sys, (0.0, 0.5), (TWO_PI, 0.5))
     assert cert.verdict == VERDICT_SHIFT
     assert cert.witness is None
-    assert "shifts" in cert.bounds
+    # each moved block gives its shift and the gain's proven period
+    assert cert.bounds["shifts"] == {"block_1": {"shift": TWO_PI, "period": TWO_PI}}
 
 
 def test_separation_shifted_position_with_different_velocity_still_splits():
@@ -622,9 +713,10 @@ def test_separation_shifted_position_with_different_velocity_still_splits():
 
 
 def test_separation_constant_gain_shift_is_indistinguishable():
-    # every shift is a period of a constant gain; its samples are one float
+    # every shift is a period of a constant gain, which has no period
     cert = find_separating_observable(cascade_1d("2"), (0.0, 1.0), (1.0, 1.0))
     assert cert.verdict == VERDICT_SHIFT
+    assert cert.bounds["shifts"] == {"block_1": {"shift": 1.0, "period": None}}
 
 
 def test_separation_flat_jet_reports_bounds_exhausted():
@@ -716,7 +808,7 @@ def test_whole_period_shift_is_indistinguishable_by_construction(kind, a, period
     assert cert.verdict == VERDICT_SHIFT
 
 
-# tiny equal-velocity shifts: the shift residual and the jets stay below
+# tiny equal-velocity shifts: the gain values and the jets stay within
 # per_tol, but no shift is a whole period of the gain (the first three
 # presets are aperiodic)
 TINY_SHIFTS = [
