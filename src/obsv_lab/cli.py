@@ -31,7 +31,6 @@ from .model import (
 )
 from .obsv import (
     K_MAX_DEFAULT,
-    PER_TOL_DEFAULT,
     RANK_TOL_DEFAULT,
     SEP_TOL_DEFAULT,
     VERDICT_SEPARATED,
@@ -156,7 +155,7 @@ def cmd_validate(cfg: argparse.Namespace) -> Result:
 
 def cmd_observable(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
-    report = is_aperiodic_system(sys_, per_tol=cfg.per_tol, k_max=cfg.k_max, seed=cfg.seed)
+    report = is_aperiodic_system(sys_)
     gammas = []
     lines = []
     for idx, v in enumerate(report.gamma_verdicts, start=1):
@@ -176,15 +175,8 @@ def cmd_separate(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("separate needs --state and --state2")
-    cert = find_separating_observable(
-        sys_,
-        cfg.state,
-        cfg.state2,
-        k_max=cfg.k_max,
-        sep_tol=cfg.sep_tol,
-        per_tol=cfg.per_tol,
-        seed=cfg.seed,
-    )
+    cert = find_separating_observable(sys_, cfg.state, cfg.state2, k_max=cfg.k_max,
+                                      sep_tol=cfg.sep_tol)
     out = {
         "verdict": cert.verdict,
         "witness": _word_dict(cert.witness) if cert.witness is not None else None,
@@ -414,12 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=DT_DEFAULT)
     p.add_argument("--kmax", dest="k_max", type=int, default=K_MAX_DEFAULT)
     p.add_argument("--lmax", dest="l_max", type=int, default=None)
-    p.add_argument("--per-tol", type=float, default=PER_TOL_DEFAULT)
     p.add_argument("--sep-tol", type=float, default=SEP_TOL_DEFAULT)
     p.add_argument("--rank-tol", type=float, default=RANK_TOL_DEFAULT)
     p.add_argument("--dist-tol", type=float, default=DIST_TOL_DEFAULT)
     p.add_argument("--eps", type=float, default=EPS_DEFAULT)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="seeds the random draws of verify")
     p.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     return p
@@ -463,7 +454,7 @@ def _finite_positive(v: float) -> bool:
 # (flag, argument name, check, what the check asks for)
 _NUMERIC_FLAGS = (
     *((flag, flag[2:].replace("-", "_"), _finite_positive, "finite and positive")
-      for flag in ("--dt", "--t-end", "--eps", "--per-tol", "--sep-tol", "--dist-tol")),
+      for flag in ("--dt", "--t-end", "--eps", "--sep-tol", "--dist-tol")),
     ("--rank-tol", "rank_tol", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
     ("--kmax", "k_max", lambda v: v >= 0, "at least 0"),
     ("--lmax", "l_max", lambda v: v is None or v >= 0, "at least 0"),

@@ -1023,11 +1023,11 @@ def nth_derivative_at(e: Expr, var: str, k: int, x0: float, k_max: int = K_MAX_D
 # evaluate() except that error messages lose the subexpression pinpointing.
 
 
-def python_functions(backend=math) -> dict[str, Callable]:
+def python_functions() -> dict[str, Callable]:
     """The name ``python_source`` calls each catalog function by, with the
-    function of that name in ``backend``; the code that runs the source
-    binds these names."""
-    return {f"_{f.source}": getattr(backend, f.source) for f in CATALOG.values()}
+    ``math`` function it calls; the code that runs the source binds these
+    names."""
+    return {f"_{f.source}": f.value for f in CATALOG.values()}
 
 
 def python_source(e: Expr, names: dict[str, str] | None = None) -> str:
@@ -1036,16 +1036,12 @@ def python_source(e: Expr, names: dict[str, str] | None = None) -> str:
     return f"({_render(e, names or {})[0]})"
 
 
-def compile_vector(exprs, var_names, backend=math) -> "callable":
-    """Compile a tuple of expressions into one function of the named variables.
-
-    ``backend`` supplies the math namespace; pass numpy to get a function
-    that maps arrays elementwise (domain violations then yield nan/inf
-    instead of raising).
-    """
+def compile_vector(exprs, var_names) -> "callable":
+    """Compile a tuple of expressions into one function of the named
+    variables, calling the ``math`` functions."""
     args = ", ".join(var_names)
     body = ", ".join(python_source(e) for e in exprs)
     src = f"def _compiled({args}):\n    return ({body}{',' if len(tuple(exprs)) == 1 else ''})\n"
-    namespace = python_functions(backend)
+    namespace = python_functions()
     exec(src, namespace)
     return namespace["_compiled"]

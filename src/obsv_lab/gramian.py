@@ -63,7 +63,7 @@ def _compile(sys) -> RK4Loop:
     """The RK4 loop of a Gramian: one ensemble of the 2*dim perturbed states."""
     if isinstance(sys, RK4Loop):
         return sys
-    ca = as_control_affine(sys) if isinstance(sys, CascadeSystem) else sys
+    ca = as_control_affine(sys)
     return compile_rk4(ca, 2 * ca.dim)
 
 

@@ -117,11 +117,14 @@ def validate(sys: CascadeSystem) -> list[str]:
     return out
 
 
-def as_control_affine(sys: CascadeSystem) -> ControlAffineSystem:
+def as_control_affine(sys: CascadeSystem | ControlAffineSystem) -> ControlAffineSystem:
     """Rewrite the cascade in control-affine form with state (x_1..x_n, z_1..z_n).
 
-    The form is built once per system object and kept on it.
+    The form is built once per system object and kept on it.  A
+    control-affine system is returned unchanged.
     """
+    if isinstance(sys, ControlAffineSystem):
+        return sys
     ca = getattr(sys, "_affine", None)
     if ca is not None:
         return ca
@@ -148,8 +151,7 @@ def as_control_affine(sys: CascadeSystem) -> ControlAffineSystem:
 
 def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationResult:
     """Jacobian linearization around x0 with zero input."""
-    if isinstance(sys, CascadeSystem):
-        sys = as_control_affine(sys)
+    sys = as_control_affine(sys)
     x0 = tuple(float(v) for v in x0)
     if len(x0) != sys.dim:
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")

@@ -25,11 +25,8 @@ from .lie import ObservableWord
 from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine
 from .record import Record
 
-PER_TOL_DEFAULT = 1e-8     # relative jet gap a probe must exceed to show a gain is not constant
 SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
 RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest count as zero
-WINDOW_DEFAULT = (-20.0, 20.0)  # the probe draws its points from the middle half
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio: probe stride
 
 CLASS_PERIODIC = "periodic"
 CLASS_APERIODIC = "aperiodic"
@@ -128,16 +125,12 @@ def word_lglflg(i: int, k: int) -> ObservableWord:
 # Periodicity detection.  See detect_period for the rules.
 
 
-def _probe_points(seed: int, count: int, lo: float, hi: float) -> list[float]:
-    """``count`` points of the additive golden-ratio sequence (Weyl), started
-    at ``seed``, in [lo, hi]: deterministic and evenly spread, without the
-    15-20 ms first import of numpy.random."""
-    return [lo + (hi - lo) * ((seed + k) * _INV_PHI % 1.0) for k in range(1, count + 1)]
-
-
 _REALS = (-math.inf, math.inf)
 _UNKNOWN = (*_REALS, False)
 Q_MAX = 64  # largest denominator of a frequency ratio
+# six points of the additive golden-ratio (Weyl) sequence in [-10, 10],
+# evenly spread; the probe compares them in pairs, in this order
+_PROBES = [-10.0 + 20.0 * (k * (math.sqrt(5.0) - 1.0) / 2.0 % 1.0) for k in range(1, 7)]
 
 
 def _has_x(e: Expr) -> bool:
@@ -155,55 +148,121 @@ def _has_trig_of_x(e: Expr) -> bool:
     return any(_has_trig_of_x(c) for c in ex.children(e))
 
 
+_LIBM_ULPS = 2  # covers glibc's documented error (x86-64) of exp, log, sin, cos, tan, tanh
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a float into two halves
+_TINY = 2.0 ** -969  # below this the rounding error of a product may underflow
+_EXACT_AT = {"exp": 0.0, "ln": 1.0, "sin": 0.0, "cos": 0.0, "tan": 0.0, "tanh": 0.0}
+_SHORT = 1.0  # tan's poles are pi apart: a range this short crosses at most one
+
+
+def _outward(v: float, exact: bool, up: bool, ulps: int = 1) -> float:
+    for _ in range(0 if exact else ulps):
+        v = math.nextafter(v, math.inf if up else -math.inf)
+    return v
+
+
+def _exact(a: float, b: float, r: float, product: bool) -> bool:
+    """Whether the float sum or product r of a and b is exact: Knuth's TwoSum
+    or Dekker's TwoProduct finds no error.  inf from an infinite operand is
+    exact; an overflow, also inside TwoProduct (inf or nan, never 0), not."""
+    if not math.isfinite(r):
+        return not (math.isfinite(a) and math.isfinite(b))
+    if not product:
+        t = r - a
+        return (a - (r - t)) + (b - t) == 0.0
+    if abs(r) < _TINY:
+        return a == 0.0 or b == 0.0
+    ca, cb = _SPLIT * a, _SPLIT * b
+    ah, bh = ca - (ca - a), cb - (cb - b)
+    al, bl = a - ah, b - bh
+    return ((ah * bh - r) + ah * bl + al * bh) + al * bl == 0.0
+
+
+def _add_out(a: float, b: float, up: bool) -> float:
+    s = a + b
+    if math.isnan(s):  # inf - inf: nothing known
+        return math.inf if up else -math.inf
+    return _outward(s, _exact(a, b, s, False), up)
+
+
+def _mul_out(a: float, b: float, up: bool) -> float:
+    p = a * b
+    return _outward(p, _exact(a, b, p, True), up)
+
+
 def _positive(a) -> bool:
     return a[0] > 0.0 or (a[0] == 0.0 and a[2])
 
 
+def _positive_bounds(lo: float, hi: float, a, b):
+    # a product or power of positive factors is positive
+    if _positive(a) and _positive(b):
+        return max(lo, 0.0), hi, lo <= 0.0
+    return lo, hi, False
+
+
 def _mul_bounds(a, b):
-    ps = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    if any(math.isnan(p) for p in ps):  # 0 * inf: nothing known
+    pairs = [(u, v) for u in {a[0], a[1]} for v in {b[0], b[1]}]
+    if any(math.isnan(u * v) for u, v in pairs):  # 0 * inf: nothing known
         return _UNKNOWN
-    lo = min(ps)
-    return lo, max(ps), lo == 0.0 and _positive(a) and _positive(b)
+    lo = min(_mul_out(u, v, False) for u, v in pairs)
+    return _positive_bounds(lo, max(_mul_out(u, v, True) for u, v in pairs), a, b)
+
+
+def _recip(v: float, up: bool) -> float:
+    if v == 0.0:  # a bound 0 of a positive value (an underflow, or a tail's 0+)
+        return math.inf
+    q = 1.0 / v
+    return _outward(q, not math.isfinite(v) or q * v == 1.0 and _exact(q, v, 1.0, True), up)
 
 
 def _recip_bounds(a):
-    if _positive(a):  # so 1/a > 0; a bound 0 (an underflow, or a tail's 0+) gives inf
-        lo, hi = (1.0 / v if v else math.inf for v in (a[1], a[0]))
-        return lo, hi, a[1] == math.inf  # 1/a > 1/inf
-    if a[0] <= 0.0 <= a[1]:
+    if not _positive(a) and a[0] <= 0.0 <= a[1]:
         return _UNKNOWN
-    return 1.0 / a[1], 1.0 / a[0], False
+    return _recip(a[1], False), _recip(a[0], True), _positive(a) and a[1] == math.inf  # 1/a > 0
 
 
-def _pow_bound(v: float, n: int) -> float:
+def _pow_bounds(v: float, n: int) -> tuple[float, float]:
+    """(lo, hi) around v^n, from n products rounded outward."""
+    lo = hi = 1.0
+    for _ in range(n):
+        lo, hi = _mul_out(lo, abs(v), False), _mul_out(hi, abs(v), True)
+    return (-hi, -lo) if v < 0.0 and n % 2 else (lo, hi)
+
+
+def _value(name: str, v: float, up: bool) -> float:
+    """A bound on catalog function ``name`` at ``v``: its float value, exact
+    at an infinite v (a limit), at ``_EXACT_AT`` and for a sqrt that squares
+    back, else moved outward."""
     try:
-        return v ** n
-    except OverflowError:
-        return math.inf if n % 2 == 0 else math.copysign(math.inf, v)
-
-
-def _monotone_bound(f, v: float) -> float:
-    try:
-        return f(v)
+        r = ex.CATALOG[name].value(v)
     except OverflowError:  # exp of a large bound
-        return math.inf
-    except ValueError:  # ln(0)
+        return math.inf if up else math.nextafter(math.inf, 0.0)
+    except ValueError:  # ln(0): the limit at 0+
         return -math.inf
+    if name == "sqrt":
+        return _outward(r, r * r == v and _exact(r, r, v, True), up)
+    return _outward(r, not math.isfinite(v) or v == _EXACT_AT[name], up, _LIBM_ULPS)
 
 
 def _in_domain(f: ex.CatalogEntry, a) -> bool:
     return f.domain[0](a[0]) or _positive(a)  # a positive value passes ln's and sqrt's test
 
 
+# The rounding rule: a bound that a float operation computes exactly stays,
+# and any other bound moves outward, one float for + - * / and sqrt
+# (correctly rounded in IEEE 754) and _LIBM_ULPS floats for another catalog
+# function, so that every enclosure holds the real value.
 def _bounds(e: Expr, x: tuple[float, float]) -> tuple[float, float, bool]:
     """Interval bounds (lo, hi, strict) on ``e`` for x in ``x`` where ``e``
-    is defined, in the extended reals (Moore, Interval Analysis, 1966).
+    is defined, in the extended reals (Moore, Interval Analysis, 1966),
+    rounded outward.
 
     Over all of R, ``x`` is (-inf, inf): lo <= e <= hi, and e > lo when
-    ``strict``, so exp(u) > 0.  At a tail, ``x`` is (end, end) for x tending
-    to +inf or -inf: lo <= liminf, limsup <= hi, and lo == hi is the limit;
-    ``strict`` then says that e > lo for x near the end."""
+    ``strict``, so exp(u) > 0.  At a point p, ``x`` is (p, p).  At a tail,
+    ``x`` is (end, end) for x tending to +inf or -inf: lo <= liminf,
+    limsup <= hi, and lo == hi is the limit; ``strict`` then says that
+    e > lo for x near the end."""
     if isinstance(e, ex.Const):
         return e.value, e.value, False
     if isinstance(e, ex.Var):
@@ -212,40 +271,48 @@ def _bounds(e: Expr, x: tuple[float, float]) -> tuple[float, float, bool]:
         lo, hi, _ = _bounds(e.arg, x)
         return -hi, -lo, False
     if isinstance(e, (ex.Add, ex.Sub)):
-        a = _bounds(e.left, x)
-        b = _bounds(e.right, x)
+        a, b = _bounds(e.left, x), _bounds(e.right, x)
         if isinstance(e, ex.Sub):
             b = (-b[1], -b[0], False)
-        lo, hi = a[0] + b[0], a[1] + b[1]  # inf - inf is nan: nothing known
         # over R, a > a.lo and b >= b.lo give a + b > lo; at a tail, b may dip below b.lo
         strict = (a[2] or b[2]) if x[0] < x[1] else (a[2] and b[2])
-        return (-math.inf if math.isnan(lo) else lo), (math.inf if math.isnan(hi) else hi), strict
+        return _add_out(a[0], b[0], False), _add_out(a[1], b[1], True), strict
     if isinstance(e, ex.Mul):
         return _mul_bounds(_bounds(e.left, x), _bounds(e.right, x))
     if isinstance(e, ex.Div):
         return _mul_bounds(_bounds(e.left, x), _recip_bounds(_bounds(e.right, x)))
     if isinstance(e, ex.Pow):
-        lo, hi, _ = base = _bounds(e.base, x)
+        base = _bounds(e.base, x)
         n = abs(e.exponent)
-        a, b = _pow_bound(lo, n), _pow_bound(hi, n)
-        r = (0.0, max(a, b)) if n % 2 == 0 and lo < 0.0 < hi else (min(a, b), max(a, b))
-        r = (*r, r[0] == 0.0 and _positive(base))
+        a, b = _pow_bounds(base[0], n), _pow_bounds(base[1], n)
+        lo = 0.0 if n % 2 == 0 and base[0] < 0.0 < base[1] else min(a[0], b[0])
+        r = _positive_bounds(lo, max(a[1], b[1]), base, base)
         return _recip_bounds(r) if e.exponent < 0 else r
     u = _bounds(e.arg, x)
     f = ex.CATALOG[e.name]
     if f.domain is not None and not _in_domain(f, u):
         return _UNKNOWN  # possibly outside the domain
     if f.tail is None:  # increasing: f(u) > f(lo) where u > lo, and lo = -inf is never reached
-        return _monotone_bound(f.value, u[0]), _monotone_bound(f.value, u[1]), u[2] or u[0] == -math.inf
-    if u[0] == u[1] and math.isfinite(u[0]):
-        v = f.value(u[0])
-        return v, v, False
-    return (*f.tail, False)
+        return _value(e.name, u[0], False), _value(e.name, u[1], True), u[2] or u[0] == -math.inf
+    if not (math.isfinite(u[0]) and math.isfinite(u[1])):
+        return (*f.tail, False)
+    w = _add_out(u[1], -u[0], True)
+    if e.name == "tan":  # increasing between poles
+        lo, hi = _value("tan", u[0], False), _value("tan", u[1], True)
+        return (lo, hi, False) if w <= _SHORT and lo <= hi else _UNKNOWN
+    # sin and cos: |f'| <= 1 around f(u.lo)
+    lo = _add_out(_value(e.name, u[0], False), -w, False)
+    hi = _add_out(_value(e.name, u[0], True), w, True)
+    return max(lo, f.tail[0]), min(hi, f.tail[1]), False
 
 
 def _unproven_domain(e: Expr) -> tuple[Expr, tuple] | None:
     """The first ln or sqrt node of ``e`` whose argument ``_bounds`` over R
-    does not prove inside its domain, with those bounds; else None."""
+    does not prove inside its domain, with those bounds; else None.  Each
+    subtree free of x is evaluated instead (a failing one raises)."""
+    if not _has_x(e):
+        ex.evaluate(e, {})
+        return None
     if isinstance(e, ex.Func) and ex.CATALOG[e.name].domain is not None:
         a = _bounds(e.arg, _REALS)
         if not _in_domain(ex.CATALOG[e.name], a):
@@ -376,58 +443,33 @@ def _half_shift(e: Expr, fits: dict, m: int) -> int | None:
     return {"odd": -1, "even": 1}.get(parity)
 
 
-def _probe(gamma: Expr, seed: int, lo: float, hi: float, k_max: int, per_tol: float) -> dict | None:
-    """Two points whose derivative jets differ at an order k <= k_max, which
-    shows the gain is not constant, or None when three pairs of probe points
-    show no difference."""
-    pts = _probe_points(seed, 6, lo / 2, hi / 2)
-    for r, s in zip(pts[::2], pts[1::2]):
-        r, s = min(r, s), max(r, s)
-        jr = ex.Jet((gamma,), (GAMMA_VAR,), (r,), k_max=k_max)
-        js = ex.Jet((gamma,), (GAMMA_VAR,), (s,), k_max=k_max)
-        for k in range(k_max + 1):
-            a, b = jr.derivative(0, k), js.derivative(0, k)
-            if abs(a - b) > per_tol * (1.0 + max(abs(a), abs(b))):
-                return {"r": float(r), "s": float(s), "k": k, "lhs": float(a), "rhs": float(b)}
+def _probe(gamma: Expr) -> dict | None:
+    """A pair of ``_PROBES`` where the gain's enclosures are disjoint, which
+    proves it is not constant, with those enclosures; else None."""
+    for r, s in zip(_PROBES[::2], _PROBES[1::2]):
+        a, b = _bounds(gamma, (r, r)), _bounds(gamma, (s, s))
+        if a[1] < b[0] or b[1] < a[0]:
+            return {"x": [r, s], "bounds": [[a[0], a[1]], [b[0], b[1]]]}
     return None
 
 
-def _check_args(window, k_max: int, **tols: float) -> tuple[float, float]:
-    """The probe window as floats; ValueError unless it is finite with lo <
-    hi, each tolerance is finite and positive, and k_max is at least 0."""
-    lo, hi = (float(v) for v in window)
-    if not -math.inf < lo < hi < math.inf:
-        raise ValueError(f"window must be finite with lo < hi, got {tuple(window)}")
-    for name, v in tols.items():
-        if not 0.0 < v < math.inf:  # false for nan too
-            raise ValueError(f"{name} must be finite and positive, got {v!r}")
-    if k_max < 0:
-        raise ValueError(f"k_max must be at least 0, got {k_max}")
-    return lo, hi
-
-
-def detect_period(
-    gamma: Expr,
-    window: tuple[float, float] = WINDOW_DEFAULT,
-    per_tol: float = PER_TOL_DEFAULT,
-    k_max: int = K_MAX_DEFAULT,
-    seed: int = 0,
-) -> PeriodicityVerdict:
+def detect_period(gamma: Expr) -> PeriodicityVerdict:
     """Classify a scalar gain on all of R as periodic, aperiodic, or undetermined.
 
-    Every verdict comes from the expression tree.  A gain whose tree is
-    free of x is constant (periodic, period None); it is evaluated once, so
-    a constant that fails raises DomainError.  Otherwise the first rule
-    that applies decides, and ``evidence["rule"]`` names it:
+    Every verdict comes from the expression tree and the outward-rounded
+    interval bounds of ``_bounds``; no tolerance enters.  Each subtree free
+    of x is evaluated once, so a constant that fails raises DomainError; a
+    gain free of x is constant (periodic, period None).  Otherwise the
+    first rule that applies decides, and ``evidence["rule"]`` names it:
 
-    - ``domain``: interval bounds (see ``_bounds``) do not prove a ln
-      argument > 0 or a sqrt argument >= 0 on all of R, so the gain may be
-      undefined somewhere: undetermined.  ``evidence["domain"]`` gives the
-      node and its argument's bounds.  Divisors and tan need no
-      proof: a non-constant analytic divisor vanishes only at isolated points.
+    - ``domain``: interval bounds do not prove a ln argument > 0 or a sqrt
+      argument >= 0 on all of R, so the gain may be undefined somewhere:
+      undetermined.  ``evidence["domain"]`` gives the node and its
+      argument's bounds.  Divisors and tan need no proof: a non-constant
+      analytic divisor vanishes only at isolated points.
     - ``log-exp``: no sin/cos/tan has an x-dependent argument.  The gain is
       then a Hardy L-function, eventually monotone (Hardy, Orders of
-      Infinity, 1910), so it is aperiodic.
+      Infinity, 1910), so it is aperiodic unless it is constant.
     - ``limit``: interval evaluation of the tree at +inf or -inf finds a
       limit L in [-inf, inf] (the easy fragment of Gruntz, PhD thesis, ETH
       Zurich 1996).  A period T would give f(x) = f(x + nT) -> L, so f == L.
@@ -441,24 +483,15 @@ def detect_period(
       that half of it is a period too (see ``_half_shift``): a proven
       period, not always the least (``cos(x)^4 + sin(x)^4`` gives pi).
 
-    Any other gain is undetermined (rule ``none``).  ``evidence["candidates"]``
-    lists each candidate P.
-
-    ``log-exp`` and ``limit`` verdicts carry a probe, two points of the
-    middle half of ``window`` whose jets differ by more than ``per_tol`` up
-    to order ``k_max``; without one they degrade to undetermined.  A window
-    that is not finite with lo < hi, a ``per_tol`` that is not finite and
-    positive, or a negative ``k_max`` raises ValueError.
+    Any other gain is undetermined (rule ``none``); ``evidence["candidates"]``
+    lists each candidate P.  A ``log-exp`` or ``limit`` verdict is
+    undetermined unless ``evidence["probe"]`` proves the gain not constant
+    (see ``_probe``).
     """
-    lo, hi = _check_args(window, k_max, per_tol=per_tol)
-    evidence: dict = {"window": [lo, hi]}
-
-    if not _has_x(gamma):
-        ex.evaluate(gamma, {})
-        evidence.update(rule="constant", constant=True)
-        return PeriodicityVerdict(CLASS_PERIODIC, None, evidence)
-
     unproven = _unproven_domain(gamma)
+    if not _has_x(gamma):
+        return PeriodicityVerdict(CLASS_PERIODIC, None, {"rule": "constant", "constant": True})
+    evidence: dict = {}
     if unproven is not None:
         node, (a, b, _) = unproven
         evidence.update(rule="domain", domain={"node": str(node), "bounds": [a, b]})
@@ -473,10 +506,9 @@ def detect_period(
                 evidence.update(rule="limit", limit={"x": end, "value": a})
                 break
     if "rule" in evidence:
-        evidence["probe"] = _probe(gamma, seed, lo, hi, k_max, per_tol)
-        if evidence["probe"] is None:
-            return PeriodicityVerdict(CLASS_UNDETERMINED, None, evidence)
-        return PeriodicityVerdict(CLASS_APERIODIC, None, evidence)
+        evidence["probe"] = _probe(gamma)
+        cls = CLASS_UNDETERMINED if evidence["probe"] is None else CLASS_APERIODIC
+        return PeriodicityVerdict(cls, None, evidence)
 
     periods, fits = _lcm_period(gamma)
     if fits is None:
@@ -489,21 +521,13 @@ def detect_period(
     return PeriodicityVerdict(CLASS_PERIODIC, periods[0] / m, evidence)
 
 
-def is_aperiodic_system(
-    sys: CascadeSystem,
-    window: tuple[float, float] = WINDOW_DEFAULT,
-    per_tol: float = PER_TOL_DEFAULT,
-    k_max: int = K_MAX_DEFAULT,
-    seed: int = 0,
-) -> SystemPeriodicityReport:
-    """Observability verdict for the whole cascade: every gain must be aperiodic."""
-    verdicts = tuple(detect_period(g, window, per_tol, k_max, seed) for g in sys.gamma)
-    if any(v.classification == CLASS_PERIODIC for v in verdicts):
-        overall = "not-observable"
-    elif all(v.classification == CLASS_APERIODIC for v in verdicts):
-        overall = "observable"
-    else:
-        overall = "undetermined"
+def is_aperiodic_system(sys: CascadeSystem, k_max: int = K_MAX_DEFAULT) -> SystemPeriodicityReport:
+    """Observability verdict for the whole cascade: every gain must be
+    aperiodic.  ``k_max`` is ignored: no period verdict takes a derivative."""
+    verdicts = tuple(detect_period(g) for g in sys.gamma)
+    classes = {v.classification for v in verdicts}
+    overall = ("not-observable" if CLASS_PERIODIC in classes
+               else "observable" if classes == {CLASS_APERIODIC} else "undetermined")
     return SystemPeriodicityReport(gamma_verdicts=verdicts, verdict=overall)
 
 
@@ -532,22 +556,24 @@ def find_separating_observable(
     s1,
     k_max: int = K_MAX_DEFAULT,
     sep_tol: float = SEP_TOL_DEFAULT,
-    per_tol: float = PER_TOL_DEFAULT,
-    window: tuple[float, float] = WINDOW_DEFAULT,
-    seed: int = 0,
 ) -> SeparationCertificate:
     """Search for an observable word whose value splits the two states.
 
     The scan walks the alternating-word families in order of increasing
-    derivative order k, preferring the shortest witness.  Before it, states
-    that agree in every velocity and gain value are indistinguishable by the
-    explicit shift construction when each moved position moves by a whole
-    multiple of the period ``detect_period`` finds for its gain, or its gain
-    is constant: the only pairs no input tells apart; ``bounds["shifts"]`` then
-    gives each moved block's shift and period.  Arguments are checked as in
-    ``detect_period``, and ``sep_tol`` as ``per_tol``.
+    derivative order k <= ``k_max``, preferring the shortest witness, whose
+    values differ by more than ``sep_tol`` relative.  Before it, states
+    that agree in every velocity and gain value are indistinguishable by
+    the explicit shift construction when each moved position moves by a
+    whole multiple of the period ``detect_period`` finds for its gain, or
+    its gain is constant: the only pairs no input tells apart;
+    ``bounds["shifts"]`` then gives each moved block's shift and period.
+    A ``sep_tol`` that is not finite and positive, or a negative ``k_max``,
+    raises ValueError.
     """
-    _check_args(window, k_max, per_tol=per_tol, sep_tol=sep_tol)
+    if not 0.0 < sep_tol < math.inf:  # false for nan too
+        raise ValueError(f"sep_tol must be finite and positive, got {sep_tol!r}")
+    if k_max < 0:
+        raise ValueError(f"k_max must be at least 0, got {k_max}")
     n = sys.n
     s0 = tuple(float(v) for v in s0)
     s1 = tuple(float(v) for v in s1)
@@ -596,12 +622,10 @@ def find_separating_observable(
         # whose gap grows with the order and passes sep_tol near zero
         shifts = {}
         for i in moved:
-            gamma = sys.gamma[i - 1]
+            # the jets above evaluated each moved gain, so a failing
+            # constant in it has raised already
+            verdict = detect_period(sys.gamma[i - 1])
             delta = x1[i - 1] - x0[i - 1]
-            try:
-                verdict = detect_period(gamma, window, per_tol, k_max, seed)
-            except ex.DomainError:  # the probe cannot evaluate the gain
-                break
             if not _whole_periods(verdict, delta):
                 break
             shifts[f"block_{i}"] = {"shift": delta, "period": verdict.period}
@@ -650,8 +674,7 @@ def local_rank(
     and at the last order, so a deficient state pays for one.  A non-finite
     row raises DomainError.
     """
-    if isinstance(sys, CascadeSystem):
-        sys = as_control_affine(sys)
+    sys = as_control_affine(sys)
     x0 = tuple(float(v) for v in x0)
     if len(x0) != sys.dim:
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")

@@ -189,12 +189,6 @@ class Trajectory(Record):
         return "\n".join(lines) + "\n"
 
 
-def _as_affine(sys) -> ControlAffineSystem:
-    if isinstance(sys, CascadeSystem):
-        return as_control_affine(sys)
-    return sys
-
-
 # states one generated loop steps together; its stage code grows with their
 # groups, not with the members (see compile_rk4)
 MEMBERS_MAX = 16
@@ -444,7 +438,7 @@ def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
     update and output code with the distinct slots, so the code stays
     within ``MEMBERS_MAX`` times that of the one-state loop.
     """
-    ca = _as_affine(sys)
+    ca = as_control_affine(sys)
     if ca.m != 1:
         raise ValueError(f"integrate handles single-input systems, got m={ca.m}")
     if ensemble < 1:
@@ -533,39 +527,32 @@ def _raise_lone_failure(ca: ControlAffineSystem, x0, u, dt: float, rows, error) 
         _check_outputs(ca, table[finite.argmin(), :ca.dim].tolist())
 
 
-def _raise_first_failure(loop: RK4Loop, xs, u, dt: float, steps: int) -> None:
-    """Run the states ``xs`` of a failed run of ``loop`` one at a time and
-    raise the first failure with its location (see ``integrate``)."""
-    ca = loop.system
-    if loop.size > 1:
-        loop = compile_rk4(ca)
-    for x in xs:
-        rows = array("d")
-        error = None
-        try:
-            loop.run(x, u, dt, steps, rows)
-        except (ArithmeticError, ValueError) as err:
-            error = err
-        _raise_lone_failure(ca, x, u, dt, rows, error)
+def _run(loop: RK4Loop, x0s, u, dt: float, steps: int):
+    """The rows one run of ``loop`` stored, and the error it raised or None."""
+    rows = array("d")
+    try:
+        loop.run(x0s, u, dt, steps, rows)
+    except (ArithmeticError, ValueError) as err:
+        return rows, err
+    return rows, None
 
 
 def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory]:
     """One run of a joint loop; members beyond ``xs`` (the last run of an
     ensemble) step copies of its last state.  On a failure, an exception
-    or a stored value that is not finite, the lone runs of
-    ``_raise_first_failure`` raise the error of the first failing state:
-    each is bit for bit its member's run, so it fails too."""
+    or a stored value that is not finite, the lone runs of the states, in
+    order, raise the error of the first failing state: each is bit for bit
+    its member's run, so it fails too.  A loop of one member has made its
+    lone run already."""
     ca = loop.system
     padded = xs + [xs[-1]] * (loop.size - len(xs))
-    rows = array("d")
-    error = None
-    try:
-        loop.run(tuple(v for x in padded for v in x), u, dt, steps, rows)
-    except (ArithmeticError, ValueError) as err:
-        error = err
+    rows, error = _run(loop, tuple(v for x in padded for v in x), u, dt, steps)
     table = np.frombuffer(rows).reshape(-1, loop.size * (ca.dim + ca.p))
     if error is not None or not np.isfinite(table).all():
-        _raise_first_failure(loop, xs, u, dt, steps)
+        lone = compile_rk4(ca) if loop.size > 1 else None
+        for x in xs:
+            run = (rows, error) if lone is None else _run(lone, x, u, dt, steps)
+            _raise_lone_failure(ca, x, u, dt, *run)
     if error is not None:
         raise error
     split = loop.size * ca.dim  # states, then outputs, in each row
@@ -591,9 +578,9 @@ def integrate_many(
     its state alone; its arrays are views into one buffer shared by the
     ensemble.  A run does not stop at a non-finite state: one numpy pass
     over its stored rows finds a state or output that is not finite.  On a
-    failure of the joint loop, an exception or such a value, its states are
-    integrated again one at a time, so the error raised is the one of the
-    first failing state, as ``integrate`` reports it.
+    failure of a joint loop of several states, an exception or such a
+    value, they are integrated again one at a time, so the error raised is
+    the one of the first failing state, as ``integrate`` reports it.
     """
     xs = [tuple(float(v) for v in x) for x in states]
     loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys, len(xs))

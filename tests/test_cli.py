@@ -360,17 +360,47 @@ def test_a_shift_short_of_the_period_is_no_construction(tmp_path, capsys, gain, 
     assert doc["report"]["verdict"] != "indistinguishable-by-construction"
 
 
-@pytest.mark.parametrize("gain", ["1e-10*x", "1e-10*x + 1", "exp(x - 100)", "exp(-(x - 100)^2)",
-                                  "sin(x + sqrt((x - 100)^2))"])
-def test_a_gain_flat_on_the_window_is_not_constant(tmp_path, capsys, gain):
-    path = _gain_file(tmp_path, gain)
-    code, doc = run_json(capsys, "observable", "--system", path)
-    # log-exp decides the first four unless its probe sees no difference;
+@pytest.mark.parametrize("gain, code, classification, rule", [
+    ("1e-10*x", 0, "aperiodic", "log-exp"),
+    ("1e-10*x + 1", 0, "aperiodic", "log-exp"),
+    ("exp(x - 100)", 0, "aperiodic", "log-exp"),
+    ("exp(-(x - 100)^2)", 3, "undetermined", "log-exp"),
+    ("sin(x + sqrt((x - 100)^2))", 3, "undetermined", "none"),
+], ids=["1e-10*x", "1e-10*x + 1", "exp(x - 100)", "exp(-(x - 100)^2)", "sin(x + sqrt((x - 100)^2))"])
+def test_a_gain_flat_on_the_window_is_not_constant(tmp_path, capsys, gain, code, classification,
+                                                   rule):
+    # the first three have disjoint enclosures at probe points however small
+    # their values; the fourth underflows to 0 at every probe point, and
     # the last has no exact candidate
-    assert doc["report"]["gains"][0]["classification"] in ("aperiodic", "undetermined")
-    assert code in (0, 3)
+    path = _gain_file(tmp_path, gain)
+    got, doc = run_json(capsys, "observable", "--system", path)
+    assert (got, doc["report"]["gains"][0]["classification"], doc["report"]["gains"][0]["rule"]) == (
+        code, classification, rule)
     code, doc = run_json(capsys, "separate", "--system", path, "--state", "0,1", "--state2", "1,1")
     assert doc["report"]["verdict"] != "indistinguishable-by-construction"
+
+
+@pytest.mark.parametrize("gain, code, verdict, rule", [
+    # identically 0; its float values at the probe points differ by 128
+    ("(x + 1e9)^2 - x^2 - 2e9*x - 1e18", 3, "undetermined", "log-exp"),
+    # period 2*pi, though 1e10 + 1e-7*sin(x) rounds to 1e10 everywhere
+    ("1e10 + 1e-7*sin(x)", 1, "not-observable", "periodic"),
+    # 1/exp(-x^2 - 1000) overflows at every probe point: no proof either way
+    ("ln(1/exp(-x^2 - 1000))", 3, "undetermined", "log-exp"),
+])
+def test_observable_claims_nothing_that_rounding_shows(tmp_path, capsys, gain, code, verdict, rule):
+    path = _gain_file(tmp_path, gain)
+    got, doc = run_json(capsys, "observable", "--system", path)
+    assert (got, doc["report"]["verdict"], doc["report"]["gains"][0]["rule"]) == (code, verdict, rule)
+
+
+def test_per_tol_is_no_option(capsys):
+    # no period verdict has a tolerance
+    with pytest.raises(SystemExit) as info:
+        main(["observable", "--system", "preset:fish-1d-gauss", "--per-tol", "1e-8"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "obsv-lab: error: unrecognized arguments: --per-tol 1e-8")
 
 
 def test_observable_text_format(capsys):
@@ -525,7 +555,6 @@ def test_simulate_rejects_bad_dt(capsys):
     ("simulate", "--state", "0,0", "--dt", "nan"),
     ("distinguish", "--state", "0,0", "--state2", "1,0", "--dist-tol", "-1"),
     ("gramian", "--state", "0,0", "--eps", "0"),
-    ("observable", "--per-tol", "nan"),
     ("separate", "--state", "0,1", "--state2", "0,2", "--sep-tol", "inf"),
     ("separate", "--state", "0,1", "--state2", "0,2", "--kmax", "-1"),
     ("rank", "--state", "0,1", "--lmax", "-1"),
@@ -782,11 +811,11 @@ def test_readme_examples_give_the_same_bytes_as_a_module(tmp_path, monkeypatch, 
 # sha256 of stdout for the README's observable and separate examples, in
 # JSON and text: a change to the period rules must not move these bytes
 README_REPORT_SHA256 = [
-    ("a869eadacb5d132c38c28330cb8e33177df671c55eb8f751f896400cab4ca2fa",
+    ("4dab19153143faac31bafdd35dfa8e208c7253a320e70935ab03c2590cc1b9ae",
      "7f89d8469ba84585b0d3101a417912b4f2c7dbd38282f2c79b239cc798fb2640"),
-    ("dc5dd484a51edc171e02fed7a282ae9f2efeb97756340a676e11b85e12cc5c95",
+    ("54673d7b58877ab542e24518d82342effc41a71a2788021f3e17a94ea47cb5b3",
      "74fc46f99d2ca6ffcc33330423fc2b954e787439e75be59354fa9237a2e30e65"),
-    ("cb0a00065e1a7c822f455e12256e27c0c12e81713ee89055a5b5936829df731a",
+    ("141df5f51d1e3d0f506ae661cff8e7039d76a9c082be8fa1690d2b5972546a72",
      "42af0320e275dd4952a175f5a38adc40f7ca3bc4aca34d54d990c902928e1fe7"),
 ]
 

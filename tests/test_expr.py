@@ -413,11 +413,9 @@ def test_compiled_matches_tree_evaluation():
     for src, (lo, hi) in CATALOG_SAMPLES:
         e = parse(src, {"x"})
         fn = compile_vector((e,), ("x",))
-        fn_np = compile_vector((e,), ("x",), np)
         xs = [rng.uniform(lo + 0.05, hi - 0.05) for _ in range(5)]
         want = [evaluate(e, {"x": x}) for x in xs]
         assert [fn(x)[0] for x in xs] == pytest.approx(want, rel=1e-14), src
-        assert fn_np(np.array(xs))[0].tolist() == pytest.approx(want, rel=1e-14), src
 
 
 def test_compiled_random_trees_match_evaluation_bit_for_bit():

@@ -107,6 +107,7 @@ def test_control_affine_form_is_built_once_per_system():
     before = (repr(sys), hash(sys), pickle.dumps(sys))
     ca = as_control_affine(sys)
     assert as_control_affine(sys) is ca
+    assert as_control_affine(ca) is ca  # a control-affine system is its own form
     # the kept form is no field: equality, hash, repr and pickle ignore it
     assert (repr(sys), hash(sys), pickle.dumps(sys)) == before
     assert sys == gauss_preset()

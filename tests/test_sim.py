@@ -438,7 +438,7 @@ def test_ensemble_of_extreme_starts_matches_tree_evaluated_rk4_bitwise():
 
 def test_a_run_that_fails_at_step_k_stores_k_plus_1_rows():
     # the rows of t = 0 .. k*dt are stored whole, and the failing step's
-    # row is not: _raise_first_failure replays step k from the last row
+    # row is not: _raise_lone_failure replays step k from the last row
     dt = 1e-3
     zs = {"z1"}
 
@@ -560,6 +560,21 @@ def test_ensemble_failure_is_the_first_failing_state_in_order():
     assert type(pair) is type(lone) is BlowUpError
     assert (str(pair), pair.t, pair.state) == (str(lone), lone.t, lone.state)
     assert 0.99 < pair.t < 1.01
+
+
+def test_a_failing_lone_run_integrates_once(monkeypatch):
+    # a loop of one member runs the lone run that locates the failure, so
+    # the failure is read from that run instead of a second one
+    from obsv_lab.sim import RK4Loop
+
+    calls = []
+    run = RK4Loop.run
+    monkeypatch.setattr(RK4Loop, "run", lambda self, *args: calls.append(1) or run(self, *args))
+    sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("z1^2", {"z1"}),), b=(1.0,))
+    err = _raised(lambda: integrate(sys, (0.0, 2.0), InputSignal.zero()))
+    assert type(err) is BlowUpError
+    assert 0.49 < err.t < 0.51
+    assert len(calls) == 1
 
 
 def test_ensemble_domain_error_at_a_pole_keeps_the_order():
