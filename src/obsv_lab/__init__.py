@@ -10,7 +10,6 @@ from .expr import (
     nth_derivative_at,
     format_expr,
     free_vars,
-    K_MAX_DEFAULT,
 )
 from .model import (
     CascadeSystem,
@@ -32,13 +31,13 @@ from .lie import (
     WordLengthError,
     evaluate_word,
     nested_lie_along_affine,
-    L_MAX_DEFAULT,
 )
 from .obsv import (
     PeriodicityVerdict,
     SystemPeriodicityReport,
     SeparationCertificate,
     RankReport,
+    K_MAX_DEFAULT,
     cascade_lflg,
     cascade_lglflg,
     word_lflg,

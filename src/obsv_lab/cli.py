@@ -321,7 +321,7 @@ def _check_closed_forms(rng: random.Random) -> tuple[bool, str]:
                 (cascade_lflg(sys_, i, k, state), word_lflg(i, k)),
                 (cascade_lglflg(sys_, i, k, state), word_lglflg(i, k)),
             ):
-                generic = evaluate_word(ca, word, state, l_max=2 * k + 1)
+                generic = evaluate_word(ca, word, state)
                 gap = abs(closed - generic) / (1.0 + abs(generic))
                 worst = max(worst, gap)
     return worst <= 1e-8, f"worst relative gap {worst:.3e}"
@@ -337,14 +337,14 @@ def _check_input_expansion(rng: random.Random) -> tuple[bool, str]:
         j = rng.randrange(1, n + 1)
         depth = rng.randrange(1, 4)
         u_rows = [rng.uniform(-1.0, 1.0) for _ in range(depth)]
-        lhs = nested_lie_along_affine(ca, u_rows, j, state, l_max=depth)
+        lhs = nested_lie_along_affine(ca, u_rows, j, state)
         rhs = 0.0
         for mu in product((0, 1), repeat=depth):
             coeff = 1.0
             for pos, pick in enumerate(mu):
                 if pick:
                     coeff *= u_rows[depth - 1 - pos]
-            rhs += coeff * evaluate_word(ca, ObservableWord(j, mu), state, l_max=depth)
+            rhs += coeff * evaluate_word(ca, ObservableWord(j, mu), state)
         gap = abs(lhs - rhs) / (1.0 + abs(rhs))
         worst = max(worst, gap)
     return worst <= 1e-8, f"worst relative gap {worst:.3e}"

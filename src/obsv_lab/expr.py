@@ -28,7 +28,6 @@ from typing import Callable
 
 from .record import Frozen
 
-K_MAX_DEFAULT = 12  # default bound on the derivative order a search may reach
 # The tree walkers recurse, one Python frame per level, and Python refuses
 # source nested in more than 200 parentheses, so parse bounds both.
 MAX_DEPTH = 300    # nodes on the longest path from the root to a leaf
@@ -952,16 +951,15 @@ class Jet:
     With ``seeds`` (one tangent vector per state variable, e.g. unit
     vectors) every series also carries its gradient in those directions
     (Roebenack, J. Comput. Appl. Math. 213, 2008).  The series grow on
-    demand; orders above ``k_max`` are refused, as by nth_derivative_at.
+    demand, to whatever order is asked for: the caller's loop is the bound.
     """
 
-    def __init__(self, outputs, var_names, x0, field=None, seeds=None, k_max: int = K_MAX_DEFAULT):
+    def __init__(self, outputs, var_names, x0, field=None, seeds=None):
         self.outputs, var_names = tuple(outputs), tuple(var_names)
         n = len(var_names)
         field = (_ONE,) * n if field is None else tuple(field)
         if not len(field) == n == len(x0) == (n if seeds is None else len(seeds)):
             raise ValueError("field, variables, x0 and seeds must have one entry per state")
-        self.k_max = k_max
         self._tape = _Tape(field + self.outputs, dict(zip(var_names, x0)),
                            None if seeds is None else dict(zip(var_names, seeds)))
         roots = self._tape.roots
@@ -974,8 +972,6 @@ class Jet:
     def _extend(self, k: int) -> None:
         if k < 0:
             raise DerivativeOrderError(f"negative derivative order {k}")
-        if k > self.k_max:
-            raise DerivativeOrderError(f"derivative order {k} exceeds cap {self.k_max}")
         tangents = self._tape.tangents
         while self._order < k:
             r = self._order
@@ -1010,12 +1006,12 @@ class Jet:
 
 def jet(e: Expr, var: str, x0: float, K: int) -> list[float]:
     """Taylor coefficients c_0..c_K of ``e`` in ``var`` around ``x0``."""
-    j = Jet((e,), (var,), (x0,), k_max=K)
+    j = Jet((e,), (var,), (x0,))
     return [j.coefficient(0, k) for k in range(K + 1)]
 
 
-def nth_derivative_at(e: Expr, var: str, k: int, x0: float, k_max: int = K_MAX_DEFAULT) -> float:
-    return Jet((e,), (var,), (x0,), k_max=k_max).derivative(0, k)
+def nth_derivative_at(e: Expr, var: str, k: int, x0: float) -> float:
+    return Jet((e,), (var,), (x0,)).derivative(0, k)
 
 
 # ---------------------------------------------------------------------------

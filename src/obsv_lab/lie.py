@@ -13,7 +13,9 @@ differentiated tree (README, "Derivatives").  A word whose k letters are
 all one field is k! times order k of an ``expr.Jet`` along that field.  Any
 other word is the eps_1...eps_k coefficient of h(x), where x starts at the
 state and each letter, outermost first, moves it by eps_i * X_i(x), with
-every eps_i^2 = 0.
+every eps_i^2 = 0.  A one-field word of k letters costs O(k^2) and needs no
+bound; one that changes field costs 3^k per product, so ``EPS_LETTERS_MAX``
+is the one bound on a word's length.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from . import expr as ex
 from .model import ControlAffineSystem
 from .record import Frozen
 
-L_MAX_DEFAULT = 8
 EPS_LETTERS_MAX = 12  # a word that changes field: 2^k coefficients, 3^k pairs per product
 
 
@@ -51,10 +52,9 @@ class ObservableWord(Frozen):
         return len(self.mu)
 
 
-def evaluate_word(sys: ControlAffineSystem, word: ObservableWord, state,
-                  l_max: int = L_MAX_DEFAULT) -> float:
-    if len(word.mu) > l_max:
-        raise WordLengthError(f"word length {len(word.mu)} exceeds cap {l_max}")
+def evaluate_word(sys: ControlAffineSystem, word: ObservableWord, state) -> float:
+    """The value of ``word`` at ``state``.  A word that changes field and
+    has more than ``EPS_LETTERS_MAX`` letters raises WordLengthError."""
     if word.j > sys.p:
         raise ValueError(f"output index {word.j} out of range for p = {sys.p}")
     if any(v > sys.m for v in word.mu):
@@ -63,8 +63,7 @@ def evaluate_word(sys: ControlAffineSystem, word: ObservableWord, state,
     return _word_value(sys, sys.outputs[word.j - 1], fields, state)
 
 
-def nested_lie_along_affine(sys: ControlAffineSystem, u_seq, j: int, x0,
-                            l_max: int = L_MAX_DEFAULT) -> float:
+def nested_lie_along_affine(sys: ControlAffineSystem, u_seq, j: int, x0) -> float:
     """Iterated Lie derivative of output j along k affine fields, at x0.
 
     Entry l of ``u_seq`` fixes the input values of the l-th field
@@ -78,8 +77,6 @@ def nested_lie_along_affine(sys: ControlAffineSystem, u_seq, j: int, x0,
         if len(row) != sys.m:
             raise ValueError(f"input value {row} has wrong arity for m = {sys.m}")
         u_rows.append(row)
-    if len(u_rows) > l_max:
-        raise WordLengthError(f"composition depth {len(u_rows)} exceeds cap {l_max}")
     if not 1 <= j <= sys.p:
         raise ValueError(f"output index {j} out of range for p = {sys.p}")
 
@@ -100,7 +97,7 @@ def _word_value(sys: ControlAffineSystem, h, fields, x0) -> float:
         return ex.evaluate(h, dict(zip(sys.state_vars, x0)))
     k = len(fields)
     if all(f is fields[0] for f in fields):
-        return ex.Jet((h,), sys.state_vars, x0, field=fields[0], k_max=k).derivative(0, k)
+        return ex.Jet((h,), sys.state_vars, x0, field=fields[0]).derivative(0, k)
     if k > EPS_LETTERS_MAX:
         raise WordLengthError(f"word length {k} exceeds {EPS_LETTERS_MAX}, the bound on "
                               f"a word that changes field")

@@ -13,6 +13,8 @@ throughout the package.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import expr as ex
@@ -112,7 +114,7 @@ def validate(sys: CascadeSystem) -> list[str]:
     for i, bi in enumerate(sys.b, start=1):
         if bi == 0.0:
             out.append(f"b_{i} = 0")
-        elif not np.isfinite(bi):
+        elif not math.isfinite(bi):
             out.append(f"b_{i} is not finite")
     return out
 
@@ -158,7 +160,7 @@ def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationR
     d = sys.dim
     # A and C from the order-0 gradients of one jet; a constant component's
     # gradient is the scalar 0, broadcast over its row
-    jet = ex.Jet(sys.drift + sys.outputs, sys.state_vars, x0, seeds=np.eye(d), k_max=0)
+    jet = ex.Jet(sys.drift + sys.outputs, sys.state_vars, x0, seeds=np.eye(d))
     J = np.array([np.broadcast_to(jet.gradient(i, 0), (d,)) for i in range(d + sys.p)])
     env = dict(zip(sys.state_vars, x0))
     B = np.array([[ex.evaluate(g, env) for g in field] for field in sys.input_fields])

@@ -20,11 +20,12 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .expr import Expr, K_MAX_DEFAULT
+from .expr import Expr
 from .lie import ObservableWord
 from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine
 from .record import Record
 
+K_MAX_DEFAULT = 12         # default bound on the derivative order of a separation scan
 SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
 RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest count as zero
 
@@ -63,14 +64,12 @@ class SeparationCertificate(Record):
 
 
 class RankReport(Record):
-    __slots__ = ("words", "gradients", "singular_values", "rank", "dim", "max_words")
-    _defaults = {"max_words": None}
+    __slots__ = ("words", "gradients", "singular_values", "rank", "dim")
     words: list[ObservableWord]
     gradients: np.ndarray
     singular_values: np.ndarray
     rank: int
     dim: int
-    max_words: int | None  # the row cap, when it stopped the search short of full rank
 
     @property
     def locally_observable(self) -> bool:
@@ -94,20 +93,20 @@ def _lglflg(gk: float, b: float, k: int) -> float:
     return gk * b ** (k + 1)
 
 
-def cascade_lflg(sys: CascadeSystem, i: int, k: int, state, k_max: int = K_MAX_DEFAULT) -> float:
+def cascade_lflg(sys: CascadeSystem, i: int, k: int, state) -> float:
     """Value of the k-fold (drift o input) word on output i: gamma^(k)(x_i) b^k z_i."""
     _check_block(sys, i)
     x = float(state[i - 1])
     z = float(state[sys.n + i - 1])
-    gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x, k_max)
+    gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x)
     return _lflg(gk, sys.b[i - 1], k, z)
 
 
-def cascade_lglflg(sys: CascadeSystem, i: int, k: int, state, k_max: int = K_MAX_DEFAULT) -> float:
+def cascade_lglflg(sys: CascadeSystem, i: int, k: int, state) -> float:
     """Value of input o (drift o input)^k on output i: gamma^(k)(x_i) b^(k+1)."""
     _check_block(sys, i)
     x = float(state[i - 1])
-    gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x, k_max)
+    gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x)
     return _lglflg(gk, sys.b[i - 1], k)
 
 
@@ -523,7 +522,8 @@ def detect_period(gamma: Expr) -> PeriodicityVerdict:
 
 def is_aperiodic_system(sys: CascadeSystem, k_max: int = K_MAX_DEFAULT) -> SystemPeriodicityReport:
     """Observability verdict for the whole cascade: every gain must be
-    aperiodic.  ``k_max`` is ignored: no period verdict takes a derivative."""
+    aperiodic.  ``k_max`` is ignored, since no period verdict takes a
+    derivative; it stays only for callers that still pass it."""
     verdicts = tuple(detect_period(g) for g in sys.gamma)
     classes = {v.classification for v in verdicts}
     overall = ("not-observable" if CLASS_PERIODIC in classes
@@ -593,7 +593,7 @@ def find_separating_observable(
         jet = jets.get((i, state))
         if jet is None:
             x = (x0, x1)[state][i - 1]
-            jet = jets[(i, state)] = ex.Jet((sys.gamma[i - 1],), (GAMMA_VAR,), (x,), k_max=k_max)
+            jet = jets[(i, state)] = ex.Jet((sys.gamma[i - 1],), (GAMMA_VAR,), (x,))
         return jet.derivative(0, k)
 
     def lflg(i: int, k: int) -> tuple[float, float]:
@@ -651,7 +651,6 @@ def find_separating_observable(
 def local_rank(
     sys: ControlAffineSystem | CascadeSystem,
     x0,
-    max_words: int | None = None,
     l_max: int | None = None,
     rank_tol: float = RANK_TOL_DEFAULT,
 ) -> RankReport:
@@ -663,16 +662,15 @@ def local_rank(
     the state is locally distinguishable from its neighbours without any
     input excitation; a deficient result is a bounded-search statement,
     only jets up to order ``l_max`` (state dimension by default) were tried,
-    at most p*(l_max + 1) rows.  A cap ``max_words`` on the rows that stops
-    the search before full rank is kept on the report.  The rows come from
-    the Taylor series of the outputs along the drift flow with one tangent
-    direction per state.  Order k costs one scalar operation for the
-    values and one vector operation for the tangents per nonzero value
-    coefficient: O(k) per node while moving, O(1) at an equilibrium, where
-    every coefficient above order 0 is zero.  An SVD runs only at an order
-    where full rank is possible (at least ``dim`` rows, no all-zero column)
-    and at the last order, so a deficient state pays for one.  A non-finite
-    row raises DomainError.
+    at most p*(l_max + 1) rows.  The rows come from the Taylor series of the
+    outputs along the drift flow with one tangent direction per state.
+    Order k costs one scalar operation for the values and one vector
+    operation for the tangents per nonzero value coefficient: O(k) per node
+    while moving, O(1) at an equilibrium, where every coefficient above
+    order 0 is zero.  An SVD runs only at an order where full rank is
+    possible (at least ``dim`` rows, no all-zero column) and at the last
+    order, so a deficient state pays for one.  A non-finite row raises
+    DomainError.
     """
     sys = as_control_affine(sys)
     x0 = tuple(float(v) for v in x0)
@@ -682,20 +680,15 @@ def local_rank(
         l_max = sys.dim
     elif l_max < 0:
         raise ValueError(f"l_max must be at least 0, got {l_max}")
-    if max_words is not None and max_words < 1:
-        raise ValueError(f"max_words must be at least 1, got {max_words}")
     p, dim = sys.p, sys.dim
-    total = p * (l_max + 1) if max_words is None else min(max_words, p * (l_max + 1))
-    stack = np.empty((total, dim))
+    stack = np.empty((p * (l_max + 1), dim))
     seen = np.zeros(dim, dtype=bool)  # columns nonzero in some row so far
     words: list[ObservableWord] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift,
-                      seeds=np.eye(dim), k_max=l_max)
+        flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(dim))
         for k in range(l_max + 1):
-            top = len(words)
-            block = stack[top:top + p]
-            for j in range(len(block)):
+            block = stack[k * p:(k + 1) * p]
+            for j in range(p):
                 block[j] = flow.tangent(j, k)
             for f in range(2, k + 1):  # k! as in Jet.gradient, one factor at a time
                 block *= f
@@ -703,31 +696,29 @@ def local_rank(
             if not finite.all():
                 j = int(np.argmin(finite))
                 raise ex.DomainError(f"non-finite gradient at order {k}", sys.outputs[j])
-            words += [ObservableWord(j=j, mu=(0,) * k) for j in range(1, len(block) + 1)]
+            words += [ObservableWord(j=j, mu=(0,) * k) for j in range(1, p + 1)]
             seen |= (block != 0.0).any(axis=0)
-            last = len(words) == total
+            last = k == l_max
             if last or (len(words) >= dim and seen.all()):
                 sigma = np.linalg.svd(stack[:len(words)], compute_uv=False)
                 rank = int(np.sum(sigma > rank_tol * sigma[0])) if sigma[0] > 0.0 else 0
                 if last or rank == dim:
                     break
-    capped = rank < dim and len(words) < p * (l_max + 1)
     return RankReport(
         words=words,
         gradients=stack[:len(words)],
         singular_values=sigma,
         rank=rank,
         dim=dim,
-        max_words=max_words if capped else None,
     )
 
 
-def rank_condition_value(gamma: Expr, x: float, z: float, k_max: int = K_MAX_DEFAULT) -> float:
+def rank_condition_value(gamma: Expr, x: float, z: float) -> float:
     """Analytic 2-D cross-check: z^2 (2 gamma'(x)^2 - gamma(x) gamma''(x)).
 
     Nonzero exactly when the first two observation-space differentials of
     the single-block damped cascade are independent at (x, z).
     """
-    jet = ex.Jet((gamma,), (GAMMA_VAR,), (x,), k_max=k_max)
+    jet = ex.Jet((gamma,), (GAMMA_VAR,), (x,))
     g0, g1, g2 = (jet.derivative(0, k) for k in range(3))
     return z * z * (2.0 * g1 * g1 - g0 * g2)

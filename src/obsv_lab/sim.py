@@ -23,7 +23,8 @@ from .record import Frozen, Record
 DT_DEFAULT = 1e-3
 T_END_DEFAULT = 10.0
 DIST_TOL_DEFAULT = 1e-6      # below: numerically identical
-DIVERGED_TOL_DEFAULT = 1e-3  # above: clearly diverged; between: inconclusive
+DIVERGED_TOL = 1e-3          # above: clearly diverged; between: inconclusive
+PREMISE_TOL = 1e-12          # field norm at which a nominal point counts as an equilibrium
 
 
 class BlowUpError(RuntimeError):
@@ -686,13 +687,13 @@ def distinguishability_experiment(
     t_end: float = T_END_DEFAULT,
     dt: float = DT_DEFAULT,
     dist_tol: float = DIST_TOL_DEFAULT,
-    diverged_tol: float = DIVERGED_TOL_DEFAULT,
 ) -> DistinguishabilityResult:
     """Integrate both states under the same input and compare output records.
 
     Classification: "identical" when the sup gap stays at or below dist_tol,
-    "diverged" when it exceeds diverged_tol, "inconclusive" in between (the
-    gap is too large to ignore but too small to rule out integrator error).
+    "diverged" when it exceeds ``DIVERGED_TOL``, "inconclusive" in between
+    (the gap is too large to ignore but too small to rule out integrator
+    error).
     """
     loop = compile_rk4(sys, 2)
     diff = _output_gap(loop, *integrate_many(loop, (s0, s1), u, t_end, dt)).max(axis=1)
@@ -701,7 +702,7 @@ def distinguishability_experiment(
     first = float(over[0] * dt) if over.size else None
     if gap <= dist_tol:
         cls = "identical"
-    elif gap > diverged_tol:
+    elif gap > DIVERGED_TOL:
         cls = "diverged"
     else:
         cls = "inconclusive"
@@ -793,16 +794,16 @@ def output_feedback_equilibria_check(
     law: FeedbackLaw,
     q_star,
     xi_grid,
-    premise_tol: float = 1e-12,
 ) -> EquilibriaReport:
     """Show that resting states form a continuum under output feedback.
 
     First verifies the nominal point (origin plant state, q_star controller
-    state) actually is a closed-loop equilibrium; then evaluates the coupled
-    field at every (xi, 0, q_star) with all positions moved to xi.  Because
-    the outputs vanish whenever the velocities do, moving the position does
-    not re-excite the loop, so each residual should vanish as well: the
-    closed loop cannot regulate which resting position it ends up at.
+    state) actually is a closed-loop equilibrium, to ``PREMISE_TOL``; then
+    evaluates the coupled field at every (xi, 0, q_star) with all positions
+    moved to xi.  Because the outputs vanish whenever the velocities do,
+    moving the position does not re-excite the loop, so each residual should
+    vanish as well: the closed loop cannot regulate which resting position
+    it ends up at.
     """
     q = tuple(float(v) for v in q_star)
     if len(q) != law.nq:
@@ -815,10 +816,10 @@ def output_feedback_equilibria_check(
         return max(abs(ex.evaluate(e, env)) for e in field)
 
     premise = residual(0.0)
-    if premise > premise_tol:
+    if premise > PREMISE_TOL:
         raise EquilibriumPremiseError(
             f"nominal point is not an equilibrium: field norm {premise:.3e} "
-            f"exceeds {premise_tol:.1e}"
+            f"exceeds {PREMISE_TOL:.1e}"
         )
     rows = [(float(xi), residual(float(xi))) for xi in xi_grid]
     return EquilibriaReport(q_star=q, premise_residual=premise, residuals=rows)

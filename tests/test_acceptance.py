@@ -88,7 +88,7 @@ def test_criterion_1_closed_form_identities():
                 (cascade_lflg(sys, i, k, state), word_lflg(i, k)),
                 (cascade_lglflg(sys, i, k, state), word_lglflg(i, k)),
             ):
-                generic = evaluate_word(ca, word, state, l_max=2 * k + 1)
+                generic = evaluate_word(ca, word, state)
                 worst = max(worst, abs(closed - generic) / (1.0 + abs(generic)))
     report(1, "closed-form-identities", worst <= 1e-8, f"worst rel gap {worst:.2e}")
 
@@ -104,7 +104,7 @@ def test_criterion_2_input_polynomial_expansion():
         j = rng.randrange(1, n + 1)
         depth = rng.randrange(1, 4)
         u_rows = [rng.uniform(-1.0, 1.0) for _ in range(depth)]
-        lhs = nested_lie_along_affine(ca, u_rows, j, state, l_max=depth)
+        lhs = nested_lie_along_affine(ca, u_rows, j, state)
         rhs = 0.0
         for mu_bits in range(2 ** depth):
             mu = tuple((mu_bits >> p) & 1 for p in range(depth))
@@ -112,7 +112,7 @@ def test_criterion_2_input_polynomial_expansion():
             for pos, pick in enumerate(mu):
                 if pick:
                     coeff *= u_rows[depth - 1 - pos]
-            rhs += coeff * evaluate_word(ca, ObservableWord(j, mu), state, l_max=depth)
+            rhs += coeff * evaluate_word(ca, ObservableWord(j, mu), state)
         worst = max(worst, abs(lhs - rhs) / (1.0 + abs(rhs)))
     report(2, "input-polynomial-expansion", worst <= 1e-8, f"worst rel gap {worst:.2e}")
 
@@ -160,8 +160,8 @@ def test_criterion_4_separation_certificates():
             max_order = max(max_order, order)
             if order > 8:
                 report(4, "separation-certificates", False, f"witness order {order} > 8")
-            v0 = evaluate_word(ca, cert.witness, s0, l_max=len(cert.witness.mu))
-            v1 = evaluate_word(ca, cert.witness, s1, l_max=len(cert.witness.mu))
+            v0 = evaluate_word(ca, cert.witness, s0)
+            v1 = evaluate_word(ca, cert.witness, s1)
             if abs(v0 - v1) <= SEP_TOL_DEFAULT:
                 report(4, "separation-certificates", False, f"witness gap {abs(v0 - v1):.2e} too small")
             checked += 1

@@ -10,7 +10,6 @@ import obsv_lab.expr as ex
 from obsv_lab.cli import _random_system
 from obsv_lab.lie import (
     EPS_LETTERS_MAX,
-    L_MAX_DEFAULT,
     ObservableWord,
     WordLengthError,
     evaluate_word,
@@ -24,7 +23,7 @@ from obsv_lab.model import (
     preset,
     preset_names,
 )
-from obsv_lab.obsv import word_lflg, word_lglflg
+from obsv_lab.obsv import cascade_lflg, word_lflg, word_lglflg
 
 
 def sin_cascade(b=2.0):
@@ -121,11 +120,15 @@ def test_word_on_zero_drift_system():
 
 
 def test_word_length_cap():
-    ca = sin_cascade()
-    w = ObservableWord(j=1, mu=(1, 0) * 5)
-    with pytest.raises(WordLengthError):
-        evaluate_word(ca, w, (0.1, 0.2))  # length 10 > default 8
-    evaluate_word(ca, w, (0.1, 0.2), l_max=10)
+    sys_ = CascadeSystem(n=1, gamma=(ex.parse("sin(x)", {"x"}),),
+                         F=(ex.parse("-z1", {"z1"}),), b=(2.0,))
+    ca = as_control_affine(sys_)
+    state = (0.1, 0.2)
+    # a word that changes field is bounded by EPS_LETTERS_MAX alone: 10 letters run, 13 do not
+    got = evaluate_word(ca, word_lflg(1, 5), state)
+    assert got == pytest.approx(cascade_lflg(sys_, 1, 5, state), rel=1e-12)
+    with pytest.raises(WordLengthError, match=rf"word length 13 exceeds {EPS_LETTERS_MAX}\b"):
+        evaluate_word(ca, word_lglflg(1, 6), state)
 
 
 def test_word_index_validation():
@@ -156,13 +159,13 @@ def test_a_long_word_that_changes_field_is_refused_at_once():
     )
     t0 = time.perf_counter()
     with pytest.raises(WordLengthError, match=rf"word length 40 exceeds {EPS_LETTERS_MAX}\b"):
-        evaluate_word(ca, ObservableWord(1, (1, 0) * 20), (0.5,), l_max=40)
+        evaluate_word(ca, ObservableWord(1, (1, 0) * 20), (0.5,))
     with pytest.raises(WordLengthError, match=r"word length 40 exceeds"):
-        nested_lie_along_affine(ca, [0.0, 1.0] * 20, 1, (0.5,), l_max=40)
+        nested_lie_along_affine(ca, [0.0, 1.0] * 20, 1, (0.5,))
     assert time.perf_counter() - t0 < 0.1
     # a one-field word of the same length runs on the flow's jet: (-1)^40 x1
-    assert evaluate_word(ca, ObservableWord(1, (0,) * 40), (0.5,), l_max=40) == pytest.approx(0.5, rel=1e-13)
-    assert nested_lie_along_affine(ca, [0.0] * 40, 1, (0.5,), l_max=40) == pytest.approx(0.5, rel=1e-13)
+    assert evaluate_word(ca, ObservableWord(1, (0,) * 40), (0.5,)) == pytest.approx(0.5, rel=1e-13)
+    assert nested_lie_along_affine(ca, [0.0] * 40, 1, (0.5,)) == pytest.approx(0.5, rel=1e-13)
     # the longest words of the closed-form acceptance test stay within the bound
     assert len(word_lglflg(1, 5)) <= EPS_LETTERS_MAX
 
@@ -269,7 +272,7 @@ def test_verify_words_and_nested_compositions_match_sympy():
         i = rng.randrange(1, n + 1)
         for k in range(4):
             for w in (word_lflg(i, k), word_lglflg(i, k)):
-                got = evaluate_word(ss.case, w, point, l_max=len(w.mu))
+                got = evaluate_word(ss.case, w, point)
                 worst = max(worst, _gap(got, ss.value(ss.word(w.j, w.mu), point)))
         for depth in range(4):
             u = [rng.uniform(-1.0, 1.0) for _ in range(depth)]
@@ -277,7 +280,7 @@ def test_verify_words_and_nested_compositions_match_sympy():
             h = ss.outputs[i - 1]
             for ul in reversed(u):
                 h = ss.lie(h, [f + ul * g for f, g in zip(*ss.fields)])
-            got = nested_lie_along_affine(ss.case, u, i, point, l_max=depth)
+            got = nested_lie_along_affine(ss.case, u, i, point)
             worst = max(worst, _gap(got, ss.value(h, point)))
     assert worst <= 1e-12
 
@@ -382,8 +385,13 @@ def test_nested_two_levels_expand_into_word_polynomial():
 
 def test_nested_depth_cap_and_index_checks():
     ca = two_block_system()
-    with pytest.raises(WordLengthError):
-        nested_lie_along_affine(ca, [0.0] * (L_MAX_DEFAULT + 1), j=1, x0=(0,) * 4)
+    x0 = (-0.2, 0.8, 1.3, 0.5)
+    # 9 equal rows are one field: a one-field word, however long
+    got = nested_lie_along_affine(ca, [0.0] * 9, j=1, x0=x0)
+    assert got == pytest.approx(evaluate_word(ca, ObservableWord(1, (0,) * 9), x0), rel=1e-12)
+    # distinct rows change field, so past EPS_LETTERS_MAX of them is refused
+    with pytest.raises(WordLengthError, match="word length 13 exceeds"):
+        nested_lie_along_affine(ca, [0.1 * r for r in range(13)], j=1, x0=x0)
     with pytest.raises(ValueError):
         nested_lie_along_affine(ca, [0.0], j=3, x0=(0,) * 4)
     with pytest.raises(ValueError):

@@ -108,10 +108,10 @@ def test_closed_forms_match_generic_words():
             i = rng.randrange(1, n + 1)
             for k in range(0, 4):
                 closed = cascade_lflg(sys, i, k, state)
-                generic = evaluate_word(ca, word_lflg(i, k), state, l_max=2 * k + 1)
+                generic = evaluate_word(ca, word_lflg(i, k), state)
                 assert closed == pytest.approx(generic, rel=1e-10, abs=1e-10)
                 closed_g = cascade_lglflg(sys, i, k, state)
-                generic_g = evaluate_word(ca, word_lglflg(i, k), state, l_max=2 * k + 1)
+                generic_g = evaluate_word(ca, word_lglflg(i, k), state)
                 assert closed_g == pytest.approx(generic_g, rel=1e-10, abs=1e-10)
 
 
@@ -757,8 +757,8 @@ def test_separation_witness_reevaluates_under_generic_words():
         cert = find_separating_observable(sys, s0, s1)
         assert cert.verdict == VERDICT_SEPARATED
         w = cert.witness
-        g0 = evaluate_word(ca, w, s0, l_max=len(w.mu))
-        g1 = evaluate_word(ca, w, s1, l_max=len(w.mu))
+        g0 = evaluate_word(ca, w, s0)
+        g1 = evaluate_word(ca, w, s1)
         assert abs(g0 - g1) > SEP_TOL_DEFAULT
         assert g0 == pytest.approx(cert.value0, rel=1e-9, abs=1e-12)
         assert g1 == pytest.approx(cert.value1, rel=1e-9, abs=1e-12)
@@ -851,7 +851,7 @@ def test_separating_witness_replays_through_generic_words(gains, data):
     ca = as_control_affine(sys)
     w = cert.witness
     for state, value in ((s0, cert.value0), (s1, cert.value1)):
-        replayed = evaluate_word(ca, w, state, l_max=len(w.mu))
+        replayed = evaluate_word(ca, w, state)
         assert replayed == pytest.approx(value, rel=1e-9, abs=1e-12)
 
 
@@ -968,19 +968,6 @@ def test_local_rank_zero_velocity_matches_condition():
         assert rank_condition_value(sys.gamma[0], 0.4, 0.0) == 0.0
 
 
-def test_local_rank_row_budget():
-    report = local_rank(preset("fish-1d-hyperbolic"), (0.0, 1.0), max_words=3)
-    assert len(report.words) <= 3
-    # the hyperbolic gain is rank deficient everywhere: up to order 4 the
-    # cap stops the search, and the report says so; a cap that stops no
-    # search (order 2 has 3 rows) or is not reached is not kept
-    assert report.max_words is None
-    capped = local_rank(preset("fish-1d-hyperbolic"), (0.0, 1.0), max_words=3, l_max=4)
-    assert (capped.rank, len(capped.words), capped.max_words) == (1, 3, 3)
-    assert local_rank(preset("fish-1d-gauss"), (0.0, 1.0), max_words=3).max_words is None
-    assert local_rank(preset("fish-1d-hyperbolic"), (0.0, 1.0)).max_words is None
-
-
 @pytest.mark.parametrize("moving", [False, True], ids=["rest", "moving"])
 def test_local_rank_of_decoupled_cascade_is_the_sum_of_block_ranks(moving):
     # with F[i] = -z_i the blocks do not couple, so the observation space is
@@ -1006,7 +993,6 @@ def test_local_rank_of_decoupled_cascade_is_the_sum_of_block_ranks(moving):
         return local_rank(block, (x[i], z[i])).rank
 
     assert report.rank == sum(block_rank(i) for i in range(n)) == (2 * n if moving else n)
-    assert report.max_words is None
     # at rest no order reaches full rank, so all 101 orders run
     assert len(report.words) == (2 * n if moving else n * (2 * n + 1))
     assert elapsed < 3.0
@@ -1116,7 +1102,7 @@ def test_jet_skipping_zero_terms_keeps_every_bit(monkeypatch):
     assert sum(r.startswith("DomainError") for r in full) >= 10
 
 
-@pytest.mark.parametrize("bounds", [{"l_max": -1}, {"max_words": 0}, {"max_words": -2}])
+@pytest.mark.parametrize("bounds", [{"l_max": -1}])
 def test_local_rank_rejects_meaningless_bounds(bounds):
     with pytest.raises(ValueError):
         local_rank(preset("fish-1d-gauss"), (0.0, 1.0), **bounds)

@@ -12,7 +12,7 @@ from obsv_lab.cli import Result
 from obsv_lab.expr import CATALOG, Add, Const, Func, Mul, Neg, Pow, Sub, Var, parse
 from obsv_lab.lie import ObservableWord
 from obsv_lab.model import CascadeSystem, preset
-from obsv_lab.obsv import PeriodicityVerdict, RankReport, SeparationCertificate
+from obsv_lab.obsv import PeriodicityVerdict, SeparationCertificate
 from obsv_lab.sim import FeedbackLaw, InputSignal, Trajectory
 
 a, b = Var("x"), Const(2.0)
@@ -74,9 +74,12 @@ def test_keywords_and_defaults():
     assert InputSignal("zero") == InputSignal(kind="zero", params=())
     sys_ = CascadeSystem(n=1, gamma=(a,), F=(Neg(Var("z1")),), b=(1.0,))
     assert sys_ == CascadeSystem(1, (a,), (Neg(Var("z1")),), (1.0,))
-    rep = RankReport([], np.zeros((0, 2)), np.zeros(0), 0, 2)
-    assert rep.max_words is None
     assert Result(0, {}, []).csv is None
+
+    def render():
+        return "t,x1\n"
+
+    assert Result(0, {}, [], csv=render).csv is render
     cert = SeparationCertificate("separated", None, 1.0, 2.0)
     assert cert.bounds == {}
     assert SeparationCertificate("separated", None, 1.0, 2.0).bounds is not cert.bounds
