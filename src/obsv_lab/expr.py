@@ -2,11 +2,13 @@
 
 The function catalog is deliberately closed: the functions in ``CATALOG``
 (sin, cos, tan, exp, ln, tanh, sqrt), the four rational operations, unary
-minus, and integer powers.  A ``CATALOG`` entry holds all the package knows
+minus, and integer powers.  A ``CATALOG`` entry holds what this module knows
 about its function (value, domain, derivative, Taylor-series rules, source
-name, period, parity, tail), so a new function is one entry.  Every member is smooth
-on its domain and the catalog is closed under differentiation; an integer
-power runs on the series rules of the product and the quotient (see ``Jet``).
+name, period, parity, tail); ``obsv``'s interval bounds also name functions
+(``_EXACT_AT``, and tan and sqrt in ``_bounds``, ``_half_shift``, ``_value``).
+Every member is smooth on its domain and the catalog is closed under
+differentiation; an integer power runs on the series rules of the product
+and the quotient (see ``Jet``).
 
 Every order-0 value comes from ``_checked``, shared by ``evaluate``, the jets,
 the folds and ``lie``'s word tables: a result that leaves the reals or is not

@@ -15,6 +15,7 @@ import math
 
 import numpy as np
 
+from . import expr as ex
 from .model import CascadeSystem, ControlAffineSystem, as_control_affine
 from .record import Record
 from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, RK4Loop, compile_rk4, integrate_many
@@ -93,14 +94,21 @@ def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
     for i in range(dim):
         starts += [moved(i, secant[1]), x0] if i == sec else [moved(i, eps), moved(i, -eps)]
     trajs = integrate_many(loop, starts, u, t_end, dt)
-    deltas = [trajs[2 * i].outputs - trajs[2 * i + 1].outputs for i in range(dim)]
-    deltas = [d if i == sec else d / (2.0 * eps) for i, d in enumerate(deltas)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = [trajs[2 * i].outputs - trajs[2 * i + 1].outputs for i in range(dim)]
+        deltas = [d if i == sec else d / (2.0 * eps) for i, d in enumerate(deltas)]
+        # rows of D: flattened output sensitivity per state direction
+        D = np.stack([d.ravel() for d in deltas])
+        W = (D @ D.T) * dt
+        W = 0.5 * (W + W.T)  # kill last-bit asymmetry from the matmul
+    if not np.isfinite(W).all():  # W[i, i] is not finite where row i of D is not
+        i, c = np.unravel_index(np.where(np.isfinite(D), np.abs(D), np.inf).argmax(), D.shape)
+        k, j = divmod(int(c), loop.system.p)  # name D's largest entry, a non-finite one first
+        raise ex.DomainError(f"Gramian overflows from the sensitivity {D[i, c]:.6g} of row "
+                             f"{loop.system.state_vars[i]} at t={k * dt:.6g}",
+                             loop.system.outputs[j])
 
     weak = all(np.max(np.abs(d)) < WEAK_SIGNAL_FLOOR for d in deltas)
-    # rows of D: flattened output sensitivity per state direction
-    D = np.stack([d.ravel() for d in deltas])
-    W = (D @ D.T) * dt
-    W = 0.5 * (W + W.T)  # kill last-bit asymmetry from the matmul
     sigma = np.linalg.svd(W, compute_uv=False)
     return GramianReport(
         base_state=x0,

@@ -55,9 +55,6 @@ class CascadeSystem(_AffineSlot):
             f"z{i}" for i in range(1, self.n + 1)
         )
 
-    def output_names(self) -> tuple[str, ...]:
-        return tuple(f"y{i}" for i in range(1, self.n + 1))
-
 
 class ControlAffineSystem(Frozen):
     """dx/dt = drift(x) + sum_i u_i * input_fields[i](x), y = outputs(x)."""

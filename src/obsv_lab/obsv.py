@@ -80,9 +80,11 @@ class RankReport(Record):
 # Closed forms for the alternating words
 
 
-def _check_block(sys: CascadeSystem, i: int) -> None:
+def _check_block(sys: CascadeSystem, i: int, state) -> None:
     if not 1 <= i <= sys.n:
         raise ValueError(f"block index {i} out of range for n = {sys.n}")
+    if len(state) != 2 * sys.n:
+        raise ValueError(f"state has {len(state)} entries, expected {2 * sys.n}")
 
 
 def _lflg(gk: float, b: float, k: int, z: float) -> float:
@@ -95,7 +97,7 @@ def _lglflg(gk: float, b: float, k: int) -> float:
 
 def cascade_lflg(sys: CascadeSystem, i: int, k: int, state) -> float:
     """Value of the k-fold (drift o input) word on output i: gamma^(k)(x_i) b^k z_i."""
-    _check_block(sys, i)
+    _check_block(sys, i, state)
     x = float(state[i - 1])
     z = float(state[sys.n + i - 1])
     gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x)
@@ -104,7 +106,7 @@ def cascade_lflg(sys: CascadeSystem, i: int, k: int, state) -> float:
 
 def cascade_lglflg(sys: CascadeSystem, i: int, k: int, state) -> float:
     """Value of input o (drift o input)^k on output i: gamma^(k)(x_i) b^(k+1)."""
-    _check_block(sys, i)
+    _check_block(sys, i, state)
     x = float(state[i - 1])
     gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x)
     return _lglflg(gk, sys.b[i - 1], k)
@@ -676,6 +678,8 @@ def local_rank(
     x0 = tuple(float(v) for v in x0)
     if len(x0) != sys.dim:
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
+    if sys.p < 1:
+        raise ValueError("local_rank needs at least one output, got none")
     if l_max is None:
         l_max = sys.dim
     elif l_max < 0:

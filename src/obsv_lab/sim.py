@@ -17,7 +17,7 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine
+from .model import CascadeSystem, ControlAffineSystem, as_control_affine
 from .record import Frozen, Record
 
 DT_DEFAULT = 1e-3
@@ -507,58 +507,48 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     _check_outputs(ca, x)
 
 
-def _raise_lone_failure(ca: ControlAffineSystem, x0, u, dt: float, rows, error) -> None:
-    """Raise the failure of the lone run from ``x0`` that stored ``rows``
-    and raised ``error`` (or None): the first step end whose stored state is
-    not finite (the start is none, and stays non-finite into step 1), else
-    the replay of the step that raised, else the first output that is not
-    finite (a float product overflows to inf without raising)."""
-    table = np.frombuffer(rows).reshape(-1, ca.dim + ca.p)
-    ends = np.isfinite(table[1:, :ca.dim]).all(axis=1)
+def _raise_failure(ca: ControlAffineSystem, xs, u, dt: float, states, outputs, error) -> None:
+    """Raise the failure of the run from the starts ``xs`` that stored
+    ``states`` and ``outputs`` (sample, member, variable) and raised
+    ``error`` (or None).  Each member's columns are bit for bit its lone
+    run, so the rules of a lone run apply across members, the first in order
+    deciding a sample: the first step end whose state is not finite (the
+    start is none, and stays non-finite into step 1), else each member's
+    replay of the step that raised (else ``error`` itself), else the first
+    output that is not finite (a float product overflows to inf without
+    raising)."""
+    ends = np.isfinite(states[1:]).all(axis=2)
     if not ends.all():
-        k = int(ends.argmin())
-        raise BlowUpError(k * dt + dt, table[k + 1, :ca.dim].tolist())
+        k, j = divmod(int(ends.argmin()), len(xs))
+        raise BlowUpError(k * dt + dt, states[k + 1, j].tolist())
     if error is not None:
-        # re-raising covers a replay that passes
-        done = len(table)  # samples stored before the failing step
-        _replay_step(ca, u, dt, table[-1, :ca.dim].tolist() if done else x0, done - 1)
+        done = len(states)  # samples stored before the failing step
+        for j, x in enumerate(xs):
+            _replay_step(ca, u, dt, states[-1, j].tolist() if done else x, done - 1)
         raise error
-    finite = np.isfinite(table[:, ca.dim:]).all(axis=1)
+    finite = np.isfinite(outputs).all(axis=2)
     if not finite.all():
-        _check_outputs(ca, table[finite.argmin(), :ca.dim].tolist())
-
-
-def _run(loop: RK4Loop, x0s, u, dt: float, steps: int):
-    """The rows one run of ``loop`` stored, and the error it raised or None."""
-    rows = array("d")
-    try:
-        loop.run(x0s, u, dt, steps, rows)
-    except (ArithmeticError, ValueError) as err:
-        return rows, err
-    return rows, None
+        k, j = divmod(int(finite.argmin()), len(xs))
+        _check_outputs(ca, states[k, j].tolist())
 
 
 def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory]:
     """One run of a joint loop; members beyond ``xs`` (the last run of an
-    ensemble) step copies of its last state.  On a failure, an exception
-    or a stored value that is not finite, the lone runs of the states, in
-    order, raise the error of the first failing state: each is bit for bit
-    its member's run, so it fails too.  A loop of one member has made its
-    lone run already."""
+    ensemble) step copies of its last state.  A failure is read from the
+    rows this run stored (``_raise_failure``)."""
     ca = loop.system
     padded = xs + [xs[-1]] * (loop.size - len(xs))
-    rows, error = _run(loop, tuple(v for x in padded for v in x), u, dt, steps)
+    rows, error = array("d"), None
+    try:
+        loop.run(tuple(v for x in padded for v in x), u, dt, steps, rows)
+    except (ArithmeticError, ValueError) as err:
+        error = err
     table = np.frombuffer(rows).reshape(-1, loop.size * (ca.dim + ca.p))
-    if error is not None or not np.isfinite(table).all():
-        lone = compile_rk4(ca) if loop.size > 1 else None
-        for x in xs:
-            run = (rows, error) if lone is None else _run(lone, x, u, dt, steps)
-            _raise_lone_failure(ca, x, u, dt, *run)
-    if error is not None:
-        raise error
     split = loop.size * ca.dim  # states, then outputs, in each row
-    states = table[:, :split].reshape(steps + 1, loop.size, ca.dim)
-    outputs = table[:, split:].reshape(steps + 1, loop.size, ca.p)
+    states = table[:, :split].reshape(len(table), loop.size, ca.dim)[:, :len(xs)]
+    outputs = table[:, split:].reshape(len(table), loop.size, ca.p)[:, :len(xs)]
+    if error is not None or not np.isfinite(table).all():
+        _raise_failure(ca, xs, u, dt, states, outputs, error)
     names = tuple(ca.state_vars), tuple(f"y{i}" for i in range(1, ca.p + 1))
     return [Trajectory(0.0, dt, states[:, j], outputs[:, j], *names) for j in range(len(xs))]
 
@@ -579,9 +569,10 @@ def integrate_many(
     its state alone; its arrays are views into one buffer shared by the
     ensemble.  A run does not stop at a non-finite state: one numpy pass
     over its stored rows finds a state or output that is not finite.  On a
-    failure of a joint loop of several states, an exception or such a
-    value, they are integrated again one at a time, so the error raised is
-    the one of the first failing state, as ``integrate`` reports it.
+    failure, an exception or such a value, the error raised is the one
+    ``integrate`` reports for the member whose failure comes first in the
+    first failing run of ``MEMBERS_MAX`` states, the first member in order
+    at the same sample (see ``_raise_failure``).
     """
     xs = [tuple(float(v) for v in x) for x in states]
     loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys, len(xs))
@@ -759,18 +750,9 @@ class EquilibriaReport(Record):
 
 def _closed_loop_field(sys: CascadeSystem, law: FeedbackLaw):
     """Symbolic coupled field (dx, dz, dq) with y rewritten in plant states."""
-    n = sys.n
-    x_vars = [f"x{i}" for i in range(1, n + 1)]
-    z_vars = [f"z{i}" for i in range(1, n + 1)]
+    ca = as_control_affine(sys)
+    y_exprs = {f"y{i}": h for i, h in enumerate(ca.outputs, start=1)}
     q_vars = [f"q{l}" for l in range(1, law.nq + 1)]
-
-    y_exprs = {
-        f"y{i}": ex.mul(
-            ex.substitute(sys.gamma[i - 1], GAMMA_VAR, ex.Var(x_vars[i - 1])),
-            ex.Var(z_vars[i - 1]),
-        )
-        for i in range(1, n + 1)
-    }
 
     def ground(e: Expr) -> Expr:
         bad = ex.free_vars(e) - set(y_exprs) - set(q_vars)
@@ -781,12 +763,9 @@ def _closed_loop_field(sys: CascadeSystem, law: FeedbackLaw):
         return e
 
     u_expr = ground(law.output)
-    field = [ex.Var(z) for z in z_vars]
-    field += [
-        ex.add(sys.F[i], ex.mul(ex.const(sys.b[i]), u_expr)) for i in range(n)
-    ]
+    field = [ex.add(f, ex.mul(g, u_expr)) for f, g in zip(ca.drift, ca.input_fields[0])]
     field += [ground(g) for g in law.dynamics]
-    return tuple(x_vars + z_vars + q_vars), tuple(field)
+    return ca.state_vars + tuple(q_vars), tuple(field)
 
 
 def output_feedback_equilibria_check(

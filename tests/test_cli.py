@@ -597,6 +597,17 @@ def test_input_without_a_value_is_a_numeric_failure(capsys, command):
                   "w*t + phi is not finite\n"
 
 
+def test_an_overflowing_gramian_is_a_numeric_failure(capsys):
+    # the sensitivity rows are finite, about 1e160, but W = D D^T dt is not;
+    # the failure names the largest sensitivity, and no numpy warning (an
+    # error under pytest) is raised on the way
+    code, out, err = run(capsys, "gramian", "--system", "preset:periodic-sin",
+                         "--state", "0,1e160", "--t-end", "0.01")
+    assert (code, out) == (4, "")
+    assert err == "numeric failure: Gramian overflows from the sensitivity 1e+160 of row x1 " \
+                  "at t=0 in sin(x1)*z1\n"
+
+
 def test_zero_orders_are_valid(capsys):
     code, out, _ = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0,1",
                        "--lmax", "0", "--format", "text")

@@ -461,6 +461,25 @@ def test_jet_matches_sympy_across_catalog():
                 assert coeffs[k] == tol, (src, x0, k)
 
 
+def test_jet_gradients_along_a_drift_match_sympy():
+    # the tangent rules of -, ln and sqrt: the gradient of L_f^k h at a
+    # state, h = ln(2 + x^2) - sqrt(1 + z^2) along the drift (z, -z + sin(x))
+    x, z = sympy.symbols("x z")
+    h, field = "ln(2 + x^2) - sqrt(1 + z^2)", ("z", "-z + sin(x)")
+    lie = [_sympy_of(h)]
+    for _ in range(4):
+        lie.append(sum(sympy.diff(lie[-1], v) * _sympy_of(f) for v, f in zip((x, z), field)))
+    names = {"x", "z"}
+    for x0 in ((0.3, -0.8), (-1.2, 0.5)):
+        jet_ = ex.Jet((parse(h, names),), ("x", "z"), x0, field=tuple(parse(f, names) for f in field),
+                      seeds=np.eye(2))
+        at = {x: sympy.Float(x0[0], 40), z: sympy.Float(x0[1], 40)}
+        for k, l in enumerate(lie):
+            want = [float(sympy.diff(l, v).subs(at).evalf(40)) for v in (x, z)]
+            got = jet_.gradient(0, k)
+            assert got == pytest.approx(want, rel=1e-13, abs=1e-13), (x0, k)
+
+
 def test_hyperbolic_derivatives_are_exact():
     # d^k/dx^k 1/(x+2) at 0 is (-1)^k k!/2^(k+1), exactly representable
     e = parse("1/(x + 2)", {"x"})

@@ -130,6 +130,15 @@ def test_shift_comparison_validations():
         shift_comparison_gramian(sys, (0.0, 0.0), (1.0, 1.0), SIN_1HZ)
 
 
+def test_a_non_finite_sensitivity_row_is_a_domain_error():
+    # y = x*z: the secant row y(x0 + d) - y(x0) = 1.2e308 - (-1.35e308)
+    # overflows at t = 0, while every state and output stays finite
+    sys = CascadeSystem(n=1, gamma=(ex.parse("x", {"x"}),), F=(ex.parse("-z1", {"z1"}),), b=(1.0,))
+    with pytest.raises(ex.DomainError) as err:
+        shift_comparison_gramian(sys, (-0.9e308, 1.5), (1.7e308,), InputSignal.zero(), t_end=0.01)
+    assert str(err.value) == "Gramian overflows from the sensitivity inf of row x1 at t=0 in x1*z1"
+
+
 def _rank_comparison_cases():
     """(gain, state, input) of the Gramian-vs-rank comparison, run for 5 s at dt 2e-3."""
     rng = random.Random(9)

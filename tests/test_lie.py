@@ -259,6 +259,22 @@ def test_every_short_word_matches_sympy():
     assert worst <= 1e-12
 
 
+def test_words_through_constant_right_factors_match_sympy():
+    # F reads z1 through a quotient and a product whose right operand is a
+    # constant, so the eps tables of F scale by that constant, in the words
+    # that change field
+    ss = SymSystem(["sin(x)"], ["z1/2 + sin(z1)*0.3"], [1.0])
+    f = ss.case.drift[1]
+    assert (type(f.left), type(f.left.right)) == (ex.Div, ex.Const)
+    assert (type(f.right), type(f.right.right)) == (ex.Mul, ex.Const)
+    worst = 0.0
+    for point in ((0.4, -0.7), (-1.1, 0.9)):
+        for mu in ((1, 0), (1, 0, 0), (0, 1, 0), (1, 0, 1, 0)):
+            got = evaluate_word(ss.case, ObservableWord(1, mu), point)
+            worst = max(worst, _gap(got, ss.value(ss.word(1, mu), point)))
+    assert worst <= 1e-12
+
+
 def test_verify_words_and_nested_compositions_match_sympy():
     # systems drawn as `obsv-lab verify` draws them, with its words and compositions
     rng = random.Random(0)

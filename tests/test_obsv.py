@@ -1,6 +1,7 @@
 import inspect
 import math
 import random
+import sys
 import time
 
 import mpmath
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import obsv_lab.expr as ex
 from obsv_lab.lie import ObservableWord, evaluate_word
-from obsv_lab.model import CascadeSystem, as_control_affine, preset, preset_names
+from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset, preset_names
 from obsv_lab.obsv import (
     CLASS_APERIODIC,
     CLASS_PERIODIC,
@@ -119,6 +120,13 @@ def test_block_index_validation():
     sys = cascade_1d("sin(x)")
     with pytest.raises(ValueError):
         cascade_lflg(sys, 2, 0, (0.0, 0.0))
+
+
+@pytest.mark.parametrize("word", [cascade_lflg, cascade_lglflg])
+def test_block_words_need_a_state_of_2n_entries(word):
+    # one entry is a position without its velocity, though lglflg reads no velocity
+    with pytest.raises(ValueError, match=r"^state has 1 entries, expected 2$"):
+        word(preset("fish-1d-gauss"), 1, 0, (0.0,))
 
 
 # ---------------------------------------------------------------------------
@@ -329,6 +337,39 @@ def test_detect_period_aperiodic_pool(src):
     v = detect_period(ex.parse(src, {"x"}))
     assert v.classification == CLASS_APERIODIC
     assert v.period is None
+
+
+@pytest.mark.parametrize("src, classification, period", [
+    ("sin(-x)", CLASS_PERIODIC, TWO_PI),
+    ("sin(-(x/3)) + sin(x)", CLASS_PERIODIC, 3.0 * TWO_PI),
+    ("sin(-x^2 + x)", CLASS_UNDETERMINED, None),
+])
+def test_a_negated_argument_keeps_its_slope(src, classification, period):
+    # -(a*x + c) is affine with slope -a, and the period depends on |a|
+    # alone; -x^2 + x is not affine, so no rule proves a period
+    g = _math_gain(src)
+    v = detect_period(ex.parse(src, {"x"}))
+    assert v.classification == classification
+    if period is None:
+        assert v.period is None and v.evidence["rule"] == "none"
+        return
+    assert abs(v.period - period) <= 1e-12 * period
+    for x in (-7.1, 0.3, 12.9):
+        assert g(x + period) == pytest.approx(g(x), abs=1e-12)
+        assert g(x + period / 2) != pytest.approx(g(x), abs=1e-3)
+
+
+def test_a_probe_enclosure_past_the_float_range():
+    # exp(exp(x^2)) overflows a float where x^2 > ln(709.78...): its
+    # enclosure there runs from the largest float to inf, and still lies
+    # apart from the finite one at the other probe point
+    v = detect_period(ex.parse("exp(exp(x^2))", {"x"}))
+    assert v.classification == CLASS_APERIODIC
+    probe = v.evidence["probe"]
+    assert [sys.float_info.max, math.inf] in probe["bounds"]
+    with mpmath.workdps(30):
+        for x, (lo, hi) in zip(probe["x"], probe["bounds"]):
+            assert lo <= mpmath.exp(mpmath.exp(mpmath.mpf(x) ** 2)) <= hi
 
 
 # periods far longer than the probe window, and a gain with poles: the
@@ -669,6 +710,20 @@ def test_bounds_enclose_the_value_mpmath_gives(src, p, w):
                 assert lo <= v <= hi, (src, p, hi_x, t, lo, hi, v)
 
 
+def test_bounds_know_every_catalog_function():
+    # _bounds and _value single functions out by name (_EXACT_AT, tan,
+    # sqrt), so a catalog entry alone does not teach them a new function:
+    # each one bounds f(x) at points inside every function's domain
+    from obsv_lab.obsv import _bounds
+
+    for name in ex.CATALOG:
+        f = ex.Func(name, ex.Var("x"))
+        for p in (0.5, 1.0, 2.5):
+            lo, hi, _ = _bounds(f, (p, p))
+            with mpmath.workdps(50):
+                assert lo <= _mp_value(f, mpmath.mpf(p)) <= hi, (name, p)
+
+
 def test_aperiodic_verdicts_back_random_pair_scans():
     # whenever the verdict is aperiodic, random point pairs must expose a
     # differing derivative jet within the order cap
@@ -958,6 +1013,12 @@ def test_local_rank_agrees_with_analytic_condition():
             cond = rank_condition_value(sys.gamma[0], x, z)
             report = local_rank(sys, (x, z))
             assert (abs(cond) > 1e-10) == report.locally_observable, (name, x, z)
+
+
+def test_local_rank_needs_an_output():
+    ca = ControlAffineSystem(("x",), (ex.Var("x"),), ((ex.const(0.0),),), ())
+    with pytest.raises(ValueError, match="at least one output"):
+        local_rank(ca, (0.0,))
 
 
 def test_local_rank_zero_velocity_matches_condition():

@@ -438,7 +438,7 @@ def test_ensemble_of_extreme_starts_matches_tree_evaluated_rk4_bitwise():
 
 def test_a_run_that_fails_at_step_k_stores_k_plus_1_rows():
     # the rows of t = 0 .. k*dt are stored whole, and the failing step's
-    # row is not: _raise_lone_failure replays step k from the last row
+    # row is not: _raise_failure replays step k from the last row
     dt = 1e-3
     zs = {"z1"}
 
@@ -551,15 +551,16 @@ def _raised(run) -> Exception:
 
 def test_ensemble_failure_is_the_first_failing_state_in_order():
     # z' = z^2 from z = 1 blows up at t = 1, from z = 2 already at t = 0.5;
-    # the pair reports the first state's failure, as one run after the other
+    # the pair reports the failure that comes first in time, the second
+    # state's, as a lone run of it reports it
     sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("z1^2", {"z1"}),), b=(1.0,))
     u = InputSignal.zero()
-    assert _raised(lambda: integrate(sys, (0.0, 2.0), u)).t < 0.51
-    lone = _raised(lambda: integrate(sys, (0.0, 1.0), u))
+    assert 0.99 < _raised(lambda: integrate(sys, (0.0, 1.0), u)).t < 1.01
+    lone = _raised(lambda: integrate(sys, (0.0, 2.0), u))
     pair = _raised(lambda: distinguishability_experiment(sys, (0.0, 1.0), (0.0, 2.0), u))
     assert type(pair) is type(lone) is BlowUpError
     assert (str(pair), pair.t, pair.state) == (str(lone), lone.t, lone.state)
-    assert 0.99 < pair.t < 1.01
+    assert 0.49 < pair.t < 0.51
 
 
 def test_a_failing_lone_run_integrates_once(monkeypatch):
@@ -580,16 +581,87 @@ def test_a_failing_lone_run_integrates_once(monkeypatch):
 def test_ensemble_domain_error_at_a_pole_keeps_the_order():
     # from x = -1.6053188106462255 at velocity -1 the position lands exactly
     # on the pole x = -2 of 1/(x + 2) at step 502; the second state overflows
-    # in its first step
+    # in its first step, so the pair reports that overflow, not the pole
     sys = preset("fish-1d-hyperbolic")
     u = InputSignal.zero()
     at_pole, overflowing = (-1.6053188106462255, -1.0), (0.0, 1.7e308)
-    assert _raised(lambda: integrate(sys, overflowing, u)).t == 1e-3
     integrate(sys, at_pole, u, 0.501)  # still clear of the pole
-    lone = _raised(lambda: integrate(sys, at_pole, u))
+    assert type(_raised(lambda: integrate(sys, at_pole, u))) is ex.DomainError
+    lone = _raised(lambda: integrate(sys, overflowing, u))
     pair = _raised(lambda: distinguishability_experiment(sys, at_pole, overflowing, u))
-    assert type(pair) is type(lone) is ex.DomainError
-    assert (str(pair), pair.subexpr) == (str(lone), lone.subexpr)
+    assert type(pair) is type(lone) is BlowUpError
+    assert (str(pair), pair.t, pair.state) == (str(lone), lone.t, lone.state)
+    assert pair.t == 1e-3
+
+
+def _fields(err: Exception):
+    return type(err), str(err), repr(vars(err))
+
+
+def test_ensemble_raises_the_lone_error_of_the_member_that_fails_first(monkeypatch):
+    # the error of an ensemble is, field for field, what integrate raises
+    # for the member whose failure comes first, located in the rows of the
+    # one run of its states: RK4Loop.run is called once per run of states
+    from obsv_lab.sim import RK4Loop
+
+    calls = []
+    run = RK4Loop.run
+    monkeypatch.setattr(RK4Loop, "run", lambda self, *args: calls.append(1) or run(self, *args))
+    u = InputSignal.zero()
+
+    def check(sys, starts, j, runs=1):
+        lone = _raised(lambda: integrate(sys, starts[j], u, 2.0, 1e-3))
+        calls.clear()
+        joint = _raised(lambda: integrate_many(sys, starts, u, 2.0, 1e-3))
+        assert len(calls) == runs
+        assert _fields(joint) == _fields(lone)
+        return joint
+
+    def cascade(gain, source):
+        return CascadeSystem(n=1, gamma=(ex.parse(gain, {"x"}),), F=(ex.parse(source, {"z1"}),),
+                             b=(1.0,))
+
+    # a Gramian-shaped ensemble: z' = z^2 blows up at t = 1/z, so the third
+    # start (z = 1.1) fails first, by a stage overflow (z1^2 raises) or at a
+    # step end (z1*z1 turns inf), before the first start (z = 1) does
+    starts = _gramian_starts([0.3, 1.0], eps=0.1)
+    for gain, source in (("1", "z1^2"), ("1", "z1*z1"), ("sin(x)", "z1*z1")):
+        sys = cascade(gain, source)
+        joint = check(sys, starts, 2)
+        assert _fields(joint) != _fields(_raised(lambda: integrate(sys, starts[0], u, 2.0, 1e-3)))
+        assert 0.90 < joint.t < 0.92
+    # 17 states in two runs of 9: the first run fails (z = 1 at t = 1)
+    # although the second fails earlier (z = 4 at t = 0.25), and the second
+    # is never run; alone, the second run raises its own first failure
+    sys = cascade("1", "z1^2")
+    velocities = [-1.0] * (MEMBERS_MAX + 1)
+    velocities[3], velocities[12], velocities[15] = 1.0, 2.0, 4.0
+    starts = [(0.1 * j, v) for j, v in enumerate(velocities)]
+    assert compile_rk4(sys, len(starts)).size == 9
+    check(sys, starts, 3)
+    starts[3] = (0.3, -1.0)
+    check(sys, starts, 15, runs=2)
+    # a pair that shares its velocity start: x' = z from z = 1e307 under
+    # z' = -z overflows from x = 1.79e308 at t = 0.080, from 1.75e308 at 0.65
+    sys = cascade("1", "-z1")
+    starts = [(1.75e308, 1e307), (1.79e308, 1e307)]
+    pattern, seeds = compile_rk4(sys, 2).sharing(tuple(v for x in starts for v in x))
+    assert pattern[0][1] == pattern[1][1] and len(seeds) == 3
+    joint = check(sys, starts, 1)
+    assert type(joint) is BlowUpError and 0.07 < joint.t < 0.09
+    assert _raised(lambda: integrate(sys, starts[0], u, 2.0, 1e-3)).t > 0.6
+
+
+def test_a_domain_fault_in_a_stage_names_its_subexpression():
+    # z falls at about 2 per unit time, and ln(z1) leaves its domain in a
+    # stage of the step that crosses z = 0: the loop raises math's bare
+    # ValueError, and the replay names the culprit through the evaluator
+    sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("-2 + 1e-9*ln(z1)", {"z1"}),),
+                        b=(1.0,))
+    err = _raised(lambda: integrate(sys, (0.0, 1.0), InputSignal.zero()))
+    assert type(err) is ex.DomainError
+    assert err.subexpr == ex.parse("ln(z1)", {"z1"})
+    assert str(err) == "ln of a non-positive value in ln(z1)"
 
 
 def _plain_rk4_failure(F, x0, dt):
