@@ -8,7 +8,9 @@ configuration and are byte-stable for a fixed seed.
 from __future__ import annotations
 
 import argparse
+import csv
 import gc
+import io
 import json
 import math
 import random
@@ -135,6 +137,9 @@ def _word_dict(word) -> dict:
 def _config_dict(cfg: argparse.Namespace) -> dict:
     doc = _jsonable(vars(cfg))
     doc.pop("out")  # where the report lands does not affect its content
+    # the fixed thresholds are part of the effective configuration
+    doc.update(sep_tol=SEP_TOL_DEFAULT, rank_tol=RANK_TOL_DEFAULT,
+               dist_tol=DIST_TOL_DEFAULT, eps=EPS_DEFAULT)
     return doc
 
 
@@ -175,8 +180,7 @@ def cmd_separate(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("separate needs --state and --state2")
-    cert = find_separating_observable(sys_, cfg.state, cfg.state2, k_max=cfg.k_max,
-                                      sep_tol=cfg.sep_tol)
+    cert = find_separating_observable(sys_, cfg.state, cfg.state2, k_max=cfg.k_max)
     out = {
         "verdict": cert.verdict,
         "witness": _word_dict(cert.witness) if cert.witness is not None else None,
@@ -197,7 +201,7 @@ def cmd_rank(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("rank needs --state")
-    report = local_rank(sys_, cfg.state, l_max=cfg.l_max, rank_tol=cfg.rank_tol)
+    report = local_rank(sys_, cfg.state, l_max=cfg.l_max)
     out = {
         "rank": report.rank,
         "dim": report.dim,
@@ -240,9 +244,7 @@ def cmd_distinguish(cfg: argparse.Namespace) -> Result:
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("distinguish needs --state and --state2")
     u = _single_input(cfg)
-    res = distinguishability_experiment(
-        sys_, cfg.state, cfg.state2, u, cfg.t_end, cfg.dt, dist_tol=cfg.dist_tol
-    )
+    res = distinguishability_experiment(sys_, cfg.state, cfg.state2, u, cfg.t_end, cfg.dt)
     out = {
         "classification": res.classification,
         "gap": res.gap,
@@ -261,7 +263,7 @@ def cmd_gramian(cfg: argparse.Namespace) -> Result:
     if cfg.state is None:
         raise UsageError("gramian needs --state")
     signals = [parse_input_spec(s) for s in (cfg.inputs or ("zero",))]
-    ranked = input_sweep(sys_, cfg.state, signals, eps=cfg.eps, t_end=cfg.t_end, dt=cfg.dt)
+    ranked = input_sweep(sys_, cfg.state, signals, t_end=cfg.t_end, dt=cfg.dt)
     entries = []
     lines = []
     for idx, rep in ranked:
@@ -280,15 +282,17 @@ def cmd_gramian(cfg: argparse.Namespace) -> Result:
         lines.append(
             f"{rep.input}: sigma_min={rep.sigma_min:.6g} ({rep.classification()})"
         )
-    out = {"ranking": entries, "eps": cfg.eps}
+    out = {"ranking": entries, "eps": EPS_DEFAULT}
 
-    def csv() -> str:
-        rows = ["input,sigma"]
-        rows += [f"{e['input']},{s:.17g}" for e in entries for s in e["singular_values"]]
-        return "\n".join(rows) + "\n"
+    def table() -> str:
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")  # quotes a sin:a,w,phi input
+        writer.writerow(("input", "sigma"))
+        writer.writerows((e["input"], f"{s:.17g}") for e in entries for s in e["singular_values"])
+        return buf.getvalue()
 
     code = _exit_code(ranked[0][1].classification(), "observable", "singular")
-    return Result(code, out, lines, csv)
+    return Result(code, out, lines, table)
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dt", type=float, default=DT_DEFAULT)
     p.add_argument("--kmax", dest="k_max", type=int, default=K_MAX_DEFAULT)
     p.add_argument("--lmax", dest="l_max", type=int, default=None)
-    p.add_argument("--sep-tol", type=float, default=SEP_TOL_DEFAULT)
-    p.add_argument("--rank-tol", type=float, default=RANK_TOL_DEFAULT)
-    p.add_argument("--dist-tol", type=float, default=DIST_TOL_DEFAULT)
-    p.add_argument("--eps", type=float, default=EPS_DEFAULT)
     p.add_argument("--seed", type=int, default=0, help="seeds the random draws of verify")
     p.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
@@ -453,9 +453,8 @@ def _finite_positive(v: float) -> bool:
 
 # (flag, argument name, check, what the check asks for)
 _NUMERIC_FLAGS = (
-    *((flag, flag[2:].replace("-", "_"), _finite_positive, "finite and positive")
-      for flag in ("--dt", "--t-end", "--eps", "--sep-tol", "--dist-tol")),
-    ("--rank-tol", "rank_tol", lambda v: 0.0 < v < 1.0, "in (0, 1)"),
+    ("--dt", "dt", _finite_positive, "finite and positive"),
+    ("--t-end", "t_end", _finite_positive, "finite and positive"),
     ("--kmax", "k_max", lambda v: v >= 0, "at least 0"),
     ("--lmax", "l_max", lambda v: v is None or v >= 0, "at least 0"),
 )

@@ -537,8 +537,8 @@ def is_aperiodic_system(sys: CascadeSystem, k_max: int = K_MAX_DEFAULT) -> Syste
 # Separating observables
 
 
-def _sep_gap_ok(v0: float, v1: float, sep_tol: float) -> bool:
-    return abs(v0 - v1) > sep_tol * (1.0 + max(abs(v0), abs(v1)))
+def _sep_gap_ok(v0: float, v1: float) -> bool:
+    return abs(v0 - v1) > SEP_TOL_DEFAULT * (1.0 + max(abs(v0), abs(v1)))
 
 
 def _whole_periods(v: PeriodicityVerdict, delta: float) -> bool:
@@ -557,23 +557,20 @@ def find_separating_observable(
     s0,
     s1,
     k_max: int = K_MAX_DEFAULT,
-    sep_tol: float = SEP_TOL_DEFAULT,
 ) -> SeparationCertificate:
     """Search for an observable word whose value splits the two states.
 
     The scan walks the alternating-word families in order of increasing
     derivative order k <= ``k_max``, preferring the shortest witness, whose
-    values differ by more than ``sep_tol`` relative.  Before it, states
-    that agree in every velocity and gain value are indistinguishable by
-    the explicit shift construction when each moved position moves by a
-    whole multiple of the period ``detect_period`` finds for its gain, or
-    its gain is constant: the only pairs no input tells apart;
+    values differ by more than ``SEP_TOL_DEFAULT`` relative.  Before it,
+    states that agree in every velocity and gain value are
+    indistinguishable by the explicit shift construction when each moved
+    position moves by a whole multiple of the period ``detect_period``
+    finds for its gain, or its gain is constant: the only pairs no input
+    tells apart;
     ``bounds["shifts"]`` then gives each moved block's shift and period.
-    A ``sep_tol`` that is not finite and positive, or a negative ``k_max``,
-    raises ValueError.
+    A negative ``k_max`` raises ValueError.
     """
-    if not 0.0 < sep_tol < math.inf:  # false for nan too
-        raise ValueError(f"sep_tol must be finite and positive, got {sep_tol!r}")
     if k_max < 0:
         raise ValueError(f"k_max must be at least 0, got {k_max}")
     n = sys.n
@@ -583,7 +580,7 @@ def find_separating_observable(
         raise ValueError(f"states must have {2 * n} entries")
     if s0 == s1:
         raise ValueError("states are identical; nothing to separate")
-    bounds = {"k_max": k_max, "sep_tol": sep_tol}
+    bounds = {"k_max": k_max, "sep_tol": SEP_TOL_DEFAULT}
 
     x0, z0 = s0[:n], s0[n:]
     x1, z1 = s1[:n], s1[n:]
@@ -612,16 +609,16 @@ def find_separating_observable(
         for k in range(k_max + 1):
             for i in blocks:
                 v0, v1 = family(i, k)
-                if _sep_gap_ok(v0, v1, sep_tol):
+                if _sep_gap_ok(v0, v1):
                     return SeparationCertificate(VERDICT_SEPARATED, word(i, k), v0, v1, bounds)
         return None
 
     blocks = range(1, n + 1)
     moved = [i for i in blocks if x0[i - 1] != x1[i - 1]]
-    if z0 == z1 and not any(_sep_gap_ok(*lglflg(i, 0), sep_tol) for i in moved):
+    if z0 == z1 and not any(_sep_gap_ok(*lglflg(i, 0)) for i in moved):
         # equal velocities and gain values: try the shift construction
         # first, since a scan compares jets at x and at the rounded x + T,
-        # whose gap grows with the order and passes sep_tol near zero
+        # whose gap grows with the order and passes SEP_TOL_DEFAULT near zero
         shifts = {}
         for i in moved:
             # the jets above evaluated each moved gain, so a failing
@@ -654,7 +651,6 @@ def local_rank(
     sys: ControlAffineSystem | CascadeSystem,
     x0,
     l_max: int | None = None,
-    rank_tol: float = RANK_TOL_DEFAULT,
 ) -> RankReport:
     """Numerical rank of the zero-input observation-space differentials at x0.
 
@@ -664,8 +660,10 @@ def local_rank(
     the state is locally distinguishable from its neighbours without any
     input excitation; a deficient result is a bounded-search statement,
     only jets up to order ``l_max`` (state dimension by default) were tried,
-    at most p*(l_max + 1) rows.  The rows come from the Taylor series of the
-    outputs along the drift flow with one tangent direction per state.
+    at most p*(l_max + 1) rows, allocated one order at a time.  Singular
+    values at or below ``RANK_TOL_DEFAULT`` of the largest count as zero.
+    The rows come from the Taylor series of the outputs along the drift
+    flow with one tangent direction per state.
     Order k costs one scalar operation for the values and one vector
     operation for the tangents per nonzero value coefficient: O(k) per node
     while moving, O(1) at an equilibrium, where every coefficient above
@@ -685,13 +683,13 @@ def local_rank(
     elif l_max < 0:
         raise ValueError(f"l_max must be at least 0, got {l_max}")
     p, dim = sys.p, sys.dim
-    stack = np.empty((p * (l_max + 1), dim))
+    blocks: list[np.ndarray] = []  # one p x dim block of rows per order
     seen = np.zeros(dim, dtype=bool)  # columns nonzero in some row so far
     words: list[ObservableWord] = []
     with np.errstate(over="ignore", invalid="ignore"):
         flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(dim))
         for k in range(l_max + 1):
-            block = stack[k * p:(k + 1) * p]
+            block = np.empty((p, dim))
             for j in range(p):
                 block[j] = flow.tangent(j, k)
             for f in range(2, k + 1):  # k! as in Jet.gradient, one factor at a time
@@ -700,17 +698,19 @@ def local_rank(
             if not finite.all():
                 j = int(np.argmin(finite))
                 raise ex.DomainError(f"non-finite gradient at order {k}", sys.outputs[j])
+            blocks.append(block)
             words += [ObservableWord(j=j, mu=(0,) * k) for j in range(1, p + 1)]
             seen |= (block != 0.0).any(axis=0)
             last = k == l_max
             if last or (len(words) >= dim and seen.all()):
-                sigma = np.linalg.svd(stack[:len(words)], compute_uv=False)
-                rank = int(np.sum(sigma > rank_tol * sigma[0])) if sigma[0] > 0.0 else 0
+                stack = np.vstack(blocks)
+                sigma = np.linalg.svd(stack, compute_uv=False)
+                rank = int(np.sum(sigma > RANK_TOL_DEFAULT * sigma[0])) if sigma[0] > 0.0 else 0
                 if last or rank == dim:
                     break
     return RankReport(
         words=words,
-        gradients=stack[:len(words)],
+        gradients=stack,
         singular_values=sigma,
         rank=rank,
         dim=dim,

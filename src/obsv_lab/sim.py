@@ -677,21 +677,20 @@ def distinguishability_experiment(
     u: InputSignal,
     t_end: float = T_END_DEFAULT,
     dt: float = DT_DEFAULT,
-    dist_tol: float = DIST_TOL_DEFAULT,
 ) -> DistinguishabilityResult:
     """Integrate both states under the same input and compare output records.
 
-    Classification: "identical" when the sup gap stays at or below dist_tol,
-    "diverged" when it exceeds ``DIVERGED_TOL``, "inconclusive" in between
-    (the gap is too large to ignore but too small to rule out integrator
-    error).
+    Classification: "identical" when the sup gap stays at or below
+    ``DIST_TOL_DEFAULT``, "diverged" when it exceeds ``DIVERGED_TOL``,
+    "inconclusive" in between (the gap is too large to ignore but too small
+    to rule out integrator error).
     """
     loop = compile_rk4(sys, 2)
     diff = _output_gap(loop, *integrate_many(loop, (s0, s1), u, t_end, dt)).max(axis=1)
     gap = float(diff.max())
-    over = np.nonzero(diff > dist_tol)[0]
+    over = np.nonzero(diff > DIST_TOL_DEFAULT)[0]
     first = float(over[0] * dt) if over.size else None
-    if gap <= dist_tol:
+    if gap <= DIST_TOL_DEFAULT:
         cls = "identical"
     elif gap > DIVERGED_TOL:
         cls = "diverged"

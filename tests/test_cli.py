@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import math
@@ -12,6 +13,7 @@ import pytest
 
 import obsv_lab
 from obsv_lab.cli import main
+from obsv_lab.sim import DIST_TOL_DEFAULT, DIVERGED_TOL
 
 GOOD_FILE = """\
 # damped point sensor
@@ -68,6 +70,20 @@ def test_validate_zero_gain_column(tmp_path, capsys):
     code, doc = run_json(capsys, "validate", "--system", str(path))
     assert code == 1
     assert any("b_1" in v for v in doc["report"]["violations"])
+
+
+def test_validate_format_error_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("n = 1", "n = one"))
+    assert run(capsys, "validate", "--system", str(path)) == (
+        2, "", "error: line 2: n must be an integer, got 'one'\n")
+
+
+def test_validate_non_finite_b_is_invalid(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("b = [1.0]", "b = [inf]"))
+    assert run(capsys, "validate", "--system", str(path), "--format", "text") == (
+        1, "invalid:\n  b_1 is not finite\n", "")
 
 
 def test_validate_malformed_expression(tmp_path, capsys):
@@ -403,6 +419,22 @@ def test_per_tol_is_no_option(capsys):
         "obsv-lab: error: unrecognized arguments: --per-tol 1e-8")
 
 
+@pytest.mark.parametrize("command, flag, value", [
+    ("separate", "--sep-tol", "1e-9"),
+    ("rank", "--rank-tol", "1e-10"),
+    ("distinguish", "--dist-tol", "1e-6"),
+    ("gramian", "--eps", "1e-4"),
+], ids=["--sep-tol", "--rank-tol", "--dist-tol", "--eps"])
+def test_tolerance_flags_are_no_options(capsys, command, flag, value):
+    # each threshold is a constant; the JSON config still echoes it
+    with pytest.raises(SystemExit) as info:
+        main([command, "--system", "preset:fish-1d-gauss", "--state", "0,1",
+              "--state2", "0,2", flag, value])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"obsv-lab: error: unrecognized arguments: {flag} {value}")
+
+
 def test_observable_text_format(capsys):
     code, out, _ = run(capsys, "observable", "--system", "preset:periodic-sin", "--format", "text")
     assert code == 1
@@ -553,13 +585,8 @@ def test_simulate_rejects_bad_dt(capsys):
 @pytest.mark.parametrize("argv", [
     ("simulate", "--state", "0,0", "--t-end", "inf"),
     ("simulate", "--state", "0,0", "--dt", "nan"),
-    ("distinguish", "--state", "0,0", "--state2", "1,0", "--dist-tol", "-1"),
-    ("gramian", "--state", "0,0", "--eps", "0"),
-    ("separate", "--state", "0,1", "--state2", "0,2", "--sep-tol", "inf"),
     ("separate", "--state", "0,1", "--state2", "0,2", "--kmax", "-1"),
     ("rank", "--state", "0,1", "--lmax", "-1"),
-    ("rank", "--state", "0,1", "--rank-tol", "2"),
-    ("rank", "--state", "0,1", "--rank-tol", "0"),
 ], ids=lambda argv: " ".join(argv[-2:]))
 def test_numeric_flags_are_checked_on_input(capsys, argv):
     code, out, err = run(capsys, *argv, "--system", "preset:fish-1d-gauss")
@@ -617,6 +644,16 @@ def test_zero_orders_are_valid(capsys):
     assert (code, doc["report"]["verdict"]) == (0, "separated")
 
 
+@pytest.mark.parametrize("l_max", ["1000000000000000", "100000000000000000000000"])
+def test_rank_allocates_rows_only_for_the_orders_it_reaches(capsys, l_max):
+    # full rank comes at order 1, so a huge bound costs nothing past it
+    argv = ("rank", "--system", "preset:fish-1d-gauss", "--state", "0,1")
+    assert run(capsys, *argv, "--lmax", l_max, "--format", "text") == (0, "rank 2/2\n", "")
+    _, doc = run_json(capsys, *argv, "--lmax", l_max)
+    _, near = run_json(capsys, *argv, "--lmax", "1")
+    assert doc["report"] == near["report"]
+
+
 def test_simulate_blowup_is_numeric_failure(tmp_path, capsys):
     path = tmp_path / "sys.txt"
     path.write_text("n = 1\ngamma[1] = 1\nF[1] = z1^2\nb = [1.0]\n")
@@ -643,6 +680,19 @@ def test_distinguish_gap_overflow_is_a_numeric_failure(tmp_path, capsys):
                          "--state", "1e308,1", "--state2=-1e308,1")
     assert (code, out) == (4, "")
     assert "output gap overflows at t=0 in x1*z1" in err
+
+
+def test_distinguish_between_the_thresholds_is_inconclusive(capsys):
+    # at t = 0 the output gap is gamma(0)*(1.0001 - 1), about 1e-4, and no
+    # later gap is larger: above DIST_TOL_DEFAULT, below DIVERGED_TOL
+    argv = ("distinguish", "--system", "preset:fish-1d-gauss", "--state", "0,1",
+            "--state2", "0,1.0001")
+    code, doc = run_json(capsys, *argv)
+    assert (code, doc["report"]["classification"]) == (3, "inconclusive")
+    assert DIST_TOL_DEFAULT < doc["report"]["gap"] <= DIVERGED_TOL
+    assert doc["report"]["gap"] == pytest.approx(1e-4, rel=1e-9)
+    assert run(capsys, *argv, "--format", "text") == (
+        3, "inconclusive: max output gap 0.0001, first divergence at t=0\n", "")
 
 
 def test_distinguish_periodic_pair_identical(capsys):
@@ -688,7 +738,10 @@ def test_gramian_csv_lists_each_singular_value(capsys):
     assert rows[0] == "input,sigma"
     expected = [(e["input"], s) for e in doc["report"]["ranking"] for s in e["singular_values"]]
     assert len(expected) == 2 * 2  # two inputs, one sigma per state coordinate
-    assert [(name, float(s)) for name, s in (r.rsplit(",", 1) for r in rows[1:])] == expected
+    assert [(name, float(s)) for name, s in csv.reader(rows[1:])] == expected
+    # RFC 4180: the field with commas is quoted, the others keep their bytes
+    assert rows[1].startswith('"sin:1,6.28,0",')
+    assert rows[-1] == "zero,0"
 
 
 # ---------------------------------------------------------------------------

@@ -291,3 +291,37 @@ def test_load_system_stray_key():
     text = "n = 1\ngamma[1] = sin(x)\nF[1] = -z1\nb = [1]\nq = 3\n"
     with pytest.raises(SystemFormatError):
         load_system(text)
+
+
+_BODY = "gamma[1] = sin(x)\nF[1] = -z1\n"
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("n = 1\ngamma[1] sin(x)\n", 2, "expected 'key = value', got 'gamma[1] sin(x)'"),
+    ("n = 1\ngamma[1] =   # no value\n", 2, "empty value for 'gamma[1]'"),
+    ("n = 1.0\n" + _BODY + "b = [1]\n", 1, "n must be an integer, got '1.0'"),
+    ("\nn = 0\n", 2, "n must be positive, got 0"),
+    ("n = 1\n" + _BODY + "b = 1\n", 4, "b must look like [v1, v2, ...]"),
+    ("n = 1\n" + _BODY + "b = [one]\n", 4, "b entries must be numbers: [one]"),
+], ids=["no-equals", "empty-value", "n-not-integer", "n-below-1", "b-not-bracketed",
+        "b-not-a-number"])
+def test_load_system_format_errors_name_their_line(text, line_no, message):
+    with pytest.raises(SystemFormatError) as exc:
+        load_system(text)
+    assert exc.value.line_no == line_no
+    assert str(exc.value) == f"line {line_no}: {message}"
+
+
+@pytest.mark.parametrize("fields, violations", [
+    ({"n": 0, "gamma": (), "F": (), "b": ()}, ["n = 0 must be at least 1"]),
+    ({"F": (ex.parse("-z1 + q", {"z1", "q"}),)}, ["F_1 uses unknown variable q"]),
+    ({"b": (math.inf,)}, ["b_1 is not finite"]),
+], ids=["n-below-1", "F-unknown-variable", "b-not-finite"])
+def test_validate_names_each_violation(fields, violations):
+    base = {"n": 1, "gamma": (ex.parse("sin(x)", {"x"}),), "F": (ex.parse("-z1", {"z1"}),),
+            "b": (1.0,)}
+    sys = CascadeSystem(**{**base, **fields})
+    assert validate(sys) == violations
+    with pytest.raises(InvalidSystemError) as exc:
+        as_control_affine(sys)
+    assert exc.value.violations == violations
