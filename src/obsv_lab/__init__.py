@@ -20,7 +20,6 @@ from .model import (
     validate,
     as_control_affine,
     linearize_at,
-    observability_matrix,
     preset,
     preset_names,
     load_system,

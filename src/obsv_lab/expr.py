@@ -1005,6 +1005,12 @@ class Jet:
         """Gradient of L_f^k h_j at x0 in the seed directions, output index j 0-based."""
         return _times_factorial(self.tangent(j, k), k)
 
+    def field_at_x0(self, i: int):
+        """Value and gradient of field component i at x0: f_i(x0), and its
+        gradient in the seed directions, a vector or the scalar 0.0."""
+        f = self._tape.roots[i]
+        return f.c[0], f.t[0]
+
 
 def jet(e: Expr, var: str, x0: float, K: int) -> list[float]:
     """Taylor coefficients c_0..c_K of ``e`` in ``var`` around ``x0``."""

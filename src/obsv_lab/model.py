@@ -148,6 +148,18 @@ def as_control_affine(sys: CascadeSystem | ControlAffineSystem) -> ControlAffine
     return ca
 
 
+def jacobians(flow: ex.Jet, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """A = Df(x0) and C = Dh(x0) from the order-0 gradients of a Jet of the
+    outputs h along the drift f, seeded with the d unit vectors.  A
+    constant component's gradient is the scalar 0, broadcast over its row."""
+    rows = [flow.field_at_x0(i)[1] for i in range(d)]
+    rows += [flow.tangent(j, 0) for j in range(len(flow.outputs))]
+    J = np.empty((len(rows), d))
+    for i, t in enumerate(rows):
+        J[i] = t
+    return J[:d], J[d:]
+
+
 def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationResult:
     """Jacobian linearization around x0 with zero input."""
     sys = as_control_affine(sys)
@@ -155,22 +167,10 @@ def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationR
     if len(x0) != sys.dim:
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
     d = sys.dim
-    # A and C from the order-0 gradients of one jet; a constant component's
-    # gradient is the scalar 0, broadcast over its row
-    jet = ex.Jet(sys.drift + sys.outputs, sys.state_vars, x0, seeds=np.eye(d))
-    J = np.array([np.broadcast_to(jet.gradient(i, 0), (d,)) for i in range(d + sys.p)])
+    A, C = jacobians(ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(d)), d)
     env = dict(zip(sys.state_vars, x0))
     B = np.array([[ex.evaluate(g, env) for g in field] for field in sys.input_fields])
-    return LinearizationResult(A=J[:d], B=B.reshape(sys.m, d).T, C=J[d:], point=x0)
-
-
-def observability_matrix(A: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """Stack [C; CA; ...; CA^(d-1)] for the linear rank test."""
-    d = A.shape[0]
-    blocks = [C]
-    for _ in range(d - 1):
-        blocks.append(blocks[-1] @ A)
-    return np.vstack(blocks)
+    return LinearizationResult(A=A, B=B.reshape(sys.m, d).T, C=C, point=x0)
 
 
 # ---------------------------------------------------------------------------

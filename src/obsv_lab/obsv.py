@@ -22,12 +22,13 @@ import numpy as np
 from . import expr as ex
 from .expr import Expr
 from .lie import ObservableWord
-from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine
+from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine, jacobians
 from .record import Record
 
 K_MAX_DEFAULT = 12         # default bound on the derivative order of a separation scan
 SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
-RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest count as zero
+RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest (at rest,
+                           # of a block scaled to 1) count as zero
 
 CLASS_PERIODIC = "periodic"
 CLASS_APERIODIC = "aperiodic"
@@ -647,6 +648,47 @@ def find_separating_observable(
 # Local rank test (zero-input observation space)
 
 
+def _krylov_rank(A: np.ndarray, C: np.ndarray, l_max: int) -> tuple[int, int]:
+    """Rank of the span of the rows C A^k, k <= l_max, and the last order
+    reached, by an orthogonal block-Krylov (staircase) reduction (Paige,
+    IEEE TAC 1981) that forms no power of A.
+
+    Order 0 is the nonzero rows of C, each scaled to unit norm (by its
+    largest entry first, so that a row near the float ceiling keeps a
+    finite norm).  Order k is the directions order k - 1 added, times
+    A / ||A||_F: rounding in such a row stays a few ulps of 1 however small
+    the row is, so it never passes for a direction.  The right singular
+    vectors of a block, projected twice against the orthonormal basis, join
+    it where their singular value clears ``RANK_TOL_DEFAULT``.  The
+    reduction stops at full rank, at ``l_max``, or at the first order that
+    adds nothing, since the span is then A-invariant.
+    """
+    dim = A.shape[1]
+    peak = np.abs(A).max()
+    if peak > 0.0:
+        A = A / peak
+        A /= np.sqrt(np.sum(A * A))
+    peak = np.abs(C).max(axis=1)
+    block = C[peak > 0.0] / peak[peak > 0.0, None]
+    block /= np.sqrt(np.sum(block * block, axis=1))[:, None]
+    basis = block[:0]
+    for k in range(l_max + 1):
+        if k:  # the second pass removes what the first rounds in
+            for _ in range(2):
+                block = block - (block @ basis.T) @ basis
+            if np.sum(block * block) <= RANK_TOL_DEFAULT ** 2:
+                break  # no singular value exceeds the Frobenius norm
+        _, sigma, vt = np.linalg.svd(block, full_matrices=False)
+        new = vt[sigma > RANK_TOL_DEFAULT]
+        if k:  # and this one what the SVD rounds back in
+            new = new - (new @ basis.T) @ basis
+        basis = np.vstack((basis, new))
+        if not len(new) or len(basis) == dim:
+            break
+        block = new @ A
+    return len(basis), k
+
+
 def local_rank(
     sys: ControlAffineSystem | CascadeSystem,
     x0,
@@ -655,22 +697,30 @@ def local_rank(
     """Numerical rank of the zero-input observation-space differentials at x0.
 
     Rows are gradients of repeated drift derivatives of each output,
-    enumerated breadth first (derivative order ascending, outputs cycling),
-    with an early stop once the stack reaches full rank.  Full rank means
-    the state is locally distinguishable from its neighbours without any
-    input excitation; a deficient result is a bounded-search statement,
-    only jets up to order ``l_max`` (state dimension by default) were tried,
-    at most p*(l_max + 1) rows, allocated one order at a time.  Singular
-    values at or below ``RANK_TOL_DEFAULT`` of the largest count as zero.
-    The rows come from the Taylor series of the outputs along the drift
-    flow with one tangent direction per state.
-    Order k costs one scalar operation for the values and one vector
-    operation for the tangents per nonzero value coefficient: O(k) per node
-    while moving, O(1) at an equilibrium, where every coefficient above
-    order 0 is zero.  An SVD runs only at an order where full rank is
-    possible (at least ``dim`` rows, no all-zero column) and at the last
-    order, so a deficient state pays for one.  A non-finite row raises
+    enumerated breadth first (derivative order ascending, outputs cycling).
+    Full rank means the state is locally distinguishable from its
+    neighbours without any input excitation.  A non-finite row raises
     DomainError.
+
+    At an equilibrium, where every drift component is exactly 0 at x0, row
+    k of output j is row j of C A^k, with A and C the Jacobians of the drift
+    and the outputs (Hermann & Krener, IEEE TAC 1977), and the rank is that
+    of an orthogonal block-Krylov reduction of (A, C) (``_krylov_rank``).
+    The rank is then exact, not a bounded search: the reduction stops at
+    the first order that adds no direction, unless ``l_max`` (state
+    dimension by default) stops it first, and the rows and singular values
+    cover the orders it reached.
+
+    Elsewhere the rows come from the Taylor series of the outputs along the
+    drift flow with one tangent direction per state, with an early stop once
+    the stack reaches full rank; a deficient result is a bounded-search
+    statement: only jets up to order ``l_max`` were tried, at most
+    p*(l_max + 1) rows, allocated one order at a time.  Singular values at
+    or below ``RANK_TOL_DEFAULT`` of the largest count as zero.  Order k
+    costs one scalar operation for the values and one vector operation for
+    the tangents per nonzero value coefficient, O(k) per node.  An SVD runs
+    only at an order where full rank is possible (at least ``dim`` rows, no
+    all-zero column) and at the last order.
     """
     sys = as_control_affine(sys)
     x0 = tuple(float(v) for v in x0)
@@ -683,22 +733,40 @@ def local_rank(
     elif l_max < 0:
         raise ValueError(f"l_max must be at least 0, got {l_max}")
     p, dim = sys.p, sys.dim
-    blocks: list[np.ndarray] = []  # one p x dim block of rows per order
-    seen = np.zeros(dim, dtype=bool)  # columns nonzero in some row so far
-    words: list[ObservableWord] = []
+
+    def checked(block: np.ndarray, k: int) -> np.ndarray:
+        finite = np.isfinite(block).all(axis=1)
+        if not finite.all():
+            j = int(np.argmin(finite))
+            raise ex.DomainError(f"non-finite gradient at order {k}", sys.outputs[j])
+        return block
+
     with np.errstate(over="ignore", invalid="ignore"):
         flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(dim))
+        A = None
+        if all(flow.field_at_x0(i)[0] == 0.0 for i in range(dim)):
+            A, C = jacobians(flow, dim)
+        # the reduction needs a finite A; where it has none, the tape
+        # decides, as at a moving state
+        if A is not None and np.isfinite(A).all():
+            blocks = [checked(C, 0)]
+            rank, last = _krylov_rank(A, C, l_max)
+            for k in range(1, last + 1):
+                blocks.append(checked(blocks[-1] @ A, k))
+            stack = np.vstack(blocks)
+            words = [ObservableWord(j=j, mu=(0,) * k)
+                     for k in range(last + 1) for j in range(1, p + 1)]
+            return RankReport(words, stack, np.linalg.svd(stack, compute_uv=False), rank, dim)
+        blocks: list[np.ndarray] = []  # one p x dim block of rows per order
+        seen = np.zeros(dim, dtype=bool)  # columns nonzero in some row so far
+        words: list[ObservableWord] = []
         for k in range(l_max + 1):
             block = np.empty((p, dim))
             for j in range(p):
                 block[j] = flow.tangent(j, k)
             for f in range(2, k + 1):  # k! as in Jet.gradient, one factor at a time
                 block *= f
-            finite = np.isfinite(block).all(axis=1)
-            if not finite.all():
-                j = int(np.argmin(finite))
-                raise ex.DomainError(f"non-finite gradient at order {k}", sys.outputs[j])
-            blocks.append(block)
+            blocks.append(checked(block, k))
             words += [ObservableWord(j=j, mu=(0,) * k) for j in range(1, p + 1)]
             seen |= (block != 0.0).any(axis=0)
             last = k == l_max

@@ -9,8 +9,8 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
+import sympy
 
 import obsv_lab.expr as ex
 from obsv_lab.cli import main as cli_main
@@ -20,7 +20,6 @@ from obsv_lab.model import (
     CascadeSystem,
     as_control_affine,
     linearize_at,
-    observability_matrix,
     preset,
 )
 from obsv_lab.obsv import (
@@ -205,7 +204,9 @@ def test_criterion_6_linearization_never_observable():
             if abs(ex.evaluate(gamma, {"x": x_star})) < 1e-3:
                 continue
             lin = linearize_at(sys, (x_star, 0.0))
-            rank = np.linalg.matrix_rank(observability_matrix(lin.A, lin.C))
+            # exact rank of [C; CA] over the rationals the float entries name
+            A, C = (sympy.Matrix(M.tolist()).applyfunc(sympy.Rational) for M in (lin.A, lin.C))
+            rank = sympy.Matrix.vstack(C, C * A).rank()
             worst_rank = max(worst_rank, rank)
             if rank != 1:
                 report(6, "linearization-never-observable", False, f"{name} at {x_star:.3f}: rank {rank}")

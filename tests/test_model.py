@@ -15,7 +15,6 @@ from obsv_lab.model import (
     as_control_affine,
     linearize_at,
     load_system,
-    observability_matrix,
     preset,
     preset_names,
     validate,
@@ -214,13 +213,6 @@ def test_linearize_wrong_dimension():
     ca = as_control_affine(gauss_preset())
     with pytest.raises(ValueError):
         linearize_at(ca, (0.0, 0.0, 0.0))
-
-
-def test_observability_matrix_known_pairs():
-    A = np.array([[0.0, 1.0], [0.0, 0.0]])
-    assert np.linalg.matrix_rank(observability_matrix(A, np.array([[1.0, 0.0]]))) == 2
-    # velocity-only measurement of a double integrator misses position
-    assert np.linalg.matrix_rank(observability_matrix(A, np.array([[0.0, 1.0]]))) == 1
 
 
 # ---------------------------------------------------------------------------
