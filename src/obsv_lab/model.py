@@ -161,13 +161,21 @@ def jacobians(flow: ex.Jet, d: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationResult:
-    """Jacobian linearization around x0 with zero input."""
+    """Jacobian linearization around x0 with zero input.  A gradient row
+    that is not finite raises DomainError naming its drift or output
+    expression."""
     sys = as_control_affine(sys)
     x0 = tuple(float(v) for v in x0)
     if len(x0) != sys.dim:
         raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
     d = sys.dim
-    A, C = jacobians(ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(d)), d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(d))
+        A, C = jacobians(flow, d)
+    for rows, exprs in ((A, sys.drift), (C, sys.outputs)):
+        finite = np.isfinite(rows).all(axis=1)
+        if not finite.all():
+            raise ex.DomainError("non-finite gradient", exprs[int(np.argmin(finite))])
     env = dict(zip(sys.state_vars, x0))
     B = np.array([[ex.evaluate(g, env) for g in field] for field in sys.input_fields])
     return LinearizationResult(A=A, B=B.reshape(sys.m, d).T, C=C, point=x0)

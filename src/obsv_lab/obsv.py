@@ -585,15 +585,18 @@ def find_separating_observable(
 
     x0, z0 = s0[:n], s0[n:]
     x1, z1 = s1[:n], s1[n:]
-    jets: dict[tuple[int, int], ex.Jet] = {}
+    jets: dict[tuple[int, str], ex.Jet] = {}
 
     def gain_derivative(i: int, state: int, k: int) -> float:
         # gamma_i^(k) at the position of s0 (state 0) or s1 (state 1); one
-        # jet per block and state, grown only as deep as the scan goes
-        jet = jets.get((i, state))
+        # jet per block and position bits, so the states share it where the
+        # positions are equal (-0.0 and 0.0 stay apart), grown only as deep
+        # as the scan goes
+        x = (x0, x1)[state][i - 1]
+        key = (i, x.hex())
+        jet = jets.get(key)
         if jet is None:
-            x = (x0, x1)[state][i - 1]
-            jet = jets[(i, state)] = ex.Jet((sys.gamma[i - 1],), (GAMMA_VAR,), (x,))
+            jet = jets[key] = ex.Jet((sys.gamma[i - 1],), (GAMMA_VAR,), (x,))
         return jet.derivative(0, k)
 
     def lflg(i: int, k: int) -> tuple[float, float]:

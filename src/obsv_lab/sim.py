@@ -25,6 +25,7 @@ T_END_DEFAULT = 10.0
 DIST_TOL_DEFAULT = 1e-6      # below: numerically identical
 DIVERGED_TOL = 1e-3          # above: clearly diverged; between: inconclusive
 PREMISE_TOL = 1e-12          # field norm at which a nominal point counts as an equilibrium
+CSV_BLOCK_ROWS = 1024        # rows Trajectory.to_csv formats per % call
 
 
 class BlowUpError(RuntimeError):
@@ -181,13 +182,25 @@ class Trajectory(Record):
         return self.states[-1]
 
     def to_csv(self) -> str:
+        """The trajectory as CSV text: the header ``t,<states>,<outputs>``,
+        then one row per sample, each value printed ``%.17g``, which reads
+        back to the same float, and a newline after every line.
+
+        The rows are formatted ``CSV_BLOCK_ROWS`` at a time, one ``%`` of
+        the row template repeated per row over one ``tolist()`` of the
+        block, so only one block of values is alive as Python floats at a
+        time; the blocks are joined once at the end, so the call peaks at
+        about twice the text.
+        """
         header = ",".join(("t",) + self.state_names + self.output_names)
-        table = np.column_stack((self.times, self.states, self.outputs))
-        template = ",".join(["%.17g"] * table.shape[1])
-        # row by row: one tolist() of the whole table would hold every value
-        # as a Python float at once, next to the text
-        lines = [header] + [template % tuple(row.tolist()) for row in table]
-        return "\n".join(lines) + "\n"
+        times, states, outputs = self.times, self.states, self.outputs
+        row = ",".join(["%.17g"] * (1 + states.shape[1] + outputs.shape[1])) + "\n"
+        blocks = [header + "\n"]
+        for i in range(0, len(states), CSV_BLOCK_ROWS):
+            end = i + CSV_BLOCK_ROWS
+            block = np.column_stack((times[i:end], states[i:end], outputs[i:end]))
+            blocks.append((row * len(block)) % tuple(block.ravel().tolist()))
+        return "".join(blocks)
 
 
 # states one generated loop steps together; its stage code grows with their

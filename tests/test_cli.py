@@ -895,6 +895,20 @@ def test_readme_observable_and_separate_reports_are_pinned(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, fmt, out)
 
 
+# sha256 of the trajectory CSV the README's simulate example writes: the
+# block-wise formatting must give the bytes of per-value %.17g
+README_SIMULATE_CSV_SHA256 = "f9c397c0ae5ffe18869f02edd0c2d304e85c48d78a7cd43815d107ef52b9be19"
+
+
+def test_readme_simulate_csv_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (argv,) = [argv for argv in readme_commands() if argv[0] == "simulate"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    digest = hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest()
+    assert digest == README_SIMULATE_CSV_SHA256
+
+
 @pytest.mark.parametrize("preset", ["fish-1d-gauss", "fish-1d-hyperbolic"])
 def test_near_identical_pair_is_undetermined_at_default_order(capsys, preset):
     code, doc = run_json(

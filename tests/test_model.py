@@ -10,6 +10,7 @@ import sympy
 import obsv_lab.expr as ex
 from obsv_lab.model import (
     CascadeSystem,
+    ControlAffineSystem,
     InvalidSystemError,
     SystemFormatError,
     as_control_affine,
@@ -207,6 +208,18 @@ def test_linearize_matches_sympy_jacobians_on_a_coupled_cascade():
         for got, field in ((lin.A, drift), (lin.C, outputs)):
             want = np.array(field.jacobian(state).xreplace(subs), dtype=float)
             np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)
+
+
+def test_linearize_overflowing_slope_names_its_drift_expression():
+    # the drift value is finite at (0.3, 0), but its slope 1e308 + 1e308
+    # overflows: a DomainError at that drift component, not a numpy warning
+    drift = ex.parse("-z1 + 1e308*z1 + 1e308*z1", {"z1", "z2"})
+    ca = ControlAffineSystem(("z1", "z2"), (drift, ex.parse("-z2", {"z2"})),
+                             ((ex.Const(0.0), ex.Const(1.0)),), (ex.parse("z1", {"z1"}),))
+    with pytest.raises(ex.DomainError) as info:
+        linearize_at(ca, (0.3, 0.0))
+    assert info.value.subexpr == drift
+    assert "non-finite gradient" in str(info.value)
 
 
 def test_linearize_wrong_dimension():

@@ -847,6 +847,25 @@ def test_separation_flat_jet_reports_bounds_exhausted():
     assert cert.bounds["k_max"] == 12
 
 
+def test_separation_builds_one_gain_jet_per_block_and_position_bits(monkeypatch):
+    # a velocity pair shares its positions, so both states read one jet;
+    # -0.0 and 0.0 are equal positions with different bits, so two jets
+    built = []
+    jet = ex.Jet
+
+    def counting(outputs, names, x0, **kw):
+        built.append(x0[0].hex())
+        return jet(outputs, names, x0, **kw)
+
+    monkeypatch.setattr(ex, "Jet", counting)
+    sys = cascade_1d("x^13")
+    assert find_separating_observable(sys, (0.0, 1.0), (0.0, 2.0)).verdict == VERDICT_UNRESOLVED
+    assert built == [(0.0).hex()]
+    built.clear()
+    assert find_separating_observable(sys, (-0.0, 1.0), (0.0, 2.0)).verdict == VERDICT_UNRESOLVED
+    assert built == [(-0.0).hex(), (0.0).hex()]
+
+
 def test_separation_identical_states_rejected():
     sys = cascade_1d("sin(x)")
     with pytest.raises(ValueError):

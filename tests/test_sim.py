@@ -4,6 +4,7 @@ from collections import Counter
 import math
 import random
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 import obsv_lab.expr as ex
 from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset, preset_names
 from obsv_lab.sim import (
+    CSV_BLOCK_ROWS,
     MEMBERS_MAX,
     BlowUpError,
     EquilibriumPremiseError,
@@ -864,15 +866,43 @@ def test_csv_export():
     assert first[3] == pytest.approx(math.exp(-0.01) * 0.2)
 
 
-def test_csv_bytes_match_per_value_formatting():
-    values = (-0.0, 5e-324, 1e300, 3.0, 0.1)
-    states = np.array([values[:2], values[2:4], values[3:]])
-    outputs = np.array([[values[4]], [values[0]], [values[1]]])
-    traj = Trajectory(0.0, 0.1, states, outputs, ("x1", "z1"), ("y1",))
-    rows = np.column_stack((traj.times, states, outputs)).tolist()
-    expected = "t,x1,z1,y1\n" + "".join(",".join(f"{v:.17g}" for v in row) + "\n" for row in rows)
+CSV_SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 3.0, 0.1)
+
+
+@pytest.mark.parametrize("rows", [1, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1,
+                                  2 * CSV_BLOCK_ROWS + 1])
+def test_csv_bytes_match_per_value_formatting(rows):
+    # the specials cycle through the columns of every block, and the row
+    # count puts the end of the last block before, on and after its edge
+    rng = random.Random(rows)
+    values = [CSV_SPECIALS[k % len(CSV_SPECIALS)] if k % 3 else rng.uniform(-1e3, 1e3)
+              for k in range(3 * rows)]
+    table = np.array(values).reshape(rows, 3)
+    traj = Trajectory(0.0, 0.1, table[:, :2], table[:, 2:], ("x1", "z1"), ("y1",))
+    expected = "t,x1,z1,y1\n" + "".join(
+        ",".join(f"{v:.17g}" for v in (t, *row)) + "\n"
+        for t, row in zip(traj.times.tolist(), table.tolist()))
     assert traj.to_csv() == expected
-    assert "-0," in expected and "4.9406564584124654e-324" in expected
+    if rows > len(CSV_SPECIALS):
+        for text in ("nan", "inf", "-inf", "-0,", "4.9406564584124654e-324", "e+300"):
+            assert text in expected
+
+
+def test_csv_peaks_at_about_twice_its_text():
+    # one block of Python floats at a time: the transient heap stays near
+    # the text plus its blocks, not a whole table of floats and rows
+    sys = CascadeSystem(n=2, gamma=(ex.parse("exp(-x^2)", {"x"}), ex.parse("sin(x)", {"x"})),
+                        F=(ex.parse("-z1", {"z1", "z2"}), ex.parse("-z2 + 0.5*z1", {"z1", "z2"})),
+                        b=(1.0, 0.5))
+    traj = integrate(sys, (0.1, 0.2, 0.3, -0.4), InputSignal.sinusoid(1.0, 2.0), 10.0, 1e-3)
+    assert len(traj.states) == 10001
+    tracemalloc.start()
+    try:
+        text = traj.to_csv()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), peak / len(text)
 
 
 # ---------------------------------------------------------------------------
