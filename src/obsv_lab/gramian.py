@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from .model import CascadeSystem, ControlAffineSystem, as_control_affine
 from .record import Record
-from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, RK4Loop, compile_rk4, integrate_many
+from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, integrate_many
 
 EPS_DEFAULT = 1e-4          # central-difference perturbation of the initial state
 WEAK_SIGNAL_FLOOR = 1e-13   # below this, sensitivities are round-off noise
@@ -60,14 +60,6 @@ class GramianReport(Record):
         return "marginal"
 
 
-def _compile(sys) -> RK4Loop:
-    """The RK4 loop of a Gramian: one ensemble of the 2*dim perturbed states."""
-    if isinstance(sys, RK4Loop):
-        return sys
-    ca = as_control_affine(sys)
-    return compile_rk4(ca, 2 * ca.dim)
-
-
 def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
     """Output-sensitivity Gramian from one ensemble integration of all the
     perturbed states.
@@ -77,9 +69,9 @@ def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    loop = _compile(sys)
+    ca = as_control_affine(sys)
     x0 = tuple(float(v) for v in x0)
-    dim = loop.system.dim
+    dim = ca.dim
     if len(x0) != dim:
         raise ValueError(f"state has {len(x0)} entries, expected {dim}")
 
@@ -93,7 +85,7 @@ def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
     starts = []
     for i in range(dim):
         starts += [moved(i, secant[1]), x0] if i == sec else [moved(i, eps), moved(i, -eps)]
-    trajs = integrate_many(loop, starts, u, t_end, dt)
+    trajs = integrate_many(ca, starts, u, t_end, dt)
     with np.errstate(over="ignore", invalid="ignore"):
         deltas = [trajs[2 * i].outputs - trajs[2 * i + 1].outputs for i in range(dim)]
         deltas = [d if i == sec else d / (2.0 * eps) for i, d in enumerate(deltas)]
@@ -103,10 +95,9 @@ def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
         W = 0.5 * (W + W.T)  # kill last-bit asymmetry from the matmul
     if not np.isfinite(W).all():  # W[i, i] is not finite where row i of D is not
         i, c = np.unravel_index(np.where(np.isfinite(D), np.abs(D), np.inf).argmax(), D.shape)
-        k, j = divmod(int(c), loop.system.p)  # name D's largest entry, a non-finite one first
+        k, j = divmod(int(c), ca.p)  # name D's largest entry, a non-finite one first
         raise ex.DomainError(f"Gramian overflows from the sensitivity {D[i, c]:.6g} of row "
-                             f"{loop.system.state_vars[i]} at t={k * dt:.6g}",
-                             loop.system.outputs[j])
+                             f"{ca.state_vars[i]} at t={k * dt:.6g}", ca.outputs[j])
 
     weak = all(np.max(np.abs(d)) < WEAK_SIGNAL_FLOOR for d in deltas)
     sigma = np.linalg.svd(W, compute_uv=False)
@@ -135,8 +126,6 @@ def empirical_gramian(
     For each state direction i the output record is re-simulated from
     x0 +/- eps*e_i and the scaled difference enters row i of the
     sensitivity matrix; W = D D^T dt.  W is symmetric PSD by construction.
-    ``sys`` may also be an ``RK4Loop`` compiled for 2*dim states, which
-    ``input_sweep`` reuses for all its inputs.
     """
     return _gramian(sys, x0, u, eps, t_end, dt)
 
@@ -156,8 +145,7 @@ def input_sweep(
     """
     if not inputs:
         raise ValueError("need at least one input signal")
-    loop = _compile(sys)
-    reports = [(idx, empirical_gramian(loop, x0, u, eps, t_end, dt)) for idx, u in enumerate(inputs)]
+    reports = [(idx, empirical_gramian(sys, x0, u, eps, t_end, dt)) for idx, u in enumerate(inputs)]
     reports.sort(key=lambda pair: (-pair[1].sigma_min, pair[0]))
     return reports
 

@@ -56,7 +56,15 @@ class CascadeSystem(_AffineSlot):
         )
 
 
-class ControlAffineSystem(Frozen):
+class _LoopSlot(Frozen):
+    # a slot beside the fields of ControlAffineSystem: sim keeps the RK4
+    # loops it generates for the system there, a dict keyed by (loop
+    # variant, sharing pattern), out of sight of equality, hash, repr and
+    # pickle
+    __slots__ = ("_loops",)
+
+
+class ControlAffineSystem(_LoopSlot):
     """dx/dt = drift(x) + sum_i u_i * input_fields[i](x), y = outputs(x)."""
 
     __slots__ = ("state_vars", "drift", "input_fields", "outputs")

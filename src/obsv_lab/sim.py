@@ -64,6 +64,12 @@ def _finite(what: str, values) -> tuple[float, ...]:
     return vals
 
 
+def _spec_float(v: float) -> str:
+    """``v`` as its repr, which reads back to the same float, without a
+    trailing ``.0``."""
+    return repr(v).removesuffix(".0")
+
+
 class InputSignal(Frozen):
     __slots__ = ("kind", "params")
     _defaults = {"params": ()}
@@ -125,10 +131,9 @@ class InputSignal(Frozen):
         if self.kind == "zero":
             return "zero"
         if self.kind == "constant":
-            return f"const:{self.params[0]:g}"
+            return f"const:{_spec_float(self.params[0])}"
         if self.kind == "sinusoid":
-            a, w, phi = self.params
-            return f"sin:{a:g},{w:g},{phi:g}"
+            return "sin:" + ",".join(map(_spec_float, self.params))
         if self.kind == "piecewise":
             return f"piecewise[{len(self.params[0]) + 1} pieces]"
         return f"table[{len(self.params[0])} samples]"
@@ -204,7 +209,7 @@ class Trajectory(Record):
 
 
 # states one generated loop steps together; its stage code grows with their
-# groups, not with the members (see compile_rk4)
+# groups, not with the members (see rk4_source)
 MEMBERS_MAX = 16
 
 # the loop variant that computes each input kind; zero and constant are the
@@ -220,69 +225,58 @@ def _reads(ca: ControlAffineSystem) -> tuple[bool, ...]:
     return tuple(v in read for v in ca.state_vars)
 
 
-class RK4Loop:
-    """A single-input control-affine system with generated RK4 loops that
-    step ``size`` initial states in lockstep.
+def _sharing(reads, x0s) -> tuple[tuple[tuple[int, ...], ...], list[float]]:
+    """(pattern, seeds) of the flat initial states ``x0s`` of a system whose
+    fields read the variables marked in ``reads`` (see ``_reads``): the
+    pattern gives each member one slot per state variable, and ``seeds``
+    the start of each slot.  Members whose starts have the same bits on
+    every read variable form a group, which holds one slot per read
+    variable and one per distinct start of each other variable; slots are
+    numbered in order of first use."""
+    dim = len(reads)
+    slots: dict[tuple, int] = {}
+    seeds = []
+    pattern = []
+    for c in range(0, len(x0s), dim):
+        x = x0s[c:c + dim]
+        group = tuple(v.hex() for v, r in zip(x, reads) if r)
+        member = []
+        for i, (v, r) in enumerate(zip(x, reads)):
+            s = slots.setdefault((group, i) if r else (group, i, v.hex()), len(slots))
+            if s == len(seeds):
+                seeds.append(v)
+            member.append(s)
+        pattern.append(tuple(member))
+    return tuple(pattern), seeds
 
-    ``run(x0s, u, dt, steps, rows)`` takes the initial states one after
-    another in one flat tuple and appends to ``rows``, an ``array("d")``,
-    one whole row per sample: every member's state, then every member's
-    outputs.  A step is arithmetic only: it steps on through inf and nan
-    and raises only what a float operation raises, from the step where it
-    happened; a run that fails in step k has stored exactly the k + 1 rows
-    of t = 0 .. k*dt.  The loop of an input kind and a sharing pattern (see
-    ``sharing``) is generated the first time that pair runs, and kept in
-    ``variants`` under the key (loop variant, pattern).
-    """
 
-    __slots__ = ("system", "size", "reads", "variants")
-    system: ControlAffineSystem
-    size: int
-    reads: tuple[bool, ...]
-    variants: dict
-
-    def __init__(self, system: ControlAffineSystem, size: int):
-        self.system = system
-        self.size = size
-        self.reads = _reads(system)
-        self.variants = {}
-
-    def sharing(self, x0s) -> tuple[tuple[tuple[int, ...], ...], list[float]]:
-        """(pattern, seeds) of the flat initial states ``x0s``: the pattern
-        gives each member one slot per state variable, and ``seeds`` the
-        start of each slot.  Members whose starts have the same bits on
-        every variable a field reads form a group, which holds one slot per
-        read variable and one per distinct start of each other variable;
-        slots are numbered in order of first use."""
-        dim = self.system.dim
-        slots: dict[tuple, int] = {}
-        seeds = []
-        pattern = []
-        for c in range(0, len(x0s), dim):
-            x = x0s[c:c + dim]
-            group = tuple(v.hex() for v, r in zip(x, self.reads) if r)
-            member = []
-            for i, (v, r) in enumerate(zip(x, self.reads)):
-                s = slots.setdefault((group, i) if r else (group, i, v.hex()), len(slots))
-                if s == len(seeds):
-                    seeds.append(v)
-                member.append(s)
-            pattern.append(tuple(member))
-        return tuple(pattern), seeds
-
-    def run(self, x0s, u: InputSignal, dt: float, steps: int, rows) -> None:
-        try:
-            variant = _VARIANTS[u.kind]
-        except KeyError:
-            raise ValueError(f"unknown input kind {u.kind!r}") from None
-        pattern, seeds = self.sharing(x0s)
-        fn = self.variants.get((variant, pattern))
-        if fn is None:
-            namespace = {"_fns": tuple(ex.python_functions().values()),
-                         "_bisect": bisect, "_Struct": Struct}
-            exec(rk4_source(self.system, pattern, variant), namespace)
-            fn = self.variants[variant, pattern] = namespace["_rk4"]
-        fn(seeds, (0.0,) if u.kind == "zero" else u.params, dt, steps, rows)
+def _run(ca: ControlAffineSystem, x0s, u: InputSignal, dt: float, steps: int, rows) -> None:
+    """Step the initial states ``x0s``, one after another in one flat
+    tuple, in lockstep on the generated RK4 loop of ``ca``, appending to
+    ``rows``, an ``array("d")``, one whole row per sample: every member's
+    state, then every member's outputs.  A step is arithmetic only: it
+    steps on through inf and nan and raises only what a float operation
+    raises, from the step where it happened; a run that fails in step k has
+    stored exactly the k + 1 rows of t = 0 .. k*dt.  The loop of an input
+    kind and a sharing pattern (see ``_sharing``) is generated the first
+    time that pair runs on ``ca``, and kept with it, in its ``_loops`` slot
+    under the key (loop variant, pattern)."""
+    try:
+        variant = _VARIANTS[u.kind]
+    except KeyError:
+        raise ValueError(f"unknown input kind {u.kind!r}") from None
+    pattern, seeds = _sharing(_reads(ca), x0s)
+    loops = getattr(ca, "_loops", None)
+    if loops is None:
+        loops = {}
+        object.__setattr__(ca, "_loops", loops)
+    fn = loops.get((variant, pattern))
+    if fn is None:
+        namespace = {"_fns": tuple(ex.python_functions().values()),
+                     "_bisect": bisect, "_Struct": Struct}
+        exec(rk4_source(ca, pattern, variant), namespace)
+        fn = loops[variant, pattern] = namespace["_rk4"]
+    fn(seeds, (0.0,) if u.kind == "zero" else u.params, dt, steps, rows)
 
 
 def _input_source(variant: str):
@@ -305,15 +299,42 @@ def _input_source(variant: str):
 
 def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
     """Source of ``_rk4(_x0s, _params, _dt, _steps, _rows)``, the RK4 loop
-    of the members of the sharing pattern ``pattern`` (see
-    ``RK4Loop.sharing``; ``_x0s`` holds the seeds) under an input of the
-    loop variant ``variant`` (see ``compile_rk4``).  Each sample's row is
-    one ``struct`` pack appended to ``_rows`` with ``frombytes``.  An input
-    field that is a constant c has its product u * (c) formed once per
-    stage input for all groups: once before the loop under a zero or
-    constant input, else once per step and stage time.  It runs with
+    that runs the whole integration of the members of the sharing pattern
+    ``pattern`` (see ``_sharing``; ``_x0s`` holds the seeds) in lockstep,
+    under an input of the loop variant ``variant``.
+
+    A variable that no drift or input field reads does not enter the
+    stages: a cascade's positions, since the system is invariant under
+    their translation.  So members whose starts have the same bits on every
+    variable a field reads (for a cascade, the velocities) have the same
+    stages at every step under the same input.  The step body holds one
+    copy of the one-state stages per such group of members: four stages
+    over stage states of the read variables only, then the update, where
+    each other variable's increment dt/6*(((k1 + 2*k2) + 2*k3) + k4) is
+    formed once and added to every distinct start of that variable in the
+    group.  Bits, not values, decide a group (``float.hex``), so 0.0 and
+    -0.0 stay apart.  An output whose source recurs in the row is computed
+    once.  The arithmetic is the reference one, on the operands a lone run
+    has: stage states x + (0.5*dt)*k, fields f + u*g, update
+    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
+    bit for bit the one of a lone run.
+
+    The input is arithmetic in the step, in the float operations of
+    ``InputSignal.__call__``: a zero or constant input is one float bound
+    before the loop, any other kind is computed once per step and distinct
+    stage time for all members (k2 and k3 share t + 0.5*dt).  So is the
+    product u * (c) of each input field that is a constant c (a cascade's
+    b_i and 0.0): once per distinct stage input, for all groups, and before
+    the loop under a zero or constant input; a field that reads a state
+    forms its product in the stage.  The catalog functions are locals of the
+    function, and each sample's row is one ``struct`` pack appended to
+    ``_rows`` with ``frombytes``.  The stage code grows with the groups, not
+    with the members, and the update and output code with the distinct
+    slots, so the code of ``MEMBERS_MAX`` members stays within
+    ``MEMBERS_MAX`` times that of the one-state loop.  It runs with
     ``_fns``, the ``expr.python_functions`` values, ``_bisect`` and
-    ``_Struct`` in its globals, and raises nothing of its own."""
+    ``_Struct`` in its globals, checks no state for finiteness and raises
+    nothing of its own."""
     idx = range(ca.dim)
     reads = _reads(ca)
     setup, input_at = _input_source(variant)
@@ -417,50 +438,6 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
     ])
 
 
-def compile_rk4(sys, ensemble: int = 1) -> RK4Loop:
-    """The RK4 loop of an ensemble of ``ensemble`` initial states: one
-    generated Python function per input kind and sharing pattern that runs
-    the whole RK4 integration of the ensemble in lockstep.
-
-    A variable that no drift or input field reads does not enter the
-    stages: a cascade's positions, since the system is invariant under
-    their translation.  So members whose starts have the same bits on every
-    variable a field reads (for a cascade, the velocities) have the same
-    stages at every step under the same input.  The step body holds
-    one copy of the one-state stages per such group of members: four
-    stages over stage states of the read variables only, then the update,
-    where each other variable's increment dt/6*(((k1 + 2*k2) + 2*k3) + k4)
-    is formed once and added to every distinct start of that variable in
-    the group.  Bits, not values, decide a group (``float.hex``), so 0.0
-    and -0.0 stay apart.  An output whose source recurs in the row is
-    computed once.  The step checks no state for finiteness.  The arithmetic
-    is the reference one, on the operands a lone run has: stage states
-    x + (0.5*dt)*k, fields f + u*g, update
-    x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
-    bit for bit the one of a lone run.  The input is arithmetic in the step,
-    in the float operations of ``InputSignal.__call__``: a zero or constant
-    input is one float bound before the loop, any other kind is computed
-    once per step and distinct stage time for all members (k2 and k3 share
-    t + 0.5*dt).  So is the product u*g of each input field g that is a
-    constant (a cascade's b_i and 0.0): once per distinct stage input, for
-    all groups, and before the loop under a zero or constant input; a field
-    that reads a state forms its product in the stage.  The catalog
-    functions are locals of the function, and the step's row is stored by
-    one ``struct`` pack appended with ``frombytes``.  An ensemble of more
-    than ``MEMBERS_MAX`` states is stepped in the fewest runs of equal size.
-    The stage code grows with the groups, not with the members, and the
-    update and output code with the distinct slots, so the code stays
-    within ``MEMBERS_MAX`` times that of the one-state loop.
-    """
-    ca = as_control_affine(sys)
-    if ca.m != 1:
-        raise ValueError(f"integrate handles single-input systems, got m={ca.m}")
-    if ensemble < 1:
-        raise ValueError(f"an ensemble needs at least one state, got {ensemble}")
-    runs = -(-ensemble // MEMBERS_MAX)
-    return RK4Loop(system=ca, size=-(-ensemble // runs))
-
-
 def _check_outputs(ca: ControlAffineSystem, x) -> None:
     """Evaluate the outputs at the finite state ``x`` through the tree
     walker, which raises DomainError at the culprit subexpression."""
@@ -545,21 +522,21 @@ def _raise_failure(ca: ControlAffineSystem, xs, u, dt: float, states, outputs, e
         _check_outputs(ca, states[k, j].tolist())
 
 
-def _run_joint(loop: RK4Loop, xs, u, dt: float, steps: int) -> list[Trajectory]:
-    """One run of a joint loop; members beyond ``xs`` (the last run of an
-    ensemble) step copies of its last state.  A failure is read from the
+def _run_joint(ca: ControlAffineSystem, xs, size: int, u, dt: float,
+               steps: int) -> list[Trajectory]:
+    """One run of ``size`` members; members beyond ``xs`` (the last run of
+    an ensemble) step copies of its last state.  A failure is read from the
     rows this run stored (``_raise_failure``)."""
-    ca = loop.system
-    padded = xs + [xs[-1]] * (loop.size - len(xs))
+    padded = xs + [xs[-1]] * (size - len(xs))
     rows, error = array("d"), None
     try:
-        loop.run(tuple(v for x in padded for v in x), u, dt, steps, rows)
+        _run(ca, tuple(v for x in padded for v in x), u, dt, steps, rows)
     except (ArithmeticError, ValueError) as err:
         error = err
-    table = np.frombuffer(rows).reshape(-1, loop.size * (ca.dim + ca.p))
-    split = loop.size * ca.dim  # states, then outputs, in each row
-    states = table[:, :split].reshape(len(table), loop.size, ca.dim)[:, :len(xs)]
-    outputs = table[:, split:].reshape(len(table), loop.size, ca.p)[:, :len(xs)]
+    table = np.frombuffer(rows).reshape(-1, size * (ca.dim + ca.p))
+    split = size * ca.dim  # states, then outputs, in each row
+    states = table[:, :split].reshape(len(table), size, ca.dim)[:, :len(xs)]
+    outputs = table[:, split:].reshape(len(table), size, ca.p)[:, :len(xs)]
     if error is not None or not np.isfinite(table).all():
         _raise_failure(ca, xs, u, dt, states, outputs, error)
     names = tuple(ca.state_vars), tuple(f"y{i}" for i in range(1, ca.p + 1))
@@ -574,22 +551,27 @@ def integrate_many(
     dt: float = DT_DEFAULT,
 ) -> list[Trajectory]:
     """RK4 runs of every initial state in ``states`` under one input, in
-    lockstep on one generated loop (see ``compile_rk4``).
+    lockstep on one generated loop (see ``rk4_source``).
 
-    ``sys`` is a cascade, a control-affine system, or an ``RK4Loop``
-    compiled for ensembles of this size, when many are integrated on one
-    system.  Each trajectory is bit for bit the one ``integrate`` gives for
-    its state alone; its arrays are views into one buffer shared by the
-    ensemble.  A run does not stop at a non-finite state: one numpy pass
-    over its stored rows finds a state or output that is not finite.  On a
-    failure, an exception or such a value, the error raised is the one
-    ``integrate`` reports for the member whose failure comes first in the
-    first failing run of ``MEMBERS_MAX`` states, the first member in order
+    ``sys`` is a cascade or a control-affine system.  The loop of each
+    input kind and sharing pattern is kept with the system's control-affine
+    form (see ``_run``), so later calls on the same system reuse it.  More
+    than ``MEMBERS_MAX`` states are stepped in the fewest runs of equal
+    size, the last filled up with copies of its last state.  Each trajectory is
+    bit for bit the one ``integrate`` gives for its state alone; its arrays
+    are views into one buffer shared by its run.  A run does not stop at a
+    non-finite state: one numpy pass over its stored rows finds a state or
+    output that is not finite.  On a failure, an exception or such a value,
+    the error raised is the one ``integrate`` reports for the member whose
+    failure comes first in the first failing run, the first member in order
     at the same sample (see ``_raise_failure``).
     """
     xs = [tuple(float(v) for v in x) for x in states]
-    loop = sys if isinstance(sys, RK4Loop) else compile_rk4(sys, len(xs))
-    ca = loop.system
+    ca = as_control_affine(sys)
+    if ca.m != 1:
+        raise ValueError(f"integrate handles single-input systems, got m={ca.m}")
+    if not xs:
+        raise ValueError("an ensemble needs at least one state")
     for name, v in (("dt", dt), ("t_end", t_end)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
@@ -597,13 +579,17 @@ def integrate_many(
         raise ValueError(f"dt must be positive, got {dt}")
     if t_end < dt:
         raise ValueError(f"t_end={t_end} is shorter than one step dt={dt}")
+    if not math.isfinite(t_end / dt):
+        raise ValueError(f"t_end/dt must be finite, got {t_end}/{dt}")
     for x in xs:
         if len(x) != ca.dim:
             raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
 
     steps = int(round(t_end / dt))
-    return [traj for c in range(0, len(xs), loop.size)
-            for traj in _run_joint(loop, xs[c:c + loop.size], u, dt, steps)]
+    runs = -(-len(xs) // MEMBERS_MAX)
+    size = -(-len(xs) // runs)
+    return [traj for c in range(0, len(xs), size)
+            for traj in _run_joint(ca, xs[c:c + size], size, u, dt, steps)]
 
 
 def integrate(
@@ -628,7 +614,7 @@ def integrate(
 # output-comparison experiments
 
 
-def _output_gap(loop: RK4Loop, ta: Trajectory, tb: Trajectory) -> np.ndarray:
+def _output_gap(ca: ControlAffineSystem, ta: Trajectory, tb: Trajectory) -> np.ndarray:
     """|ya - yb| per sample and output.  Finite outputs of opposite signs
     near the float limit overflow here; that raises DomainError naming the
     output and its first such sample time."""
@@ -637,7 +623,7 @@ def _output_gap(loop: RK4Loop, ta: Trajectory, tb: Trajectory) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(gap))
     if bad.size:
         k, j = divmod(int(bad[0]), gap.shape[1])
-        raise ex.DomainError(f"output gap overflows at t={k * ta.dt:.6g}", loop.system.outputs[j])
+        raise ex.DomainError(f"output gap overflows at t={k * ta.dt:.6g}", ca.outputs[j])
     return gap
 
 
@@ -667,10 +653,10 @@ def indistinguishability_experiment(
         raise ValueError(f"shift must have exactly one nonzero coordinate: {T}")
     base = (0.0,) * (2 * sys.n)
     shifted = T + (0.0,) * sys.n
-    loop = compile_rk4(sys, 2)
+    ca = as_control_affine(sys)
     results = []
     for sig in inputs:
-        gap = _output_gap(loop, *integrate_many(loop, (base, shifted), sig, t_end, dt))
+        gap = _output_gap(ca, *integrate_many(ca, (base, shifted), sig, t_end, dt))
         results.append(ShiftGapResult(input=sig.describe(), gap=float(gap.max())))
     return results
 
@@ -698,8 +684,8 @@ def distinguishability_experiment(
     "inconclusive" in between (the gap is too large to ignore but too small
     to rule out integrator error).
     """
-    loop = compile_rk4(sys, 2)
-    diff = _output_gap(loop, *integrate_many(loop, (s0, s1), u, t_end, dt)).max(axis=1)
+    ca = as_control_affine(sys)
+    diff = _output_gap(ca, *integrate_many(ca, (s0, s1), u, t_end, dt)).max(axis=1)
     gap = float(diff.max())
     over = np.nonzero(diff > DIST_TOL_DEFAULT)[0]
     first = float(over[0] * dt) if over.size else None

@@ -584,6 +584,16 @@ def test_simulate_rejects_bad_dt(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "gramian"])
+def test_a_step_count_that_is_not_finite_is_a_usage_error(capsys, command):
+    # t_end/dt overflows to inf: a usage error, not a traceback or a verdict
+    code, out, err = run(capsys, command, "--system", "preset:fish-1d-gauss", "--state", "0,0",
+                         "--dt", "1e-320")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: t_end/dt must be finite")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ("simulate", "--state", "0,0", "--t-end", "inf"),
     ("simulate", "--state", "0,0", "--dt", "nan"),

@@ -15,7 +15,7 @@ from obsv_lab.gramian import (
 )
 from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset
 from obsv_lab.obsv import local_rank
-from obsv_lab.sim import InputSignal, compile_rk4, integrate
+from obsv_lab.sim import InputSignal, integrate
 
 TWO_PI = 2.0 * math.pi
 SIN_1HZ = InputSignal.sinusoid(1.0, TWO_PI)
@@ -96,20 +96,24 @@ def test_input_sweep_singleton_and_ties():
 
 
 def test_input_sweep_on_one_loop_matches_fresh_gramians_bytewise():
-    # one loop compiles one variant per input kind that runs (zero and
-    # constant share one) and keeps it, under the one sharing pattern of
-    # the Gramian's starts; every report is the one of a fresh Gramian of
-    # its input
+    # the system keeps one loop per input kind that runs (zero and constant
+    # share one), under the one sharing pattern of the Gramian's starts,
+    # and a second sweep generates none; every report is the one of a
+    # Gramian of its input on a fresh system
     sys, x0 = preset("sin-drift"), (0.3, -0.4)
     inputs = [InputSignal.zero(), SIN_1HZ, InputSignal.constant(0.7), InputSignal.zero(),
               InputSignal.piecewise((0.5,), (1.0, -2.0))]
-    loop = compile_rk4(sys, 4)
-    ranked = dict(input_sweep(loop, x0, inputs, t_end=1.0))
-    assert sorted(kind for kind, _ in loop.variants) == ["constant", "piecewise", "sinusoid"]
+    ranked = dict(input_sweep(sys, x0, inputs, t_end=1.0))
+    loops = dict(as_control_affine(sys)._loops)
+    assert sorted(kind for kind, _ in loops) == ["constant", "piecewise", "sinusoid"]
+    assert len({pattern for _, pattern in loops}) == 1
+    again = dict(input_sweep(sys, x0, inputs, t_end=1.0))
+    assert as_control_affine(sys)._loops == loops
     for idx, u in enumerate(inputs):
-        fresh = empirical_gramian(sys, x0, u, t_end=1.0)
-        assert ranked[idx].matrix.tobytes() == fresh.matrix.tobytes()
-        assert ranked[idx].singular_values.tobytes() == fresh.singular_values.tobytes()
+        fresh = empirical_gramian(preset("sin-drift"), x0, u, t_end=1.0)
+        for rep in (ranked[idx], again[idx]):
+            assert rep.matrix.tobytes() == fresh.matrix.tobytes()
+            assert rep.singular_values.tobytes() == fresh.singular_values.tobytes()
 
 
 def test_period_shift_direction_is_invisible():

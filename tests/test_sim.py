@@ -1,7 +1,9 @@
 import ast
 from array import array
 from collections import Counter
+import copy
 import math
+import pickle
 import random
 import re
 import tracemalloc
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 import obsv_lab.expr as ex
+import obsv_lab.sim as sim
 from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset, preset_names
 from obsv_lab.sim import (
     CSV_BLOCK_ROWS,
@@ -20,7 +23,6 @@ from obsv_lab.sim import (
     InputError,
     InputSignal,
     Trajectory,
-    compile_rk4,
     distinguishability_experiment,
     indistinguishability_experiment,
     integrate,
@@ -90,9 +92,17 @@ def test_table_signal_holds_samples():
 
 
 def test_describe_round_trips_through_parse():
-    for spec in ("zero", "const:1.5", "sin:1,2,0"):
+    # each parameter prints as its repr without a trailing ".0", so these
+    # specs keep their bytes and every finite parameter reads back the same
+    for spec in ("zero", "const:1", "const:1.5", "const:-0", "const:0.1234567", "sin:1,2,0",
+                 "sin:1,6.2832,0", "sin:1,1e+308,0", "sin:0.5,1.234,1.5707963267948966"):
         sig = parse_input_spec(spec)
+        assert sig.describe() == spec
         assert parse_input_spec(sig.describe()) == sig
+    for sig in (InputSignal.constant(1234567.0), InputSignal.constant(5e-324),
+                InputSignal.sinusoid(-1.7976931348623157e308, 0.1 + 0.2, -0.0)):
+        assert parse_input_spec(sig.describe()) == sig
+        assert repr(parse_input_spec(sig.describe()).params) == repr(sig.params)
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +163,8 @@ def test_integrate_validations():
 @pytest.mark.parametrize("name, t_end, dt", [
     ("t_end", math.inf, 1e-3), ("t_end", math.nan, 1e-3), ("t_end", -math.inf, 1e-3),
     ("dt", 1.0, math.inf), ("dt", 1.0, math.nan), ("dt", 1.0, -math.inf),
+    # both finite and t_end >= dt, but the step count overflows to inf
+    ("t_end/dt", 10.0, 1e-320),
 ])
 def test_integrate_many_rejects_a_time_that_is_not_finite(name, t_end, dt):
     with pytest.raises(ValueError, match=rf"^{name} must be finite"):
@@ -427,15 +439,30 @@ def test_ensemble_of_extreme_starts_matches_tree_evaluated_rk4_bitwise():
     velocities = (-0.0, 0.0, 5e-324, -5e-324, 0.7)
     starts = [(positions[j % 6], positions[(5 * j + 1) % 6], velocities[j % 5],
                velocities[(3 * j + 2) % 5]) for j in range(MEMBERS_MAX)]
-    loop = compile_rk4(ca, len(starts))
-    pattern, _ = loop.sharing(tuple(v for x in starts for v in x))
-    assert loop.size == len(starts) and len({m[2:] for m in pattern}) < len(starts)
+    pattern, _ = sim._sharing(sim._reads(ca), tuple(v for x in starts for v in x))
+    assert len({m[2:] for m in pattern}) < len(starts)
     for u in (InputSignal.zero(), InputSignal.constant(0.3), InputSignal.sinusoid(0.8, 2.5, 0.3)):
-        trajs = integrate_many(loop, starts, u, 0.02, 1e-3)
+        trajs = integrate_many(ca, starts, u, 0.02, 1e-3)
         for x0, traj in zip(starts, trajs):
             states, outputs = _reference_rk4(ca, x0, u, 0.02, 1e-3)
             assert _same_bits(traj.states, states), (u, x0)
             assert _same_bits(traj.outputs, outputs), (u, x0)
+
+
+def test_generated_loops_are_kept_with_the_system_and_are_no_field():
+    # a second run of the same kind and sharing pattern reuses the loop the
+    # first generated; equality, hash, repr and pickle ignore the loops
+    ca = as_control_affine(preset("fish-1d-gauss"))
+    before = (repr(ca), hash(ca), pickle.dumps(ca))
+    integrate(ca, (0.3, 0.5), InputSignal.constant(0.2), 0.01, 1e-3)
+    loops = dict(ca._loops)
+    assert list(loops) == [("constant", ((0, 1),))]
+    integrate(ca, (-0.3, 0.9), InputSignal.zero(), 0.01, 1e-3)
+    assert ca._loops == loops
+    assert (repr(ca), hash(ca), pickle.dumps(ca)) == before
+    for clone in (copy.copy(ca), pickle.loads(pickle.dumps(ca))):
+        assert clone == ca
+        assert not hasattr(clone, "_loops")
 
 
 def test_a_run_that_fails_at_step_k_stores_k_plus_1_rows():
@@ -445,11 +472,11 @@ def test_a_run_that_fails_at_step_k_stores_k_plus_1_rows():
     zs = {"z1"}
 
     def rows_of(sys, x0, u, steps):
-        loop = compile_rk4(sys)
+        ca = as_control_affine(sys)
         rows = array("d")
         with pytest.raises(ValueError) as err:
-            loop.run(x0, u, dt, steps, rows)
-        width = loop.system.dim + loop.system.p
+            sim._run(ca, x0, u, dt, steps, rows)
+        width = ca.dim + ca.p
         assert len(rows) % width == 0
         return err.value, np.frombuffer(rows).reshape(-1, width)
 
@@ -457,9 +484,8 @@ def test_a_run_that_fails_at_step_k_stores_k_plus_1_rows():
     # the first stored row that is not finite is the end of the step that
     # integrate names
     blowing = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("z1*z1", zs),), b=(1.0,))
-    loop = compile_rk4(blowing)
     rows = array("d")
-    loop.run((0.0, 2.0), InputSignal.zero(), dt, 2000, rows)
+    sim._run(as_control_affine(blowing), (0.0, 2.0), InputSignal.zero(), dt, 2000, rows)
     table = np.frombuffer(rows).reshape(-1, 3)
     assert len(table) == 2001
     with pytest.raises(BlowUpError) as err:
@@ -530,17 +556,16 @@ def test_wide_state_matches_lone_blocks_bitwise():
     sys = CascadeSystem(n=n, gamma=(ex.parse("1", ()),) * n,
                         F=tuple(ex.parse(f"-z{i}", {f"z{i}"}) for i in range(1, n + 1)),
                         b=(1.0,) * n)
-    loop = compile_rk4(sys)
     u = InputSignal.sinusoid(1.0, 2.0)
     x0 = [0.0] * n + [0.001 * i for i in range(n)]
-    traj, = integrate_many(loop, [x0], u, 0.01, 1e-3)
+    traj, = integrate_many(sys, [x0], u, 0.01, 1e-3)
     block = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("-z1", {"z1"}),), b=(1.0,))
     for i in (0, n - 1):
         lone = integrate(block, (0.0, x0[n + i]), u, 0.01, 1e-3)
         assert _same_bits(traj.states[:, [i, n + i]], lone.states)
     # an overflow in the last state variable is found after the run
     with pytest.raises(BlowUpError) as err:
-        integrate_many(loop, [[0.0] * (2 * n - 1) + [1e308]], InputSignal.constant(-1e308),
+        integrate_many(sys, [[0.0] * (2 * n - 1) + [1e308]], InputSignal.constant(-1e308),
                        0.01, 1e-3)
     assert err.value.t == 1e-3
 
@@ -565,14 +590,18 @@ def test_ensemble_failure_is_the_first_failing_state_in_order():
     assert 0.49 < pair.t < 0.51
 
 
+def _count_runs(monkeypatch) -> list:
+    """The flat starts of every run of a generated loop from now on."""
+    calls = []
+    run = sim._run
+    monkeypatch.setattr(sim, "_run", lambda ca, x0s, *args: calls.append(x0s) or run(ca, x0s, *args))
+    return calls
+
+
 def test_a_failing_lone_run_integrates_once(monkeypatch):
     # a loop of one member runs the lone run that locates the failure, so
     # the failure is read from that run instead of a second one
-    from obsv_lab.sim import RK4Loop
-
-    calls = []
-    run = RK4Loop.run
-    monkeypatch.setattr(RK4Loop, "run", lambda self, *args: calls.append(1) or run(self, *args))
+    calls = _count_runs(monkeypatch)
     sys = CascadeSystem(n=1, gamma=(ex.parse("1", ()),), F=(ex.parse("z1^2", {"z1"}),), b=(1.0,))
     err = _raised(lambda: integrate(sys, (0.0, 2.0), InputSignal.zero()))
     assert type(err) is BlowUpError
@@ -603,12 +632,8 @@ def _fields(err: Exception):
 def test_ensemble_raises_the_lone_error_of_the_member_that_fails_first(monkeypatch):
     # the error of an ensemble is, field for field, what integrate raises
     # for the member whose failure comes first, located in the rows of the
-    # one run of its states: RK4Loop.run is called once per run of states
-    from obsv_lab.sim import RK4Loop
-
-    calls = []
-    run = RK4Loop.run
-    monkeypatch.setattr(RK4Loop, "run", lambda self, *args: calls.append(1) or run(self, *args))
+    # one run of its states: a generated loop runs once per run of states
+    calls = _count_runs(monkeypatch)
     u = InputSignal.zero()
 
     def check(sys, starts, j, runs=1):
@@ -639,15 +664,19 @@ def test_ensemble_raises_the_lone_error_of_the_member_that_fails_first(monkeypat
     velocities = [-1.0] * (MEMBERS_MAX + 1)
     velocities[3], velocities[12], velocities[15] = 1.0, 2.0, 4.0
     starts = [(0.1 * j, v) for j, v in enumerate(velocities)]
-    assert compile_rk4(sys, len(starts)).size == 9
     check(sys, starts, 3)
+    assert calls == [tuple(v for x in starts[:9] for v in x)]
     starts[3] = (0.3, -1.0)
     check(sys, starts, 15, runs=2)
+    # the second run steps the last 8 states and a copy of the last one
+    assert [len(x0s) // 2 for x0s in calls] == [9, 9]
+    assert calls[1] == tuple(v for x in starts[9:] + starts[-1:] for v in x)
     # a pair that shares its velocity start: x' = z from z = 1e307 under
     # z' = -z overflows from x = 1.79e308 at t = 0.080, from 1.75e308 at 0.65
     sys = cascade("1", "-z1")
     starts = [(1.75e308, 1e307), (1.79e308, 1e307)]
-    pattern, seeds = compile_rk4(sys, 2).sharing(tuple(v for x in starts for v in x))
+    pattern, seeds = sim._sharing(sim._reads(as_control_affine(sys)),
+                                  tuple(v for x in starts for v in x))
     assert pattern[0][1] == pattern[1][1] and len(seeds) == 3
     joint = check(sys, starts, 1)
     assert type(joint) is BlowUpError and 0.07 < joint.t < 0.09
@@ -801,17 +830,16 @@ def test_ensemble_trajectories_equal_lone_runs_bitwise(name, u):
     ca = as_control_affine(sys)
     full = _full_reading(ca)
     for system in (ca, full):
-        lone_loop = compile_rk4(system)
         for case, starts in cases.items():
             trajs = integrate_many(system, starts, u, 0.1, 1e-3)
             assert len(trajs) == len(starts)
             for x0, traj in zip(starts, trajs):
-                lone, = integrate_many(lone_loop, [x0], u, 0.1, 1e-3)
+                lone, = integrate_many(system, [x0], u, 0.1, 1e-3)
                 assert _same_bits(traj.states, lone.states), case
                 assert _same_bits(traj.outputs, lone.outputs), case
     # the full-reading system has one slot per start and variable
     starts = cases["gramian-moving"]
-    _, seeds = compile_rk4(full, len(starts)).sharing(tuple(v for x in starts for v in x))
+    _, seeds = sim._sharing(sim._reads(full), tuple(v for x in starts for v in x))
     assert len(seeds) == len(starts) * dim
 
 
@@ -822,13 +850,13 @@ def test_gramian_loop_holds_one_stage_block_per_velocity_start(n):
     # step body holds one stage block per distinct velocity part and no
     # stage state of a position
     sys = _random_cascade(random.Random(n), n, ENSEMBLE_GAINS.__getitem__)
-    loop = compile_rk4(sys, 4 * n)
+    ca = as_control_affine(sys)
     x0 = [0.1 * (i + 1) for i in range(2 * n)]
     for starts in (_gramian_starts(x0), _gramian_starts(x0, secant=(n - 1, TWO_PI))):
         groups = {tuple(v.hex() for v in x[n:]) for x in starts}
         assert len(groups) == 2 * n + 1 < 4 * n
-        pattern, _ = loop.sharing(tuple(float(v) for x in starts for v in x))
-        fn, = ast.parse(rk4_source(loop.system, pattern, "sinusoid")).body
+        pattern, _ = sim._sharing(sim._reads(ca), tuple(float(v) for x in starts for v in x))
+        fn, = ast.parse(rk4_source(ca, pattern, "sinusoid")).body
         body, = [node for node in fn.body if isinstance(node, ast.For)]
         stored = [node.id for stmt in body.body for node in ast.walk(stmt)
                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
