@@ -651,47 +651,6 @@ def find_separating_observable(
 # Local rank test (zero-input observation space)
 
 
-def _krylov_rank(A: np.ndarray, C: np.ndarray, l_max: int) -> tuple[int, int]:
-    """Rank of the span of the rows C A^k, k <= l_max, and the last order
-    reached, by an orthogonal block-Krylov (staircase) reduction (Paige,
-    IEEE TAC 1981) that forms no power of A.
-
-    Order 0 is the nonzero rows of C, each scaled to unit norm (by its
-    largest entry first, so that a row near the float ceiling keeps a
-    finite norm).  Order k is the directions order k - 1 added, times
-    A / ||A||_F: rounding in such a row stays a few ulps of 1 however small
-    the row is, so it never passes for a direction.  The right singular
-    vectors of a block, projected twice against the orthonormal basis, join
-    it where their singular value clears ``RANK_TOL_DEFAULT``.  The
-    reduction stops at full rank, at ``l_max``, or at the first order that
-    adds nothing, since the span is then A-invariant.
-    """
-    dim = A.shape[1]
-    peak = np.abs(A).max()
-    if peak > 0.0:
-        A = A / peak
-        A /= np.sqrt(np.sum(A * A))
-    peak = np.abs(C).max(axis=1)
-    block = C[peak > 0.0] / peak[peak > 0.0, None]
-    block /= np.sqrt(np.sum(block * block, axis=1))[:, None]
-    basis = block[:0]
-    for k in range(l_max + 1):
-        if k:  # the second pass removes what the first rounds in
-            for _ in range(2):
-                block = block - (block @ basis.T) @ basis
-            if np.sum(block * block) <= RANK_TOL_DEFAULT ** 2:
-                break  # no singular value exceeds the Frobenius norm
-        _, sigma, vt = np.linalg.svd(block, full_matrices=False)
-        new = vt[sigma > RANK_TOL_DEFAULT]
-        if k:  # and this one what the SVD rounds back in
-            new = new - (new @ basis.T) @ basis
-        basis = np.vstack((basis, new))
-        if not len(new) or len(basis) == dim:
-            break
-        block = new @ A
-    return len(basis), k
-
-
 def local_rank(
     sys: ControlAffineSystem | CascadeSystem,
     x0,
@@ -708,11 +667,19 @@ def local_rank(
     At an equilibrium, where every drift component is exactly 0 at x0, row
     k of output j is row j of C A^k, with A and C the Jacobians of the drift
     and the outputs (Hermann & Krener, IEEE TAC 1977), and the rank is that
-    of an orthogonal block-Krylov reduction of (A, C) (``_krylov_rank``).
-    The rank is then exact, not a bounded search: the reduction stops at
-    the first order that adds no direction, unless ``l_max`` (state
-    dimension by default) stops it first, and the rows and singular values
-    cover the orders it reached.
+    of an orthogonal block-Krylov (staircase) reduction of (A, C) (Paige,
+    IEEE TAC 1981), which forms no power of A.  Its order 0 is the nonzero
+    rows of C, each scaled to unit norm (by its largest entry first, so that
+    a row near the float ceiling keeps a finite norm); its order k is the
+    directions order k - 1 added, times A / ||A||_F, so rounding in such a
+    row stays a few ulps of 1 however small the row is and never passes for
+    a direction.  The right singular vectors of a block, projected twice
+    against the orthonormal basis, join it where their singular value clears
+    ``RANK_TOL_DEFAULT``.  The rank is then exact, not a bounded search: the
+    reduction stops at full rank or at the first order that adds no
+    direction, since the span is then A-invariant, unless ``l_max`` (state
+    dimension by default) stops it first; the rows, C then each previous
+    block times A, and their singular values cover the orders it reached.
 
     Elsewhere the rows come from the Taylor series of the outputs along the
     drift flow with one tangent direction per state, with an early stop once
@@ -749,43 +716,56 @@ def local_rank(
         A = None
         if all(flow.field_at_x0(i)[0] == 0.0 for i in range(dim)):
             A, C = jacobians(flow, dim)
+        blocks: list[np.ndarray] = []  # one p x dim block of rows per order
+        sigma = None
         # the reduction needs a finite A; where it has none, the tape
         # decides, as at a moving state
         if A is not None and np.isfinite(A).all():
-            blocks = [checked(C, 0)]
-            rank, last = _krylov_rank(A, C, l_max)
-            for k in range(1, last + 1):
-                blocks.append(checked(blocks[-1] @ A, k))
-            stack = np.vstack(blocks)
-            words = [ObservableWord(j=j, mu=(0,) * k)
-                     for k in range(last + 1) for j in range(1, p + 1)]
-            return RankReport(words, stack, np.linalg.svd(stack, compute_uv=False), rank, dim)
-        blocks: list[np.ndarray] = []  # one p x dim block of rows per order
-        seen = np.zeros(dim, dtype=bool)  # columns nonzero in some row so far
-        words: list[ObservableWord] = []
-        for k in range(l_max + 1):
-            block = np.empty((p, dim))
-            for j in range(p):
-                block[j] = flow.tangent(j, k)
-            for f in range(2, k + 1):  # k! as in Jet.gradient, one factor at a time
-                block *= f
-            blocks.append(checked(block, k))
-            words += [ObservableWord(j=j, mu=(0,) * k) for j in range(1, p + 1)]
-            seen |= (block != 0.0).any(axis=0)
-            last = k == l_max
-            if last or (len(words) >= dim and seen.all()):
-                stack = np.vstack(blocks)
-                sigma = np.linalg.svd(stack, compute_uv=False)
-                rank = int(np.sum(sigma > RANK_TOL_DEFAULT * sigma[0])) if sigma[0] > 0.0 else 0
-                if last or rank == dim:
+            unit, peak = A, np.abs(A).max()
+            if peak > 0.0:
+                unit = A / peak
+                unit /= np.sqrt(np.sum(unit * unit))
+            peak = np.abs(C).max(axis=1)
+            block = C[peak > 0.0] / peak[peak > 0.0, None]
+            block /= np.sqrt(np.sum(block * block, axis=1))[:, None]
+            basis = block[:0]
+            for k in range(l_max + 1):
+                blocks.append(checked(blocks[-1] @ A if k else C, k))
+                if k:
+                    block = new @ unit
+                    for _ in range(2):  # the second pass removes what the first rounds in
+                        block = block - (block @ basis.T) @ basis
+                    if np.sum(block * block) <= RANK_TOL_DEFAULT ** 2:
+                        break  # no singular value exceeds the Frobenius norm
+                _, sv, vt = np.linalg.svd(block, full_matrices=False)
+                new = vt[sv > RANK_TOL_DEFAULT]
+                if k:  # and this one what the SVD rounds back in
+                    new = new - (new @ basis.T) @ basis
+                basis = np.vstack((basis, new))
+                if not len(new) or len(basis) == dim:
                     break
-    return RankReport(
-        words=words,
-        gradients=stack,
-        singular_values=sigma,
-        rank=rank,
-        dim=dim,
-    )
+            rank = len(basis)
+        else:
+            seen = np.zeros(dim, dtype=bool)  # columns nonzero in some row so far
+            for k in range(l_max + 1):
+                block = np.empty((p, dim))
+                for j in range(p):
+                    block[j] = flow.tangent(j, k)
+                for f in range(2, k + 1):  # k! as in Jet.gradient, one factor at a time
+                    block *= f
+                blocks.append(checked(block, k))
+                seen |= (block != 0.0).any(axis=0)
+                last = k == l_max
+                if last or (p * (k + 1) >= dim and seen.all()):
+                    sigma = np.linalg.svd(np.vstack(blocks), compute_uv=False)
+                    rank = int(np.sum(sigma > RANK_TOL_DEFAULT * sigma[0])) if sigma[0] > 0.0 else 0
+                    if last or rank == dim:
+                        break
+        stack = np.vstack(blocks)
+        if sigma is None:  # at rest the reduction gave the rank
+            sigma = np.linalg.svd(stack, compute_uv=False)
+    words = [ObservableWord(j=j, mu=(0,) * k) for k in range(len(blocks)) for j in range(1, p + 1)]
+    return RankReport(words, stack, sigma, rank, dim)
 
 
 def rank_condition_value(gamma: Expr, x: float, z: float) -> float:

@@ -522,21 +522,18 @@ def _raise_failure(ca: ControlAffineSystem, xs, u, dt: float, states, outputs, e
         _check_outputs(ca, states[k, j].tolist())
 
 
-def _run_joint(ca: ControlAffineSystem, xs, size: int, u, dt: float,
-               steps: int) -> list[Trajectory]:
-    """One run of ``size`` members; members beyond ``xs`` (the last run of
-    an ensemble) step copies of its last state.  A failure is read from the
-    rows this run stored (``_raise_failure``)."""
-    padded = xs + [xs[-1]] * (size - len(xs))
+def _run_joint(ca: ControlAffineSystem, xs, u, dt: float, steps: int) -> list[Trajectory]:
+    """One run of the members ``xs``.  A failure is read from the rows this
+    run stored (``_raise_failure``)."""
     rows, error = array("d"), None
     try:
-        _run(ca, tuple(v for x in padded for v in x), u, dt, steps, rows)
+        _run(ca, tuple(v for x in xs for v in x), u, dt, steps, rows)
     except (ArithmeticError, ValueError) as err:
         error = err
-    table = np.frombuffer(rows).reshape(-1, size * (ca.dim + ca.p))
-    split = size * ca.dim  # states, then outputs, in each row
-    states = table[:, :split].reshape(len(table), size, ca.dim)[:, :len(xs)]
-    outputs = table[:, split:].reshape(len(table), size, ca.p)[:, :len(xs)]
+    table = np.frombuffer(rows).reshape(-1, len(xs) * (ca.dim + ca.p))
+    split = len(xs) * ca.dim  # states, then outputs, in each row
+    states = table[:, :split].reshape(len(table), len(xs), ca.dim)
+    outputs = table[:, split:].reshape(len(table), len(xs), ca.p)
     if error is not None or not np.isfinite(table).all():
         _raise_failure(ca, xs, u, dt, states, outputs, error)
     names = tuple(ca.state_vars), tuple(f"y{i}" for i in range(1, ca.p + 1))
@@ -556,15 +553,15 @@ def integrate_many(
     ``sys`` is a cascade or a control-affine system.  The loop of each
     input kind and sharing pattern is kept with the system's control-affine
     form (see ``_run``), so later calls on the same system reuse it.  More
-    than ``MEMBERS_MAX`` states are stepped in the fewest runs of equal
-    size, the last filled up with copies of its last state.  Each trajectory is
-    bit for bit the one ``integrate`` gives for its state alone; its arrays
-    are views into one buffer shared by its run.  A run does not stop at a
-    non-finite state: one numpy pass over its stored rows finds a state or
-    output that is not finite.  On a failure, an exception or such a value,
-    the error raised is the one ``integrate`` reports for the member whose
-    failure comes first in the first failing run, the first member in order
-    at the same sample (see ``_raise_failure``).
+    than ``MEMBERS_MAX`` states are split into the fewest runs of equal
+    size, the last one possibly smaller; a run steps only its own states.
+    Each trajectory is bit for bit the one ``integrate`` gives for its state
+    alone; its arrays are views into one buffer shared by its run.  A run
+    does not stop at a non-finite state: one numpy pass over its stored rows
+    finds a state or output that is not finite.  On a failure, an exception
+    or such a value, the error raised is the one ``integrate`` reports for
+    the member whose failure comes first in the first failing run, the first
+    member in order at the same sample (see ``_raise_failure``).
     """
     xs = [tuple(float(v) for v in x) for x in states]
     ca = as_control_affine(sys)
@@ -589,7 +586,7 @@ def integrate_many(
     runs = -(-len(xs) // MEMBERS_MAX)
     size = -(-len(xs) // runs)
     return [traj for c in range(0, len(xs), size)
-            for traj in _run_joint(ca, xs[c:c + size], size, u, dt, steps)]
+            for traj in _run_joint(ca, xs[c:c + size], u, dt, steps)]
 
 
 def integrate(

@@ -1,8 +1,10 @@
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+import sympy
 
 import obsv_lab.expr as ex
 from obsv_lab.gramian import (
@@ -226,23 +228,46 @@ def test_linear_cascade_gramian_matches_the_closed_form(n, u):
 # nonlinear oracle: the variational equations
 
 
+def _from_sympy(e) -> ex.Expr:
+    """The package expression of the sympy expression ``e``: sums,
+    products, integer powers and catalog functions of symbols and numbers."""
+    if e.is_Symbol:
+        return ex.Var(e.name)
+    if e.is_Number:
+        return ex.const(float(e))
+    if e.is_Pow:
+        base, n = _from_sympy(e.base), int(e.exp)
+        return ex.power(base, n) if n >= 0 else ex.div(ex.const(1.0), ex.power(base, -n))
+    args = [_from_sympy(a) for a in e.args]
+    if e.is_Add:
+        return functools.reduce(ex.add, args)
+    if e.is_Mul:
+        return functools.reduce(ex.mul, args)
+    name = {"log": "ln"}.get(e.func.__name__, e.func.__name__)
+    return ex.func(name, *args)
+
+
 def _variational_gramian(sys, x0, u, t_end, dt) -> np.ndarray:
     """dt * sum_k S_k^T S_k with S_k = C(s_k) Phi_k = dy_k/ds_0, the Gramian
     of the exact derivative of the RK4 flow.
 
     Phi follows the variational equations dPhi/dt = J(s, u) Phi, with
-    J = d(f + u*g)/ds and C = dh/ds from symbolic ``diff``; (s, Phi) is one
-    augmented control-affine system, so ``integrate`` steps Phi on the same
-    RK4 tableau as s.  RK4 commutes with linearization (Krener & Ide, IEEE
-    CDC 2009), so Phi_k is the derivative of the discrete flow and
-    W(eps) - W_var is the central difference's O(eps^2) error alone.
+    J = d(f + u*g)/ds and C = dh/ds taken by sympy, independently of the
+    package's own derivative code; (s, Phi) is one augmented control-affine
+    system, so ``integrate`` steps Phi on the same RK4 tableau as s.  RK4
+    commutes with linearization (Krener & Ide, IEEE CDC 2009), so Phi_k is
+    the derivative of the discrete flow and W(eps) - W_var is the central
+    difference's O(eps^2) error alone.
     """
     ca = as_control_affine(sys)
     names, dim = ca.state_vars, ca.dim
     phi = [[ex.Var(f"phi{i}_{j}") for j in range(dim)] for i in range(dim)]
+    symbols = {v: sympy.Symbol(v) for v in names}
 
     def times_phi(e):  # the row d e/ds @ Phi
-        grad = [ex.diff(e, v) for v in names]
+        source = ex.format_expr(e).replace("^", "**").replace("ln(", "log(")
+        e = sympy.sympify(source, locals=symbols)
+        grad = [_from_sympy(sympy.diff(e, symbols[v])) for v in names]
         row = []
         for j in range(dim):
             total = ex.const(0.0)

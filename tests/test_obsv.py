@@ -1216,6 +1216,18 @@ def test_a_resting_state_whose_jacobian_overflows_takes_the_tape():
     assert (report.rank, len(report.words)) == (0, 3)
 
 
+def test_a_resting_row_that_overflows_names_its_order():
+    # A is finite, so the reduction runs, but the row C A^3 = 1e450 e4
+    # overflows; the reduction needs order 3 for the fourth direction, so
+    # that row is reported, and a search stopped at order 2 never forms it
+    names = ["a1", "a2", "a3", "a4"]
+    sys = _affine_system(names, ["1e150*a2", "1e150*a3", "1e150*a4", "-a4"], ["a1"])
+    with pytest.raises(ex.DomainError, match=r"^non-finite gradient at order 3 in a1$"):
+        local_rank(sys, (0.0,) * 4)
+    report = local_rank(sys, (0.0,) * 4, 2)
+    assert (report.rank, len(report.words)) == (3, 3)
+
+
 def test_rest_rank_of_200_blocks_is_quick_and_small():
     # in a fresh interpreter, so the peak resident size is this call's
     n = 200

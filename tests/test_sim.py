@@ -657,7 +657,7 @@ def test_ensemble_raises_the_lone_error_of_the_member_that_fails_first(monkeypat
         joint = check(sys, starts, 2)
         assert _fields(joint) != _fields(_raised(lambda: integrate(sys, starts[0], u, 2.0, 1e-3)))
         assert 0.90 < joint.t < 0.92
-    # 17 states in two runs of 9: the first run fails (z = 1 at t = 1)
+    # 17 states in runs of 9 and 8: the first run fails (z = 1 at t = 1)
     # although the second fails earlier (z = 4 at t = 0.25), and the second
     # is never run; alone, the second run raises its own first failure
     sys = cascade("1", "z1^2")
@@ -668,9 +668,9 @@ def test_ensemble_raises_the_lone_error_of_the_member_that_fails_first(monkeypat
     assert calls == [tuple(v for x in starts[:9] for v in x)]
     starts[3] = (0.3, -1.0)
     check(sys, starts, 15, runs=2)
-    # the second run steps the last 8 states and a copy of the last one
-    assert [len(x0s) // 2 for x0s in calls] == [9, 9]
-    assert calls[1] == tuple(v for x in starts[9:] + starts[-1:] for v in x)
+    # the second run steps the last 8 states and nothing else
+    assert [len(x0s) // 2 for x0s in calls] == [9, 8]
+    assert calls[1] == tuple(v for x in starts[9:] for v in x)
     # a pair that shares its velocity start: x' = z from z = 1e307 under
     # z' = -z overflows from x = 1.79e308 at t = 0.080, from 1.75e308 at 0.65
     sys = cascade("1", "-z1")
@@ -797,7 +797,7 @@ def _sharing_cases(n, rng):
         "secant": _gramian_starts(moving, secant=(0, TWO_PI)),
         "shift-pair": [rest, _moved(rest, n - 1, TWO_PI)],
         "duplicate": [moving, _moved(moving, 0, 0.5), moving],
-        # 17 states: two runs of 9, the second padded with its last state
+        # 17 states: a run of 9, then a run of the last 8 alone
         "padded": [_moved(moving, j % n, 0.1 * j) for j in range(MEMBERS_MAX + 1)],
         "velocity-signed-zero": [signed_zero, [*signed_zero[:n], -0.0, *signed_zero[n + 1:]]],
         "position-signed-zero": [signed_zero, [-0.0, *signed_zero[1:]]],
@@ -817,8 +817,8 @@ def _full_reading(ca: ControlAffineSystem) -> ControlAffineSystem:
 @pytest.mark.parametrize("name", ENSEMBLE_SYSTEMS)
 def test_ensemble_trajectories_equal_lone_runs_bitwise(name, u):
     # random ensembles of one state, a pair, a Gramian's 2*dim, and two runs
-    # of a joint loop, the second filled up with a copy of its last state;
-    # then starts whose members share velocity parts (_sharing_cases).  The
+    # of a joint loop, the second one state shorter than the first; then
+    # starts whose members share velocity parts (_sharing_cases).  The
     # same on a system whose fields read every state, which shares only
     # between equal starts
     sys = ENSEMBLE_SYSTEMS[name]
