@@ -45,7 +45,6 @@ from .obsv import (
     is_aperiodic_system,
     find_separating_observable,
     local_rank,
-    rank_condition_value,
 )
 from .sim import (
     BlowUpError,

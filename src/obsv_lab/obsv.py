@@ -750,9 +750,7 @@ def local_rank(
             for k in range(l_max + 1):
                 block = np.empty((p, dim))
                 for j in range(p):
-                    block[j] = flow.tangent(j, k)
-                for f in range(2, k + 1):  # k! as in Jet.gradient, one factor at a time
-                    block *= f
+                    block[j] = flow.gradient(j, k)
                 blocks.append(checked(block, k))
                 seen |= (block != 0.0).any(axis=0)
                 last = k == l_max
@@ -767,13 +765,3 @@ def local_rank(
     words = [ObservableWord(j=j, mu=(0,) * k) for k in range(len(blocks)) for j in range(1, p + 1)]
     return RankReport(words, stack, sigma, rank, dim)
 
-
-def rank_condition_value(gamma: Expr, x: float, z: float) -> float:
-    """Analytic 2-D cross-check: z^2 (2 gamma'(x)^2 - gamma(x) gamma''(x)).
-
-    Nonzero exactly when the first two observation-space differentials of
-    the single-block damped cascade are independent at (x, z).
-    """
-    jet = ex.Jet((gamma,), (GAMMA_VAR,), (x,))
-    g0, g1, g2 = (jet.derivative(0, k) for k in range(3))
-    return z * z * (2.0 * g1 * g1 - g0 * g2)

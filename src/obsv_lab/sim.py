@@ -208,8 +208,9 @@ class Trajectory(Record):
         return "".join(blocks)
 
 
-# states one generated loop steps together; its stage code grows with their
-# groups, not with the members (see rk4_source)
+# states one generated loop steps together; it writes each distinct
+# right-hand side once, so its stage code grows with the distinct starts of
+# the variables the fields read, not with the members (see rk4_source)
 MEMBERS_MAX = 16
 
 # the loop variant that computes each input kind; zero and constant are the
@@ -252,7 +253,8 @@ def _sharing(reads, x0s) -> tuple[tuple[tuple[int, ...], ...], list[float]]:
 
 def _run(ca: ControlAffineSystem, x0s, u: InputSignal, dt: float, steps: int, rows) -> None:
     """Step the initial states ``x0s``, one after another in one flat
-    tuple, in lockstep on the generated RK4 loop of ``ca``, appending to
+    tuple, in lockstep on the generated RK4 loop of ``ca``, which computes
+    each distinct right-hand side of a step once (``rk4_source``), appending to
     ``rows``, an ``array("d")``, one whole row per sample: every member's
     state, then every member's outputs.  A step is arithmetic only: it
     steps on through inf and nan and raises only what a float operation
@@ -297,141 +299,110 @@ def _input_source(variant: str):
                           f"{u} = _ivals[0 if _i < 0 else _ilast if _i > _ilast else _i]"])
 
 
+def _table(lines: list, prefix: str):
+    """``emit(rhs) -> name``: the name ``prefix<k>`` bound to the source
+    ``rhs`` by the line that its first emit appends to ``lines``."""
+    names: dict[str, str] = {}
+
+    def emit(rhs: str) -> str:
+        name = names.get(rhs)
+        if name is None:
+            name = names[rhs] = f"{prefix}{len(names)}"
+            lines.append(f"{name} = {rhs}")
+        return name
+
+    return emit
+
+
+def _once(rhss, emit) -> list[str]:
+    """Each of ``rhss`` in place if it is its only use, else as ``emit`` names it."""
+    uses = Counter(rhss)
+    return [rhs if uses[rhs] == 1 else emit(rhs) for rhs in rhss]
+
+
 def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
     """Source of ``_rk4(_x0s, _params, _dt, _steps, _rows)``, the RK4 loop
     that runs the whole integration of the members of the sharing pattern
     ``pattern`` (see ``_sharing``; ``_x0s`` holds the seeds) in lockstep,
     under an input of the loop variant ``variant``.
 
-    A variable that no drift or input field reads does not enter the
-    stages: a cascade's positions, since the system is invariant under
-    their translation.  So members whose starts have the same bits on every
-    variable a field reads (for a cascade, the velocities) have the same
-    stages at every step under the same input.  The step body holds one
-    copy of the one-state stages per such group of members: four stages
-    over stage states of the read variables only, then the update, where
-    each other variable's increment dt/6*(((k1 + 2*k2) + 2*k3) + k4) is
-    formed once and added to every distinct start of that variable in the
-    group.  Bits, not values, decide a group (``float.hex``), so 0.0 and
-    -0.0 stay apart.  An output whose source recurs in the row is computed
-    once.  The arithmetic is the reference one, on the operands a lone run
-    has: stage states x + (0.5*dt)*k, fields f + u*g, update
+    The step body, and the lines before the loop, write each distinct
+    right-hand side once (local value numbering, ``_table``): every stage
+    field f + u*g, stage state x + step*k and product u * (c) of a constant
+    input field, and every increment or output that more than one slot or
+    row entry uses; one with a single use is written where it is used.  No
+    stage reads a variable that no field reads (a cascade's positions), and
+    such a variable gets no stage state, so members whose slots of the read
+    variables are the same share their stages.  Every stage is computed
+    from the state at the step's start: the slots are updated after the
+    last stage.  The arithmetic is the reference one, on the operands a
+    lone run has: stage states x + (0.5*dt)*k, fields f + u*g, update
     x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
     bit for bit the one of a lone run.
 
-    The input is arithmetic in the step, in the float operations of
+    The input is computed in the float operations of
     ``InputSignal.__call__``: a zero or constant input is one float bound
-    before the loop, any other kind is computed once per step and distinct
-    stage time for all members (k2 and k3 share t + 0.5*dt).  So is the
-    product u * (c) of each input field that is a constant c (a cascade's
-    b_i and 0.0): once per distinct stage input, for all groups, and before
-    the loop under a zero or constant input; a field that reads a state
-    forms its product in the stage.  The catalog functions are locals of the
-    function, and each sample's row is one ``struct`` pack appended to
-    ``_rows`` with ``frombytes``.  The stage code grows with the groups, not
-    with the members, and the update and output code with the distinct
-    slots, so the code of ``MEMBERS_MAX`` members stays within
-    ``MEMBERS_MAX`` times that of the one-state loop.  It runs with
-    ``_fns``, the ``expr.python_functions`` values, ``_bisect`` and
-    ``_Struct`` in its globals, checks no state for finiteness and raises
-    nothing of its own."""
-    idx = range(ca.dim)
+    before the loop, any other kind once per step and distinct stage time
+    (k2 and k3 share t + 0.5*dt).  Each expression is rendered once, as a
+    template over the state variables.  The catalog functions are locals,
+    and each row is one ``struct`` pack appended to ``_rows`` with
+    ``frombytes``.  The function runs with ``_fns``, the
+    ``expr.python_functions`` values, ``_bisect`` and ``_Struct`` in its
+    globals, checks no state for finiteness and raises nothing of its own."""
     reads = _reads(ca)
     setup, input_at = _input_source(variant)
-    # equal constant sources share one product name per stage input
-    consts: dict[str, int] = {}
-    for g in ca.input_fields[0]:
-        if isinstance(g, ex.Const):
-            consts.setdefault(ex.python_source(g), len(consts))
+    before, body = [], []
+    pre, emit = _table(before, "_c"), _table(body, "_v")
+    # a zero or constant input and its products are bound before the loop
+    ua, ub, uc = ("_u0",) * 3 if input_at is None else ("_ua", "_ub", "_uc")
+    product = pre if input_at is None else emit
+    if input_at is not None:
+        body += ["_t = _k * _dt", *input_at(ua, "_t"), *input_at(ub, "(_t + _h)"),
+                 *input_at(uc, "(_t + _dt)")]
+    at = {v: f"{{0[{i}]}}" for i, v in enumerate(ca.state_vars)}
+    drift = [ex.python_source(f, at) for f in ca.drift]
+    gains = [(ex.python_source(g, at), isinstance(g, ex.Const)) for g in ca.input_fields[0]]
+    outputs = [ex.python_source(h, at) for h in ca.outputs]
 
-    def products(u, q):
-        return [f"{q}{j} = {u} * {src}" for src, j in consts.items()]
+    def fields(xs, u):
+        return [emit(f"{f.format(xs)} + " + (product(f"{u} * {g}") if const
+                                              else f"{u} * {g.format(xs)}"))
+                for f, (g, const) in zip(drift, gains)]
 
-    if input_at is None:
-        (ua, qa), (ub, qb), (uc, qc) = [("_u0", "_q")] * 3
-        setup = [*setup, *products("_u0", "_q")]
-        inputs = []
-    else:
-        (ua, qa), (ub, qb), (uc, qc) = ("_ua", "_qa"), ("_ub", "_qb"), ("_uc", "_qc")
-        inputs = ["_t = _k * _dt", *input_at(ua, "_t"), *input_at(ub, "(_t + _h)"),
-                  *input_at(uc, "(_t + _dt)"), *products(ua, qa), *products(ub, qb),
-                  *products(uc, qc)]
+    def shifted(xs, step, ks):
+        return [emit(f"{x} + {step} * {k}") if r else x for x, k, r in zip(xs, ks, reads)]
 
-    def product(g, at, u, q):
-        if isinstance(g, ex.Const):
-            return f"{q}{consts[ex.python_source(g)]}"
-        return f"{u} * {ex.python_source(g, at)}"
+    members = [[f"_s{s}" for s in m] for m in pattern]
+    incs: dict[str, str] = {}
+    for xs in members:
+        k1 = fields(xs, ua)
+        k2 = fields(shifted(xs, "_h", k1), ub)
+        k3 = fields(shifted(xs, "_h", k2), ub)
+        k4 = fields(shifted(xs, "_dt", k3), uc)
+        for x, a, b, c, d in zip(xs, k1, k2, k3, k4):
+            incs[x] = f"_w * ((({a} + 2.0 * {b}) + 2.0 * {c}) + {d})"
+    updates = _once(list(incs.values()), emit)
+    body += [f"{x} = {x} + {inc}" for x, inc in zip(incs, updates)]
 
-    def fields(k, at, u, q):
-        return [
-            f"_{k}{i} = {ex.python_source(f, at)} + {product(g, at, u, q)}"
-            for i, f, g in zip(idx, ca.drift, ca.input_fields[0])
-        ]
+    states = [x for xs in members for x in xs]
+    row = [h.format(xs) for xs in members for h in outputs]
 
-    def names(member):
-        return {v: f"_s{s}" for v, s in zip(ca.state_vars, member)}
+    def store(table):
+        return f"_store(_pack({''.join(f'{v}, ' for v in states + _once(row, table))}))"
 
-    def state(member):
-        return "".join(f"_s{s}, " for s in member)
-
-    # stages 2-4 read the stage state _p, the same names in every group;
-    # a variable no field reads needs no stage state
-    stage = {v: f"_p{i}" for i, v, r in zip(idx, ca.state_vars, reads) if r}
-    later = {k: fields(k, stage, u, q) for k, u, q in (("b", ub, qb), ("c", ub, qb), ("d", uc, qc))}
-
-    def group(members):
-        # the members share their slot of every read variable, so the
-        # stages of the first are everyone's; each other variable adds its
-        # one increment to every distinct slot it has in the group
-        first = members[0]
-
-        def stage_state(step, k):
-            return [f"_p{i} = _s{first[i]} + {step} * _{k}{i}" for i in idx if reads[i]]
-
-        update = []
-        for i in idx:
-            inc = f"_w * (((_a{i} + 2.0 * _b{i}) + 2.0 * _c{i}) + _d{i})"
-            slots = list(dict.fromkeys(m[i] for m in members))
-            if len(slots) > 1:
-                update.append(f"_v = {inc}")
-                inc = "_v"
-            update += [f"_s{s} = _s{s} + {inc}" for s in slots]
-        return [
-            *fields("a", names(first), ua, qa),
-            *stage_state("_h", "a"),
-            *later["b"],
-            *stage_state("_h", "b"),
-            *later["c"],
-            *stage_state("_dt", "c"),
-            *later["d"],
-            *update,
-        ]
-
-    groups: dict[tuple, list] = {}
-    for m in pattern:
-        groups.setdefault(tuple(s for s, r in zip(m, reads) if r), []).append(m)
-    # an output source that recurs in the row is computed once per step
-    outputs = [ex.python_source(h, at) for at in map(names, pattern) for h in ca.outputs]
-    counts = Counter(outputs)
-    shared = {src: f"_y{k}" for k, src in
-              enumerate(dict.fromkeys(src for src in outputs if counts[src] > 1))}
-    output_lines = [f"{name} = {src}" for src, name in shared.items()]
-    row = "".join(state(m) for m in pattern) + "".join(f"{shared.get(o, o)}, " for o in outputs)
-    store = f"_store(_pack({row}))"
-    seeds = "".join(f"_s{s}, " for s in range(1 + max(s for m in pattern for s in m)))
-    body = [*inputs, *(line for members in groups.values() for line in group(members)),
-            *output_lines, store]
+    body.append(store(emit))
+    first = store(pre)
     return "\n".join([
         "def _rk4(_x0s, _params, _dt, _steps, _rows):",
-        f"    {seeds}= _x0s",
+        f"    {''.join(f'_s{s}, ' for s in range(len(incs)))}= _x0s",
         f"    {', '.join(ex.python_functions())}, = _fns",
         *(f"    {line}" for line in setup),
         "    _h = 0.5 * _dt",
         "    _w = _dt / 6.0",
         f"    _pack = _Struct('{len(pattern) * (ca.dim + ca.p)}d').pack",
         "    _store = _rows.frombytes",
-        *(f"    {line}" for line in output_lines),
-        f"    {store}",
+        *(f"    {line}" for line in before),
+        f"    {first}",
         "    for _k in range(_steps):",
         *(f"        {line}" for line in body),
         "",
@@ -548,7 +519,9 @@ def integrate_many(
     dt: float = DT_DEFAULT,
 ) -> list[Trajectory]:
     """RK4 runs of every initial state in ``states`` under one input, in
-    lockstep on one generated loop (see ``rk4_source``).
+    lockstep on one generated loop that computes each distinct right-hand
+    side of a step once, so members whose starts agree on every variable a
+    field reads share their stages (see ``rk4_source``).
 
     ``sys`` is a cascade or a control-affine system.  The loop of each
     input kind and sharing pattern is kept with the system's control-affine

@@ -31,7 +31,6 @@ from obsv_lab.obsv import (
     find_separating_observable,
     is_aperiodic_system,
     local_rank,
-    rank_condition_value,
     word_lflg,
     word_lglflg,
 )
@@ -1009,6 +1008,19 @@ def test_local_rank_words_are_drift_powers():
     assert report.gradients.shape[1] == 2
 
 
+def _rank_condition(gamma: ex.Expr, x: float, z: float) -> float:
+    """z^2 (2 gamma'(x)^2 - gamma(x) gamma''(x)), the derivatives taken by
+    sympy from the gain's source: nonzero exactly when the first two
+    observation-space differentials of the single-block damped cascade are
+    independent at (x, z)."""
+    s = sympy.Symbol("x")
+    g = sympy.sympify(ex.format_expr(gamma).replace("^", "**").replace("ln(", "log("),
+                      locals={"x": s})
+    g0, g1, g2 = (float(sympy.diff(g, s, k).evalf(30, subs={s: sympy.Float(x, 30)}))
+                  for k in range(3))
+    return z * z * (2.0 * g1 * g1 - g0 * g2)
+
+
 def test_local_rank_hyperbolic_deficient_everywhere():
     rng = random.Random(5)
     sys = preset("fish-1d-hyperbolic")
@@ -1016,7 +1028,7 @@ def test_local_rank_hyperbolic_deficient_everywhere():
         x0 = (rng.uniform(-1.5, 1.5), rng.uniform(-2.0, 2.0))
         report = local_rank(sys, x0)
         assert report.rank <= 1, x0
-        assert abs(rank_condition_value(sys.gamma[0], *x0)) < 1e-10
+        assert abs(_rank_condition(sys.gamma[0], *x0)) < 1e-10
 
 
 def test_local_rank_agrees_with_analytic_condition():
@@ -1026,7 +1038,7 @@ def test_local_rank_agrees_with_analytic_condition():
         for _ in range(25):
             x = rng.uniform(-1.5, 1.5)
             z = rng.choice([-1, 1]) * rng.uniform(0.2, 2.0)
-            cond = rank_condition_value(sys.gamma[0], x, z)
+            cond = _rank_condition(sys.gamma[0], x, z)
             report = local_rank(sys, (x, z))
             assert (abs(cond) > 1e-10) == report.locally_observable, (name, x, z)
 
@@ -1042,7 +1054,7 @@ def test_local_rank_zero_velocity_matches_condition():
         sys = preset(name)
         report = local_rank(sys, (0.4, 0.0))
         assert not report.locally_observable
-        assert rank_condition_value(sys.gamma[0], 0.4, 0.0) == 0.0
+        assert _rank_condition(sys.gamma[0], 0.4, 0.0) == 0.0
 
 
 @pytest.mark.parametrize("moving", [False, True], ids=["rest", "moving"])
@@ -1377,8 +1389,9 @@ def test_local_rank_gradients_match_sympy_lie_derivatives():
 
 
 def test_rank_condition_sine_value():
-    # for sin: 2 cos^2 + sin^2 = 1 + cos^2, scaled by z^2
+    # the sympy oracle of the rank condition, against its closed form for
+    # sin: 2 cos^2 + sin^2 = 1 + cos^2, scaled by z^2
     g = ex.parse("sin(x)", {"x"})
     x, z = 0.8, 1.5
     expect = z * z * (1.0 + math.cos(x) ** 2)
-    assert rank_condition_value(g, x, z) == pytest.approx(expect, rel=1e-12)
+    assert _rank_condition(g, x, z) == pytest.approx(expect, rel=1e-12)

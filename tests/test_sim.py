@@ -347,12 +347,13 @@ def test_step_body_calls_only_bound_math(variant):
         fn, = ast.parse(source).body
         assert not any(isinstance(node, ast.Raise) for node in ast.walk(fn))
         loop, = [node for node in fn.body if isinstance(node, ast.For)]
-        bound = {target.id for node in fn.body[:fn.body.index(loop)]
+        before = fn.body[:fn.body.index(loop)]
+        bound = {target.id for node in before
                  for target in ast.walk(node) if isinstance(target, ast.Name)
                  and isinstance(target.ctx, ast.Store)}
-        return bound, loop.body
+        return bound, loop.body, before
 
-    bound, body = step_body(3)
+    bound, body, _ = step_body(3)
     allowed = bound & (set(ex.python_functions()) | {"_store", "_pack", "_find", "_int"})
     called = [node for stmt in body for node in ast.walk(stmt) if isinstance(node, ast.Call)]
     assert all(isinstance(c.func, ast.Name) and c.func.id in allowed for c in called)
@@ -365,8 +366,8 @@ def test_step_body_calls_only_bound_math(variant):
     assert len(pack.args) == 3 * (ca.dim + ca.p)
 
     # a cascade's input fields are constants: b_i and 0.0.  Their products
-    # u * (c) are formed once per stage input, whatever the groups, and under
-    # a zero or constant input before the loop
+    # u * (c) are formed once per stage input, whatever the members share,
+    # and under a zero or constant input before the loop
     consts = {ast.unparse(ast.parse(ex.python_source(g), mode="eval").body)
               for g in ca.input_fields[0]}
     assert all(isinstance(g, ex.Const) for g in ca.input_fields[0]) and len(consts) == 3
@@ -378,10 +379,10 @@ def test_step_body_calls_only_bound_math(variant):
                        and node.left.id in {"_u0", "_ua", "_ub", "_uc"})
 
     for members in (1, 3):
-        bound, body = step_body(members)
+        _, body, before = step_body(members)
         if variant == "constant":
             assert not products(body)
-            assert {f"_q{j}" for j in range(3)} <= bound
+            assert products(before) == {("_u0", c): 1 for c in consts}
         else:
             assert products(body) == {(u, c): 1 for u in ("_ua", "_ub", "_uc") for c in consts}
 
@@ -847,8 +848,9 @@ def test_ensemble_trajectories_equal_lone_runs_bitwise(name, u):
 def test_gramian_loop_holds_one_stage_block_per_velocity_start(n):
     # a Gramian of 2*dim = 4n starts on an n-block cascade has 2n + 1
     # distinct velocity parts: the 2n position rows share the base one; the
-    # step body holds one stage block per distinct velocity part and no
-    # stage state of a position
+    # step body evaluates the stages once per distinct velocity part and
+    # forms no stage state x + step*k of a position.  Only the couplings F
+    # call cos and exp, each once per F
     sys = _random_cascade(random.Random(n), n, ENSEMBLE_GAINS.__getitem__)
     ca = as_control_affine(sys)
     x0 = [0.1 * (i + 1) for i in range(2 * n)]
@@ -858,11 +860,51 @@ def test_gramian_loop_holds_one_stage_block_per_velocity_start(n):
         pattern, _ = sim._sharing(sim._reads(ca), tuple(float(v) for x in starts for v in x))
         fn, = ast.parse(rk4_source(ca, pattern, "sinusoid")).body
         body, = [node for node in fn.body if isinstance(node, ast.For)]
-        stored = [node.id for stmt in body.body for node in ast.walk(stmt)
-                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)]
-        assert stored.count("_a0") == len(groups)
-        assert stored.count("_d0") == len(groups)
-        assert {name for name in stored if name.startswith("_p")} == {f"_p{i}" for i in range(n, 2 * n)}
+        calls = Counter(node.func.id for stmt in body.body for node in ast.walk(stmt)
+                        if isinstance(node, ast.Call))
+        assert calls["_cos"] == calls["_exp"] == 4 * len(groups) * n
+        stage_states = [stmt.value.left.id for stmt in body.body if isinstance(stmt, ast.Assign)
+                        and re.fullmatch(r"_s\d+ \+ (_h|_dt) \* \w+", ast.unparse(stmt.value))]
+        velocities = {f"_s{m[i]}" for m in pattern for i in range(n, 2 * n)}
+        assert len(stage_states) == 3 * len(groups) * n
+        assert set(stage_states) == velocities
+
+
+def _reused_sources(stmts) -> list[str]:
+    """The right-hand sides assigned again, in order, while no name they
+    read was assigned in between."""
+    live: dict[str, frozenset] = {}
+    again = []
+    for stmt in stmts:
+        if not isinstance(stmt, ast.Assign):
+            continue
+        rhs = ast.unparse(stmt.value)
+        if rhs in live:
+            again.append(rhs)
+        stored = {node.id for target in stmt.targets for node in ast.walk(target)
+                  if isinstance(node, ast.Name)}
+        live = {src: reads for src, reads in live.items() if not reads & stored}
+        reads = frozenset(node.id for node in ast.walk(stmt.value) if isinstance(node, ast.Name))
+        if not reads & stored:
+            live[rhs] = reads
+    return again
+
+
+@pytest.mark.parametrize("variant", ["constant", "sinusoid", "piecewise", "table"])
+def test_step_writes_each_right_hand_side_once(variant):
+    # local value numbering: in the step body and before the loop, no value
+    # is computed twice from the same operands, however the members share
+    # their starts
+    sys = ENSEMBLE_SYSTEMS["cascade-2"]
+    ca = as_control_affine(sys)
+    cases = _sharing_cases(sys.n, random.Random(variant))
+    for case in ("gramian-rest", "gramian-moving", "secant", "shift-pair", "duplicate"):
+        flat = tuple(float(v) for x in cases[case] for v in x)
+        pattern, _ = sim._sharing(sim._reads(ca), flat)
+        fn, = ast.parse(rk4_source(ca, pattern, variant)).body
+        loop, = [node for node in fn.body if isinstance(node, ast.For)]
+        assert _reused_sources(loop.body) == [], case
+        assert _reused_sources(fn.body[:fn.body.index(loop)]) == [], case
 
 
 def test_z_component_ignores_positions():
