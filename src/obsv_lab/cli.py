@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import gc
+import importlib.util
 import io
 import json
 import math
@@ -18,11 +19,13 @@ import sys
 from collections.abc import Callable
 from itertools import product
 
-import numpy as np
-
 from . import expr as ex
 from .lie import ObservableWord, evaluate_word, nested_lie_along_affine
 from .model import (
+    DIST_TOL_DEFAULT,
+    DT_DEFAULT,
+    EPS_DEFAULT,
+    T_END_DEFAULT,
     CascadeSystem,
     InvalidSystemError,
     as_control_affine,
@@ -45,21 +48,30 @@ from .obsv import (
     word_lflg,
     word_lglflg,
 )
-from .sim import (
-    DIST_TOL_DEFAULT,
-    DT_DEFAULT,
-    T_END_DEFAULT,
-    BlowUpError,
-    FeedbackLaw,
-    InputError,
-    InputSignal,
-    distinguishability_experiment,
-    integrate,
-    output_feedback_equilibria_check,
-    parse_input_spec,
-)
-from .gramian import EPS_DEFAULT, input_sweep
 from .record import Record
+
+
+def _on_first_use(name: str):
+    """The submodule ``name``, in ``sys.modules`` now and run at its first
+    attribute access, so that a command that never touches it does not pay
+    for it or for numpy.  A plain import inside the numeric handlers would
+    do the same, but the benchmark's span recorder (``bench/tracer.py``)
+    looks ``obsv_lab.sim`` and ``obsv_lab.gramian`` up in ``sys.modules``
+    right after importing this module; once ROADMAP item 1b removes that
+    lookup, such imports can replace this helper."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[fullname] = module
+        spec.loader.exec_module(module)
+    return module
+
+
+sim = _on_first_use("sim")
+gramian = _on_first_use("gramian")
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -121,11 +133,12 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
+    np = sys.modules.get("numpy")  # no numpy value exists before numpy is imported
+    if np is not None and isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, (np.integer, int)):
+    if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
         return int(obj)
     return obj
 
@@ -213,10 +226,10 @@ def cmd_rank(cfg: argparse.Namespace) -> Result:
     return Result(EXIT_OK if report.locally_observable else EXIT_NEGATIVE, out, lines)
 
 
-def _single_input(cfg: argparse.Namespace) -> InputSignal:
+def _single_input(cfg: argparse.Namespace) -> sim.InputSignal:
     if len(cfg.inputs) > 1:
         raise UsageError("this command takes a single --input")
-    return parse_input_spec(cfg.inputs[0]) if cfg.inputs else InputSignal.zero()
+    return sim.parse_input_spec(cfg.inputs[0]) if cfg.inputs else sim.InputSignal.zero()
 
 
 def cmd_simulate(cfg: argparse.Namespace) -> Result:
@@ -224,13 +237,13 @@ def cmd_simulate(cfg: argparse.Namespace) -> Result:
     if cfg.state is None:
         raise UsageError("simulate needs --state")
     u = _single_input(cfg)
-    traj = integrate(sys_, cfg.state, u, cfg.t_end, cfg.dt)
+    traj = sim.integrate(sys_, cfg.state, u, cfg.t_end, cfg.dt)
     final = traj.final_state
     out = {
         "input": u.describe(),
         "samples": len(traj.states),
         "final_state": _jsonable(final),
-        "max_abs_output": float(np.max(np.abs(traj.outputs))),
+        "max_abs_output": float(abs(traj.outputs).max()),
     }
     lines = [
         f"{len(traj.states)} samples, final state "
@@ -244,7 +257,7 @@ def cmd_distinguish(cfg: argparse.Namespace) -> Result:
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("distinguish needs --state and --state2")
     u = _single_input(cfg)
-    res = distinguishability_experiment(sys_, cfg.state, cfg.state2, u, cfg.t_end, cfg.dt)
+    res = sim.distinguishability_experiment(sys_, cfg.state, cfg.state2, u, cfg.t_end, cfg.dt)
     out = {
         "classification": res.classification,
         "gap": res.gap,
@@ -262,8 +275,8 @@ def cmd_gramian(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("gramian needs --state")
-    signals = [parse_input_spec(s) for s in (cfg.inputs or ("zero",))]
-    ranked = input_sweep(sys_, cfg.state, signals, t_end=cfg.t_end, dt=cfg.dt)
+    signals = [sim.parse_input_spec(s) for s in (cfg.inputs or ("zero",))]
+    ranked = gramian.input_sweep(sys_, cfg.state, signals, t_end=cfg.t_end, dt=cfg.dt)
     entries = []
     lines = []
     for idx, rep in ranked:
@@ -358,10 +371,10 @@ def _check_resting_continuum(_: random.Random) -> tuple[bool, str]:
     grid = (-5.0, -1.0, 0.0, 1.0, 5.0)
     worst = 0.0
     for law, q0 in (
-        (FeedbackLaw.static("-y1"), ()),
-        (FeedbackLaw.parse(1, ("y1",), "-y1 - q1", n_outputs=1), (0.0,)),
+        (sim.FeedbackLaw.static("-y1"), ()),
+        (sim.FeedbackLaw.parse(1, ("y1",), "-y1 - q1", n_outputs=1), (0.0,)),
     ):
-        rep = output_feedback_equilibria_check(preset("fish-1d-gauss"), law, q0, grid)
+        rep = sim.output_feedback_equilibria_check(preset("fish-1d-gauss"), law, q0, grid)
         worst = max(worst, rep.premise_residual, rep.max_residual)
     return worst <= 1e-12, f"max field residual {worst:.3e}"
 
@@ -471,12 +484,14 @@ def main(argv=None) -> int:
         cfg.state2 = _parse_state(cfg.state2, "--state2") if cfg.state2 else None
         result = _HANDLERS[cfg.command](cfg)
         _emit(_render(cfg, result), cfg.out)
-    except (BlowUpError, InputError, ex.DomainError) as err:
-        print(f"numeric failure: {err}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
+    except (sim.BlowUpError, sim.InputError, ex.DomainError) as err:
+        # no class here is a ValueError or OSError, so the order is free; this
+        # one comes second so that a usage error does not load sim
+        print(f"numeric failure: {err}", file=sys.stderr)
+        return EXIT_NUMERIC
     return result.code
 
 

@@ -16,11 +16,17 @@ import math
 import numpy as np
 
 from . import expr as ex
-from .model import CascadeSystem, ControlAffineSystem, as_control_affine
+from .model import (
+    DT_DEFAULT,
+    EPS_DEFAULT,
+    T_END_DEFAULT,
+    CascadeSystem,
+    ControlAffineSystem,
+    as_control_affine,
+)
 from .record import Record
-from .sim import DT_DEFAULT, T_END_DEFAULT, InputSignal, integrate_many
+from .sim import InputSignal, integrate_many
 
-EPS_DEFAULT = 1e-4          # central-difference perturbation of the initial state
 WEAK_SIGNAL_FLOOR = 1e-13   # below this, sensitivities are round-off noise
 SIGMA_OBSERVABLE = 1e-6     # sigma_min above this: practically observable
 SIGMA_SINGULAR = 1e-12      # sigma_min below this: numerically singular

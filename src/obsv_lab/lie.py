@@ -22,8 +22,6 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
 from . import expr as ex
 from .model import ControlAffineSystem
 from .record import Frozen
@@ -101,6 +99,8 @@ def _word_value(sys: ControlAffineSystem, h, fields, x0) -> float:
     if k > EPS_LETTERS_MAX:
         raise WordLengthError(f"word length {k} exceeds {EPS_LETTERS_MAX}, the bound on "
                               f"a word that changes field")
+    import numpy as np
+
     xs = {name: np.array([v]) for name, v in zip(sys.state_vars, x0)}
     with np.errstate(over="ignore", invalid="ignore"):
         for n, field in enumerate(reversed(fields)):
@@ -116,12 +116,16 @@ def _word_value(sys: ControlAffineSystem, h, fields, x0) -> float:
 # The eps tables.  A value over n letters holds 2^n coefficients, bit i of
 # an index marking eps_(i+1).  Order 0 of every node passes expr's checks,
 # so a domain fault names the subexpression that ``expr.evaluate`` names.
+# These helpers import numpy where they first need it, so that a command that
+# evaluates no word changing field never loads it.
 
 
 @functools.cache  # one table per letter count: 13 MB with every table up to 12 letters
 def _pairs(n: int):
     """The pairs (T, S \\ T) of disjoint subsets of n bits, grouped by their
     union S in increasing order, and the index at which each group starts."""
+    import numpy as np
+
     s = t = np.zeros(1, dtype=np.intp)
     for bit in (1 << i for i in range(n)):
         s, t = np.concatenate((s, s | bit, s | bit)), np.concatenate((t, t, t | bit))
@@ -131,6 +135,8 @@ def _pairs(n: int):
 
 def _mul(a, b, n: int):
     """The product of ``b`` with the table ``a``, or with each row of ``a``."""
+    import numpy as np
+
     t, r, starts = _pairs(n)
     return np.add.reduceat(a[..., t] * b[r], starts, axis=-1)
 
@@ -139,6 +145,8 @@ def _series(e, one_var, a, n: int):
     """f(a) at the node ``e``, for f = ``one_var`` in u, from its Taylor
     coefficients at a_0.  Row j of ``g`` is f^(j)/j! at a cut to m letters;
     letter m + 1 adds eps * v, and f^(j)(w + eps*v) = f^(j)(w) + eps*f^(j+1)(w)*v."""
+    import numpy as np
+
     try:
         c = ex.jet(one_var, "u", float(a[0]), n)
     except ex.DomainError as err:
@@ -154,6 +162,8 @@ def _eps(e, xs: dict, n: int):
     """The table of ``e`` at the state ``xs``, n letters in."""
     t = type(e)
     if t is ex.Const:
+        import numpy as np
+
         return np.concatenate(([e.value], np.zeros((1 << n) - 1)))
     if t is ex.Var:
         if e.name not in xs:

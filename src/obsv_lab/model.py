@@ -14,14 +14,23 @@ throughout the package.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .expr import Expr, ParseError
 from .record import Frozen, Record
 
+if TYPE_CHECKING:
+    import numpy as np
+
 GAMMA_VAR = "x"
+
+# the numeric defaults every JSON report echoes, kept here so that a command
+# that runs neither sim nor gramian need not import them
+DT_DEFAULT = 1e-3           # RK4 step
+T_END_DEFAULT = 10.0        # simulated horizon
+DIST_TOL_DEFAULT = 1e-6     # output gap below which two records are numerically identical
+EPS_DEFAULT = 1e-4          # Gramian's central-difference perturbation of the initial state
 
 
 class InvalidSystemError(ValueError):
@@ -160,6 +169,8 @@ def jacobians(flow: ex.Jet, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A = Df(x0) and C = Dh(x0) from the order-0 gradients of a Jet of the
     outputs h along the drift f, seeded with the d unit vectors.  A
     constant component's gradient is the scalar 0, broadcast over its row."""
+    import numpy as np
+
     rows = [flow.field_at_x0(i)[1] for i in range(d)]
     rows += [flow.tangent(j, 0) for j in range(len(flow.outputs))]
     J = np.empty((len(rows), d))
@@ -172,6 +183,8 @@ def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationR
     """Jacobian linearization around x0 with zero input.  A gradient row
     that is not finite raises DomainError naming its drift or output
     expression."""
+    import numpy as np
+
     sys = as_control_affine(sys)
     x0 = tuple(float(v) for v in x0)
     if len(x0) != sys.dim:

@@ -16,14 +16,16 @@ by T in that coordinate produce identical outputs forever.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .expr import Expr
 from .lie import ObservableWord
 from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine, jacobians
 from .record import Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 K_MAX_DEFAULT = 12         # default bound on the derivative order of a separation scan
 SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
@@ -692,6 +694,8 @@ def local_rank(
     only at an order where full rank is possible (at least ``dim`` rows, no
     all-zero column) and at the last order.
     """
+    import numpy as np
+
     sys = as_control_affine(sys)
     x0 = tuple(float(v) for v in x0)
     if len(x0) != sys.dim:

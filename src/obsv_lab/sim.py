@@ -17,12 +17,16 @@ import numpy as np
 
 from . import expr as ex
 from .expr import Expr
-from .model import CascadeSystem, ControlAffineSystem, as_control_affine
+from .model import (
+    DIST_TOL_DEFAULT,
+    DT_DEFAULT,
+    T_END_DEFAULT,
+    CascadeSystem,
+    ControlAffineSystem,
+    as_control_affine,
+)
 from .record import Frozen, Record
 
-DT_DEFAULT = 1e-3
-T_END_DEFAULT = 10.0
-DIST_TOL_DEFAULT = 1e-6      # below: numerically identical
 DIVERGED_TOL = 1e-3          # above: clearly diverged; between: inconclusive
 PREMISE_TOL = 1e-12          # field norm at which a nominal point counts as an equilibrium
 CSV_BLOCK_ROWS = 1024        # rows Trajectory.to_csv formats per % call

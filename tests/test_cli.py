@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -190,6 +192,45 @@ def test_cli_import_leaves_scipy_out():
 def test_cli_import_leaves_dataclasses_out():
     # the records define no generated methods, so the import compiles none
     assert not loaded_after_cli_import("dataclasses")
+
+
+# runs the CLI as ``python -m obsv_lab.cli ARGS`` does, then writes to the
+# last line of stderr its exit code, whether numpy is loaded, and which of
+# sim and gramian ran (a module bound to run at first use is not yet of
+# type ModuleType)
+LOAD_PROBE = """
+import json, runpy, sys, types
+try:
+    runpy.run_module("obsv_lab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+ran = [m for m in ("obsv_lab.sim", "obsv_lab.gramian") if type(sys.modules[m]) is types.ModuleType]
+print(json.dumps([code, "numpy" in sys.modules, ran]), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv, code, numpy_loaded", [
+    ("observable --system preset:fish-1d-gauss", 0, False),
+    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,2", 0, False),
+    ("separate --system preset:periodic-sin --state 0,0 --state2 2*pi,0", 1, False),
+    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,1.0000000000001", 3, False),
+    ("validate --system preset:fish-1d-gauss", 0, False),
+    ("observable", 2, False),
+    ("rank --system preset:fish-1d-gauss --state 0,1", 0, True),
+], ids=["observable", "separate-0", "separate-1", "separate-3", "validate", "usage", "rank"])
+def test_a_command_loads_only_the_modules_it_runs(argv, code, numpy_loaded):
+    # the symbolic commands answer without numpy; no command here runs the
+    # integrator or the Gramian
+    proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv.split()], env=src_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [code, numpy_loaded, []], proc.stderr
+
+
+def test_the_package_import_loads_no_submodule():
+    probe = "import sys, obsv_lab; print([m for m in sys.modules if m.startswith('obsv_lab.')])"
+    proc = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -917,6 +958,20 @@ def test_readme_simulate_csv_is_pinned(tmp_path, monkeypatch, capsys):
     assert code == 0, err
     digest = hashlib.sha256((tmp_path / "traj.csv").read_bytes()).hexdigest()
     assert digest == README_SIMULATE_CSV_SHA256
+
+
+def test_readme_library_example_does_what_its_comments_say():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Library use\n\n```python\n(.*?)```", text, re.S).group(1)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        exec(block, {})
+    separation, rank, gramian = buf.getvalue().splitlines()
+    assert separation.startswith("separated ObservableWord(j=1, ")  # separated, output word
+    assert rank == "1"  # at rest the position hides
+    sigma_min, classification = gramian.split()
+    assert float(sigma_min) > 0.0
+    assert classification == "observable"
 
 
 @pytest.mark.parametrize("preset", ["fish-1d-gauss", "fish-1d-hyperbolic"])
