@@ -241,12 +241,12 @@ def cmd_simulate(cfg: argparse.Namespace) -> Result:
     final = traj.final_state
     out = {
         "input": u.describe(),
-        "samples": len(traj.states),
+        "samples": traj.samples,
         "final_state": _jsonable(final),
-        "max_abs_output": float(abs(traj.outputs).max()),
+        "max_abs_output": max(max(map(abs, y)) for y in traj.columns(len(traj.state_names))),
     }
     lines = [
-        f"{len(traj.states)} samples, final state "
+        f"{traj.samples} samples, final state "
         + ", ".join(f"{v:.6g}" for v in final)
     ]
     return Result(EXIT_OK, out, lines, traj.to_csv)

@@ -3,6 +3,14 @@
 Everything here runs on a fixed RK4 grid on purpose: the experiments below
 compare outputs of two trajectories sample by sample, and adaptive steppers
 would put the two runs on different time grids.
+
+The module imports no numpy, and neither does a run that succeeds: a run
+stores its samples in one ``array("d")`` row buffer, a ``Trajectory`` reads
+its member's columns from it, and the experiments compare those columns in
+pure Python, so the ``simulate`` and ``distinguish`` commands load no numpy.
+numpy is imported where an array is asked for, by a trajectory's
+``states``, ``outputs`` and ``times`` (views built at each access), and
+where a failing run is located (``_raise_failure``).
 """
 
 from __future__ import annotations
@@ -11,9 +19,9 @@ import bisect
 from array import array
 from collections import Counter
 import math
+from operator import sub
 from struct import Struct
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .expr import Expr
@@ -26,6 +34,9 @@ from .model import (
     as_control_affine,
 )
 from .record import Frozen, Record
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DIVERGED_TOL = 1e-3          # above: clearly diverged; between: inconclusive
 PREMISE_TOL = 1e-12          # field norm at which a nominal point counts as an equilibrium
@@ -174,21 +185,90 @@ def parse_input_spec(spec: str) -> InputSignal:
 
 
 class Trajectory(Record):
-    __slots__ = ("t0", "dt", "states", "outputs", "state_names", "output_names")
+    """One member of an RK4 run, read from the run's row buffer: ``rows``
+    holds one row of ``width`` values per sample, sample k at t0 + k*dt, and
+    the member's states sit in columns ``state_at`` on of each row, its
+    outputs in columns ``output_at`` on, in the order of ``state_names`` and
+    ``output_names``.
+
+    ``states``, ``outputs`` and ``times`` are numpy arrays, built at each
+    access with numpy imported there; ``states`` and ``outputs`` are views
+    of the buffer.  Everything else reads the buffer in pure Python.  Two
+    trajectories are equal when their t0, dt and names are, and their
+    samples bit for bit, whatever run and columns hold them."""
+
+    __slots__ = ("t0", "dt", "rows", "width", "state_at", "output_at", "state_names",
+                 "output_names")
     t0: float
     dt: float
-    states: np.ndarray   # (samples, 2n)
-    outputs: np.ndarray  # (samples, n)
+    rows: array
+    width: int
+    state_at: int
+    output_at: int
     state_names: tuple[str, ...]
     output_names: tuple[str, ...]
 
-    @property
-    def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(len(self.states))
+    def _view(self, at: int, count: int) -> np.ndarray:
+        import numpy as np
+        return np.frombuffer(self.rows).reshape(-1, self.width)[:, at:at + count]
 
     @property
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
+    def states(self) -> np.ndarray:
+        """(samples, state variables), a view of the buffer."""
+        return self._view(self.state_at, len(self.state_names))
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """(samples, outputs), a view of the buffer."""
+        return self._view(self.output_at, len(self.output_names))
+
+    @property
+    def times(self) -> np.ndarray:
+        import numpy as np
+        return self.t0 + self.dt * np.arange(self.samples)
+
+    @property
+    def samples(self) -> int:
+        return len(self.rows) // self.width
+
+    @property
+    def final_state(self) -> tuple[float, ...]:
+        at = len(self.rows) - self.width + self.state_at
+        return tuple(self.rows[at:at + len(self.state_names)])
+
+    def _offsets(self) -> list[int]:
+        """The row offset of each of the member's columns: states, then outputs."""
+        return [*range(self.state_at, self.state_at + len(self.state_names)),
+                *range(self.output_at, self.output_at + len(self.output_names))]
+
+    def columns(self, first: int = 0) -> list[array]:
+        """The member's columns, in the order of ``state_names +
+        output_names`` from column ``first`` on, each as an ``array("d")``
+        of its samples."""
+        return [self.rows[at::self.width] for at in self._offsets()[first:]]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        same = (self.t0, self.dt, self.state_names, self.output_names) == (
+            other.t0, other.dt, other.state_names, other.output_names)
+        return same and all(a.tobytes() == b.tobytes()
+                            for a, b in zip(self.columns(), other.columns()))
+
+    def __reduce__(self):
+        # a pickle or a copy holds this member's columns alone, not its whole
+        # run: rows laid out as a lone run's, states then outputs
+        cols = self.columns()
+        rows = array("d", bytes(8 * len(cols) * self.samples))
+        for c, col in enumerate(cols):
+            rows[c::len(cols)] = col
+        return Trajectory, (self.t0, self.dt, rows, len(cols), 0, len(self.state_names),
+                            self.state_names, self.output_names)
+
+    def __repr__(self) -> str:
+        # the buffer holds the whole run: give its sample count, not its values
+        return (f"Trajectory(t0={self.t0!r}, dt={self.dt!r}, samples={self.samples}, "
+                f"state_names={self.state_names!r}, output_names={self.output_names!r})")
 
     def to_csv(self) -> str:
         """The trajectory as CSV text: the header ``t,<states>,<outputs>``,
@@ -196,19 +276,24 @@ class Trajectory(Record):
         back to the same float, and a newline after every line.
 
         The rows are formatted ``CSV_BLOCK_ROWS`` at a time, one ``%`` of
-        the row template repeated per row over one ``tolist()`` of the
-        block, so only one block of values is alive as Python floats at a
-        time; the blocks are joined once at the end, so the call peaks at
-        about twice the text.
+        the row template repeated per row over the block's values, laid out
+        row by row by one slice assignment per column, so only one block of
+        values is alive as Python floats at a time; the blocks are joined
+        once at the end, so the call peaks at about twice the text.
         """
         header = ",".join(("t",) + self.state_names + self.output_names)
-        times, states, outputs = self.times, self.states, self.outputs
-        row = ",".join(["%.17g"] * (1 + states.shape[1] + outputs.shape[1])) + "\n"
+        rows, width, t0, dt, samples = self.rows, self.width, self.t0, self.dt, self.samples
+        offsets = self._offsets()
+        ncols = 1 + len(offsets)
+        row = ",".join(["%.17g"] * ncols) + "\n"
         blocks = [header + "\n"]
-        for i in range(0, len(states), CSV_BLOCK_ROWS):
-            end = i + CSV_BLOCK_ROWS
-            block = np.column_stack((times[i:end], states[i:end], outputs[i:end]))
-            blocks.append((row * len(block)) % tuple(block.ravel().tolist()))
+        for i in range(0, samples, CSV_BLOCK_ROWS):
+            end = min(i + CSV_BLOCK_ROWS, samples)
+            values = [0.0] * ((end - i) * ncols)
+            values[::ncols] = [t0 + dt * k for k in range(i, end)]  # the times of ``times``
+            for c, at in enumerate(offsets, 1):
+                values[c::ncols] = rows[i * width + at:end * width:width]
+            blocks.append((row * (end - i)) % tuple(values))
         return "".join(blocks)
 
 
@@ -472,16 +557,20 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
     _check_outputs(ca, x)
 
 
-def _raise_failure(ca: ControlAffineSystem, xs, u, dt: float, states, outputs, error) -> None:
-    """Raise the failure of the run from the starts ``xs`` that stored
-    ``states`` and ``outputs`` (sample, member, variable) and raised
-    ``error`` (or None).  Each member's columns are bit for bit its lone
-    run, so the rules of a lone run apply across members, the first in order
-    deciding a sample: the first step end whose state is not finite (the
-    start is none, and stays non-finite into step 1), else each member's
-    replay of the step that raised (else ``error`` itself), else the first
-    output that is not finite (a float product overflows to inf without
-    raising)."""
+def _raise_failure(ca: ControlAffineSystem, xs, u, dt: float, rows, error) -> None:
+    """Raise the failure, if any, of the run from the starts ``xs`` that
+    stored ``rows`` (see ``_run``) and raised ``error`` (or None).  Each
+    member's columns are bit for bit its lone run, so the rules of a lone run
+    apply across members, the first in order deciding a sample: the first
+    step end whose state is not finite (the start is none, and stays
+    non-finite into step 1), else each member's replay of the step that
+    raised (else ``error`` itself), else the first output that is not finite
+    (a float product overflows to inf without raising)."""
+    import numpy as np
+    table = np.frombuffer(rows).reshape(-1, len(xs) * (ca.dim + ca.p))
+    split = len(xs) * ca.dim  # states, then outputs, in each row
+    states = table[:, :split].reshape(len(table), len(xs), ca.dim)
+    outputs = table[:, split:].reshape(len(table), len(xs), ca.p)
     ends = np.isfinite(states[1:]).all(axis=2)
     if not ends.all():
         k, j = divmod(int(ends.argmin()), len(xs))
@@ -498,21 +587,29 @@ def _raise_failure(ca: ControlAffineSystem, xs, u, dt: float, states, outputs, e
 
 
 def _run_joint(ca: ControlAffineSystem, xs, u, dt: float, steps: int) -> list[Trajectory]:
-    """One run of the members ``xs``.  A failure is read from the rows this
-    run stored (``_raise_failure``)."""
+    """One run of the members ``xs``, its rows shared by their trajectories.
+    A failure is read from the rows this run stored (``_raise_failure``).
+
+    A run that raised nothing is checked in pure Python.  A state that is
+    not finite stays so, since its update is x + (dt/6)*(...), so the last
+    row shows every state that ever was.  An output can overflow and turn
+    finite again, so each output column is summed: a sum is finite only if
+    every term is, and a finite column whose sum overflows only costs the
+    exact search."""
     rows, error = array("d"), None
     try:
         _run(ca, tuple(v for x in xs for v in x), u, dt, steps, rows)
     except (ArithmeticError, ValueError) as err:
         error = err
-    table = np.frombuffer(rows).reshape(-1, len(xs) * (ca.dim + ca.p))
+    width = len(xs) * (ca.dim + ca.p)
     split = len(xs) * ca.dim  # states, then outputs, in each row
-    states = table[:, :split].reshape(len(table), len(xs), ca.dim)
-    outputs = table[:, split:].reshape(len(table), len(xs), ca.p)
-    if error is not None or not np.isfinite(table).all():
-        _raise_failure(ca, xs, u, dt, states, outputs, error)
+    last = len(rows) - width
+    if (error is not None or not all(map(math.isfinite, rows[last:last + split]))
+            or not all(math.isfinite(sum(rows[c::width])) for c in range(split, width))):
+        _raise_failure(ca, xs, u, dt, rows, error)
     names = tuple(ca.state_vars), tuple(f"y{i}" for i in range(1, ca.p + 1))
-    return [Trajectory(0.0, dt, states[:, j], outputs[:, j], *names) for j in range(len(xs))]
+    return [Trajectory(0.0, dt, rows, width, j * ca.dim, split + j * ca.p, *names)
+            for j in range(len(xs))]
 
 
 def integrate_many(
@@ -533,12 +630,13 @@ def integrate_many(
     than ``MEMBERS_MAX`` states are split into the fewest runs of equal
     size, the last one possibly smaller; a run steps only its own states.
     Each trajectory is bit for bit the one ``integrate`` gives for its state
-    alone; its arrays are views into one buffer shared by its run.  A run
-    does not stop at a non-finite state: one numpy pass over its stored rows
-    finds a state or output that is not finite.  On a failure, an exception
-    or such a value, the error raised is the one ``integrate`` reports for
-    the member whose failure comes first in the first failing run, the first
-    member in order at the same sample (see ``_raise_failure``).
+    alone, and reads its samples from the one row buffer of its run.  A run
+    does not stop at a non-finite state: a pass over its stored rows finds
+    a state or output that is not finite (see ``_run_joint``).  On a
+    failure, an exception or such a value, the error raised is the one
+    ``integrate`` reports for the member whose failure comes first in the
+    first failing run, the first member in order at the same sample (see
+    ``_raise_failure``).
     """
     xs = [tuple(float(v) for v in x) for x in states]
     ca = as_control_affine(sys)
@@ -588,17 +686,18 @@ def integrate(
 # output-comparison experiments
 
 
-def _output_gap(ca: ControlAffineSystem, ta: Trajectory, tb: Trajectory) -> np.ndarray:
-    """|ya - yb| per sample and output.  Finite outputs of opposite signs
-    near the float limit overflow here; that raises DomainError naming the
-    output and its first such sample time."""
-    with np.errstate(over="ignore"):
-        gap = np.abs(ta.outputs - tb.outputs)
-    bad = np.flatnonzero(~np.isfinite(gap))
-    if bad.size:
-        k, j = divmod(int(bad[0]), gap.shape[1])
+def _output_gaps(ca: ControlAffineSystem, ta: Trajectory,
+                 tb: Trajectory) -> tuple[list[list[float]], float]:
+    """(gaps, sup): |ya - yb| per output and sample, and the largest of them.
+    Finite outputs of opposite signs near the float limit overflow here;
+    that raises DomainError naming the output and its first such sample
+    time."""
+    gaps = [list(map(abs, map(sub, a, b))) for a, b in zip(ta.columns(ca.dim), tb.columns(ca.dim))]
+    sups = [max(gap) for gap in gaps]
+    if math.inf in sups:  # the outputs are finite, so only an overflow is not
+        k, j = min((gap.index(math.inf), j) for j, gap in enumerate(gaps) if math.inf in gap)
         raise ex.DomainError(f"output gap overflows at t={k * ta.dt:.6g}", ca.outputs[j])
-    return gap
+    return gaps, max(sups)
 
 
 class ShiftGapResult(Record):
@@ -630,8 +729,8 @@ def indistinguishability_experiment(
     ca = as_control_affine(sys)
     results = []
     for sig in inputs:
-        gap = _output_gap(ca, *integrate_many(ca, (base, shifted), sig, t_end, dt))
-        results.append(ShiftGapResult(input=sig.describe(), gap=float(gap.max())))
+        _, gap = _output_gaps(ca, *integrate_many(ca, (base, shifted), sig, t_end, dt))
+        results.append(ShiftGapResult(input=sig.describe(), gap=gap))
     return results
 
 
@@ -659,16 +758,12 @@ def distinguishability_experiment(
     to rule out integrator error).
     """
     ca = as_control_affine(sys)
-    diff = _output_gap(ca, *integrate_many(ca, (s0, s1), u, t_end, dt)).max(axis=1)
-    gap = float(diff.max())
-    over = np.nonzero(diff > DIST_TOL_DEFAULT)[0]
-    first = float(over[0] * dt) if over.size else None
+    gaps, gap = _output_gaps(ca, *integrate_many(ca, (s0, s1), u, t_end, dt))
     if gap <= DIST_TOL_DEFAULT:
-        cls = "identical"
-    elif gap > DIVERGED_TOL:
-        cls = "diverged"
+        cls, first = "identical", None
     else:
-        cls = "inconclusive"
+        cls = "diverged" if gap > DIVERGED_TOL else "inconclusive"
+        first = next(k for k, row in enumerate(zip(*gaps)) if max(row) > DIST_TOL_DEFAULT) * dt
     return DistinguishabilityResult(
         gap=gap, first_divergence=first, classification=cls, input=u.describe()
     )

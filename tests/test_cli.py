@@ -209,21 +209,33 @@ print(json.dumps([code, "numpy" in sys.modules, ran]), file=sys.stderr)
 """
 
 
-@pytest.mark.parametrize("argv, code, numpy_loaded", [
-    ("observable --system preset:fish-1d-gauss", 0, False),
-    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,2", 0, False),
-    ("separate --system preset:periodic-sin --state 0,0 --state2 2*pi,0", 1, False),
-    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,1.0000000000001", 3, False),
-    ("validate --system preset:fish-1d-gauss", 0, False),
-    ("observable", 2, False),
-    ("rank --system preset:fish-1d-gauss --state 0,1", 0, True),
-], ids=["observable", "separate-0", "separate-1", "separate-3", "validate", "usage", "rank"])
-def test_a_command_loads_only_the_modules_it_runs(argv, code, numpy_loaded):
-    # the symbolic commands answer without numpy; no command here runs the
-    # integrator or the Gramian
+SIM, GRAMIAN = "obsv_lab.sim", "obsv_lab.gramian"
+
+
+@pytest.mark.parametrize("argv, code, numpy_loaded, ran", [
+    ("observable --system preset:fish-1d-gauss", 0, False, []),
+    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,2", 0, False, []),
+    ("separate --system preset:periodic-sin --state 0,0 --state2 2*pi,0", 1, False, []),
+    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,1.0000000000001", 3, False, []),
+    ("validate --system preset:fish-1d-gauss", 0, False, []),
+    ("observable", 2, False, []),
+    ("rank --system preset:fish-1d-gauss --state 0,1", 0, True, []),
+    ("simulate --system preset:fish-1d-gauss --state 0,0 --input const:1 --t-end 10 "
+     "--format csv --out traj.csv", 0, False, [SIM]),
+    ("distinguish --system preset:sin-drift --state 0,0 --state2 6.2832,0 --input sin:1,1,0",
+     0, False, [SIM]),
+    ("gramian --system preset:fish-1d-gauss --state 0,0 --input zero --input sin:1,6.2832,0",
+     0, True, [SIM, GRAMIAN]),
+    ("verify --seed 0", 0, True, [SIM]),
+], ids=["observable", "separate-0", "separate-1", "separate-3", "validate", "usage", "rank",
+        "simulate", "distinguish", "gramian", "verify"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, code, numpy_loaded, ran):
+    # the symbolic commands answer without numpy; simulate and distinguish
+    # run the integrator on its row buffer, without numpy; gramian's SVD and
+    # verify's eps tables and mixed words need numpy, and rank's SVD does
     proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv.split()], env=src_env(),
-                          capture_output=True, text=True, timeout=60)
-    assert json.loads(proc.stderr.splitlines()[-1]) == [code, numpy_loaded, []], proc.stderr
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stderr.splitlines()[-1]) == [code, numpy_loaded, ran], proc.stderr
 
 
 def test_the_package_import_loads_no_submodule():

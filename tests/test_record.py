@@ -1,6 +1,7 @@
 """Records without generated methods: construction, equality, hashing,
 immutability and repr, checked against fixed expected values."""
 
+from array import array
 import copy
 import pickle
 import re
@@ -113,10 +114,13 @@ def test_equal_reports_compare_equal_and_stay_mutable():
 
 
 def test_records_with_equal_fields_are_equal():
-    states, outputs = np.zeros((2, 2)), np.zeros((2, 1))
-    t1 = Trajectory(0.0, 0.1, states, outputs, ("x1", "z1"), ("y1",))
-    t2 = Trajectory(0.0, 0.1, states, outputs, ("x1", "z1"), ("y1",))
-    assert t1 == t2  # the same arrays: equal fields compare by identity first
+    t1 = Trajectory(0.0, 0.1, array("d", [0.0] * 6), 3, 0, 2, ("x1", "z1"), ("y1",))
+    t2 = Trajectory(0.0, 0.1, array("d", [0.0] * 6), 3, 0, 2, ("x1", "z1"), ("y1",))
+    # two buffers: a trajectory compares its samples bit for bit, so -0.0
+    # is not 0.0
+    assert t1 == t2
+    t2.rows[5] = -0.0
+    assert t1 != t2
     assert Result(0, {}, []) == Result(0, {}, [])
     assert Result(0, {}, []) != Result(1, {}, [])
 

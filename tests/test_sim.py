@@ -534,6 +534,26 @@ ENSEMBLE_INPUTS = {
 }
 
 
+def test_a_lone_run_equals_its_ensemble_member():
+    # a trajectory compares its samples, not the run buffer or the columns
+    # that hold them: 17 states run as 9 and 8, and each member equals the
+    # lone run of its state
+    sys = preset("sin-drift")
+    u = InputSignal.sinusoid(0.8, 2.5, 0.3)
+    states = [(0.1 * j, 0.5 - 0.05 * j) for j in range(MEMBERS_MAX + 1)]
+    trajs = integrate_many(sys, states, u, 0.01, 1e-3)
+    assert {traj.width for traj in trajs} == {9 * 3, 8 * 3}
+    assert integrate(sys, states[0], u, 0.01, 1e-3) == integrate(sys, states[0], u, 0.01, 1e-3)
+    for j in (0, 8, 9, MEMBERS_MAX):
+        lone = integrate(sys, states[j], u, 0.01, 1e-3)
+        assert trajs[j] == lone and lone == trajs[j]
+        # a pickle or a copy of a member holds its own rows, as a lone run does
+        for twin in (pickle.loads(pickle.dumps(trajs[j])), copy.copy(trajs[j])):
+            assert twin == lone and twin.rows.tobytes() == lone.rows.tobytes()
+    assert trajs[1] != trajs[0]
+    assert integrate(sys, states[0], u, 0.011, 1e-3) != trajs[0]  # one more sample
+
+
 def test_ensemble_of_wide_states_matches_lone_runs_bitwise():
     # 16 states of dimension 252 in one joint loop: 4032 stored states per
     # row, and the step stays within what Python's compiler takes
@@ -682,6 +702,30 @@ def test_ensemble_raises_the_lone_error_of_the_member_that_fails_first(monkeypat
     joint = check(sys, starts, 1)
     assert type(joint) is BlowUpError and 0.07 < joint.t < 0.09
     assert _raised(lambda: integrate(sys, starts[0], u, 2.0, 1e-3)).t > 0.6
+
+
+def test_an_output_that_overflows_between_finite_ones_fails_at_its_first_sample():
+    # F = 0 keeps z at its start and x = z*t; with z = 2 the output
+    # (1e308*sin(x))*2 overflows from the first sample where |sin(x)| passes
+    # max/2e308, about x = 1.117, while every state stays finite, and is
+    # finite again past x = pi - 1.117, well before the run ends at x = 4;
+    # with z = 1 it never overflows
+    sys = CascadeSystem(n=1, gamma=(ex.parse("1e308*sin(x)", {"x"}),),
+                        F=(ex.parse("0", {"z1"}),), b=(1.0,))
+    dt, u = 1e-3, InputSignal.zero()
+    x_over = math.asin(1.7976931348623157e308 / 2 / 1e308)
+    k = math.floor(x_over / (2 * dt)) + 1  # the first sample past it, on x = 2*k*dt
+    assert 2 * (k - 1) * dt < x_over - 1e-6 and 2 * k * dt > x_over + 1e-6
+    assert math.isfinite(1e308 * math.sin(2 * 2.0) * 2)  # the last output is finite
+    output = as_control_affine(sys).outputs[0]
+    for starts in ([(0.0, 2.0)], [(0.0, 1.0), (0.0, 2.0)], [(0.0, 2.0), (0.0, 1.0)]):
+        trajs = integrate_many(sys, starts, u, (k - 1) * dt, dt)
+        assert [traj.samples for traj in trajs] == [k] * len(starts)
+        for t_end in (k * dt, 2.0):
+            err = _raised(lambda: integrate_many(sys, starts, u, t_end, dt))
+            assert type(err) is ex.DomainError, (starts, t_end)
+            assert str(err) == "non-finite result in 1e+308*sin(x1)*z1"
+            assert err.subexpr == output
 
 
 def test_a_domain_fault_in_a_stage_names_its_subexpression():
@@ -943,12 +987,16 @@ CSV_SPECIALS = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 3.0, 0.1)
                                   2 * CSV_BLOCK_ROWS + 1])
 def test_csv_bytes_match_per_value_formatting(rows):
     # the specials cycle through the columns of every block, and the row
-    # count puts the end of the last block before, on and after its edge
+    # count puts the end of the last block before, on and after its edge;
+    # the buffer is laid out as a run of two members, and the trajectory is
+    # the second one's: states in columns 2-3, its output in column 5
     rng = random.Random(rows)
     values = [CSV_SPECIALS[k % len(CSV_SPECIALS)] if k % 3 else rng.uniform(-1e3, 1e3)
               for k in range(3 * rows)]
     table = np.array(values).reshape(rows, 3)
-    traj = Trajectory(0.0, 0.1, table[:, :2], table[:, 2:], ("x1", "z1"), ("y1",))
+    run = np.column_stack((-table[:, :2], table[:, :2], -table[:, 2], table[:, 2]))
+    traj = Trajectory(0.0, 0.1, array("d", run.ravel()), 6, 2, 5, ("x1", "z1"), ("y1",))
+    assert _same_bits(traj.states, table[:, :2]) and _same_bits(traj.outputs, table[:, 2:])
     expected = "t,x1,z1,y1\n" + "".join(
         ",".join(f"{v:.17g}" for v in (t, *row)) + "\n"
         for t, row in zip(traj.times.tolist(), table.tolist()))
@@ -1029,6 +1077,55 @@ def test_equal_states_never_diverge():
     assert res.gap == 0.0
     assert res.classification == "identical"
     assert res.first_divergence is None
+
+
+def test_gaps_match_the_numpy_reduction_of_the_output_arrays():
+    # the reference reduction of the two (samples, outputs) arrays: the
+    # largest gap per sample, its maximum, and the first sample above the
+    # tolerance; the pairs differ in a velocity (from t = 0), in block 2's
+    # position (later, through output 2), in a hair of that position, and
+    # not at all
+    sys = _random_cascade(random.Random(5), 2, ("sin(x)", "exp(-x^2)").__getitem__)
+    u, s0 = InputSignal.sinusoid(0.8, 2.5, 0.3), (0.3, -0.2, 0.1, 0.0)
+    kinds = set()
+    for s1 in ((0.3, -0.2, 0.5, 0.0), (0.3, 0.4, 0.1, 0.0), (0.3, -0.1999, 0.1, 0.0), s0):
+        ta, tb = integrate_many(sys, (s0, s1), u, 2.0, 1e-3)
+        diff = np.abs(ta.outputs - tb.outputs).max(axis=1)
+        over = np.flatnonzero(diff > sim.DIST_TOL_DEFAULT)
+        res = distinguishability_experiment(sys, s0, s1, u, 2.0, 1e-3)
+        assert res.gap == diff.max()
+        assert res.first_divergence == (over[0] * 1e-3 if over.size else None)
+        kinds.add((res.classification, over[0] > 0 if over.size else None))
+    assert kinds == {("diverged", False), ("diverged", True), ("inconclusive", True),
+                     ("identical", None)}
+    # a shift experiment compares rest at the origin with rest at the shift
+    rest, shifted = integrate_many(sys, [(0.0,) * 4, (0.0, 0.6, 0.0, 0.0)], u, 2.0, 1e-3)
+    shift, = indistinguishability_experiment(sys, (0.0, 0.6), [u], 2.0, 1e-3)
+    assert shift.gap == np.abs(shifted.outputs - rest.outputs).max() > 0.0
+
+
+def test_a_gap_overflow_names_the_first_sample_then_the_first_output():
+    # F = z: each velocity, and with gain 10 each output, grows as e^t; the
+    # gaps 1e308*e^t of output 1 and 1.2e308*e^t of output 2 overflow when
+    # e^t passes max/1e308 and max/1.2e308, at t = 0.586 and 0.404, so
+    # output 2 overflows first; the outputs themselves stay finite to t = 1
+    zs = {"z1", "z2"}
+    sys = CascadeSystem(n=2, gamma=(ex.parse("10", ()),) * 2,
+                        F=(ex.parse("z1", zs), ex.parse("z2", zs)), b=(1.0, 1.0))
+    dt, big = 1e-3, 1.7976931348623157e308
+    t_over = math.log(big / 1.2e308)
+    k = math.ceil(t_over / dt)
+    assert (k - 1) * dt < t_over - 1e-6 and k * dt > t_over + 1e-6
+    outputs = as_control_affine(sys).outputs
+    for s0, s1, t, j in (((0.0, 0.0, 0.5e307, 0.6e307), (0.0, 0.0, -0.5e307, -0.6e307), k * dt, 1),
+                         ((0.0, 0.0, 0.6e307, 0.6e307), (0.0, 0.0, -0.6e307, -0.6e307), k * dt, 0),
+                         ((0.0, 0.0, 1e307, 0.0), (0.0, 0.0, -1e307, 0.0), 0.0, 0)):
+        t_end = 1.0 if t else 0.5  # 1e307*e^t leaves the floats past t = 0.586
+        err = _raised(lambda: distinguishability_experiment(sys, s0, s1, InputSignal.zero(),
+                                                            t_end, dt))
+        assert type(err) is ex.DomainError
+        assert str(err) == f"output gap overflows at t={t:.6g} in {outputs[j]}"
+        assert err.subexpr == outputs[j]
 
 
 def test_periodic_pair_stays_identical():
