@@ -4,13 +4,14 @@ Each public name below is looked up at its first use through the module's
 ``__getattr__`` (PEP 562), which imports only the submodule that defines
 it, and so is each submodule name (``obsv_lab.sim``).  ``import obsv_lab``
 itself loads no submodule, so ``python -m obsv_lab.cli``, which imports this
-package first, loads only what its command runs; the symbolic modules
-(``expr``, ``model``, ``lie``, ``obsv``) import numpy only inside the
-functions that build arrays.  The benchmark's span recorder
-(``bench/tracer.py``) looks ``obsv_lab.sim`` and ``obsv_lab.gramian`` up in
-``sys.modules`` after importing the CLI, so ``cli`` binds those two as
-modules that run at their first attribute access; once ROADMAP item 1b
-removes that lookup, the numeric commands can import them where they run.
+package first, loads only what its command runs; ``expr``, ``model`` and
+``obsv`` import numpy only inside the functions that build arrays, and
+``lie`` does not import it at all.  The benchmark's span recorder
+(``bench/tracer.py``) looks ``obsv_lab.obsv``, ``obsv_lab.lie``,
+``obsv_lab.sim`` and ``obsv_lab.gramian`` up in ``sys.modules`` after
+importing the CLI, so ``cli`` binds those four as modules that run at their
+first attribute access; once ROADMAP item 1b removes that lookup, the
+commands can import them where they run.
 """
 
 import importlib
@@ -22,13 +23,13 @@ _EXPORTS = {
     ),
     "model": (
         "CascadeSystem", "ControlAffineSystem", "LinearizationResult", "InvalidSystemError",
-        "SystemFormatError", "validate", "as_control_affine", "linearize_at", "preset",
-        "preset_names", "load_system", "load_system_file",
+        "SystemFormatError", "ObservableWord", "K_MAX_DEFAULT", "validate", "as_control_affine",
+        "linearize_at", "preset", "preset_names", "load_system", "load_system_file",
     ),
-    "lie": ("ObservableWord", "WordLengthError", "evaluate_word", "nested_lie_along_affine"),
+    "lie": ("WordLengthError", "evaluate_word", "nested_lie_along_affine"),
     "obsv": (
         "PeriodicityVerdict", "SystemPeriodicityReport", "SeparationCertificate", "RankReport",
-        "K_MAX_DEFAULT", "cascade_lflg", "cascade_lglflg", "word_lflg", "word_lglflg",
+        "cascade_lflg", "cascade_lglflg", "word_lflg", "word_lglflg",
         "detect_period", "is_aperiodic_system", "find_separating_observable", "local_rank",
     ),
     "sim": (

@@ -8,7 +8,6 @@ configuration and are byte-stable for a fixed seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import gc
 import importlib.util
 import io
@@ -20,45 +19,35 @@ from collections.abc import Callable
 from itertools import product
 
 from . import expr as ex
-from .lie import ObservableWord, evaluate_word, nested_lie_along_affine
 from .model import (
     DIST_TOL_DEFAULT,
     DT_DEFAULT,
     EPS_DEFAULT,
+    K_MAX_DEFAULT,
+    RANK_TOL_DEFAULT,
+    SEP_TOL_DEFAULT,
     T_END_DEFAULT,
     CascadeSystem,
     InvalidSystemError,
+    ObservableWord,
     as_control_affine,
     load_system_file,
     preset,
     preset_names,
     validate,
 )
-from .obsv import (
-    K_MAX_DEFAULT,
-    RANK_TOL_DEFAULT,
-    SEP_TOL_DEFAULT,
-    VERDICT_SEPARATED,
-    VERDICT_SHIFT,
-    cascade_lflg,
-    cascade_lglflg,
-    find_separating_observable,
-    is_aperiodic_system,
-    local_rank,
-    word_lflg,
-    word_lglflg,
-)
 from .record import Record
 
 
 def _on_first_use(name: str):
     """The submodule ``name``, in ``sys.modules`` now and run at its first
-    attribute access, so that a command that never touches it does not pay
-    for it or for numpy.  A plain import inside the numeric handlers would
-    do the same, but the benchmark's span recorder (``bench/tracer.py``)
-    looks ``obsv_lab.sim`` and ``obsv_lab.gramian`` up in ``sys.modules``
-    right after importing this module; once ROADMAP item 1b removes that
-    lookup, such imports can replace this helper."""
+    attribute access, so that a command that never touches it does not
+    compile or run it, nor import numpy through it.  This module binds four
+    that way: ``obsv``, ``lie``, ``sim`` and ``gramian``.  A plain import
+    inside the handlers would do the same, but the benchmark's span recorder
+    (``bench/tracer.py``) looks all four up in ``sys.modules`` right after
+    importing this module; once ROADMAP item 1b removes that lookup, such
+    imports can replace this helper."""
     fullname = f"{__package__}.{name}"
     module = sys.modules.get(fullname)
     if module is None:
@@ -70,6 +59,8 @@ def _on_first_use(name: str):
     return module
 
 
+obsv = _on_first_use("obsv")
+lie = _on_first_use("lie")
 sim = _on_first_use("sim")
 gramian = _on_first_use("gramian")
 
@@ -173,7 +164,7 @@ def cmd_validate(cfg: argparse.Namespace) -> Result:
 
 def cmd_observable(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
-    report = is_aperiodic_system(sys_)
+    report = obsv.is_aperiodic_system(sys_)
     gammas = []
     lines = []
     for idx, v in enumerate(report.gamma_verdicts, start=1):
@@ -193,7 +184,7 @@ def cmd_separate(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None or cfg.state2 is None:
         raise UsageError("separate needs --state and --state2")
-    cert = find_separating_observable(sys_, cfg.state, cfg.state2, k_max=cfg.k_max)
+    cert = obsv.find_separating_observable(sys_, cfg.state, cfg.state2, k_max=cfg.k_max)
     out = {
         "verdict": cert.verdict,
         "witness": _word_dict(cert.witness) if cert.witness is not None else None,
@@ -202,19 +193,19 @@ def cmd_separate(cfg: argparse.Namespace) -> Result:
         "bounds": _jsonable(cert.bounds),
     }
     lines = [f"verdict: {cert.verdict}"]
-    if cert.verdict == VERDICT_SEPARATED:
+    if cert.verdict == obsv.VERDICT_SEPARATED:
         lines.append(
             f"witness output {cert.witness.j}, word {list(cert.witness.mu)}: "
             f"{cert.value0:.6g} vs {cert.value1:.6g}"
         )
-    return Result(_exit_code(cert.verdict, VERDICT_SEPARATED, VERDICT_SHIFT), out, lines)
+    return Result(_exit_code(cert.verdict, obsv.VERDICT_SEPARATED, obsv.VERDICT_SHIFT), out, lines)
 
 
 def cmd_rank(cfg: argparse.Namespace) -> Result:
     sys_ = _load(cfg)
     if cfg.state is None:
         raise UsageError("rank needs --state")
-    report = local_rank(sys_, cfg.state, l_max=cfg.l_max)
+    report = obsv.local_rank(sys_, cfg.state, l_max=cfg.l_max)
     out = {
         "rank": report.rank,
         "dim": report.dim,
@@ -298,6 +289,8 @@ def cmd_gramian(cfg: argparse.Namespace) -> Result:
     out = {"ranking": entries, "eps": EPS_DEFAULT}
 
     def table() -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")  # quotes a sin:a,w,phi input
         writer.writerow(("input", "sigma"))
@@ -335,10 +328,10 @@ def _check_closed_forms(rng: random.Random) -> tuple[bool, str]:
         i = rng.randrange(1, n + 1)
         for k in range(0, 4):
             for closed, word in (
-                (cascade_lflg(sys_, i, k, state), word_lflg(i, k)),
-                (cascade_lglflg(sys_, i, k, state), word_lglflg(i, k)),
+                (obsv.cascade_lflg(sys_, i, k, state), obsv.word_lflg(i, k)),
+                (obsv.cascade_lglflg(sys_, i, k, state), obsv.word_lglflg(i, k)),
             ):
-                generic = evaluate_word(ca, word, state)
+                generic = lie.evaluate_word(ca, word, state)
                 gap = abs(closed - generic) / (1.0 + abs(generic))
                 worst = max(worst, gap)
     return worst <= 1e-8, f"worst relative gap {worst:.3e}"
@@ -354,14 +347,14 @@ def _check_input_expansion(rng: random.Random) -> tuple[bool, str]:
         j = rng.randrange(1, n + 1)
         depth = rng.randrange(1, 4)
         u_rows = [rng.uniform(-1.0, 1.0) for _ in range(depth)]
-        lhs = nested_lie_along_affine(ca, u_rows, j, state)
+        lhs = lie.nested_lie_along_affine(ca, u_rows, j, state)
         rhs = 0.0
         for mu in product((0, 1), repeat=depth):
             coeff = 1.0
             for pos, pick in enumerate(mu):
                 if pick:
                     coeff *= u_rows[depth - 1 - pos]
-            rhs += coeff * evaluate_word(ca, ObservableWord(j, mu), state)
+            rhs += coeff * lie.evaluate_word(ca, ObservableWord(j, mu), state)
         gap = abs(lhs - rhs) / (1.0 + abs(rhs))
         worst = max(worst, gap)
     return worst <= 1e-8, f"worst relative gap {worst:.3e}"

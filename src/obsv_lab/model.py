@@ -25,12 +25,16 @@ if TYPE_CHECKING:
 
 GAMMA_VAR = "x"
 
-# the numeric defaults every JSON report echoes, kept here so that a command
-# that runs neither sim nor gramian need not import them
+# the defaults every JSON report echoes, kept here so that a command need not
+# import the modules that use them
 DT_DEFAULT = 1e-3           # RK4 step
 T_END_DEFAULT = 10.0        # simulated horizon
 DIST_TOL_DEFAULT = 1e-6     # output gap below which two records are numerically identical
 EPS_DEFAULT = 1e-4          # Gramian's central-difference perturbation of the initial state
+K_MAX_DEFAULT = 12          # default bound on the derivative order of a separation scan
+SEP_TOL_DEFAULT = 1e-9      # relative gap required of a separating witness
+RANK_TOL_DEFAULT = 1e-10    # singular values below this fraction of the largest (at rest,
+                            # of a block scaled to 1) count as zero
 
 
 class InvalidSystemError(ValueError):
@@ -43,6 +47,26 @@ class SystemFormatError(ValueError):
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
+
+
+class ObservableWord(Frozen):
+    """An iterated Lie derivative of output j: field mu_1 first (innermost),
+    then mu_2, and so on; index 0 is the drift, index i >= 1 input field i."""
+
+    __slots__ = ("j", "mu")
+    j: int                # output index, 1-based
+    mu: tuple[int, ...]   # field indices, innermost first; 0 = drift
+
+    def __init__(self, j: int, mu):
+        mu = tuple(map(int, mu))
+        if j < 1:
+            raise ValueError(f"output index must be >= 1, got {j}")
+        if min(mu, default=0) < 0:
+            raise ValueError(f"field indices must be >= 0: {mu}")
+        super().__init__(j, mu)
+
+    def __len__(self) -> int:
+        return len(self.mu)
 
 
 class _AffineSlot(Frozen):

@@ -20,17 +20,21 @@ from typing import TYPE_CHECKING
 
 from . import expr as ex
 from .expr import Expr
-from .lie import ObservableWord
-from .model import GAMMA_VAR, CascadeSystem, ControlAffineSystem, as_control_affine, jacobians
+from .model import (
+    GAMMA_VAR,
+    K_MAX_DEFAULT,
+    RANK_TOL_DEFAULT,
+    SEP_TOL_DEFAULT,
+    CascadeSystem,
+    ControlAffineSystem,
+    ObservableWord,
+    as_control_affine,
+    jacobians,
+)
 from .record import Record
 
 if TYPE_CHECKING:
     import numpy as np
-
-K_MAX_DEFAULT = 12         # default bound on the derivative order of a separation scan
-SEP_TOL_DEFAULT = 1e-9     # relative gap required of a separating witness
-RANK_TOL_DEFAULT = 1e-10   # singular values below this fraction of the largest (at rest,
-                           # of a block scaled to 1) count as zero
 
 CLASS_PERIODIC = "periodic"
 CLASS_APERIODIC = "aperiodic"

@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from collections import Counter
+from itertools import compress, count
 import math
 from operator import sub
 from struct import Struct
@@ -687,17 +688,25 @@ def integrate(
 
 
 def _output_gaps(ca: ControlAffineSystem, ta: Trajectory,
-                 tb: Trajectory) -> tuple[list[list[float]], float]:
-    """(gaps, sup): |ya - yb| per output and sample, and the largest of them.
-    Finite outputs of opposite signs near the float limit overflow here;
-    that raises DomainError naming the output and its first such sample
-    time."""
-    gaps = [list(map(abs, map(sub, a, b))) for a, b in zip(ta.columns(ca.dim), tb.columns(ca.dim))]
-    sups = [max(gap) for gap in gaps]
-    if math.inf in sups:  # the outputs are finite, so only an overflow is not
-        k, j = min((gap.index(math.inf), j) for j, gap in enumerate(gaps) if math.inf in gap)
+                 tb: Trajectory) -> tuple[list[tuple[array, array]], float]:
+    """(pairs, sup): each output's column in ``ta`` and in ``tb``, and the
+    largest |ya - yb| over outputs and samples.  Finite outputs of opposite
+    signs near the float limit overflow here; that raises DomainError naming
+    the first sample time at which a gap overflows, and the first output
+    that overflows there."""
+    pairs = list(zip(ta.columns(ca.dim), tb.columns(ca.dim)))
+    sup = max(max(map(abs, map(sub, a, b))) for a, b in pairs)
+    if sup == math.inf:  # the outputs are finite, so only an overflow is not
+        largest = math.nextafter(math.inf, 0.0)
+        k, j = min((_first_gap_above(a, b, largest), j) for j, (a, b) in enumerate(pairs))
         raise ex.DomainError(f"output gap overflows at t={k * ta.dt:.6g}", ca.outputs[j])
-    return gaps, max(sups)
+    return pairs, sup
+
+
+def _first_gap_above(a: array, b: array, tol: float) -> int:
+    """The first sample at which |a - b| exceeds ``tol``, or the sample
+    count if none does."""
+    return next(compress(count(), map(tol.__lt__, map(abs, map(sub, a, b)))), len(a))
 
 
 class ShiftGapResult(Record):
@@ -758,12 +767,12 @@ def distinguishability_experiment(
     to rule out integrator error).
     """
     ca = as_control_affine(sys)
-    gaps, gap = _output_gaps(ca, *integrate_many(ca, (s0, s1), u, t_end, dt))
+    pairs, gap = _output_gaps(ca, *integrate_many(ca, (s0, s1), u, t_end, dt))
     if gap <= DIST_TOL_DEFAULT:
         cls, first = "identical", None
     else:
         cls = "diverged" if gap > DIVERGED_TOL else "inconclusive"
-        first = next(k for k, row in enumerate(zip(*gaps)) if max(row) > DIST_TOL_DEFAULT) * dt
+        first = min(_first_gap_above(a, b, DIST_TOL_DEFAULT) for a, b in pairs) * dt
     return DistinguishabilityResult(
         gap=gap, first_divergence=first, classification=cls, input=u.describe()
     )

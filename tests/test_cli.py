@@ -204,38 +204,48 @@ try:
     runpy.run_module("obsv_lab.cli", run_name="__main__", alter_sys=True)
 except SystemExit as done:
     code = done.code
-ran = [m for m in ("obsv_lab.sim", "obsv_lab.gramian") if type(sys.modules[m]) is types.ModuleType]
+ran = [m for m in ("obsv_lab.obsv", "obsv_lab.lie", "obsv_lab.sim", "obsv_lab.gramian")
+       if type(sys.modules[m]) is types.ModuleType]
 print(json.dumps([code, "numpy" in sys.modules, ran]), file=sys.stderr)
 """
 
 
-SIM, GRAMIAN = "obsv_lab.sim", "obsv_lab.gramian"
+OBSV, LIE, SIM, GRAMIAN = "obsv_lab.obsv", "obsv_lab.lie", "obsv_lab.sim", "obsv_lab.gramian"
 
 
 @pytest.mark.parametrize("argv, code, numpy_loaded, ran", [
-    ("observable --system preset:fish-1d-gauss", 0, False, []),
-    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,2", 0, False, []),
-    ("separate --system preset:periodic-sin --state 0,0 --state2 2*pi,0", 1, False, []),
-    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,1.0000000000001", 3, False, []),
+    ("observable --system preset:fish-1d-gauss", 0, False, [OBSV]),
+    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,2", 0, False, [OBSV]),
+    ("separate --system preset:periodic-sin --state 0,0 --state2 2*pi,0", 1, False, [OBSV]),
+    ("separate --system preset:fish-1d-gauss --state 0,1 --state2 0,1.0000000000001", 3, False,
+     [OBSV]),
     ("validate --system preset:fish-1d-gauss", 0, False, []),
     ("observable", 2, False, []),
-    ("rank --system preset:fish-1d-gauss --state 0,1", 0, True, []),
+    ("rank --system preset:fish-1d-gauss --state 0,1", 0, True, [OBSV]),
     ("simulate --system preset:fish-1d-gauss --state 0,0 --input const:1 --t-end 10 "
      "--format csv --out traj.csv", 0, False, [SIM]),
     ("distinguish --system preset:sin-drift --state 0,0 --state2 6.2832,0 --input sin:1,1,0",
      0, False, [SIM]),
     ("gramian --system preset:fish-1d-gauss --state 0,0 --input zero --input sin:1,6.2832,0",
      0, True, [SIM, GRAMIAN]),
-    ("verify --seed 0", 0, True, [SIM]),
+    ("verify --seed 0", 0, False, [OBSV, LIE, SIM]),
 ], ids=["observable", "separate-0", "separate-1", "separate-3", "validate", "usage", "rank",
         "simulate", "distinguish", "gramian", "verify"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, code, numpy_loaded, ran):
-    # the symbolic commands answer without numpy; simulate and distinguish
-    # run the integrator on its row buffer, without numpy; gramian's SVD and
-    # verify's eps tables and mixed words need numpy, and rank's SVD does
+    # the symbolic commands answer without numpy, and only verify evaluates
+    # words (lie); simulate and distinguish run the integrator on its row
+    # buffer, without numpy or the symbolic modules; gramian's SVD and
+    # rank's SVD need numpy
     proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv.split()], env=src_env(),
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert json.loads(proc.stderr.splitlines()[-1]) == [code, numpy_loaded, ran], proc.stderr
+
+
+def test_the_word_module_imports_no_numpy():
+    probe = "import sys, obsv_lab.lie; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=src_env(), capture_output=True,
+                          text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_the_package_import_loads_no_submodule():

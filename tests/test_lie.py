@@ -3,10 +3,12 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 import sympy
 
 import obsv_lab.expr as ex
+import obsv_lab.lie as lie
 from obsv_lab.cli import _random_system
 from obsv_lab.lie import (
     EPS_LETTERS_MAX,
@@ -315,6 +317,151 @@ def test_words_leave_a_domain_where_evaluate_does():
                 evaluate_word(ca, ObservableWord(1, mu), state)
             assert str(got.value) == str(want.value)
             assert got.value.subexpr == want.value.subexpr
+
+
+# ---------------------------------------------------------------------------
+# the eps tables, bit for bit: their products add in the order of the numpy
+# code they replaced, np.add.reduceat over the pairs (T, S \\ T) of each S
+
+
+def _reduceat_product(a, b, n):
+    """The replaced product: numpy multiplies every pair and adds each S's
+    pairs, T in increasing order, with ``np.add.reduceat``; ``a`` may hold
+    rows, as ``_series`` once passed them."""
+    t, union = [], []
+    for s in range(1 << n):
+        sub = 0
+        while True:  # the subsets of s in increasing order
+            t.append(sub)
+            union.append(s)
+            if sub == s:
+                break
+            sub = (sub - s) & s
+    t, union = np.array(t), np.array(union)
+    starts = np.searchsorted(union, np.arange(1 << n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.add.reduceat(np.asarray(a)[..., t] * np.asarray(b)[union ^ t], starts, axis=-1)
+
+
+def _bits(v):
+    return "nan" if math.isnan(v) else v.hex()  # hex tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_products_add_in_the_order_of_np_add_reduceat(n):
+    rng = random.Random(n)
+    special = (0.0, -0.0, math.inf, -math.inf, math.nan)
+
+    def table(share):
+        # finite entries over six decades, so that another order of addition rounds differently
+        return [rng.choice(special) if rng.random() < share else rng.uniform(-2.0, 2.0)
+                * 10.0 ** rng.randint(-3, 3) for _ in range(1 << n)]
+
+    # finite tables show the order; the second pair, with special entries, how they propagate
+    for share in (0.0, 0.2):
+        rows, b = [table(share), table(share)], table(share)
+        want = _reduceat_product(rows, b, n)
+        for row, row_want in zip(rows, want):
+            assert list(map(_bits, lie._mul(row, b, n))) == list(map(_bits, row_want.tolist()))
+    # signed zeros alone: numpy starts a short sum at -0.0, so -0.0 + -0.0 stays -0.0
+    zeros = [-0.0] * (1 << n)
+    assert list(map(_bits, lie._mul(zeros, [1.0] * (1 << n), n))) == \
+        list(map(_bits, _reduceat_product(zeros, [1.0] * (1 << n), n).tolist()))
+
+
+# Two systems in (x, z) that use every catalog function, a quotient, a
+# quotient by a constant and negative and positive powers, and the bits of
+# their mixed words at (0.3, -0.7), recorded from the numpy eps tables.
+BITS_SYSTEMS = (
+    (("z", "-z/2 + 0.3*sin(z)*cos(x) + 0.1*tan(0.2*x)"), [("0.1*exp(-x^2)", "1/(2 + tanh(z))")],
+     "sqrt(x^2 + 4)*ln(x + 3) + (x - 4)^-2*z/(z^2 + 2) + 0.5*x^3"),
+    (("z", "-0.5*z + 0.2*x"), [("0", "1"), ("0.3*sin(x)", "cos(z)^2")],
+     "exp(-x^2)*z + tanh(x*z)"),
+)
+BITS_STATE = (0.3, -0.7)
+WORD_BITS = [
+    (0, (1, 0), "-0x1.b9adc637325c6p-5"),
+    (0, (0, 1), "0x1.206db5fca6243p-1"),
+    (1, (2, 0), "0x1.690c02b652194p-2"),
+    (1, (0, 2), "-0x1.6001e6beb19e4p-1"),
+    (0, (0, 1, 0), "-0x1.34d80ce7c95efp-1"),
+    (0, (1, 0, 0), "0x1.6710acf904174p-6"),
+    (1, (2, 1, 2), "-0x1.457ee522203f8p-3"),
+    (1, (1, 0, 0), "-0x1.35a599b4676d0p+0"),
+    (0, (1, 0, 0, 1), "-0x1.28471791c8acap-4"),
+    (0, (1, 1, 0, 1), "0x1.ed67352e701c1p-8"),
+    (1, (0, 0, 1, 1), "0x1.4edf7f0d9d97fp+3"),
+    (1, (0, 1, 2, 0), "0x1.2d7c74a422818p+1"),
+    (0, (1, 1, 0, 0, 0), "-0x1.9a02c2bbe06a4p-7"),
+    (0, (1, 1, 1, 0, 0), "0x1.35166f9830c6cp-6"),
+    (1, (2, 2, 1, 2, 2), "-0x1.16c3c435206b3p+3"),
+    (1, (0, 0, 1, 0, 2), "-0x1.0c2c9ac406b97p+4"),
+    (0, (1, 1, 0, 0, 1, 1), "-0x1.783c9fbc18f76p-3"),
+    (0, (0, 0, 1, 1, 1, 0), "0x1.81bd9fdd5e9c3p+1"),
+    (1, (2, 1, 0, 2, 1, 1), "0x1.42eb2cd42ead3p+4"),
+    (1, (0, 1, 2, 2, 1, 1), "0x1.c6e13314e8d68p+0"),
+    (0, (1, 0, 1, 0, 1, 1, 1), "0x1.d4d2383bd20aap-3"),
+    (0, (1, 0, 1, 1, 0, 1, 1), "0x1.b5573a248d062p-4"),
+    (1, (2, 1, 1, 2, 0, 0, 1), "-0x1.159aadc244a22p+5"),
+    (1, (1, 0, 2, 1, 2, 1, 2), "-0x1.82ab7ff1a343cp+3"),
+    (0, (0, 0, 0, 1, 1, 0, 1, 1), "0x1.c1b3f63160fe2p+3"),
+    (0, (1, 1, 0, 1, 1, 1, 1, 1), "0x1.8a6efc040360cp-1"),
+    (1, (0, 2, 1, 0, 1, 2, 0, 0), "0x1.3414a2fbf6a2ep+8"),
+    (1, (1, 0, 2, 1, 2, 1, 2, 2), "-0x1.4980896a6e075p+5"),
+    (0, (0, 1, 1, 0, 0, 0, 1, 1, 1), "-0x1.14286677a90cbp+4"),
+    (1, (1, 0, 2, 1, 0, 2, 1, 1, 2), "0x1.2cf1f20b8c150p+7"),
+    (0, (1, 1, 0, 0, 0, 1, 1, 0, 0, 0), "-0x1.2439adecb5fdep+6"),
+    (1, (2, 2, 2, 0, 1, 2, 0, 2, 0, 2), "0x1.0b9c1586a94cfp+11"),
+    (1, (0, 0, 1, 2, 1, 2, 1, 0, 1, 1, 2), "0x1.31a23784a96c0p+15"),
+    (1, (1, 2, 1, 1, 1, 2, 1, 1, 2, 1, 1, 2), "0x1.56466fbfa1ac0p+11"),
+]
+NESTED_BITS = [
+    (0, [0.911, -0.318], "0x1.59913a0eb81d6p+0"),
+    (1, [(-0.827, -0.878), (-0.49, 0.104)], "0x1.69cc932299dacp+0"),
+    (0, [-0.094, -0.642, -0.738], "-0x1.3dfb5152c1d45p+0"),
+    (1, [(0.368, -0.776), (0.343, -0.85), (-0.111, -0.17)], "-0x1.32b6df1ed2f56p-2"),
+    (0, [-0.16, -0.076, -0.738, -0.449], "-0x1.d9e252242acacp-4"),
+    (1, [(0.169, -0.406), (0.867, -0.184), (0.693, 0.524), (0.836, 0.448)],
+     "0x1.2ddfa06706af3p+4"),
+    (0, [0.483, -0.316, -0.273, -0.443, 0.868], "-0x1.ca325b68a83d1p+0"),
+    (1, [(-0.474, -0.83), (0.331, -0.082), (-0.713, 0.29), (0.789, 0.551), (-0.064, -0.64)],
+     "0x1.231d0989954f7p+4"),
+    (0, [-0.186, -0.075, -0.013, -0.216, -0.71, -0.205], "0x1.44e26cf5d9667p+2"),
+    (1, [(0.338, 0.507), (0.242, -0.759), (-0.528, 0.443), (0.27, 0.343), (-0.438, 0.759),
+     (0.553, -0.03)], "-0x1.8b8c744430b14p+3"),
+    (0, [-0.927, -0.875, -0.801, 0.73, 0.203, 0.733, 0.887], "-0x1.6623c33fa0bdcp-1"),
+    (1, [(-0.628, -0.521), (0.836, 0.706), (0.381, -0.305), (-0.567, 0.628), (0.552, -0.248),
+     (0.835, 0.42), (-0.855, 0.117)], "-0x1.67fd62948f6e0p+6"),
+    (0, [-0.064, -0.842, 0.384, -0.691, -0.288, -0.046, -0.159, 0.352], "-0x1.0b60b5d0428b6p-1"),
+    (1, [(-0.718, -0.496), (-0.753, -0.024), (-0.11, -0.451), (-0.813, -0.752), (0.511, 0.162),
+     (0.605, -0.775), (0.905, 0.378), (0.154, 0.655)], "-0x1.88f85f7d0aa0ep+9"),
+    (0, [-0.881, -0.038, 0.96, 0.067, 0.242, 0.034, 0.183, -0.203, -0.472],
+     "0x1.11da6a799347dp+8"),
+    (1, [(0.797, 0.297), (0.079, -0.789), (-0.853, -0.4), (-0.032, -0.02), (-0.973, 0.167),
+     (-0.292, -0.213), (-0.824, 0.555), (0.604, 0.494), (-0.774, -0.959)],
+     "0x1.41cdac2cf174bp+10"),
+    (0, [-0.071, -0.461, 0.922, -0.628, 0.061, -0.556, -0.152, -0.598, -0.551, 0.486],
+     "-0x1.53571b138e092p+7"),
+    (1, [(-0.503, 0.868), (0.387, -0.756), (-0.998, -0.269), (0.308, -0.339), (-0.247, 0.507),
+     (-0.501, -0.921), (-0.149, -0.296), (0.302, -0.793), (0.703, 0.968), (0.495, 0.03)],
+     "0x1.27b79e5743c8dp+16"),
+    (1, [(-0.303, 0.125), (0.359, 0.519), (0.953, -0.192), (-0.678, 0.471), (0.657, -0.687),
+     (0.817, 0.377), (-0.555, -0.642), (-0.725, -0.652), (0.229, 0.17), (0.985, -0.231),
+     (0.821, 0.36)], "0x1.7fa77e30e2465p+20"),
+    (1, [(0.14, -0.637), (0.671, -0.556), (0.384, 0.056), (-0.465, -0.222), (-0.472, 0.362),
+     (0.303, -0.684), (-0.839, 0.462), (0.649, 0.506), (0.622, 0.432), (0.964, 0.195),
+     (0.027, -0.14), (0.812, 0.468)], "0x1.71ef718c93fa4p+23"),
+]
+
+
+def test_mixed_words_keep_the_bits_of_the_numpy_tables():
+    systems = [system_xz(*spec) for spec in BITS_SYSTEMS]
+    assert sorted({len(mu) for _, mu, _ in WORD_BITS}) == list(range(2, 13))
+    assert sorted({len(u) for _, u, _ in NESTED_BITS}) == list(range(2, 13))
+    for s, mu, bits in WORD_BITS:
+        assert evaluate_word(systems[s], ObservableWord(1, mu), BITS_STATE).hex() == bits, mu
+    for s, u, bits in NESTED_BITS:
+        assert nested_lie_along_affine(systems[s], u, 1, BITS_STATE).hex() == bits, u
 
 
 # ---------------------------------------------------------------------------
