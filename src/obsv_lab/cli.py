@@ -17,6 +17,7 @@ import random
 import sys
 from collections.abc import Callable
 from itertools import product
+from operator import methodcaller
 
 from . import expr as ex
 from .model import (
@@ -119,27 +120,12 @@ def _parse_state(text: str, label: str) -> tuple[float, ...]:
         ) from None
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    np = sys.modules.get("numpy")  # no numpy value exists before numpy is imported
-    if np is not None and isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, float) or np is not None and isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, int) or np is not None and isinstance(obj, np.integer):
-        return int(obj)
-    return obj
-
-
 def _word_dict(word) -> dict:
     return {"output": word.j, "word": list(word.mu), "order": len(word.mu)}
 
 
 def _config_dict(cfg: argparse.Namespace) -> dict:
-    doc = _jsonable(vars(cfg))
+    doc = dict(vars(cfg))
     doc.pop("out")  # where the report lands does not affect its content
     # the fixed thresholds are part of the effective configuration
     doc.update(sep_tol=SEP_TOL_DEFAULT, rank_tol=RANK_TOL_DEFAULT,
@@ -190,7 +176,7 @@ def cmd_separate(cfg: argparse.Namespace) -> Result:
         "witness": _word_dict(cert.witness) if cert.witness is not None else None,
         "value0": cert.value0,
         "value1": cert.value1,
-        "bounds": _jsonable(cert.bounds),
+        "bounds": cert.bounds,
     }
     lines = [f"verdict: {cert.verdict}"]
     if cert.verdict == obsv.VERDICT_SEPARATED:
@@ -210,7 +196,7 @@ def cmd_rank(cfg: argparse.Namespace) -> Result:
         "rank": report.rank,
         "dim": report.dim,
         "locally_observable": report.locally_observable,
-        "singular_values": _jsonable(report.singular_values),
+        "singular_values": report.singular_values,
         "words": [_word_dict(w) for w in report.words],
     }
     lines = [f"rank {report.rank}/{report.dim}"]
@@ -233,7 +219,7 @@ def cmd_simulate(cfg: argparse.Namespace) -> Result:
     out = {
         "input": u.describe(),
         "samples": traj.samples,
-        "final_state": _jsonable(final),
+        "final_state": final,
         "max_abs_output": max(max(map(abs, y)) for y in traj.columns(len(traj.state_names))),
     }
     lines = [
@@ -280,7 +266,7 @@ def cmd_gramian(cfg: argparse.Namespace) -> Result:
                 "condition_number": rep.condition_number,
                 "classification": rep.classification(),
                 "weak_signal": rep.weak_signal,
-                "singular_values": _jsonable(rep.singular_values),
+                "singular_values": rep.singular_values,
             }
         )
         lines.append(
@@ -443,9 +429,13 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def _render(cfg: argparse.Namespace, result: Result) -> str:
+    """The report in ``cfg.format``.  A JSON report holds the engines'
+    values as they are: ``json`` writes tuples as lists and numpy's float64
+    as a float, and the ``default`` hook turns any other numpy value, an
+    array or a scalar, into Python numbers through its ``tolist``."""
     if cfg.format == "json":
         doc = {"command": cfg.command, "config": _config_dict(cfg), "report": result.report}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, default=methodcaller("tolist")) + "\n"
     if cfg.format == "csv":
         if result.csv is None:
             raise UsageError(f"csv format is not defined for {cfg.command}")

@@ -22,7 +22,8 @@ from .model import (
     T_END_DEFAULT,
     CascadeSystem,
     ControlAffineSystem,
-    as_control_affine,
+    shift_of,
+    state_of,
 )
 from .record import Record
 from .sim import InputSignal, integrate_many
@@ -75,11 +76,8 @@ def _gramian(sys, x0, u, eps, t_end, dt, secant=None) -> GramianReport:
     """
     if not 0.0 < eps < math.inf:
         raise ValueError(f"eps must be positive and finite, got {eps}")
-    ca = as_control_affine(sys)
-    x0 = tuple(float(v) for v in x0)
+    ca, x0 = state_of(sys, x0)
     dim = ca.dim
-    if len(x0) != dim:
-        raise ValueError(f"state has {len(x0)} entries, expected {dim}")
 
     def moved(i, step):
         x = list(x0)
@@ -174,11 +172,5 @@ def shift_comparison_gramian(
     collapses, exhibiting the unobservable direction as a whole-Gramian
     statement rather than a single trajectory pair.
     """
-    n = sys.n
-    shift = tuple(float(v) for v in shift)
-    if len(shift) != n:
-        raise ValueError(f"shift has {len(shift)} entries, expected {n}")
-    hot = [i for i, v in enumerate(shift) if v != 0.0]
-    if len(hot) != 1:
-        raise ValueError(f"shift must have exactly one nonzero coordinate: {shift}")
-    return _gramian(sys, x0, u, eps, t_end, dt, secant=(hot[0], shift[hot[0]]))
+    shift, i = shift_of(sys, shift)
+    return _gramian(sys, x0, u, eps, t_end, dt, secant=(i, shift[i]))

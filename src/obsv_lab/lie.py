@@ -30,7 +30,7 @@ from itertools import repeat
 from operator import add, itemgetter, mul, xor
 
 from . import expr as ex
-from .model import ControlAffineSystem, ObservableWord
+from .model import ControlAffineSystem, ObservableWord, state_of
 
 EPS_LETTERS_MAX = 12  # a word that changes field: 2^k coefficients, 3^k pairs per product
 
@@ -78,8 +78,7 @@ def nested_lie_along_affine(sys: ControlAffineSystem, u_seq, j: int, x0) -> floa
 
 def _word_value(sys: ControlAffineSystem, h, fields, x0) -> float:
     """h differentiated along ``fields[0]``, then ``fields[1]``, ..., at x0."""
-    if len(x0) != sys.dim:
-        raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
+    sys, x0 = state_of(sys, x0)
     if not fields:
         return ex.evaluate(h, dict(zip(sys.state_vars, x0)))
     k = len(fields)
@@ -88,7 +87,7 @@ def _word_value(sys: ControlAffineSystem, h, fields, x0) -> float:
     if k > EPS_LETTERS_MAX:
         raise WordLengthError(f"word length {k} exceeds {EPS_LETTERS_MAX}, the bound on "
                               f"a word that changes field")
-    xs = {name: [float(v)] for name, v in zip(sys.state_vars, x0)}
+    xs = {name: [v] for name, v in zip(sys.state_vars, x0)}
     for n, field in enumerate(reversed(fields)):
         moves = [_eps(c, xs, n) for c in field]
         xs = {name: xs[name] + d for name, d in zip(sys.state_vars, moves)}

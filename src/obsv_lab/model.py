@@ -9,6 +9,11 @@ A cascade system couples n position/velocity pairs:
 Positions never enter the dynamics and are read out only through the
 velocity gain gamma_i.  State order is fixed as (x_1..x_n, z_1..z_n)
 throughout the package.
+
+Engines check a state through ``state_of`` and a one-position shift
+through ``shift_of``, the one copy of each check and its message; the
+closed forms and the separation scan of ``obsv`` check cascade states
+themselves.
 """
 
 from __future__ import annotations
@@ -189,6 +194,28 @@ def as_control_affine(sys: CascadeSystem | ControlAffineSystem) -> ControlAffine
     return ca
 
 
+def state_of(sys: CascadeSystem | ControlAffineSystem, x) -> tuple[ControlAffineSystem, tuple]:
+    """(ca, x): the control-affine form of ``sys`` and ``x`` as a tuple of
+    floats, which must have one entry per state variable."""
+    ca = as_control_affine(sys)
+    x = tuple(float(v) for v in x)
+    if len(x) != ca.dim:
+        raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
+    return ca, x
+
+
+def shift_of(sys: CascadeSystem, shift) -> tuple[tuple[float, ...], int]:
+    """(shift, i): ``shift`` as a tuple of floats, one per block, and the
+    index of its one nonzero entry."""
+    shift = tuple(float(v) for v in shift)
+    if len(shift) != sys.n:
+        raise ValueError(f"shift has {len(shift)} entries, expected {sys.n}")
+    hot = [i for i, v in enumerate(shift) if v != 0.0]
+    if len(hot) != 1:
+        raise ValueError(f"shift must have exactly one nonzero coordinate: {shift}")
+    return shift, hot[0]
+
+
 def jacobians(flow: ex.Jet, d: int) -> tuple[np.ndarray, np.ndarray]:
     """A = Df(x0) and C = Dh(x0) from the order-0 gradients of a Jet of the
     outputs h along the drift f, seeded with the d unit vectors.  A
@@ -209,10 +236,7 @@ def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationR
     expression."""
     import numpy as np
 
-    sys = as_control_affine(sys)
-    x0 = tuple(float(v) for v in x0)
-    if len(x0) != sys.dim:
-        raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
+    sys, x0 = state_of(sys, x0)
     d = sys.dim
     with np.errstate(over="ignore", invalid="ignore"):
         flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(d))

@@ -28,8 +28,8 @@ from .model import (
     CascadeSystem,
     ControlAffineSystem,
     ObservableWord,
-    as_control_affine,
     jacobians,
+    state_of,
 )
 from .record import Record
 
@@ -700,10 +700,7 @@ def local_rank(
     """
     import numpy as np
 
-    sys = as_control_affine(sys)
-    x0 = tuple(float(v) for v in x0)
-    if len(x0) != sys.dim:
-        raise ValueError(f"state has {len(x0)} entries, expected {sys.dim}")
+    sys, x0 = state_of(sys, x0)
     if sys.p < 1:
         raise ValueError("local_rank needs at least one output, got none")
     if l_max is None:

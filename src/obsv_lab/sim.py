@@ -33,6 +33,8 @@ from .model import (
     CascadeSystem,
     ControlAffineSystem,
     as_control_affine,
+    shift_of,
+    state_of,
 )
 from .record import Frozen, Record
 
@@ -620,7 +622,7 @@ def integrate_many(
     t_end: float = T_END_DEFAULT,
     dt: float = DT_DEFAULT,
 ) -> list[Trajectory]:
-    """RK4 runs of every initial state in ``states`` under one input, in
+    """RK4 runs of every initial state in the sequence ``states`` under one input, in
     lockstep on one generated loop that computes each distinct right-hand
     side of a step once, so members whose starts agree on every variable a
     field reads share their stages (see ``rk4_source``).
@@ -639,11 +641,10 @@ def integrate_many(
     first failing run, the first member in order at the same sample (see
     ``_raise_failure``).
     """
-    xs = [tuple(float(v) for v in x) for x in states]
     ca = as_control_affine(sys)
     if ca.m != 1:
         raise ValueError(f"integrate handles single-input systems, got m={ca.m}")
-    if not xs:
+    if len(states) == 0:
         raise ValueError("an ensemble needs at least one state")
     for name, v in (("dt", dt), ("t_end", t_end)):
         if not math.isfinite(v):
@@ -654,9 +655,7 @@ def integrate_many(
         raise ValueError(f"t_end={t_end} is shorter than one step dt={dt}")
     if not math.isfinite(t_end / dt):
         raise ValueError(f"t_end/dt must be finite, got {t_end}/{dt}")
-    for x in xs:
-        if len(x) != ca.dim:
-            raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
+    xs = [state_of(ca, x)[1] for x in states]
 
     steps = int(round(t_end / dt))
     runs = -(-len(xs) // MEMBERS_MAX)
@@ -728,11 +727,7 @@ def indistinguishability_experiment(
     gain repeats with the shift as a period, the two output records coincide
     for every input, which is the mechanism that kills global observability.
     """
-    T = tuple(float(v) for v in T_shift)
-    if len(T) != sys.n:
-        raise ValueError(f"shift has {len(T)} entries, expected {sys.n}")
-    if sum(1 for v in T if v != 0.0) != 1:
-        raise ValueError(f"shift must have exactly one nonzero coordinate: {T}")
+    T, _ = shift_of(sys, T_shift)
     base = (0.0,) * (2 * sys.n)
     shifted = T + (0.0,) * sys.n
     ca = as_control_affine(sys)

@@ -968,6 +968,47 @@ def test_readme_observable_and_separate_reports_are_pinned(capsys):
             assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, fmt, out)
 
 
+# sha256 of stdout for the README's distinguish and verify examples, in JSON
+# and text: the JSON encoder must give the same bytes for the engines' values
+README_REPORT_SHA256_MORE = {
+    "distinguish": ("28d3d48bb976f6cc114ba092fdfd99d5da7a2a38f587581726b3284cd1cbff4c",
+                    "dc2346fd837bcaef442689933dac26d2294e1a0f6a6f25bf280e6f6fb9143a7c"),
+    "verify": ("e3b993f5c0271652d912af2035a5e9e43e5f184ffd21ba2fba67c3a86f1a30b6",
+               "cc26027f20fa6e210aeadb4331bab74d9c354923b001d0d0b736d0d164e8400c"),
+}
+
+
+def test_readme_distinguish_and_verify_reports_are_pinned(capsys):
+    commands = [argv for argv in readme_commands() if argv[0] in README_REPORT_SHA256_MORE]
+    assert [argv[0] for argv in commands] == list(README_REPORT_SHA256_MORE)
+    for argv in commands:
+        for fmt, digest in zip(("json", "text"), README_REPORT_SHA256_MORE[argv[0]]):
+            _, out, _ = run(capsys, *argv, "--format", fmt)
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, (argv, fmt, out)
+
+
+def test_json_singular_values_are_the_library_floats(capsys):
+    # LAPACK's digits may differ by platform, so these are compared with the
+    # library's own call rather than pinned
+    sys_ = obsv_lab.preset("fish-1d-gauss")
+    commands = [argv for argv in readme_commands() if argv[0] in ("rank", "gramian")]
+    assert [argv[0] for argv in commands] == ["rank", "rank", "gramian"]
+    for argv in commands:
+        _, doc = run_json(capsys, *argv)
+        state = tuple(map(float, argv[argv.index("--state") + 1].split(",")))
+        if argv[0] == "rank":
+            expected = obsv_lab.local_rank(sys_, state).singular_values
+            assert doc["report"]["singular_values"] == expected.tolist(), argv
+            continue
+        inputs = [obsv_lab.parse_input_spec(b) for a, b in zip(argv, argv[1:]) if a == "--input"]
+        ranked = obsv_lab.input_sweep(sys_, state, inputs)
+        assert len(doc["report"]["ranking"]) == len(ranked)
+        for entry, (idx, rep) in zip(doc["report"]["ranking"], ranked):
+            assert entry["input_index"] == idx
+            assert entry["singular_values"] == rep.singular_values.tolist()
+            assert (entry["sigma_min"], entry["sigma_max"]) == (rep.sigma_min, rep.sigma_max)
+
+
 # sha256 of the trajectory CSV the README's simulate example writes: the
 # block-wise formatting must give the bytes of per-value %.17g
 README_SIMULATE_CSV_SHA256 = "f9c397c0ae5ffe18869f02edd0c2d304e85c48d78a7cd43815d107ef52b9be19"

@@ -8,10 +8,12 @@ import pytest
 import sympy
 
 import obsv_lab.expr as ex
+from obsv_lab import gramian, lie, obsv, sim
 from obsv_lab.model import (
     CascadeSystem,
     ControlAffineSystem,
     InvalidSystemError,
+    ObservableWord,
     SystemFormatError,
     as_control_affine,
     linearize_at,
@@ -226,6 +228,50 @@ def test_linearize_wrong_dimension():
     ca = as_control_affine(gauss_preset())
     with pytest.raises(ValueError):
         linearize_at(ca, (0.0, 0.0, 0.0))
+
+
+def _entry_point_cases():
+    # a call on the gauss preset and a state or shift, and the message it
+    # raises: every engine checks a state through state_of and a shift
+    # through shift_of
+    u = sim.InputSignal.zero()
+    word = ObservableWord(1, (1, 0))
+    rest = (0.0, 0.0)
+    states = {
+        "evaluate_word": lambda s, x: lie.evaluate_word(as_control_affine(s), word, x),
+        "nested_lie_along_affine": lambda s, x: lie.nested_lie_along_affine(
+            as_control_affine(s), [1.0, 0.5], 1, x),
+        "linearize_at": linearize_at,
+        "local_rank": obsv.local_rank,
+        "empirical_gramian": lambda s, x: gramian.empirical_gramian(s, x, u),
+        "input_sweep": lambda s, x: gramian.input_sweep(s, x, [u]),
+        "shift_comparison_gramian": lambda s, x: gramian.shift_comparison_gramian(s, x, (1.0,), u),
+        "integrate": lambda s, x: sim.integrate(s, x, u),
+        "integrate_many": lambda s, x: sim.integrate_many(s, [rest, x], u),
+        "distinguishability_experiment": lambda s, x: sim.distinguishability_experiment(
+            s, rest, x, u),
+    }
+    for name, call in states.items():
+        for x in ((0.0,), (0.0, 1.0, 2.0)):
+            yield pytest.param(call, x, rf"^state has {len(x)} entries, expected 2$",
+                               id=f"{name}-{len(x)}")
+    shifts = {
+        "indistinguishability_experiment": lambda s, t: sim.indistinguishability_experiment(
+            s, t, [u]),
+        "shift_comparison_gramian": lambda s, t: gramian.shift_comparison_gramian(s, rest, t, u),
+    }
+    for name, call in shifts.items():
+        yield pytest.param(call, (1.0, 0.0), r"^shift has 2 entries, expected 1$",
+                           id=f"{name}-shift-length")
+        yield pytest.param(call, (0.0,),
+                           r"^shift must have exactly one nonzero coordinate: \(0\.0,\)$",
+                           id=f"{name}-shift-zero")
+
+
+@pytest.mark.parametrize("call, arg, message", _entry_point_cases())
+def test_each_engine_raises_the_one_state_and_shift_message(call, arg, message):
+    with pytest.raises(ValueError, match=message):
+        call(gauss_preset(), arg)
 
 
 # ---------------------------------------------------------------------------

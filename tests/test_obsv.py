@@ -1241,10 +1241,15 @@ def test_a_resting_row_that_overflows_names_its_order():
 
 
 def test_rest_rank_of_200_blocks_is_quick_and_small():
-    # in a fresh interpreter, so the peak resident size is this call's
+    # in a fresh interpreter, so the peak resident size is this call's; numpy
+    # is imported before the clock starts, since local_rank's first call
+    # would import it inside the timed region, and BLAS runs on one thread,
+    # as in the benchmark: waking a multithreaded BLAS pool for the first
+    # SVD took about 0.9 s on an idle 2-core VM, and 0.1 s on one thread
     n = 200
     probe = "\n".join([
         "import random, resource, time",
+        "import numpy",
         "import obsv_lab.expr as ex",
         "from obsv_lab.model import CascadeSystem",
         "from obsv_lab.obsv import local_rank",
@@ -1261,7 +1266,8 @@ def test_rest_rank_of_200_blocks_is_quick_and_small():
     ])
     src = str(pathlib.Path(ex.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "MKL_NUM_THREADS": "1"}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True,
                           check=True, timeout=120)
     rank, dim, elapsed, peak_kb = done.stdout.split()
