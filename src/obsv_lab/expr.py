@@ -594,9 +594,9 @@ def diff(e: Expr, var: str) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Taylor-mode derivatives.  A tape holds one node per subexpression, children
-# before parents; step(k) appends the order-k Taylor coefficient of every
-# node, so a jet grows one order at a time in O(K^2) flops overall (Griewank
+# Taylor-mode derivatives.  A Jet holds one node per subexpression, children
+# before parents, and appends the order-k Taylor coefficient of every node
+# at each order k, so it grows one order at a time in O(K^2) flops (Griewank
 # & Walther, "Evaluating Derivatives", 2nd ed., ch. 13).  Order-0
 # coefficients come from _checked, as in evaluate(); an integer power is a
 # chain of product nodes (see _power).
@@ -631,16 +631,18 @@ def _wconv(a: list, nz: list, w: list, k: int) -> float:
 class _Node:
     __slots__ = ("rule", "e", "c", "a", "b", "w", "t", "nz", "wz")
 
-    def __init__(self, rule: tuple, e: Expr, c0: float, a=None, b=None):
+    def __init__(self, rule: tuple, e: Expr, c0: float, a=None, b=None, w0=None):
         self.rule = rule  # (value rule, tangent rule)
         self.e = e
         self.c = [c0]   # Taylor coefficients
         self.a = a      # operand nodes
         self.b = b
+        self.nz = [0] if c0 != 0.0 else []  # the orders where c is nonzero, ascending
         self.w = None   # companion series: the derivative of f in f(a)
-        self.t = None   # tangent coefficients, with seeds
-        self.nz = None  # the orders where c is nonzero, ascending
         self.wz = None  # the orders where w is nonzero, ascending
+        if w0 is not None:
+            self.w, self.wz = [w0], [0] if w0 != 0.0 else []
+        self.t = None   # tangent coefficients, with seeds
 
 
 # Value rules: coefficient k >= 1 of a node from the first k+1 coefficients
@@ -825,117 +827,6 @@ CATALOG = {
 }
 
 
-# ---------------------------------------------------------------------------
-# The tape
-
-
-class _Tape:
-    """Taylor series of several expressions in the variables of ``env``.
-
-    ``env`` gives each variable's order-0 value; its higher coefficients
-    (and, with ``seeds``, its tangents) are appended by the caller before
-    each step.  ``seeds`` maps each variable to its order-0 tangent.  Every
-    node also keeps the orders where its series c and w are nonzero (nz and
-    wz), which the convolutions of the rules run over.
-    """
-
-    def __init__(self, exprs, env: dict, seeds: dict | None = None):
-        self.env = env
-        self.inputs: dict[str, _Node] = {}
-        self.nodes: list[_Node] = []
-        self.roots = [self._build(e) for e in exprs]
-        for node in (*self.inputs.values(), *self.nodes):
-            node.nz = [0] if node.c[0] != 0.0 else []
-            if node.w is not None:
-                node.wz = [0] if node.w[0] != 0.0 else []
-        self.tangents = seeds is not None
-        if self.tangents:
-            for name, node in self.inputs.items():
-                node.t = [seeds[name]]
-            for node in self.nodes:
-                node.t = [node.rule[1](node, 0)]
-
-    def step(self, k: int) -> None:
-        """Append coefficient k of every node; the inputs must already hold theirs."""
-        for node in self.inputs.values():
-            if node.c[k] != 0.0:
-                node.nz.append(k)
-        for node in self.nodes:
-            try:
-                v = node.rule[0](node, k)
-            except OverflowError:
-                raise DomainError(f"overflow in Taylor coefficient {k}", node.e) from None
-            node.c.append(v)
-            if v != 0.0:
-                node.nz.append(k)
-            if node.w is not None and node.w[k] != 0.0:
-                node.wz.append(k)
-        if self.tangents:
-            for node in self.nodes:
-                node.t.append(node.rule[1](node, k))
-
-    def _build(self, e: Expr) -> _Node:
-        if isinstance(e, Var):
-            node = self.inputs.get(e.name)
-            if node is None:
-                try:
-                    x = float(self.env[e.name])
-                except KeyError:
-                    raise DomainError(f"unbound variable '{e.name}'", e) from None
-                node = self.inputs[e.name] = _Node(_RULES[Var], e, x)
-            return node
-        if isinstance(e, Const):
-            node = _Node(_RULES[Const], e, e.value)
-        elif isinstance(e, (Add, Sub, Mul, Div)):
-            a, b = self._build(e.left), self._build(e.right)
-            node = _Node(_RULES[type(e)], e, _checked(e, a.c[0], b.c[0]), a, b)
-        elif isinstance(e, Pow):
-            a = self._build(e.base)
-            return self._power(a, e, _checked(e, a.c[0]))
-        elif isinstance(e, Neg):
-            a = self._build(e.arg)
-            node = _Node(_RULES[Neg], e, _checked(e, a.c[0]), a)
-        else:
-            a = self._build(e.arg)
-            v, f = _checked(e, a.c[0]), CATALOG[e.name]
-            node = _Node((f.series, f.tangent), e, v, a)
-            if f.companion is not None:
-                node.w = [f.companion(a.c[0], v)]
-        self.nodes.append(node)
-        return node
-
-    def _power(self, a: _Node, e: Pow, v: float) -> _Node:
-        """Nodes for a^n, n = e.exponent, the last one with order-0 value v.
-
-        a^|n| is a chain of products by repeated squaring, free of
-        divisions, so it stays accurate where a_0 is tiny or zero; for n < 0
-        the power is 1 over that chain.
-        """
-        n, nodes = e.exponent, self.nodes
-        if n == 0:
-            nodes.append(_Node(_RULES[Const], e, v))
-            return nodes[-1]
-        square, acc, m = a, None, abs(n)
-        while m:
-            if m & 1:
-                if acc is None:
-                    acc = square
-                else:
-                    acc = _Node(_RULES[Mul], e, acc.c[0] * square.c[0], acc, square)
-                    nodes.append(acc)
-            m >>= 1
-            if m:
-                square = _Node(_RULES[Mul], e, square.c[0] * square.c[0], square, square)
-                nodes.append(square)
-        if n < 0:
-            one = _Node(_RULES[Const], _ONE, 1.0)
-            acc = _Node(_RULES[Div], e, v, one, acc)
-            nodes += (one, acc)
-        elif acc is not a:
-            acc.c[0] = v
-        return acc
-
-
 def _times_factorial(c, k: int):
     # k! * c as c * 1 * 2 * ... * k in floats: k! itself would overflow a float for k >= 171
     for j in range(2, k + 1):
@@ -954,6 +845,11 @@ class Jet:
     vectors) every series also carries its gradient in those directions
     (Roebenack, J. Comput. Appl. Math. 213, 2008).  The series grow on
     demand, to whatever order is asked for: the caller's loop is the bound.
+
+    The field and the outputs run as one tape: a node per subexpression
+    (a variable is one input node however often it occurs), children
+    first, each made whole, with its order-0 value, tangent and nonzero
+    orders (nz, wz, which the convolutions of the rules run over).
     """
 
     def __init__(self, outputs, var_names, x0, field=None, seeds=None):
@@ -962,30 +858,108 @@ class Jet:
         field = (_ONE,) * n if field is None else tuple(field)
         if not len(field) == n == len(x0) == (n if seeds is None else len(seeds)):
             raise ValueError("field, variables, x0 and seeds must have one entry per state")
-        self._tape = _Tape(field + self.outputs, dict(zip(var_names, x0)),
-                           None if seeds is None else dict(zip(var_names, seeds)))
-        roots = self._tape.roots
-        self._roots = roots[n:]
+        self._env = dict(zip(var_names, x0))
+        self._seeds = None if seeds is None else dict(zip(var_names, seeds))
+        self._inputs: dict[str, _Node] = {}
+        self._nodes: list[_Node] = []
+        self._field = [self._build(e) for e in field]
+        self._roots = [self._build(e) for e in self.outputs]
         # (state node, field node) for the variables the expressions use
-        inputs = self._tape.inputs
-        self._flow = [(inputs[name], f) for name, f in zip(var_names, roots) if name in inputs]
+        self._flow = [(self._inputs[name], f) for name, f in zip(var_names, self._field)
+                      if name in self._inputs]
         self._order = 0
+
+    def _node(self, rule: tuple, e: Expr, c0: float, a=None, b=None, w0=None) -> _Node:
+        node = _Node(rule, e, c0, a, b, w0)
+        if self._seeds is not None:
+            node.t = [rule[1](node, 0)]
+        self._nodes.append(node)
+        return node
+
+    def _build(self, e: Expr) -> _Node:
+        if isinstance(e, Var):
+            node = self._inputs.get(e.name)
+            if node is None:
+                try:
+                    x = float(self._env[e.name])
+                except KeyError:
+                    raise DomainError(f"unbound variable '{e.name}'", e) from None
+                node = self._inputs[e.name] = _Node(_RULES[Var], e, x)
+                if self._seeds is not None:
+                    node.t = [self._seeds[e.name]]
+            return node
+        if isinstance(e, Const):
+            return self._node(_RULES[Const], e, e.value)
+        if isinstance(e, (Add, Sub, Mul, Div)):
+            a, b = self._build(e.left), self._build(e.right)
+            return self._node(_RULES[type(e)], e, _checked(e, a.c[0], b.c[0]), a, b)
+        a = self._build(e.base if isinstance(e, Pow) else e.arg)
+        v = _checked(e, a.c[0])
+        if isinstance(e, Pow):
+            return self._power(a, e, v)
+        if isinstance(e, Neg):
+            return self._node(_RULES[Neg], e, v, a)
+        f = CATALOG[e.name]
+        w0 = None if f.companion is None else f.companion(a.c[0], v)
+        return self._node((f.series, f.tangent), e, v, a, w0=w0)
+
+    def _power(self, a: _Node, e: Pow, v: float) -> _Node:
+        """Nodes for a^n, n = e.exponent, the last one with order-0 value v.
+
+        a^|n| is a chain of products by repeated squaring, free of
+        divisions, so it stays accurate where a_0 is tiny or zero; for n < 0
+        the power is 1 over that chain.  For n > 1 the chain's last product
+        takes v, which can differ from the product by an ulp.
+        """
+        n = e.exponent
+        if n == 0:
+            return self._node(_RULES[Const], e, v)
+        square, acc, m = a, None, abs(n)
+        while m:
+            if m & 1:
+                if acc is None:
+                    acc = square
+                else:
+                    c0 = v if m == 1 and n > 0 else acc.c[0] * square.c[0]
+                    acc = self._node(_RULES[Mul], e, c0, acc, square)
+            m >>= 1
+            if m:  # the square is the last node when it becomes acc as is
+                c0 = v if m == 1 and acc is None and n > 0 else square.c[0] * square.c[0]
+                square = self._node(_RULES[Mul], e, c0, square, square)
+        if n < 0:
+            return self._node(_RULES[Div], e, v, self._node(_RULES[Const], _ONE, 1.0), acc)
+        return acc
 
     def _extend(self, k: int) -> None:
         if k < 0:
             raise DerivativeOrderError(f"negative derivative order {k}")
-        tangents = self._tape.tangents
+        tangents = self._seeds is not None
         while self._order < k:
             r = self._order
+            k1 = r + 1
             for x, f in self._flow:
-                x.c.append(f.c[r] / (r + 1))
+                x.c.append(f.c[r] / k1)
                 if tangents:
-                    x.t.append(f.t[r] / (r + 1))
-            self._order = r + 1
-            self._tape.step(r + 1)
+                    x.t.append(f.t[r] / k1)
+                if x.c[k1] != 0.0:
+                    x.nz.append(k1)
+            self._order = k1
+            for node in self._nodes:
+                try:
+                    v = node.rule[0](node, k1)
+                except OverflowError:
+                    raise DomainError(f"overflow in Taylor coefficient {k1}", node.e) from None
+                node.c.append(v)
+                if v != 0.0:
+                    node.nz.append(k1)
+                if node.w is not None and node.w[k1] != 0.0:
+                    node.wz.append(k1)
+            if tangents:
+                for node in self._nodes:
+                    node.t.append(node.rule[1](node, k1))
             for e, h in zip(self.outputs, self._roots):
-                if not math.isfinite(h.c[r + 1]):
-                    raise DomainError(f"non-finite Taylor coefficient {r + 1}", e)
+                if not math.isfinite(h.c[k1]):
+                    raise DomainError(f"non-finite Taylor coefficient {k1}", e)
 
     def coefficient(self, j: int, k: int) -> float:
         """Taylor coefficient k of output j (0-based): its k-th derivative over k!."""
@@ -1005,11 +979,23 @@ class Jet:
         """Gradient of L_f^k h_j at x0 in the seed directions, output index j 0-based."""
         return _times_factorial(self.tangent(j, k), k)
 
-    def field_at_x0(self, i: int):
-        """Value and gradient of field component i at x0: f_i(x0), and its
-        gradient in the seed directions, a vector or the scalar 0.0."""
-        f = self._tape.roots[i]
-        return f.c[0], f.t[0]
+    def at_rest(self) -> bool:
+        """Whether x0 is an equilibrium: every field component is exactly 0 there."""
+        return all(f.c[0] == 0.0 for f in self._field)
+
+    def jacobians(self):
+        """(A, C): the order-0 gradients of the field and of the outputs in
+        the seed directions, one row each; with unit seeds, A = Df(x0) and
+        C = Dh(x0).  A constant component's gradient is the scalar 0,
+        broadcast over its row."""
+        import numpy as np
+
+        d = len(self._field)
+        rows = [node.t[0] for node in (*self._field, *self._roots)]
+        J = np.empty((len(rows), d))
+        for i, t in enumerate(rows):
+            J[i] = t
+        return J[:d], J[d:]
 
 
 def jet(e: Expr, var: str, x0: float, K: int) -> list[float]:

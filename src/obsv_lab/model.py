@@ -216,20 +216,6 @@ def shift_of(sys: CascadeSystem, shift) -> tuple[tuple[float, ...], int]:
     return shift, hot[0]
 
 
-def jacobians(flow: ex.Jet, d: int) -> tuple[np.ndarray, np.ndarray]:
-    """A = Df(x0) and C = Dh(x0) from the order-0 gradients of a Jet of the
-    outputs h along the drift f, seeded with the d unit vectors.  A
-    constant component's gradient is the scalar 0, broadcast over its row."""
-    import numpy as np
-
-    rows = [flow.field_at_x0(i)[1] for i in range(d)]
-    rows += [flow.tangent(j, 0) for j in range(len(flow.outputs))]
-    J = np.empty((len(rows), d))
-    for i, t in enumerate(rows):
-        J[i] = t
-    return J[:d], J[d:]
-
-
 def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationResult:
     """Jacobian linearization around x0 with zero input.  A gradient row
     that is not finite raises DomainError naming its drift or output
@@ -239,8 +225,7 @@ def linearize_at(sys: ControlAffineSystem | CascadeSystem, x0) -> LinearizationR
     sys, x0 = state_of(sys, x0)
     d = sys.dim
     with np.errstate(over="ignore", invalid="ignore"):
-        flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(d))
-        A, C = jacobians(flow, d)
+        A, C = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(d)).jacobians()
     for rows, exprs in ((A, sys.drift), (C, sys.outputs)):
         finite = np.isfinite(rows).all(axis=1)
         if not finite.all():

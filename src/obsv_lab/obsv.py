@@ -28,7 +28,6 @@ from .model import (
     CascadeSystem,
     ControlAffineSystem,
     ObservableWord,
-    jacobians,
     state_of,
 )
 from .record import Record
@@ -71,12 +70,13 @@ class SeparationCertificate(Record):
 
 
 class RankReport(Record):
-    __slots__ = ("words", "gradients", "singular_values", "rank", "dim")
+    __slots__ = ("words", "gradients", "singular_values", "rank", "dim", "bounded_at")
     words: list[ObservableWord]
     gradients: np.ndarray
     singular_values: np.ndarray
     rank: int
     dim: int
+    bounded_at: int | None  # the l_max that stopped a deficient search; None when exact
 
     @property
     def locally_observable(self) -> bool:
@@ -684,8 +684,9 @@ def local_rank(
     ``RANK_TOL_DEFAULT``.  The rank is then exact, not a bounded search: the
     reduction stops at full rank or at the first order that adds no
     direction, since the span is then A-invariant, unless ``l_max`` (state
-    dimension by default) stops it first; the rows, C then each previous
-    block times A, and their singular values cover the orders it reached.
+    dimension by default, which always lets it finish) stops it first; the
+    rows, C then each previous block times A, and their singular values
+    cover the orders it reached.
 
     Elsewhere the rows come from the Taylor series of the outputs along the
     drift flow with one tangent direction per state, with an early stop once
@@ -697,6 +698,9 @@ def local_rank(
     the tangents per nonzero value coefficient, O(k) per node.  An SVD runs
     only at an order where full rank is possible (at least ``dim`` rows, no
     all-zero column) and at the last order.
+
+    A deficient rank from such a search, or from a reduction that ``l_max``
+    stopped, carries that order in ``bounded_at``; an exact one carries None.
     """
     import numpy as np
 
@@ -718,11 +722,9 @@ def local_rank(
 
     with np.errstate(over="ignore", invalid="ignore"):
         flow = ex.Jet(sys.outputs, sys.state_vars, x0, field=sys.drift, seeds=np.eye(dim))
-        A = None
-        if all(flow.field_at_x0(i)[0] == 0.0 for i in range(dim)):
-            A, C = jacobians(flow, dim)
+        A, C = flow.jacobians() if flow.at_rest() else (None, None)
         blocks: list[np.ndarray] = []  # one p x dim block of rows per order
-        sigma = None
+        sigma, bounded = None, False
         # the reduction needs a finite A; where it has none, the tape
         # decides, as at a moving state
         if A is not None and np.isfinite(A).all():
@@ -749,6 +751,8 @@ def local_rank(
                 basis = np.vstack((basis, new))
                 if not len(new) or len(basis) == dim:
                     break
+            else:  # l_max stopped the reduction while it still added directions
+                bounded = True
             rank = len(basis)
         else:
             seen = np.zeros(dim, dtype=bool)  # columns nonzero in some row so far
@@ -764,9 +768,10 @@ def local_rank(
                     rank = int(np.sum(sigma > RANK_TOL_DEFAULT * sigma[0])) if sigma[0] > 0.0 else 0
                     if last or rank == dim:
                         break
+            bounded = rank < dim
         stack = np.vstack(blocks)
         if sigma is None:  # at rest the reduction gave the rank
             sigma = np.linalg.svd(stack, compute_uv=False)
     words = [ObservableWord(j=j, mu=(0,) * k) for k in range(len(blocks)) for j in range(1, p + 1)]
-    return RankReport(words, stack, sigma, rank, dim)
+    return RankReport(words, stack, sigma, rank, dim, l_max if bounded else None)
 

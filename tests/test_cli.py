@@ -14,7 +14,7 @@ import sys
 import pytest
 
 import obsv_lab
-from obsv_lab.cli import main
+from obsv_lab.cli import BLAS_THREAD_VARS, main
 from obsv_lab.sim import DIST_TOL_DEFAULT, DIVERGED_TOL
 
 GOOD_FILE = """\
@@ -239,6 +239,21 @@ def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, code, numpy_lo
     proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv.split()], env=src_env(),
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert json.loads(proc.stderr.splitlines()[-1]) == [code, numpy_loaded, ran], proc.stderr
+
+
+def test_the_script_runs_blas_on_one_thread_unless_told_otherwise(tmp_path):
+    # numpy loads inside the command, after the script has set the counts
+    probe = LOAD_PROBE + f"print(json.dumps([os.environ.get(v) for v in {BLAS_THREAD_VARS!r}]))"
+    probe = probe.replace("import json,", "import json, os,")
+    argv = ["rank", "--system", "preset:fish-1d-gauss", "--state", "0,1"]
+    env = {k: v for k, v in src_env().items() if k not in BLAS_THREAD_VARS}
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["1", "1", "1"], proc.stderr
+    assert json.loads(proc.stderr.splitlines()[-1]) == [0, True, [OBSV]]
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env={**env, "OMP_NUM_THREADS": "2"},
+                          cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert json.loads(proc.stdout.splitlines()[-1]) == ["1", "2", "1"], proc.stderr
 
 
 def test_the_word_module_imports_no_numpy():
@@ -601,6 +616,31 @@ def test_rank_full_and_deficient(capsys):
     code, doc = run_json(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0,0")
     assert code == 1
     assert doc["report"]["rank"] < 2
+    assert "bounded_at_order" not in doc["report"]
+
+
+def test_a_bounded_deficient_rank_is_undetermined(tmp_path, capsys):
+    # with a drift bias, the gradients of L_f^k h at (0, 0) are (0, 1),
+    # (0, -1), (0, 1) and (-6, -1) for k = 0..3 (sympy): only order 3 sees
+    # the position, so the default l_max = 2 stops short of full rank
+    path = tmp_path / "bias.txt"
+    path.write_text(GOOD_FILE.replace("F[1] = -z1", "F[1] = -z1 + 1"))
+    argv = ("rank", "--system", str(path), "--state", "0,0")
+    code, doc = run_json(capsys, *argv)
+    assert (code, doc["report"]["rank"], doc["report"]["bounded_at_order"]) == (3, 1, 2)
+    assert run(capsys, *argv, "--format", "text") == (
+        3, "rank 1/2\nsearch bounded at order 2: a larger --lmax may find more\n", "")
+    assert run(capsys, *argv, "--lmax", "3", "--format", "text") == (0, "rank 2/2\n", "")
+    # fish-1d-hyperbolic moving is rank 1 (y depends on (x + 2 + z)/z only),
+    # but no order of the tape can prove it
+    code, doc = run_json(capsys, "rank", "--system", "preset:fish-1d-hyperbolic", "--state", "0,1")
+    assert (code, doc["report"]["rank"], doc["report"]["bounded_at_order"]) == (3, 1, 2)
+    # at rest the reduction proves a deficiency, unless l_max cuts it short
+    # while it still adds directions
+    rest = ("rank", "--system", "preset:fish-1d-gauss", "--state", "0,0")
+    assert run(capsys, *rest, "--lmax", "1", "--format", "text") == (1, "rank 1/2\n", "")
+    code, doc = run_json(capsys, *rest, "--lmax", "0")
+    assert (code, doc["report"]["rank"], doc["report"]["bounded_at_order"]) == (3, 1, 0)
 
 
 def test_rank_of_a_50_block_cascade_has_no_row_cap(tmp_path, capsys):
@@ -711,9 +751,10 @@ def test_an_overflowing_gramian_is_a_numeric_failure(capsys):
 
 
 def test_zero_orders_are_valid(capsys):
+    # order 0 alone cannot see the position: a bounded search, not a proof
     code, out, _ = run(capsys, "rank", "--system", "preset:fish-1d-gauss", "--state", "0,1",
                        "--lmax", "0", "--format", "text")
-    assert (code, out) == (1, "rank 1/2\n")
+    assert (code, out) == (3, "rank 1/2\nsearch bounded at order 0: a larger --lmax may find more\n")
     code, doc = run_json(capsys, "separate", "--system", "preset:fish-1d-gauss",
                          "--state", "0,1", "--state2", "0,2", "--kmax", "0")
     assert (code, doc["report"]["verdict"]) == (0, "separated")

@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from obsv_lab.expr import (
     parse,
     substitute,
 )
+from obsv_lab.model import CascadeSystem, as_control_affine, preset, preset_names
 
 
 def central_diff(f, x, h=1e-5):
@@ -553,3 +556,73 @@ def test_order_zero_jet_is_evaluate_bit_for_bit(seed, x0):
     got = jet(tree, "x", x0, 0)[0]
     assert got == want
     assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+
+def _binomial(n: int, k: int) -> Fraction:
+    # n (n - 1) ... (n - k + 1) / k!, exact for a negative n too
+    c = Fraction(1)
+    for i in range(k):
+        c = c * (n - i) / (i + 1)
+    return c
+
+
+# relative error allowed in orders 1..|n|+2 of x^n; the largest seen is
+# 1.5e-13, at n = -9, where the quotient rule's sums alternate in sign
+POWER_SERIES_REL = 1e-12
+
+
+@pytest.mark.parametrize("n", [*range(-9, 0), *range(1, 10)])
+def test_power_chain_matches_the_binomial_series(n):
+    # x^n runs as a chain of products by repeated squaring; at x0 = 1.1 that
+    # chain's own product differs from 1.1**8 and 1.1**9 in the last bit
+    s4 = (1.1 * 1.1) * (1.1 * 1.1)
+    assert s4 * s4 != 1.1 ** 8
+    e = parse(f"x^{n}", {"x"})
+    for x0 in (0.0, 0.37, 1.1, -1.3, 2.21):
+        if x0 == 0.0 and n < 0:
+            with pytest.raises(DomainError, match="zero raised to a negative power"):
+                jet(e, "x", x0, 0)
+            continue
+        c = jet(e, "x", x0, abs(n) + 2)
+        assert c[0].hex() == (x0 ** n).hex(), (n, x0)
+        for k in range(1, abs(n) + 3):
+            # coefficient k of (x0 + h)^n in h
+            want = 0.0 if 0 <= n < k else float(_binomial(n, k) * Fraction(x0) ** (n - k))
+            assert abs(c[k] - want) <= POWER_SERIES_REL * abs(want), (n, x0, k)
+
+
+# sha256 of float.hex over the coefficients and tangents, orders 0-8, of the
+# outputs along the drift with unit seeds, recorded before the tape and the
+# jet became one class; any change to the engine's operations or their
+# order moves it
+JET_DIGEST = "43c4d7f954120ae11232b06938af9501a60e5c26fe7997863dc19ec3643fc93b"
+
+
+def _cascade(gains, fields):
+    zs = {"z1", "z2", "z3"}
+    return CascadeSystem(n=3, gamma=tuple(parse(g, {"x"}) for g in gains),
+                         F=tuple(parse(f, zs) for f in fields), b=(0.7, -1.2, 0.4))
+
+
+def test_jet_coefficients_and_tangents_keep_their_bits():
+    systems = [(preset(name), [(0.0, 0.0), (0.3, 0.7), (-0.4, -1.2)]) for name in preset_names()]
+    states = [(0.3, -0.5, 0.7, 0.0, 0.0, 0.0), (0.3, -0.5, 0.7, 0.9, -1.1, 0.4)]
+    systems += [
+        (_cascade(("sin(1.3*x)", "exp(-0.7*x^2)", "1/(x + 2.5)"),
+                  ("-0.8*z1 + 0.4*sin(z2)", "-1.2*z2 + 0.1*z3^2", "-0.6*z3 + 0.2*tanh(z1)")), states),
+        (_cascade(("ln(2 + x^2)*tanh(0.9*x)", "sqrt(1 + x^2)/(x + 3)^2",
+                   "tan(0.4*x) + cos(1.7*x)^3"),
+                  ("-z1 + 0.1*z2^2", "-1.5*z2 + 0.3*cos(z3)*z1", "-0.5*z3 - exp(-z1^2)")),
+         states),
+    ]
+    lines = []
+    for sys_, points in systems:
+        ca = as_control_affine(sys_)
+        for x0 in points:
+            flow = ex.Jet(ca.outputs, ca.state_vars, x0, field=ca.drift, seeds=np.eye(ca.dim))
+            for k in range(9):
+                for j in range(ca.p):
+                    t = np.broadcast_to(flow.tangent(j, k), (ca.dim,))
+                    lines.append(" ".join(float(v).hex() for v in (flow.coefficient(j, k), *t)))
+    assert len(lines) == 9 * (3 * 4 + 2 * 2 * 3)
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == JET_DIGEST

@@ -993,12 +993,17 @@ def test_local_rank_gauss_moving_state():
     assert report.dim == 2
     assert report.rank == 2
     assert report.locally_observable
+    assert report.bounded_at is None
+    # order 0 alone is deficient, and says where the search stopped
+    report = local_rank(preset("fish-1d-gauss"), (0.0, 1.0), 0)
+    assert (report.rank, report.bounded_at) == (1, 0)
 
 
 def test_local_rank_gauss_at_rest_is_deficient():
     report = local_rank(preset("fish-1d-gauss"), (0.0, 0.0))
     assert report.rank < 2
     assert not report.locally_observable
+    assert report.bounded_at is None  # the reduction at rest is a proof
 
 
 def test_local_rank_words_are_drift_powers():
@@ -1029,6 +1034,8 @@ def test_local_rank_hyperbolic_deficient_everywhere():
         report = local_rank(sys, x0)
         assert report.rank <= 1, x0
         assert abs(_rank_condition(sys.gamma[0], *x0)) < 1e-10
+        # the deficiency is true, but the tape shows only orders 0..l_max
+        assert report.bounded_at == 2, x0
 
 
 def test_local_rank_agrees_with_analytic_condition():
