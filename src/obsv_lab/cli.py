@@ -415,6 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# the commands whose Result has a CSV form
+_CSV_COMMANDS = ("simulate", "gramian")
+
 _HANDLERS = {
     "validate": cmd_validate,
     "observable": cmd_observable,
@@ -444,8 +447,6 @@ def _render(cfg: argparse.Namespace, result: Result) -> str:
         doc = {"command": cfg.command, "config": _config_dict(cfg), "report": result.report}
         return json.dumps(doc, indent=2, sort_keys=True, default=methodcaller("tolist")) + "\n"
     if cfg.format == "csv":
-        if result.csv is None:
-            raise UsageError(f"csv format is not defined for {cfg.command}")
         return result.csv()
     return "\n".join(result.lines) + "\n"
 
@@ -472,6 +473,8 @@ def main(argv=None) -> int:
                 raise UsageError(f"{flag} must be {what}, got {value!r}")
         cfg.state = _parse_state(cfg.state, "--state") if cfg.state else None
         cfg.state2 = _parse_state(cfg.state2, "--state2") if cfg.state2 else None
+        if cfg.format == "csv" and cfg.command not in _CSV_COMMANDS:
+            raise UsageError(f"csv format is not defined for {cfg.command}")
         result = _HANDLERS[cfg.command](cfg)
         _emit(_render(cfg, result), cfg.out)
     except (ValueError, OSError) as err:

@@ -96,8 +96,8 @@ class CascadeSystem(_AffineSlot):
 
 class _LoopSlot(Frozen):
     # a slot beside the fields of ControlAffineSystem: sim keeps the RK4
-    # loops it generates for the system there, a dict keyed by (loop
-    # variant, sharing pattern), out of sight of equality, hash, repr and
+    # loops it generates for the system there, a dict keyed by (input
+    # kind, sharing pattern), out of sight of equality, hash, repr and
     # pickle
     __slots__ = ("_loops",)
 
@@ -323,13 +323,13 @@ def load_system(text: str) -> CascadeSystem:
     line_no, b_text = take("b")
     if not (b_text.startswith("[") and b_text.endswith("]")):
         raise SystemFormatError(line_no, "b must look like [v1, v2, ...]")
-    parts = [p.strip() for p in b_text[1:-1].split(",") if p.strip()]
-    if len(parts) != n:
-        raise SystemFormatError(line_no, f"b has {len(parts)} entries, expected {n}")
-    try:
-        b = tuple(float(p) for p in parts)
+    inner = b_text[1:-1]
+    try:  # float rejects an empty entry, as in [1,,2] or [1,]
+        b = tuple(float(p) for p in inner.split(",")) if inner.strip() else ()
     except ValueError:
         raise SystemFormatError(line_no, f"b entries must be numbers: {b_text}") from None
+    if len(b) != n:
+        raise SystemFormatError(line_no, f"b has {len(b)} entries, expected {n}")
 
     if entries:
         stray_key = next(iter(entries))

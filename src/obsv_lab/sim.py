@@ -4,13 +4,13 @@ Everything here runs on a fixed RK4 grid on purpose: the experiments below
 compare outputs of two trajectories sample by sample, and adaptive steppers
 would put the two runs on different time grids.
 
-The module imports no numpy, and neither does a run that succeeds: a run
-stores its samples in one ``array("d")`` row buffer, a ``Trajectory`` reads
-its member's columns from it, and the experiments compare those columns in
-pure Python, so the ``simulate`` and ``distinguish`` commands load no numpy.
-numpy is imported where an array is asked for, by a trajectory's
-``states``, ``outputs`` and ``times`` (views built at each access), and
-where a failing run is located (``_raise_failure``).
+The module imports no numpy, and neither does a run, whether it succeeds
+or fails: a run stores its samples in one ``array("d")`` row buffer, a
+``Trajectory`` reads its member's columns from it, the experiments compare
+those columns, and a failure is located in the buffer, all in pure Python,
+so the ``simulate`` and ``distinguish`` commands load no numpy.  numpy is
+imported only where an array is asked for, by a trajectory's ``states``,
+``outputs`` and ``times`` (views built at each access).
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 from array import array
 from collections import Counter
+import functools
 from itertools import compress, count
 import math
 from operator import sub
@@ -61,7 +62,7 @@ class InputError(ArithmeticError):
 
     def __init__(self, u: "InputSignal", t: float):
         self.t = t
-        arg = {"sinusoid": "w*t + phi", "table": "(t - t0)/dt"}[u.kind]  # the kinds that can fail
+        arg = _INPUTS[u.kind][2]
         super().__init__(f"input {u.describe()} has no value at t={t:.6g}: {arg} is not finite")
 
 
@@ -128,22 +129,19 @@ class InputSignal(Frozen):
             raise ValueError("table needs at least one sample")
         return InputSignal("table", (vals, dt, t0))
 
-    def __call__(self, t: float) -> float:
+    def _source(self) -> tuple[str, tuple]:
+        """(kind, params): the ``_INPUTS`` entry that computes the signal and
+        the parameters it runs on; zero is the constant 0.0."""
         if self.kind == "zero":
-            return 0.0
-        if self.kind == "constant":
-            return self.params[0]
-        if self.kind == "sinusoid":
-            a, w, phi = self.params
-            return a * math.sin(w * t + phi)
-        if self.kind == "piecewise":
-            bp, vals = self.params
-            return vals[bisect.bisect_right(bp, t)]
-        if self.kind == "table":
-            vals, dt, t0 = self.params
-            idx = int((t - t0) / dt)
-            return vals[min(max(idx, 0), len(vals) - 1)]
-        raise ValueError(f"unknown input kind {self.kind!r}")
+            return "constant", (0.0,)
+        if self.kind not in _INPUTS:
+            raise ValueError(f"unknown input kind {self.kind!r}")
+        return self.kind, self.params
+
+    def __call__(self, t: float) -> float:
+        """The signal at time ``t``, in the float operations of the RK4 loop."""
+        kind, params = self._source()
+        return _input_value(kind)(params, t)
 
     def describe(self) -> str:
         if self.kind == "zero":
@@ -155,6 +153,33 @@ class InputSignal(Frozen):
         if self.kind == "piecewise":
             return f"piecewise[{len(self.params[0]) + 1} pieces]"
         return f"table[{len(self.params[0])} samples]"
+
+
+# each input kind's float operations, as the source that both the RK4 loop
+# (rk4_source) and InputSignal.__call__ run: the lines that unpack the
+# signal's parameters ``_params``, its value at time ``{t}`` (None for a
+# constant, the float ``_u0`` bound before the loop), and the argument to
+# name when it has no value (None for a kind that always has one)
+_INPUTS = {
+    "constant": (("_u0, = _params",), None, None),
+    "sinusoid": (("_ia, _iw, _iphi = _params",), "_ia * _sin(_iw * {t} + _iphi)", "w*t + phi"),
+    "piecewise": (("_ibp, _ivals = _params", "_find = _bisect.bisect_right"),
+                  "_ivals[_find(_ibp, {t})]", None),
+    "table": (("_ivals, _idt, _it0 = _params", "_ilast = len(_ivals) - 1", "_int = int"),
+              "_ivals[0 if (_i := _int(({t} - _it0) / _idt)) < 0 else _ilast if _i > _ilast else _i]",
+              "(t - t0)/dt"),
+}
+
+
+@functools.cache
+def _input_value(kind: str):
+    """``value(params, t)``, the ``_INPUTS`` source of ``kind`` compiled
+    once as a function, with the catalog functions the loop binds."""
+    setup, value, _ = _INPUTS[kind]
+    namespace = {**ex.python_functions(), "_bisect": bisect}
+    exec("\n    ".join(["def _value(_params, t):", *setup,
+                        "return " + (value or "_u0").format(t="t")]), namespace)
+    return namespace["_value"]
 
 
 def parse_input_spec(spec: str) -> InputSignal:
@@ -305,11 +330,6 @@ class Trajectory(Record):
 # the variables the fields read, not with the members (see rk4_source)
 MEMBERS_MAX = 16
 
-# the loop variant that computes each input kind; zero and constant are the
-# same one, a bound float
-_VARIANTS = {"zero": "constant", "constant": "constant", "sinusoid": "sinusoid",
-             "piecewise": "piecewise", "table": "table"}
-
 
 def _reads(ca: ControlAffineSystem) -> tuple[bool, ...]:
     """Per state variable, whether some drift or input field reads it: for
@@ -354,41 +374,20 @@ def _run(ca: ControlAffineSystem, x0s, u: InputSignal, dt: float, steps: int, ro
     stored exactly the k + 1 rows of t = 0 .. k*dt.  The loop of an input
     kind and a sharing pattern (see ``_sharing``) is generated the first
     time that pair runs on ``ca``, and kept with it, in its ``_loops`` slot
-    under the key (loop variant, pattern)."""
-    try:
-        variant = _VARIANTS[u.kind]
-    except KeyError:
-        raise ValueError(f"unknown input kind {u.kind!r}") from None
+    under the key (kind, pattern), where zero is the kind constant."""
+    kind, params = u._source()
     pattern, seeds = _sharing(_reads(ca), x0s)
     loops = getattr(ca, "_loops", None)
     if loops is None:
         loops = {}
         object.__setattr__(ca, "_loops", loops)
-    fn = loops.get((variant, pattern))
+    fn = loops.get((kind, pattern))
     if fn is None:
         namespace = {"_fns": tuple(ex.python_functions().values()),
                      "_bisect": bisect, "_Struct": Struct}
-        exec(rk4_source(ca, pattern, variant), namespace)
-        fn = loops[variant, pattern] = namespace["_rk4"]
-    fn(seeds, (0.0,) if u.kind == "zero" else u.params, dt, steps, rows)
-
-
-def _input_source(variant: str):
-    """The input of a loop variant as source, in the float operations of
-    ``InputSignal.__call__``: the lines that unpack the signal's parameters
-    ``_params`` before the loop, and ``at(u, t)``, the lines that assign the
-    input at time ``t`` to ``u`` in the step (None for a constant input,
-    which is the bound float ``_u0``)."""
-    if variant == "constant":
-        return ["_u0, = _params"], None
-    if variant == "sinusoid":
-        return ["_ia, _iw, _iphi = _params"], lambda u, t: [f"{u} = _ia * _sin(_iw * {t} + _iphi)"]
-    if variant == "piecewise":
-        return (["_ibp, _ivals = _params", "_find = _bisect.bisect_right"],
-                lambda u, t: [f"{u} = _ivals[_find(_ibp, {t})]"])
-    return (["_ivals, _idt, _it0 = _params", "_ilast = len(_ivals) - 1", "_int = int"],
-            lambda u, t: [f"_i = _int(({t} - _it0) / _idt)",
-                          f"{u} = _ivals[0 if _i < 0 else _ilast if _i > _ilast else _i]"])
+        exec(rk4_source(ca, pattern, kind), namespace)
+        fn = loops[kind, pattern] = namespace["_rk4"]
+    fn(seeds, params, dt, steps, rows)
 
 
 def _table(lines: list, prefix: str):
@@ -412,11 +411,11 @@ def _once(rhss, emit) -> list[str]:
     return [rhs if uses[rhs] == 1 else emit(rhs) for rhs in rhss]
 
 
-def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
+def rk4_source(ca: ControlAffineSystem, pattern, kind: str) -> str:
     """Source of ``_rk4(_x0s, _params, _dt, _steps, _rows)``, the RK4 loop
     that runs the whole integration of the members of the sharing pattern
     ``pattern`` (see ``_sharing``; ``_x0s`` holds the seeds) in lockstep,
-    under an input of the loop variant ``variant``.
+    under an input of the kind ``kind``, a key of ``_INPUTS``.
 
     The step body, and the lines before the loop, write each distinct
     right-hand side once (local value numbering, ``_table``): every stage
@@ -432,25 +431,25 @@ def rk4_source(ca: ControlAffineSystem, pattern, variant: str) -> str:
     x + (dt/6)*(((k1 + 2*k2) + 2*k3) + k4), so every member's trajectory is
     bit for bit the one of a lone run.
 
-    The input is computed in the float operations of
-    ``InputSignal.__call__``: a zero or constant input is one float bound
-    before the loop, any other kind once per step and distinct stage time
-    (k2 and k3 share t + 0.5*dt).  Each expression is rendered once, as a
+    The input is computed by its ``_INPUTS`` source, which
+    ``InputSignal.__call__`` runs too: a zero or constant input is one float
+    bound before the loop, any other kind once per step and distinct stage
+    time (k2 and k3 share t + 0.5*dt).  Each expression is rendered once, as a
     template over the state variables.  The catalog functions are locals,
     and each row is one ``struct`` pack appended to ``_rows`` with
     ``frombytes``.  The function runs with ``_fns``, the
     ``expr.python_functions`` values, ``_bisect`` and ``_Struct`` in its
     globals, checks no state for finiteness and raises nothing of its own."""
     reads = _reads(ca)
-    setup, input_at = _input_source(variant)
+    setup, value, _ = _INPUTS[kind]
     before, body = [], []
     pre, emit = _table(before, "_c"), _table(body, "_v")
     # a zero or constant input and its products are bound before the loop
-    ua, ub, uc = ("_u0",) * 3 if input_at is None else ("_ua", "_ub", "_uc")
-    product = pre if input_at is None else emit
-    if input_at is not None:
-        body += ["_t = _k * _dt", *input_at(ua, "_t"), *input_at(ub, "(_t + _h)"),
-                 *input_at(uc, "(_t + _dt)")]
+    ua, ub, uc = ("_u0",) * 3 if value is None else ("_ua", "_ub", "_uc")
+    product = pre if value is None else emit
+    if value is not None:
+        body += ["_t = _k * _dt", *(f"{u} = {value.format(t=t)}" for u, t in
+                                    ((ua, "_t"), (ub, "(_t + _h)"), (uc, "(_t + _dt)")))]
     at = {v: f"{{0[{i}]}}" for i, v in enumerate(ca.state_vars)}
     drift = [ex.python_source(f, at) for f in ca.drift]
     gains = [(ex.python_source(g, at), isinstance(g, ex.Const)) for g in ca.input_fields[0]]
@@ -562,54 +561,53 @@ def _replay_step(ca: ControlAffineSystem, u, dt: float, x, k: int) -> None:
 
 def _raise_failure(ca: ControlAffineSystem, xs, u, dt: float, rows, error) -> None:
     """Raise the failure, if any, of the run from the starts ``xs`` that
-    stored ``rows`` (see ``_run``) and raised ``error`` (or None).  Each
-    member's columns are bit for bit its lone run, so the rules of a lone run
-    apply across members, the first in order deciding a sample: the first
-    step end whose state is not finite (the start is none, and stays
-    non-finite into step 1), else each member's replay of the step that
-    raised (else ``error`` itself), else the first output that is not finite
-    (a float product overflows to inf without raising)."""
-    import numpy as np
-    table = np.frombuffer(rows).reshape(-1, len(xs) * (ca.dim + ca.p))
+    stored ``rows`` (see ``_run``) and raised ``error`` (or None), read from
+    the rows in pure Python.  Each member's columns are bit for bit its lone
+    run, so the rules of a lone run apply across members, the first in
+    order deciding a sample: the first step end whose state is not finite
+    (the start is none, and stays non-finite into step 1; a state that is
+    not finite stays so under x + (dt/6)*(...), so a bisection finds it),
+    else each member's replay of the step that raised (else ``error``
+    itself), else the first output that is not finite (a float product
+    overflows to inf without raising; an output column is scanned only if
+    its sum is not finite, as the sum of a column holding one is)."""
+    width = len(xs) * (ca.dim + ca.p)
     split = len(xs) * ca.dim  # states, then outputs, in each row
-    states = table[:, :split].reshape(len(table), len(xs), ca.dim)
-    outputs = table[:, split:].reshape(len(table), len(xs), ca.p)
-    ends = np.isfinite(states[1:]).all(axis=2)
-    if not ends.all():
-        k, j = divmod(int(ends.argmin()), len(xs))
-        raise BlowUpError(k * dt + dt, states[k + 1, j].tolist())
+    samples = len(rows) // width
+
+    def state(k: int, j: int) -> list[float]:
+        at = k * width + j * ca.dim
+        return rows[at:at + ca.dim].tolist()
+
+    def blown(k: int) -> bool:
+        return not all(map(math.isfinite, rows[k * width:k * width + split]))
+
+    k = 1 + bisect.bisect_left(range(1, samples), True, key=blown)
+    if k < samples:
+        j = next(j for j in range(len(xs)) if not all(map(math.isfinite, state(k, j))))
+        raise BlowUpError((k - 1) * dt + dt, state(k, j))
     if error is not None:
-        done = len(states)  # samples stored before the failing step
-        for j, x in enumerate(xs):
-            _replay_step(ca, u, dt, states[-1, j].tolist() if done else x, done - 1)
+        for j, x in enumerate(xs):  # replay step samples - 1 from its stored start
+            _replay_step(ca, u, dt, state(samples - 1, j) if samples else x, samples - 1)
         raise error
-    finite = np.isfinite(outputs).all(axis=2)
-    if not finite.all():
-        k, j = divmod(int(finite.argmin()), len(xs))
-        _check_outputs(ca, states[k, j].tolist())
+    bad = [c for c in range(split, width) if not math.isfinite(sum(rows[c::width]))]
+    for k, c in ((k, c) for k in range(samples) for c in bad):  # the first member first
+        if not math.isfinite(rows[k * width + c]):
+            _check_outputs(ca, state(k, (c - split) // ca.p))
+            return
 
 
 def _run_joint(ca: ControlAffineSystem, xs, u, dt: float, steps: int) -> list[Trajectory]:
-    """One run of the members ``xs``, its rows shared by their trajectories.
-    A failure is read from the rows this run stored (``_raise_failure``).
-
-    A run that raised nothing is checked in pure Python.  A state that is
-    not finite stays so, since its update is x + (dt/6)*(...), so the last
-    row shows every state that ever was.  An output can overflow and turn
-    finite again, so each output column is summed: a sum is finite only if
-    every term is, and a finite column whose sum overflows only costs the
-    exact search."""
+    """One run of the members ``xs``, its rows shared by their trajectories,
+    after a failure read from those rows is raised (``_raise_failure``)."""
     rows, error = array("d"), None
     try:
         _run(ca, tuple(v for x in xs for v in x), u, dt, steps, rows)
     except (ArithmeticError, ValueError) as err:
         error = err
+    _raise_failure(ca, xs, u, dt, rows, error)
     width = len(xs) * (ca.dim + ca.p)
-    split = len(xs) * ca.dim  # states, then outputs, in each row
-    last = len(rows) - width
-    if (error is not None or not all(map(math.isfinite, rows[last:last + split]))
-            or not all(math.isfinite(sum(rows[c::width])) for c in range(split, width))):
-        _raise_failure(ca, xs, u, dt, rows, error)
+    split = len(xs) * ca.dim
     names = tuple(ca.state_vars), tuple(f"y{i}" for i in range(1, ca.p + 1))
     return [Trajectory(0.0, dt, rows, width, j * ca.dim, split + j * ca.p, *names)
             for j in range(len(xs))]

@@ -229,13 +229,21 @@ OBSV, LIE, SIM, GRAMIAN = "obsv_lab.obsv", "obsv_lab.lie", "obsv_lab.sim", "obsv
     ("gramian --system preset:fish-1d-gauss --state 0,0 --input zero --input sin:1,6.2832,0",
      0, True, [SIM, GRAMIAN]),
     ("verify --seed 0", 0, False, [OBSV, LIE, SIM]),
+    ("rank --system preset:fish-1d-gauss --state 0,1 --format csv", 2, False, []),
+    ("verify --format csv", 2, False, []),
+    ("simulate --system preset:fish-1d-gauss --state 0,1e308 --input const:1", 4, False, [SIM]),
+    ("distinguish --system preset:fish-1d-gauss --state 0,1e308 --state2 0,1 --input const:1",
+     4, False, [SIM]),
+    ("simulate --system preset:fish-1d-gauss --state 0,0 --input sin:1,1e308", 4, False, [SIM]),
 ], ids=["observable", "separate-0", "separate-1", "separate-3", "validate", "usage", "rank",
-        "simulate", "distinguish", "gramian", "verify"])
+        "simulate", "distinguish", "gramian", "verify", "rank-csv", "verify-csv",
+        "simulate-blow-up", "distinguish-blow-up", "simulate-no-input-value"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, code, numpy_loaded, ran):
     # the symbolic commands answer without numpy, and only verify evaluates
     # words (lie); simulate and distinguish run the integrator on its row
-    # buffer, without numpy or the symbolic modules; gramian's SVD and
-    # rank's SVD need numpy
+    # buffer, and locate a failing run there, without numpy or the symbolic
+    # modules; gramian's SVD and rank's SVD need numpy; a CSV asked of a
+    # command that has none is refused before the command runs
     proc = subprocess.run([sys.executable, "-c", LOAD_PROBE, *argv.split()], env=src_env(),
                           cwd=tmp_path, capture_output=True, text=True, timeout=60)
     assert json.loads(proc.stderr.splitlines()[-1]) == [code, numpy_loaded, ran], proc.stderr
@@ -986,6 +994,17 @@ def test_readme_examples_give_the_same_bytes_as_a_module(tmp_path, monkeypatch, 
         for name in files:
             assert (there / name).read_bytes() == (here / name).read_bytes(), (argv, name)
     assert (tmp_path / "module-5" / "traj.csv").stat().st_size > 0
+
+
+def test_readme_examples_run_clean_in_development_mode(tmp_path):
+    # development mode with every warning an error: a warning, or a file
+    # left unclosed and reported at exit, writes to stderr or changes the
+    # exit code
+    for argv, (_, expected) in zip(readme_commands(), README_EXPECTED):
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "obsv_lab.cli",
+                               *argv], cwd=tmp_path, env=src_env(), capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stderr) == (expected, ""), argv
 
 
 # sha256 of stdout for the README's observable and separate examples, in

@@ -354,8 +354,13 @@ _BODY = "gamma[1] = sin(x)\nF[1] = -z1\n"
     ("\nn = 0\n", 2, "n must be positive, got 0"),
     ("n = 1\n" + _BODY + "b = 1\n", 4, "b must look like [v1, v2, ...]"),
     ("n = 1\n" + _BODY + "b = [one]\n", 4, "b entries must be numbers: [one]"),
+    ("n = 2\n" + _BODY + "gamma[2] = x\nF[2] = -z2\nb = [1,,2]\n", 6,
+     "b entries must be numbers: [1,,2]"),
+    ("n = 1\n" + _BODY + "b = [,1,]\n", 4, "b entries must be numbers: [,1,]"),
+    ("n = 1\n" + _BODY + "b = [1, ]\n", 4, "b entries must be numbers: [1, ]"),
+    ("n = 1\n" + _BODY + "b = []\n", 4, "b has 0 entries, expected 1"),
 ], ids=["no-equals", "empty-value", "n-not-integer", "n-below-1", "b-not-bracketed",
-        "b-not-a-number"])
+        "b-not-a-number", "b-empty-between", "b-empty-around", "b-empty-last", "b-no-entries"])
 def test_load_system_format_errors_name_their_line(text, line_no, message):
     with pytest.raises(SystemFormatError) as exc:
         load_system(text)

@@ -16,7 +16,8 @@ from sympy.polys.matrices import DomainMatrix
 
 import obsv_lab.expr as ex
 from obsv_lab.lie import ObservableWord, evaluate_word
-from obsv_lab.model import CascadeSystem, ControlAffineSystem, as_control_affine, preset, preset_names
+from obsv_lab.model import (K_MAX_DEFAULT, CascadeSystem, ControlAffineSystem, as_control_affine,
+                            preset, preset_names)
 from obsv_lab.obsv import (
     CLASS_APERIODIC,
     CLASS_PERIODIC,
@@ -718,6 +719,34 @@ def test_bounds_know_every_catalog_function():
             lo, hi, _ = _bounds(f, (p, p))
             with mpmath.workdps(50):
                 assert lo <= _mp_value(f, mpmath.mpf(p)) <= hi, (name, p)
+
+
+# error allowed in a closed-form word, relative to the largest |value| of
+# its orders up to its own; the largest seen is 3.8e-15
+CLOSED_FORM_RTOL = 1e-13
+
+
+def test_closed_form_words_match_mpmath_to_the_scan_depth():
+    # a separation scan reports witnesses up to order K_MAX_DEFAULT, past
+    # the orders that evaluate_word and the sympy jet checks reach: each
+    # closed form against the gain's Taylor series from mpmath at 60 digits,
+    # for every gain of verify's pool, its constants taken as their floats
+    from obsv_lab.cli import _GAIN_POOL
+
+    b, z = 1.3, -0.7
+    for src in _GAIN_POOL:
+        gamma = ex.parse(src, {"x"})
+        sys_ = CascadeSystem(n=1, gamma=(gamma,), F=(ex.parse("-z1", {"z1"}),), b=(b,))
+        for x in (-1.3, 0.4, 2.1):
+            with mpmath.workdps(60):
+                coeffs = mpmath.taylor(lambda t: _mp_value(gamma, t), mpmath.mpf(x), K_MAX_DEFAULT)
+                lflg = [c * mpmath.factorial(k) * mpmath.mpf(b) ** k * mpmath.mpf(z)
+                        for k, c in enumerate(coeffs)]
+                lglflg = [v * mpmath.mpf(b) / mpmath.mpf(z) for v in lflg]
+                for word, want in ((cascade_lflg, lflg), (cascade_lglflg, lglflg)):
+                    for k in range(K_MAX_DEFAULT + 1):
+                        err = abs(word(sys_, 1, k, (x, z)) - want[k]) / max(map(abs, want[:k + 1]))
+                        assert err <= CLOSED_FORM_RTOL, (src, x, word.__name__, k, float(err))
 
 
 def test_aperiodic_verdicts_back_random_pair_scans():
