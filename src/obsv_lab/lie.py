@@ -13,12 +13,12 @@ differentiated tree (README, "Derivatives").  A word whose k letters are
 all one field is k! times order k of an ``expr.Jet`` along that field.  Any
 other word is the eps_1...eps_k coefficient of h(x), where x starts at the
 state and each letter, outermost first, moves it by eps_i * X_i(x), with
-every eps_i^2 = 0.  Its tables are plain lists of floats, whose products
-add their terms in the order numpy's ``reduceat`` added them when the tables
-were arrays, so a word's bits did not change when numpy left this module; it
-imports none.  A one-field word of k letters costs O(k^2) and needs no bound;
-one that changes field costs 3^k per product, so ``EPS_LETTERS_MAX`` is the
-one bound on a word's length.
+every eps_i^2 = 0.  Its tables are plain lists of floats, and this module
+imports no numpy; each coefficient of a product is the correctly rounded
+sum of its pair products (``math.fsum``), so no order of addition is part
+of a word's bits.  A one-field word of k letters costs O(k^2) and needs no
+bound; one that changes field costs 3^k per product, so ``EPS_LETTERS_MAX``
+is the one bound on a word's length.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import functools
 import math
 from array import array
 from itertools import repeat
-from operator import add, itemgetter, mul, xor
+from operator import itemgetter, mul
 
 from . import expr as ex
 from .model import ControlAffineSystem, ObservableWord, state_of
@@ -101,71 +101,45 @@ def _word_value(sys: ControlAffineSystem, h, fields, x0) -> float:
 # The eps tables.  A value over n letters is a list of 2^n floats, bit i of
 # an index marking eps_(i+1).  Order 0 of every node passes expr's checks,
 # so a domain fault names the subexpression that ``expr.evaluate`` names.
-# Coefficient S of a product is a sum over the pairs (T, S \ T); it adds
-# them in the order numpy's ``np.add.reduceat`` added them when the tables
-# were arrays, so that every word keeps the bits it had then: the first
-# product plus numpy's pairwise sum of the rest (``_pairwise``).  Nothing
-# here imports numpy.
+# Coefficient S of a product is a[0]*b[0] for S = {}, and for every other S
+# the correctly rounded sum (``math.fsum``) of its rounded pair products
+# a[T]*b[S \ T]: an exact zero is +0.0, and where fsum refuses the sum (a
+# partial sum overflows, or +inf meets -inf) the coefficient is nan; a word
+# whose value is not finite raises DomainError.  Nothing here imports numpy.
 
 
-@functools.cache  # one plan per letter count: 6.8 MB with every plan up to 12 letters
-def _pairs(n: int) -> list:
-    """The pairs (T, S \\ T) of disjoint subsets of n bits, for each size
-    c >= 1 of their union S: the sets S of c bits in increasing order, the
-    number 2^c of pairs per set, and two flat index arrays, T and S \\ T,
-    that list the sets' i-th pairs together for i = 0, 1, ..., with T in
-    increasing order within each set."""
-    plan = []
-    for c in range(1, n + 1):
-        sets = [s for s in range(1 << n) if s.bit_count() == c]
-        subsets = [array("i", [0]) * len(sets)]
-        for bit in zip(*([1 << i for i in range(n) if s >> i & 1] for s in sets)):
-            # column i + 2^k is column i plus each set's k-th lowest bit
-            subsets += [array("i", map(add, t, bit)) for t in subsets]
-        t, r = array("i"), array("i")
-        for column in subsets:
-            t += column
-            r += array("i", map(xor, sets, column))
-        plan.append((sets, len(subsets), t, r))
-    return plan
+@functools.cache  # one plan per letter count: 6.7 MB with every plan up to 12 letters
+def _pairs(n: int) -> tuple:
+    """The pairs (T, S \\ T) of disjoint subsets of n bits with S != {}:
+    two flat index arrays, T and S \\ T, that list the pairs of S = 1, 2,
+    ..., 2^n - 1 in turn, and the offsets at which each S's pairs start,
+    followed by their end."""
+    t, r, ends = array("i"), array("i"), array("i", [0])
+    for s in range(1, 1 << n):
+        sub = [0]
+        for i in range(s.bit_length()):
+            if s >> i & 1:
+                sub += [x | 1 << i for x in sub]
+        t += array("i", sub)
+        r += array("i", [s ^ x for x in sub])
+        ends.append(len(t))
+    return t, r, ends
 
 
-def _pairwise(terms: list, g: int, lo: int, n: int) -> list:
-    """Columns lo to lo + n - 1 of ``terms``, column i being
-    ``terms[i*g:(i+1)*g]``, added entry by entry in the order of numpy's
-    pairwise sum: one after another below 8 columns (numpy starts from -0.0,
-    and -0.0 + x is x), in 8 accumulators up to 128, and split in two at a
-    multiple of 8 above that.  The 8 accumulators are 8 adjacent columns, so
-    one ``map`` adds the next 8 to all of them."""
-    if n < 8:
-        total = terms[lo * g:(lo + 1) * g]
-        for k in range((lo + 1) * g, (lo + n) * g, g):
-            total = map(add, total, terms[k:k + g])
-        return list(total)
-    if n <= 128:
-        w, start, stop = 8 * g, lo * g, (lo + n - n % 8) * g
-        acc = terms[start:start + w]
-        for k in range(start + w, stop, w):
-            acc = list(map(add, acc, terms[k:k + w]))
-        r0, r1, r2, r3, r4, r5, r6, r7 = (acc[j:j + g] for j in range(0, w, g))
-        total = map(add, map(add, map(add, r0, r1), map(add, r2, r3)),
-                    map(add, map(add, r4, r5), map(add, r6, r7)))
-        for k in range(stop, (lo + n) * g, g):
-            total = map(add, total, terms[k:k + g])
-        return list(total)
-    half = n // 2 - n // 2 % 8
-    return list(map(add, _pairwise(terms, g, lo, half), _pairwise(terms, g, lo + half, n - half)))
+def _sum(terms: list) -> float:
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):  # a partial sum overflows, or +inf meets -inf
+        return math.nan
 
 
 def _mul(a: list, b: list, n: int) -> list:
     """The product of the tables ``a`` and ``b`` over n letters."""
-    out = [a[0] * b[0]] * (1 << n)  # S = {} has this one pair; the loop sets every other S
-    for sets, width, t, r in _pairs(n):
-        g = len(sets)
-        terms = list(map(mul, itemgetter(*t)(a), itemgetter(*r)(b)))
-        for s, v in zip(sets, map(add, terms[:g], _pairwise(terms, g, 1, width - 1))):
-            out[s] = v
-    return out
+    if not n:
+        return [a[0] * b[0]]
+    t, r, ends = _pairs(n)
+    terms = list(map(mul, itemgetter(*t)(a), itemgetter(*r)(b)))
+    return [a[0] * b[0]] + [_sum(terms[i:j]) for i, j in zip(ends, ends[1:])]
 
 
 def _series(e, one_var, a: list, n: int) -> list:

@@ -324,7 +324,9 @@ def load_system(text: str) -> CascadeSystem:
     if not (b_text.startswith("[") and b_text.endswith("]")):
         raise SystemFormatError(line_no, "b must look like [v1, v2, ...]")
     inner = b_text[1:-1]
-    try:  # float rejects an empty entry, as in [1,,2] or [1,]
+    try:  # float rejects an empty entry, as in [1,,2] or [1,], but reads 1_0 as 10
+        if "_" in inner:
+            raise ValueError(inner)
         b = tuple(float(p) for p in inner.split(",")) if inner.strip() else ()
     except ValueError:
         raise SystemFormatError(line_no, f"b entries must be numbers: {b_text}") from None

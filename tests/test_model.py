@@ -359,8 +359,10 @@ _BODY = "gamma[1] = sin(x)\nF[1] = -z1\n"
     ("n = 1\n" + _BODY + "b = [,1,]\n", 4, "b entries must be numbers: [,1,]"),
     ("n = 1\n" + _BODY + "b = [1, ]\n", 4, "b entries must be numbers: [1, ]"),
     ("n = 1\n" + _BODY + "b = []\n", 4, "b has 0 entries, expected 1"),
+    ("n = 1\n" + _BODY + "b = [1_0]\n", 4, "b entries must be numbers: [1_0]"),
 ], ids=["no-equals", "empty-value", "n-not-integer", "n-below-1", "b-not-bracketed",
-        "b-not-a-number", "b-empty-between", "b-empty-around", "b-empty-last", "b-no-entries"])
+        "b-not-a-number", "b-empty-between", "b-empty-around", "b-empty-last", "b-no-entries",
+        "b-underscore"])
 def test_load_system_format_errors_name_their_line(text, line_no, message):
     with pytest.raises(SystemFormatError) as exc:
         load_system(text)
