@@ -33,7 +33,9 @@ from .model import (
     InvalidSystemError,
     ObservableWord,
     as_control_affine,
+    integer,
     load_system_file,
+    number,
     preset,
     preset_names,
     validate,
@@ -405,11 +407,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=[],
         help="zero | const:<c> | sin:<a>,<w>[,<phi>] (repeatable for gramian)",
     )
-    p.add_argument("--t-end", type=float, default=T_END_DEFAULT)
-    p.add_argument("--dt", type=float, default=DT_DEFAULT)
-    p.add_argument("--kmax", dest="k_max", type=int, default=K_MAX_DEFAULT)
-    p.add_argument("--lmax", dest="l_max", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0, help="seeds the random draws of verify")
+    p.add_argument("--t-end", type=number, default=T_END_DEFAULT)
+    p.add_argument("--dt", type=number, default=DT_DEFAULT)
+    p.add_argument("--kmax", dest="k_max", type=integer, default=K_MAX_DEFAULT)
+    p.add_argument("--lmax", dest="l_max", type=integer, default=None)
+    p.add_argument("--seed", type=integer, default=0, help="seeds the random draws of verify")
     p.add_argument("--format", choices=("json", "text", "csv"), default="json")
     p.add_argument("--out", help="write the report here instead of stdout")
     return p

@@ -226,6 +226,7 @@ def _fold(e: Expr, *args: float) -> Expr:
 #   term   := factor (('*'|'/') factor)*
 #   factor := ['-'] atom ['^' integer]
 #   atom   := number | ident | func '(' expr ')' | '(' expr ')'
+_LEVELS = ({"+": add, "-": sub}, {"*": mul, "/": div})  # expr's and term's operators
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
@@ -305,23 +306,17 @@ class _Parser:
                 raise ParseError(start, "a finite number", text) from err
         return node
 
-    def expr(self) -> Expr:
+    def expr(self, level: int = 0) -> Expr:
+        """The binary level ``_LEVELS[level]``, its operands left to right."""
+        ops = _LEVELS[level]
         start = self.peek()[2]
-        node = self.term()
-        while self.at_op("+", "-"):
-            op = self.take()[1]
-            rhs = self.term()
-            node = self.folded(add(node, rhs) if op == "+" else sub(node, rhs), start)
-        return node
-
-    def term(self) -> Expr:
-        start = self.peek()[2]
-        node = self.factor()
-        while self.at_op("*", "/"):
-            op = self.take()[1]
-            rhs = self.factor()
-            node = self.folded(mul(node, rhs) if op == "*" else div(node, rhs), start)
-        return node
+        node = build = None
+        while True:
+            rhs = self.expr(level + 1) if level + 1 < len(_LEVELS) else self.factor()
+            node = rhs if build is None else self.folded(build(node, rhs), start)
+            if not self.at_op(*ops):
+                return node
+            build = ops[self.take()[1]]
 
     def factor(self) -> Expr:
         negate = False

@@ -10,10 +10,10 @@ Positions never enter the dynamics and are read out only through the
 velocity gain gamma_i.  State order is fixed as (x_1..x_n, z_1..z_n)
 throughout the package.
 
-Engines check a state through ``state_of`` and a one-position shift
-through ``shift_of``, the one copy of each check and its message; the
-closed forms and the separation scan of ``obsv`` check cascade states
-themselves.
+Engines check a state through ``state_tuple`` (in ``state_of``) and a
+one-position shift through ``shift_of``, the one copy of each check and its
+message.  ``number`` reads every number outside an expression: a model
+file's ``n`` and ``b``, the input specs of ``sim``, the CLI's flags.
 """
 
 from __future__ import annotations
@@ -194,22 +194,25 @@ def as_control_affine(sys: CascadeSystem | ControlAffineSystem) -> ControlAffine
     return ca
 
 
+def state_tuple(x, dim: int, what: str = "state") -> tuple[float, ...]:
+    """``x`` as a tuple of floats, which must have ``dim`` entries."""
+    x = tuple(float(v) for v in x)
+    if len(x) != dim:
+        raise ValueError(f"{what} has {len(x)} entries, expected {dim}")
+    return x
+
+
 def state_of(sys: CascadeSystem | ControlAffineSystem, x) -> tuple[ControlAffineSystem, tuple]:
     """(ca, x): the control-affine form of ``sys`` and ``x`` as a tuple of
     floats, which must have one entry per state variable."""
     ca = as_control_affine(sys)
-    x = tuple(float(v) for v in x)
-    if len(x) != ca.dim:
-        raise ValueError(f"state has {len(x)} entries, expected {ca.dim}")
-    return ca, x
+    return ca, state_tuple(x, ca.dim)
 
 
 def shift_of(sys: CascadeSystem, shift) -> tuple[tuple[float, ...], int]:
     """(shift, i): ``shift`` as a tuple of floats, one per block, and the
     index of its one nonzero entry."""
-    shift = tuple(float(v) for v in shift)
-    if len(shift) != sys.n:
-        raise ValueError(f"shift has {len(shift)} entries, expected {sys.n}")
+    shift = state_tuple(shift, sys.n, "shift")
     hot = [i for i, v in enumerate(shift) if v != 0.0]
     if len(hot) != 1:
         raise ValueError(f"shift must have exactly one nonzero coordinate: {shift}")
@@ -271,6 +274,19 @@ def preset_names() -> tuple[str, ...]:
 #   b = [1, 0.5]
 
 
+def number(text: str, kind: type = float):
+    """``text`` read by ``kind``, ``float`` or ``int``, without the
+    digit-group underscore that the expression grammar refuses: ``1_0`` is
+    a ValueError, not 10; ``inf`` and ``nan`` reach the checks that name them."""
+    if "_" in text:
+        raise ValueError(f"could not convert string to {kind.__name__}: {text!r}")
+    return kind(text)
+
+
+def integer(text: str) -> int:
+    return number(text, int)
+
+
 def load_system(text: str) -> CascadeSystem:
     entries: dict[str, tuple[int, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -296,38 +312,29 @@ def load_system(text: str) -> CascadeSystem:
 
     line_no, n_text = take("n")
     try:
-        n = int(n_text)
+        n = integer(n_text)
     except ValueError:
         raise SystemFormatError(line_no, f"n must be an integer, got {n_text!r}") from None
     if n < 1:
         raise SystemFormatError(line_no, f"n must be positive, got {n}")
 
-    xs = ex.VarNames({GAMMA_VAR})
-    gamma = []
-    for i in range(1, n + 1):
-        line_no, src = take(f"gamma[{i}]")
-        try:
-            gamma.append(ex.parse(src, xs))
-        except ParseError as err:
-            raise SystemFormatError(line_no, f"gamma[{i}]: {err}") from err
-
-    zs = ex.VarNames(z_names(n))
-    F = []
-    for i in range(1, n + 1):
-        line_no, src = take(f"F[{i}]")
-        try:
-            F.append(ex.parse(src, zs))
-        except ParseError as err:
-            raise SystemFormatError(line_no, f"F[{i}]: {err}") from err
+    exprs = {}
+    for key, names in (("gamma", (GAMMA_VAR,)), ("F", z_names(n))):
+        names = ex.VarNames(names)
+        exprs[key] = []
+        for i in range(1, n + 1):
+            line_no, src = take(f"{key}[{i}]")
+            try:
+                exprs[key].append(ex.parse(src, names))
+            except ParseError as err:
+                raise SystemFormatError(line_no, f"{key}[{i}]: {err}") from err
 
     line_no, b_text = take("b")
     if not (b_text.startswith("[") and b_text.endswith("]")):
         raise SystemFormatError(line_no, "b must look like [v1, v2, ...]")
     inner = b_text[1:-1]
-    try:  # float rejects an empty entry, as in [1,,2] or [1,], but reads 1_0 as 10
-        if "_" in inner:
-            raise ValueError(inner)
-        b = tuple(float(p) for p in inner.split(",")) if inner.strip() else ()
+    try:  # an empty entry, as in [1,,2] or [1,], is no number
+        b = tuple(map(number, inner.split(","))) if inner.strip() else ()
     except ValueError:
         raise SystemFormatError(line_no, f"b entries must be numbers: {b_text}") from None
     if len(b) != n:
@@ -337,7 +344,7 @@ def load_system(text: str) -> CascadeSystem:
         stray_key = next(iter(entries))
         raise SystemFormatError(entries[stray_key][0], f"unexpected key {stray_key!r}")
 
-    sys = CascadeSystem(n=n, gamma=tuple(gamma), F=tuple(F), b=b)
+    sys = CascadeSystem(n=n, gamma=tuple(exprs["gamma"]), F=tuple(exprs["F"]), b=b)
     violations = validate(sys)
     if violations:
         raise InvalidSystemError(violations)

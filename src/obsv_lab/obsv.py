@@ -29,6 +29,7 @@ from .model import (
     ControlAffineSystem,
     ObservableWord,
     state_of,
+    state_tuple,
 )
 from .record import Record
 
@@ -87,11 +88,9 @@ class RankReport(Record):
 # Closed forms for the alternating words
 
 
-def _check_block(sys: CascadeSystem, i: int, state) -> None:
+def _check_block(sys: CascadeSystem, i: int) -> None:
     if not 1 <= i <= sys.n:
         raise ValueError(f"block index {i} out of range for n = {sys.n}")
-    if len(state) != 2 * sys.n:
-        raise ValueError(f"state has {len(state)} entries, expected {2 * sys.n}")
 
 
 def _lflg(gk: float, b: float, k: int, z: float) -> float:
@@ -104,17 +103,17 @@ def _lglflg(gk: float, b: float, k: int) -> float:
 
 def cascade_lflg(sys: CascadeSystem, i: int, k: int, state) -> float:
     """Value of the k-fold (drift o input) word on output i: gamma^(k)(x_i) b^k z_i."""
-    _check_block(sys, i, state)
-    x = float(state[i - 1])
-    z = float(state[sys.n + i - 1])
+    _check_block(sys, i)
+    state = state_tuple(state, 2 * sys.n)
+    x, z = state[i - 1], state[sys.n + i - 1]
     gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x)
     return _lflg(gk, sys.b[i - 1], k, z)
 
 
 def cascade_lglflg(sys: CascadeSystem, i: int, k: int, state) -> float:
     """Value of input o (drift o input)^k on output i: gamma^(k)(x_i) b^(k+1)."""
-    _check_block(sys, i, state)
-    x = float(state[i - 1])
+    _check_block(sys, i)
+    x = state_tuple(state, 2 * sys.n)[i - 1]
     gk = ex.nth_derivative_at(sys.gamma[i - 1], GAMMA_VAR, k, x)
     return _lglflg(gk, sys.b[i - 1], k)
 
@@ -581,10 +580,7 @@ def find_separating_observable(
     if k_max < 0:
         raise ValueError(f"k_max must be at least 0, got {k_max}")
     n = sys.n
-    s0 = tuple(float(v) for v in s0)
-    s1 = tuple(float(v) for v in s1)
-    if len(s0) != 2 * n or len(s1) != 2 * n:
-        raise ValueError(f"states must have {2 * n} entries")
+    s0, s1 = state_tuple(s0, 2 * n), state_tuple(s1, 2 * n)
     if s0 == s1:
         raise ValueError("states are identical; nothing to separate")
     bounds = {"k_max": k_max, "sep_tol": SEP_TOL_DEFAULT}

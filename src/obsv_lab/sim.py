@@ -34,6 +34,7 @@ from .model import (
     CascadeSystem,
     ControlAffineSystem,
     as_control_affine,
+    number,
     shift_of,
     state_of,
 )
@@ -186,7 +187,7 @@ def parse_input_spec(spec: str) -> InputSignal:
     """Build a signal from a compact textual form.
 
     Accepted: ``zero``, ``const:<c>``, ``sin:<amplitude>,<omega>[,<phase>]``,
-    each parameter a finite float.
+    each parameter a finite number in ``model.number``'s form.
     """
     spec = spec.strip()
     if spec == "zero":
@@ -194,12 +195,10 @@ def parse_input_spec(spec: str) -> InputSignal:
     head, _, rest = spec.partition(":")
     try:
         if head == "const" and rest:
-            return InputSignal.constant(float(rest))
+            return InputSignal.constant(number(rest))
         if head == "sin" and rest:
-            parts = [float(p) for p in rest.split(",")]
-            if len(parts) == 2:
-                return InputSignal.sinusoid(parts[0], parts[1])
-            if len(parts) == 3:
+            parts = [number(p) for p in rest.split(",")]
+            if 2 <= len(parts) <= 3:
                 return InputSignal.sinusoid(*parts)
     except ValueError as err:
         raise ValueError(f"bad input spec {spec!r}: {err}") from None

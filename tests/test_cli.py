@@ -81,6 +81,13 @@ def test_validate_format_error_is_a_usage_error(tmp_path, capsys):
         2, "", "error: line 2: n must be an integer, got 'one'\n")
 
 
+def test_validate_refuses_a_digit_group_underscore_in_n(tmp_path, capsys):
+    path = tmp_path / "sys.txt"
+    path.write_text(GOOD_FILE.replace("n = 1", "n = 0_1"))
+    assert run(capsys, "validate", "--system", str(path)) == (
+        2, "", "error: line 2: n must be an integer, got '0_1'\n")
+
+
 def test_validate_non_finite_b_is_invalid(tmp_path, capsys):
     path = tmp_path / "sys.txt"
     path.write_text(GOOD_FILE.replace("b = [1.0]", "b = [inf]"))
@@ -717,6 +724,22 @@ def test_numeric_flags_are_checked_on_input(capsys, argv):
     assert out == ""
     assert err.startswith(f"error: {argv[-2]} must be ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (("simulate", "--state", "0,0", "--dt", "1_0e-3"), "number"),
+    (("simulate", "--state", "0,0", "--t-end", "1_0"), "number"),
+    (("separate", "--state", "0,1", "--state2", "0,2", "--kmax", "1_2"), "integer"),
+    (("rank", "--state", "0,1", "--lmax", "1_2"), "integer"),
+    (("verify", "--seed", "1_0"), "integer"),
+], ids=lambda v: " ".join(v[-2:]) if isinstance(v, tuple) else v)
+def test_numeric_flags_refuse_a_digit_group_underscore(capsys, argv, kind):
+    # float and int would read each value (as 0.01, 10, 12, 12 and 10)
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--system", "preset:fish-1d-gauss"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"obsv-lab: error: argument {argv[-2]}: invalid {kind} value: '{argv[-1]}'")
 
 
 @pytest.mark.parametrize("spec", ["const:nan", "const:1e400", "sin:1,1,nan", "sin:1,inf"])

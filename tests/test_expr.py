@@ -1,6 +1,8 @@
 import hashlib
+import inspect
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -165,6 +167,22 @@ def test_parse_rejects_bad_variable_names():
         parse("sin(x)", {"sin", "x"})
     with pytest.raises(ValueError):
         parse("x", {"not an ident"})
+
+
+@pytest.mark.parametrize("src", [
+    "sin(" * 100 + "x" + ")" * 100,
+    "sin(1+2*(" * 50 + "x" + "))" * 50,
+], ids=["sin", "sum-product"])
+def test_the_deepest_nest_parses_in_a_bounded_number_of_frames(src):
+    # 100 open parentheses, the most the parser takes: each costs the same
+    # Python frames through both binary levels, 515 above the caller in all
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 520)
+    try:
+        e = parse(src, {"x"})
+    finally:
+        sys.setrecursionlimit(limit)
+    assert evaluate(e, {"x": 0.0}) == evaluate(parse(src.replace("x", "0")), {})
 
 
 # ---------------------------------------------------------------------------

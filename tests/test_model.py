@@ -360,9 +360,12 @@ _BODY = "gamma[1] = sin(x)\nF[1] = -z1\n"
     ("n = 1\n" + _BODY + "b = [1, ]\n", 4, "b entries must be numbers: [1, ]"),
     ("n = 1\n" + _BODY + "b = []\n", 4, "b has 0 entries, expected 1"),
     ("n = 1\n" + _BODY + "b = [1_0]\n", 4, "b entries must be numbers: [1_0]"),
+    ("n = 0_1\n" + _BODY + "b = [1]\n", 1, "n must be an integer, got '0_1'"),
+    ("n = 2\ngamma[1] = sin(x)\ngamma[2] = x\nF[1] = -z1\nF[2] = -z2 +\nb = [1, 1]\n", 5,
+     "F[2]: at offset 5: expected a number, variable, or '(', found 'end of input'"),
 ], ids=["no-equals", "empty-value", "n-not-integer", "n-below-1", "b-not-bracketed",
         "b-not-a-number", "b-empty-between", "b-empty-around", "b-empty-last", "b-no-entries",
-        "b-underscore"])
+        "b-underscore", "n-underscore", "F-parse-error"])
 def test_load_system_format_errors_name_their_line(text, line_no, message):
     with pytest.raises(SystemFormatError) as exc:
         load_system(text)

@@ -133,6 +133,38 @@ def test_block_words_need_a_state_of_2n_entries(word):
         word(preset("fish-1d-gauss"), 1, 0, (0.0,))
 
 
+def two_blocks() -> CascadeSystem:
+    zs = {"z1", "z2"}
+    return CascadeSystem(
+        n=2,
+        gamma=(ex.parse("exp(-x^2)", {"x"}), ex.parse("1/(x + 2)", {"x"})),
+        F=(ex.parse("-z1", zs), ex.parse("-z2 + 0.5*z1", zs)),
+        b=(1.0, -0.5),
+    )
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys, x: cascade_lflg(sys, 2, 1, x),
+    lambda sys, x: cascade_lglflg(sys, 2, 1, x),
+    lambda sys, x: find_separating_observable(sys, x, (0.0, 0.0, 1.0, 0.0)),
+    lambda sys, x: find_separating_observable(sys, (0.0, 0.0, 1.0, 0.0), x),
+], ids=["lflg", "lglflg", "separate-first", "separate-second"])
+def test_cascade_states_are_checked_by_the_one_state_rule(call):
+    with pytest.raises(ValueError, match=r"^state has 3 entries, expected 4$"):
+        call(two_blocks(), (0.0, 0.0, 1.0))
+
+
+def test_closed_forms_and_the_scan_build_no_control_affine_form():
+    # they read the cascade itself, so the control-affine form that
+    # state_of builds is never built for them
+    sys = two_blocks()
+    s0, s1 = (0.3, -0.2, 1.0, 0.5), (0.3, 0.4, 1.0, 0.5)
+    cascade_lflg(sys, 1, 2, s0)
+    cascade_lglflg(sys, 2, 1, s1)
+    assert find_separating_observable(sys, s0, s1).verdict == VERDICT_SEPARATED
+    assert getattr(sys, "_affine", None) is None
+
+
 # ---------------------------------------------------------------------------
 # periodicity detection
 

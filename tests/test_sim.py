@@ -49,7 +49,7 @@ def test_parse_input_specs():
 
 @pytest.mark.parametrize("bad", ["", "ramp", "const:", "sin:1", "sin:a,b", "sin:1,2,3,4",
                                  "const:nan", "const:1e400", "const:-inf", "sin:1,1,nan",
-                                 "sin:1,inf", "sin:inf,1"])
+                                 "sin:1,inf", "sin:inf,1", "const:1_0", "sin:1,6_2"])
 def test_parse_input_spec_rejects(bad):
     with pytest.raises(ValueError, match=rf"^bad input spec '{re.escape(bad)}'"):
         parse_input_spec(bad)
